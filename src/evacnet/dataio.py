@@ -476,13 +476,13 @@ def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
         pred = np.where(data.active[:, span].all(axis=1))[0]
         if pred.size == 0:
             continue
+        not_pred = np.ones(len(data.detector_ids), dtype=bool)
+        not_pred[pred] = False
         snapshots = []
         extra_t, extra_s = [], []
         for step in range(l):
             t = a + step
-            step_active = np.where(data.active[:, t])[0]
-            extras = np.array([i for i in step_active if i not in set(pred)],
-                              dtype=np.intp)
+            extras = np.flatnonzero(data.active[:, t] & not_pred)
             ordered = np.concatenate([pred, extras])
             metas = [data.metas[data.detector_ids[i]] for i in ordered]
             speeds = {data.detector_ids[i]: float(data.speed[i, t])

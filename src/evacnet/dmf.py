@@ -68,9 +68,8 @@ class DmfParameters:
 
 @dataclass
 class FusionTrace:
-    """Per-step attention weights and embeddings, for inspection."""
+    """Per-step attention weights, for inspection."""
     alphas: list = field(default_factory=list)  # (N_t, n_modalities) arrays
-    embeddings: list = field(default_factory=list)  # {g: (N_t, H)} per step
 
 
 def concat_node_features(temporal_step, spatial, m_temp=None, m_spatial=None):
@@ -85,8 +84,8 @@ def concat_node_features(temporal_step, spatial, m_temp=None, m_spatial=None):
 
 
 def gcn_layer(norm_adj, h_nodes, weight):
-    """Graph convolution: ReLU(Ã H W)."""
-    return nc.relu(nc.matmul(nc.matmul(norm_adj, h_nodes), weight))
+    """Graph convolution: ReLU(Ã H W), with Ã a numcore.EdgeList."""
+    return nc.relu(nc.matmul(nc.spmm(norm_adj, h_nodes), weight))
 
 
 def attention_fuse(z_by_modality, params):
@@ -124,68 +123,120 @@ def predict_head(h, params):
     return nc.matmul(h, params.tensors["W_out"]) + params.tensors["b_out"]
 
 
-def _snapshot_adj(snapshot, modality, n_nodes):
-    if modality == "identity":
-        return np.eye(n_nodes)
-    return snapshot.norm_d if modality == "d" else snapshot.norm_tt
+def _union_adjacency(adjs, n_pred, n_extra):
+    """Predicted rows of the disjoint union of per-window EdgeLists.
 
-
-def forward(window, params, mask=None, static_adj=None):
-    """Full network pass over one window.
-
-    Per input step the GCN runs over that step's full active node set
-    (predicted nodes first, transient extras after); only the predicted
-    rows feed the LSTM. `mask` carries the RL agent's binary feature
-    masks; None means all features active. `static_adj` freezes the
-    spatial stage on one precomputed normalized adjacency (static-graph
-    baseline); it covers the predicted node set only.
+    Window k's adjacency indexes its n_pred[k] predicted nodes first and
+    its n_extra[k] step extras after. In the union every window's
+    predicted nodes come first, in window order, then every window's
+    extras, in window order. Only the predicted nodes' rows are kept, as
+    only they feed the LSTM; the extras still enter as their neighbors.
     """
-    feats = window.features
-    n_pred, l, f_t = feats.temporal.shape
-    if n_pred == 0:
-        raise ValueError("window has an empty predicted node set")
-    if f_t != params.f_t or feats.spatial.shape[1] != params.f_s:
-        raise ValueError("feature registry does not match parameters")
+    n_pred = np.asarray(n_pred)
+    n_extra = np.asarray(n_extra)
+    if [a.shape[0] for a in adjs] != (n_pred + n_extra).tolist():
+        raise ValueError("snapshot node counts disagree with the window")
+    owner = np.repeat(np.arange(len(adjs)), [a.rows.size for a in adjs])
+    rows = np.concatenate([a.rows for a in adjs])
+    keep = rows < n_pred[owner]
+    owner = owner[keep]
+    n_own = n_pred[owner]
+    pred_start = np.cumsum(n_pred) - n_pred
+    extra_start = n_pred.sum() + np.cumsum(n_extra) - n_extra
+    pred_shift = pred_start[owner]
+    extra_shift = extra_start[owner] - n_own
+    cols = np.concatenate([a.cols for a in adjs])[keep]
+    # still sorted by row: window k's kept rows are its predicted rows,
+    # shifted by pred_start[k], which grows with k
+    return nc.EdgeList(
+        rows[keep] + pred_shift,
+        cols + np.where(cols < n_own, pred_shift, extra_shift),
+        np.concatenate([a.vals for a in adjs])[keep],
+        (int(n_pred.sum()), int(n_pred.sum() + n_extra.sum())))
+
+
+def _step_adjacency(modality, snapshots, n_pred, n_extra):
+    if modality == "identity":
+        n = sum(n_pred)
+        return nc.EdgeList(np.arange(n), np.arange(n), np.ones(n),
+                           (n, n + sum(n_extra)))
+    return _union_adjacency([s.sparse_d if modality == "d" else s.sparse_tt
+                             for s in snapshots], n_pred, n_extra)
+
+
+def forward(windows, params, mask=None, static_adj=None):
+    """Full network pass over a batch of windows as one disjoint-union graph.
+
+    At every input step the GCN reads each window's full active node set:
+    every window's predicted nodes first, in window order, then every
+    window's transient extras. It acts on the union block by block, so
+    this equals running the windows one at a time. Only the predicted
+    nodes' rows are computed and feed the LSTM, and the output has one
+    row per predicted node of the batch, in window order. `mask` carries
+    the RL agent's binary feature masks; None means all features active.
+    `static_adj`, one EdgeList per window over its predicted nodes,
+    freezes the spatial stage (static-graph baseline).
+    """
+    if not windows:
+        raise ValueError("empty batch of windows")
+    l = windows[0].features.temporal.shape[1]
+    for w in windows:
+        n_w, l_w, f_t = w.features.temporal.shape
+        if n_w == 0:
+            raise ValueError("window has an empty predicted node set")
+        if l_w != l:
+            raise ValueError("windows in a batch differ in input length")
+        if f_t != params.f_t or w.features.spatial.shape[1] != params.f_s:
+            raise ValueError("feature registry does not match parameters")
+    n_pred = [w.features.temporal.shape[0] for w in windows]
+    temporal = np.concatenate([w.features.temporal for w in windows])
+    spatial = np.concatenate([w.features.spatial for w in windows])
+    n = temporal.shape[0]
     m_temp = None if mask is None else mask.m_temp
     m_spatial = None if mask is None else mask.m_spatial
+    static = None if static_adj is None else \
+        _union_adjacency(static_adj, n_pred, [0] * len(windows))
 
     trace = FusionTrace()
-    h = nc.zeros(n_pred, params.hidden)
-    c = nc.zeros(n_pred, params.hidden)
+    h = nc.zeros(n, params.hidden)
+    c = nc.zeros(n, params.hidden)
     for step in range(l):
-        if static_adj is not None:
-            rows = concat_node_features(feats.temporal[:, step, :],
-                                        feats.spatial, m_temp, m_spatial)
-            adjs = {g: static_adj for g in params.modalities}
+        if static is not None:
+            rows = concat_node_features(temporal[:, step, :], spatial,
+                                        m_temp, m_spatial)
+            adjs = {g: static for g in params.modalities}
         else:
-            temporal = np.concatenate([feats.temporal[:, step, :],
-                                       window.extra_temporal[step]], axis=0)
-            spatial = np.concatenate([feats.spatial,
-                                      window.extra_spatial[step]], axis=0)
-            rows = concat_node_features(temporal, spatial, m_temp, m_spatial)
-            snap = window.snapshots[step]
-            adjs = {g: _snapshot_adj(snap, g, rows.shape[0])
+            rows = concat_node_features(
+                np.concatenate([temporal[:, step, :]]
+                               + [w.extra_temporal[step] for w in windows]),
+                np.concatenate([spatial]
+                               + [w.extra_spatial[step] for w in windows]),
+                m_temp, m_spatial)
+            n_extra = [len(w.extra_temporal[step]) for w in windows]
+            snaps = [w.snapshots[step] for w in windows]
+            adjs = {g: _step_adjacency(g, snaps, n_pred, n_extra)
                     for g in params.modalities}
 
         h_t = Tensor(rows)
-        z_by_mod = {g: gcn_layer(Tensor(adjs[g]), h_t,
-                                 params.tensors[f"W_{g}"])
+        z_by_mod = {g: gcn_layer(adjs[g], h_t, params.tensors[f"W_{g}"])
                     for g in params.modalities}
         if len(params.modalities) > 1:
             fused, alpha = attention_fuse(z_by_mod, params)
             trace.alphas.append(alpha.data.copy())
         else:
             fused = z_by_mod[params.modalities[0]]
-        trace.embeddings.append({g: z.data.copy()
-                                 for g, z in z_by_mod.items()})
-        if fused.shape[0] != n_pred:
-            fused = fused.take_rows(np.arange(n_pred))
         h, c = lstm_step(fused, h, c, params)
 
     return predict_head(h, params), trace
 
 
-def mse_loss(predicted, targets):
-    """Mean squared error over nodes and horizons (normalized units)."""
-    diff = predicted - Tensor(np.asarray(targets, dtype=float))
-    return (diff * diff).mean()
+def mse_loss(predicted, windows):
+    """Mean over windows of each window's mean squared error over nodes and
+    horizons (normalized units): a squared error of window k weighs
+    1/(B·n_k·p), with B windows and n_k predicted nodes in window k."""
+    targets = np.concatenate([w.targets for w in windows])
+    counts = [w.targets.shape[0] for w in windows]
+    weights = np.repeat([1.0 / (len(windows) * k * targets.shape[1])
+                         for k in counts], counts)
+    diff = predicted - Tensor(targets)
+    return (diff * diff * Tensor(weights[:, None])).sum()

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numcore import EdgeList
+
 # Minimum edge weight after min-max scaling; keeps the shortest edge alive.
 W_FLOOR = 0.01
 # Speed substituted when a mean endpoint speed is non-positive (stalled flow).
@@ -28,12 +30,21 @@ class GraphSnapshot:
     adj_tt: np.ndarray
     norm_d: np.ndarray = field(default=None)  # D^-1/2 (A+I) D^-1/2
     norm_tt: np.ndarray = field(default=None)
+    # edge-list forms of norm_d/norm_tt, built once here for the GCN op
+    sparse_d: EdgeList = field(init=False, repr=False)
+    sparse_tt: EdgeList = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.norm_d is None:
             self.norm_d = gcn_normalize(self.adj_d)
         if self.norm_tt is None:
             self.norm_tt = gcn_normalize(self.adj_tt)
+        # one index pattern, the union of both; build_snapshot gives both
+        # modalities the same chain edges
+        rows, cols = np.nonzero((self.norm_d != 0) | (self.norm_tt != 0))
+        shape = self.norm_d.shape
+        self.sparse_d = EdgeList(rows, cols, self.norm_d[rows, cols], shape)
+        self.sparse_tt = EdgeList(rows, cols, self.norm_tt[rows, cols], shape)
 
 
 def build_edges(active_metas):

@@ -1,7 +1,8 @@
 """Forecast error metrics: RMSE, MAE, MAPE and R² over flow series.
 
 MAPE terms with zero actual flow are skipped (and counted); R² with zero
-variance in the actuals is reported as undefined rather than coerced.
+(or rounding-level) variance in the actuals is reported as undefined
+rather than coerced.
 """
 
 from __future__ import annotations
@@ -10,13 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# R² is undefined when the actuals' RMS deviation is below this share of
+# their largest magnitude. Below it, rounding the inputs (~1e-16 relative)
+# can move the variance by more than ~1e-7 relative; at rounding-level
+# spreads R² came out as noise of order -1e30.
+R2_MIN_REL_SPREAD = 1e-8
+
 
 @dataclass
 class MetricReport:
     rmse: float
     mae: float
     mape: float | None  # percent; None when every actual was zero
-    r2: float | None  # None when the actuals are constant
+    r2: float | None  # None when the actuals are (nearly) constant
     n: int
     mape_skipped: int = 0
 
@@ -45,7 +52,8 @@ def compute(actual, predicted):
         mape = None
 
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-    r2 = None if ss_tot == 0 else 1.0 - float(np.sum(err ** 2)) / ss_tot
+    floor = actual.size * (R2_MIN_REL_SPREAD * np.abs(actual).max()) ** 2
+    r2 = None if ss_tot <= floor else 1.0 - float(np.sum(err ** 2)) / ss_tot
 
     return MetricReport(rmse=rmse, mae=mae, mape=mape, r2=r2,
                         n=int(actual.size), mape_skipped=skipped)

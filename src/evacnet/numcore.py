@@ -1,4 +1,5 @@
-"""Minimal dense-tensor autograd core with an Adam optimizer.
+"""Minimal dense-tensor autograd core with an Adam optimizer, plus a
+product with a constant sparse matrix (`EdgeList`) for graph convolutions.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
@@ -203,17 +204,6 @@ class Tensor:
         n = a.data.size if axis is None else a.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def take_rows(self, indices):
-        """Select rows along axis 0; gradient scatters back."""
-        a = self
-        idx = np.asarray(indices, dtype=np.intp)
-
-        def bwd(g):
-            out = np.zeros_like(a.data)
-            np.add.at(out, idx, g)
-            return (out,)
-        return Tensor._make(a.data[idx], (a,), bwd)
-
 
 def matmul(a, b):
     """Matrix product with the usual gradients; supports stacked (>2-d) operands."""
@@ -236,6 +226,57 @@ def matmul(a, b):
         gb = np.swapaxes(a.data, -1, -2) @ g
         return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
     return Tensor._make(out, (a, b), bwd)
+
+
+class EdgeList:
+    """Sparse (n_rows, n_cols) matrix held as (row, col, value) entries.
+    The entries must be sorted by row, so that each row's entries form one
+    contiguous run; `dot` checks this."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
+        self.shape = shape
+
+    @classmethod
+    def from_dense(cls, dense):
+        rows, cols = np.nonzero(dense)  # row-major, so sorted by row
+        return cls(rows, cols, dense[rows, cols], dense.shape)
+
+    def transpose(self):
+        order = np.argsort(self.cols, kind="stable")
+        return EdgeList(self.cols[order], self.rows[order], self.vals[order],
+                        self.shape[::-1])
+
+    def dot(self, x):
+        """self @ x for a 2-d numpy array: gather, weight, segment-sum."""
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"spmm shapes disagree: {self.shape} x "
+                             f"{x.shape}")
+        rows = self.rows
+        if (rows[1:] < rows[:-1]).any():
+            raise ValueError("EdgeList entries must be sorted by row")
+        out = np.zeros((self.shape[0], x.shape[1]))
+        if rows.size:
+            # first entry of each non-empty row
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    rows[1:] != rows[:-1])))
+            # np.take gathers rows several times faster than x[self.cols]
+            out[rows[starts]] = np.add.reduceat(
+                np.take(x, self.cols, axis=0) * self.vals[:, None], starts,
+                axis=0)
+        return out
+
+
+def spmm(adj, x):
+    """Product of a constant EdgeList `adj` with a 2-d Tensor `x`; the
+    gradient with respect to `x` is adj^T @ g."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return Tensor._make(adj.dot(x.data), (x,),
+                        lambda g: (adj.transpose().dot(g),))
 
 
 def relu(x):

@@ -15,6 +15,11 @@ import numpy as np
 from . import dmf, graphs, metrics, numcore as nc, rlagent
 
 CHECKPOINT_VERSION = 1
+# Windows per forward pass in evaluate. Larger chunks amortize per-op
+# overhead further, but a pass holds its whole autograd graph: on a
+# 100-detector scenario, 16 windows per chunk raised peak RSS from 817 to
+# 904 MiB.
+EVAL_CHUNK = 8
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")
@@ -110,13 +115,21 @@ def _window_static_adj(static_full, det_indices):
     return graphs.gcn_normalize(sub)
 
 
-def _forward_loss(window, params, mask, static_full):
-    static_adj = None
-    if static_full is not None:
-        static_adj = _window_static_adj(static_full, window.det_indices)
-    predicted, _ = dmf.forward(window, params, mask=mask,
-                               static_adj=static_adj)
-    return predicted, dmf.mse_loss(predicted, window.targets)
+def _static_edge_lists(static_full, windows):
+    if static_full is None:
+        return None
+    return [nc.EdgeList.from_dense(_window_static_adj(static_full,
+                                                      w.det_indices))
+            for w in windows]
+
+
+def _forward_loss(batch, params, mask, static_full):
+    """One forward pass over the whole batch; the loss is the mean over its
+    windows of each window's MSE."""
+    predicted, _ = dmf.forward(batch, params, mask=mask,
+                               static_adj=_static_edge_lists(static_full,
+                                                             batch))
+    return predicted, dmf.mse_loss(predicted, batch)
 
 
 def train(config, dataset, log_fn=None):
@@ -175,10 +188,7 @@ def train(config, dataset, log_fn=None):
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
             optimizer.zero_grad()
-            losses = [_forward_loss(w, params, mask, static_full)[1]
-                      for w in batch]
-            loss = losses[0] if len(losses) == 1 else \
-                sum(losses[1:], start=losses[0]) * (1.0 / len(losses))
+            loss = _forward_loss(batch, params, mask, static_full)[1]
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
@@ -234,27 +244,27 @@ def train(config, dataset, log_fn=None):
 
 
 def evaluate(params, windows, dataset, static_full=None):
-    """Per-horizon and overall metrics on denormalized flows, no mask."""
+    """Per-horizon and overall metrics on denormalized flows, no mask.
+
+    Windows go through the forward pass EVAL_CHUNK at a time, so memory
+    does not grow with the number of windows."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    p = params.horizon
-    actual = [[] for _ in range(p)]
-    predicted = [[] for _ in range(p)]
-    for w in windows:
-        yhat, _ = dmf.forward(
-            w, params,
-            static_adj=_window_static_adj(static_full, w.det_indices)
-            if static_full is not None else None)
-        denorm = dataset.target_norm.inverse(w.det_indices, yhat.data)
-        for h in range(p):
-            actual[h].extend(w.targets_raw[:, h])
-            predicted[h].extend(denorm[:, h])
-    table = {}
-    for h in range(p):
-        table[h + 1] = metrics.compute(actual[h], predicted[h])
-    table["overall"] = metrics.compute(
-        np.concatenate([np.asarray(a) for a in actual]),
-        np.concatenate([np.asarray(q) for q in predicted]))
+    predicted = []
+    for i in range(0, len(windows), EVAL_CHUNK):
+        chunk = windows[i:i + EVAL_CHUNK]
+        yhat, _ = dmf.forward(chunk, params,
+                              static_adj=_static_edge_lists(static_full,
+                                                            chunk))
+        predicted.append(dataset.target_norm.inverse(
+            np.concatenate([w.det_indices for w in chunk]), yhat.data))
+    predicted = np.concatenate(predicted)
+    actual = np.concatenate([w.targets_raw for w in windows])
+    table = {h + 1: metrics.compute(actual[:, h], predicted[:, h])
+             for h in range(params.horizon)}
+    # horizon-major: the per-horizon series laid end to end
+    table["overall"] = metrics.compute(actual.T.ravel(),
+                                       predicted.T.ravel())
     return table
 
 

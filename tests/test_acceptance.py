@@ -66,8 +66,8 @@ def test_c01_gradient_correctness():
         params = dmf.DmfParameters.init(6, 3, 8, 2, seed=1)
 
         def f():
-            y, _ = dmf.forward(w, params)
-            return dmf.mse_loss(y, w.targets)
+            y, _ = dmf.forward([w], params)
+            return dmf.mse_loss(y, [w])
 
         t0 = time.perf_counter()
         err = nc.finite_diff_check(f, params.trainable())
@@ -84,7 +84,7 @@ def test_c02_attention_invariant():
             n = int(rng.integers(2, 5))
             w = random_window(rng, n=n, f_t=4, f_s=2, l=2, p=1)
             params = dmf.DmfParameters.init(4, 2, 6, 1, seed=k)
-            _, trace = dmf.forward(w, params)
+            _, trace = dmf.forward([w], params)
             assert trace.alphas
             for alpha in trace.alphas:
                 np.testing.assert_allclose(alpha.sum(axis=1), 1.0,
@@ -105,7 +105,7 @@ def test_c03_masking_semantics():
                                             seed=int(rng.integers(1e6)))
             action = int(rng.integers(f_t + f_s))
             mask = rlagent.apply_mask(action, f_t, f_s)
-            y0, _ = dmf.forward(w, params, mask=mask)
+            y0, _ = dmf.forward([w], params, mask=mask)
 
             saved = (w.features.temporal.copy(), w.features.spatial.copy(),
                      [e.copy() for e in w.extra_temporal],
@@ -120,7 +120,7 @@ def test_c03_masking_semantics():
                     w.features.spatial[:, col - f_t] += bump
                     for e in w.extra_spatial:
                         e[:, col - f_t] += bump
-                y1, _ = dmf.forward(w, params, mask=mask)
+                y1, _ = dmf.forward([w], params, mask=mask)
                 if col == action:
                     np.testing.assert_array_equal(y0.data, y1.data)
                 else:

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from evacnet import dataio
+from evacnet import dataio, synth
 from evacnet.dataio import (SchemaError, engineer_features, load_csv,
                             make_windows, split_and_fit)
 
@@ -214,3 +214,21 @@ def test_registry_identical_across_windows(tmp_path):
     assert all(w.features.registry == first for w in windows)
     assert len(first) == len(dataio.TEMPORAL_FEATURES) + len(
         dataio.SPATIAL_FEATURES)
+
+
+def test_step_extras_match_membership_loop(tmp_path):
+    meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
+                                      tmp_path)
+    ds = dataio.prepare(meta, records, l=6, p=6)
+    data = ds.data
+    n_extras = 0
+    for w in ds.train_windows + ds.val_windows:
+        pred = w.det_indices
+        for step, snap in enumerate(w.snapshots):
+            step_active = np.where(data.active[:, w.anchor_index + step])[0]
+            ref = [i for i in step_active if i not in set(pred)]
+            assert snap.node_ids == [data.detector_ids[i]
+                                     for i in list(pred) + ref]
+            assert len(w.extra_temporal[step]) == len(ref)
+            n_extras += len(ref)
+    assert n_extras > 0  # outages must give S2 step extras

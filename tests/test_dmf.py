@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot, random_window
-from evacnet import dmf, numcore as nc, rlagent
+from evacnet import dmf, graphs, numcore as nc, rlagent
 from evacnet.numcore import Tensor
 
 
@@ -35,7 +35,8 @@ def test_concat_node_count_mismatch():
 
 def test_gcn_layer_identity():
     h = np.array([[1.0, -2.0], [-3.0, 4.0]])
-    out = dmf.gcn_layer(Tensor(np.eye(2)), Tensor(h), Tensor(np.eye(2)))
+    out = dmf.gcn_layer(nc.EdgeList.from_dense(np.eye(2)), Tensor(h),
+                        Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, np.maximum(h, 0.0))
 
 
@@ -43,7 +44,7 @@ def test_gcn_layer_hand_case():
     adj = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.array([[1.0, 0.0], [0.0, 2.0]])
     w = np.array([[1.0], [1.0]])
-    out = dmf.gcn_layer(Tensor(adj), Tensor(h), Tensor(w))
+    out = dmf.gcn_layer(nc.EdgeList.from_dense(adj), Tensor(h), Tensor(w))
     np.testing.assert_allclose(out.data, np.maximum(adj @ h @ w, 0.0))
 
 
@@ -117,10 +118,10 @@ def test_forward_shapes_and_noop_mask():
     rng = np.random.default_rng(5)
     w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
     params = params_for(w)
-    y0, _ = dmf.forward(w, params)
+    y0, _ = dmf.forward([w], params)
     assert y0.data.shape == (4, 2)
     mask = rlagent.MaskState.all_ones(5, 3)
-    y1, _ = dmf.forward(w, params, mask=mask)
+    y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
 
@@ -128,7 +129,7 @@ def test_forward_attention_normalization():
     rng = np.random.default_rng(6)
     w = random_window(rng, n=5, f_t=4, f_s=2, l=4, p=3)
     params = params_for(w, seed=2)
-    _, trace = dmf.forward(w, params)
+    _, trace = dmf.forward([w], params)
     for alpha in trace.alphas:
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(alpha >= 0) and np.all(alpha <= 1)
@@ -139,11 +140,11 @@ def test_masked_feature_column_invariance():
     w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=1)
     params = params_for(w, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)  # temporal feature 2
-    y0, _ = dmf.forward(w, params, mask=mask)
+    y0, _ = dmf.forward([w], params, mask=mask)
     w.features.temporal[:, :, 2] = rng.normal(size=w.features.temporal.shape[:2]) * 1e6
     for e in w.extra_temporal:
         e[:, 2] = 99.0
-    y1, _ = dmf.forward(w, params, mask=mask)
+    y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
 
@@ -152,9 +153,9 @@ def test_unmasked_column_still_matters():
     w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
     params = params_for(w, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)
-    y0, _ = dmf.forward(w, params, mask=mask)
+    y0, _ = dmf.forward([w], params, mask=mask)
     w.features.temporal[:, :, 0] += 1.0
-    y1, _ = dmf.forward(w, params, mask=mask)
+    y1, _ = dmf.forward([w], params, mask=mask)
     assert not np.array_equal(y0.data, y1.data)
 
 
@@ -162,18 +163,17 @@ def test_node_permutation_equivariance():
     rng = np.random.default_rng(9)
     w = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
     params = params_for(w, seed=4)
-    y0, _ = dmf.forward(w, params)
+    y0, _ = dmf.forward([w], params)
 
     perm = rng.permutation(5)
     w2 = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
     w2.features.temporal = w.features.temporal[perm]
     w2.features.spatial = w.features.spatial[perm]
-    for s_old, s_new in zip(w.snapshots, w2.snapshots):
-        s_new.adj_d = s_old.adj_d[np.ix_(perm, perm)]
-        s_new.adj_tt = s_old.adj_tt[np.ix_(perm, perm)]
-        s_new.norm_d = s_old.norm_d[np.ix_(perm, perm)]
-        s_new.norm_tt = s_old.norm_tt[np.ix_(perm, perm)]
-    y1, _ = dmf.forward(w2, params)
+    w2.snapshots = [graphs.GraphSnapshot(
+        node_ids=s.node_ids, edges_d=[], edges_tt=[],
+        adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
+        for s in w.snapshots]
+    y1, _ = dmf.forward([w2], params)
     np.testing.assert_allclose(y1.data, y0.data[perm], atol=1e-12)
 
 
@@ -181,7 +181,7 @@ def test_dynamic_topology_with_step_extras():
     rng = np.random.default_rng(10)
     w = random_window(rng, n=3, f_t=4, f_s=2, l=4, p=2, extras_per_step=2)
     params = params_for(w, seed=5)
-    y, _ = dmf.forward(w, params)
+    y, _ = dmf.forward([w], params)
     assert y.data.shape == (3, 2)
 
 
@@ -190,7 +190,7 @@ def test_single_modality_and_identity_variants():
     w = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
     for modalities in (("d",), ("tt",), ("identity",)):
         params = params_for(w, seed=6, modalities=modalities)
-        y, trace = dmf.forward(w, params)
+        y, trace = dmf.forward([w], params)
         assert y.data.shape == (4, 2)
         assert trace.alphas == []  # no fusion in single-graph variants
 
@@ -202,7 +202,7 @@ def test_empty_node_set_errors():
     w.features.spatial = w.features.spatial[:0]
     params = dmf.DmfParameters.init(4, 2, 8, 2)
     with pytest.raises(ValueError, match="empty"):
-        dmf.forward(w, params)
+        dmf.forward([w], params)
 
 
 def test_forward_gradients_match_finite_differences():
@@ -211,7 +211,7 @@ def test_forward_gradients_match_finite_differences():
     params = params_for(w, hidden=4, seed=7)
 
     def f():
-        y, _ = dmf.forward(w, params)
-        return dmf.mse_loss(y, w.targets)
+        y, _ = dmf.forward([w], params)
+        return dmf.mse_loss(y, [w])
 
     assert nc.finite_diff_check(f, params.trainable()) < 1e-4

@@ -51,6 +51,12 @@ def test_constant_actuals_r2_undefined():
     assert r.r2 is None
 
 
+def test_rounding_level_spread_r2_undefined():
+    # one ulp of spread used to give R² of about -1e30
+    r = metrics.compute([1.0, 1.0000000000000002], [0.5, 1.5])
+    assert r.r2 is None
+
+
 def test_zero_actuals_skipped_in_mape():
     r = metrics.compute([0.0, 100.0], [10.0, 110.0])
     assert r.mape == pytest.approx(10.0)

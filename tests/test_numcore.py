@@ -153,16 +153,6 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_take_rows_gradient():
-    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    y = x.take_rows([1, 3, 1])
-    (y * y).sum().backward()
-    expected = np.zeros((4, 3))
-    expected[1] = 2 * 2 * x.data[1]  # row 1 selected twice
-    expected[3] = 2 * x.data[3]
-    np.testing.assert_allclose(x.grad, expected)
-
-
 def test_stack_and_concat_gradients():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
@@ -180,3 +170,26 @@ def test_debug_finite_mode():
             Tensor([1.0], requires_grad=True) / Tensor([0.0])
     finally:
         nc.DEBUG_CHECK_FINITE = False
+
+
+def test_spmm_asymmetric_matches_dense_and_finite_differences():
+    rng = np.random.default_rng(3)
+    dense = rng.normal(size=(4, 4)) * (rng.uniform(size=(4, 4)) < 0.6)
+    dense[2] = 0.0  # a row with no entries
+    assert not np.allclose(dense, dense.T)
+    adj = nc.EdgeList.from_dense(dense)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    np.testing.assert_allclose(nc.spmm(adj, x).data, dense @ x.data,
+                               rtol=1e-12, atol=1e-12)
+
+    def f():
+        y = nc.spmm(adj, x)
+        return (y * y).sum()
+
+    assert nc.finite_diff_check(f, [x]) < 1e-6
+    with pytest.raises(ValueError, match="shapes"):
+        nc.spmm(adj, Tensor(np.ones((3, 2))))
+    unsorted = nc.EdgeList(adj.rows[::-1], adj.cols[::-1], adj.vals[::-1],
+                           adj.shape)
+    with pytest.raises(ValueError, match="sorted"):
+        nc.spmm(unsorted, x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evacnet import dataio, synth, trainer
+from evacnet import dataio, dmf, rlagent, synth, trainer
 from evacnet.synth import Scenario
 from evacnet.trainer import TrainConfig
 
@@ -204,3 +204,68 @@ def test_static_variant_frozen_adjacency(dataset):
     sub = trainer._window_static_adj(full, np.array([0, 1, 2]))
     assert sub.shape == (3, 3)
     np.testing.assert_allclose(sub, sub.T, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def builtin(tmp_path_factory):
+    def prepare(name):
+        out = tmp_path_factory.mktemp(name)
+        meta, records, _ = synth.generate(synth.builtin_scenarios()[name],
+                                          out)
+        return dataio.prepare(meta, records, l=6, p=6)
+    return {name: prepare(name) for name in ("S1", "S2")}
+
+
+def _loss_and_grads(batch, params, mask, static_full):
+    for t in params.trainable():
+        t.zero_grad()
+    _, loss = trainer._forward_loss(batch, params, mask, static_full)
+    loss.backward()
+    return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}
+
+
+def _assert_batch_is_mean_of_singles(ds, batch, modalities, mask=None,
+                                     static_full=None):
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p,
+                                    modalities=modalities, seed=3)
+    loss, grads = _loss_and_grads(batch, params, mask, static_full)
+    singles = [_loss_and_grads([w], params, mask, static_full)
+               for w in batch]
+    assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
+    for name, grad in grads.items():
+        ref = np.mean([s[1][name] for s in singles], axis=0)
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_batch_loss_and_gradients_equal_mean_of_windows_s1(builtin):
+    ds = builtin["S1"]
+    _assert_batch_is_mean_of_singles(ds, ds.train_windows[40:48],
+                                     ("d", "tt"))
+
+
+def _ragged_s2_batch(ds):
+    """Eight S2 windows with differing node counts and step extras."""
+    full = max(len(w.det_indices) for w in ds.train_windows)
+    batch = [w for w in ds.train_windows
+             if any(len(e) for e in w.extra_temporal)][:4] \
+        + [w for w in ds.train_windows if len(w.det_indices) == full][:4]
+    assert len({len(w.det_indices) for w in batch}) > 1
+    assert any(len(e) for w in batch for e in w.extra_temporal)
+    return batch
+
+
+@pytest.mark.parametrize("modalities", [("d", "tt"), ("d",), ("identity",)])
+def test_batch_loss_and_gradients_equal_mean_of_windows_s2(builtin,
+                                                           modalities):
+    ds = builtin["S2"]
+    mask = rlagent.apply_mask(2, ds.f_t, ds.f_s)
+    _assert_batch_is_mean_of_singles(ds, _ragged_s2_batch(ds), modalities,
+                                     mask=mask)
+
+
+def test_batch_loss_and_gradients_equal_mean_of_windows_static(builtin):
+    ds = builtin["S2"]
+    _assert_batch_is_mean_of_singles(ds, _ragged_s2_batch(ds), ("d",),
+                                     static_full=trainer._static_distance_adj(
+                                         ds))
