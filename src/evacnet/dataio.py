@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -156,6 +156,10 @@ def load_csv(meta_path, records_path):
             except ValueError:
                 raise SchemaError(f"line {line_no}: bad timestamp "
                                   f"{row[1]!r}") from None
+            if ts.tzinfo is not None:
+                raise SchemaError(f"line {line_no}: timestamp {row[1]!r} "
+                                  f"carries a UTC offset; timestamps are "
+                                  f"local clock hours without one")
             ts = ts.replace(minute=0, second=0, microsecond=0)
             key = (det, ts)
             if key in seen_keys:
@@ -329,37 +333,27 @@ def engineer_features(records, metas):
 class Normalizer:
     """Per-feature affine transform fitted on the training split only.
 
-    transform(x) = (x - shift) / scale; binary features pass through.
+    transform(x) = (x - shift) / scale; binary features pass through and
+    every other feature is z-scored.
     """
     names: list
-    schemes: list
     shift: np.ndarray
     scale: np.ndarray
 
     @classmethod
-    def fit(cls, names, values_per_feature, schemes=None):
+    def fit(cls, names, values_per_feature):
         """values_per_feature: list of 1-d arrays of training values."""
-        if schemes is None:
-            schemes = ["passthrough" if n in BINARY_FEATURES else "zscore"
-                       for n in names]
         shift = np.zeros(len(names))
         scale = np.ones(len(names))
-        for k, (scheme, vals) in enumerate(zip(schemes, values_per_feature)):
+        for k, (name, vals) in enumerate(zip(names, values_per_feature)):
             vals = np.asarray(vals, dtype=float)
             vals = vals[~np.isnan(vals)]
-            if scheme == "passthrough" or vals.size == 0:
+            if name in BINARY_FEATURES or vals.size == 0:
                 continue
-            if scheme == "zscore":
-                shift[k] = vals.mean()
-                s = vals.std()
-                scale[k] = s if s > 0 else 1.0
-            elif scheme == "minmax":
-                shift[k] = vals.min()
-                rng = vals.max() - vals.min()
-                scale[k] = rng if rng > 0 else 1.0
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-        return cls(list(names), list(schemes), shift, scale)
+            shift[k] = vals.mean()
+            s = vals.std()
+            scale[k] = s if s > 0 else 1.0
+        return cls(list(names), shift, scale)
 
     def transform(self, x):
         return (x - self.shift) / self.scale

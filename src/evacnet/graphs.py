@@ -24,8 +24,6 @@ V_MIN = 5.0
 class GraphSnapshot:
     """Active node set at one hour plus both weighted adjacencies."""
     node_ids: list  # detector ids, ordered
-    edges_d: list  # (i, j, raw, scaled) tuples, indices into node_ids
-    edges_tt: list
     adj_d: np.ndarray  # scaled weights, symmetric, zero diagonal
     adj_tt: np.ndarray
     norm_d: np.ndarray = field(default=None)  # D^-1/2 (A+I) D^-1/2
@@ -105,12 +103,10 @@ def gcn_normalize(adj):
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def build_snapshot(active_metas, speeds, invert_weights=False):
+def build_snapshot(active_metas, speeds):
     """Build both modality adjacencies over the given active detectors.
 
-    `speeds` maps detector_id -> mph at this hour. With `invert_weights`
-    the scaled weights are flipped (1 - w + floor) so nearer/faster pairs
-    couple more strongly; off by default, matching the raw formulation.
+    `speeds` maps detector_id -> mph at this hour.
     """
     n = len(active_metas)
     chain = build_edges(active_metas)
@@ -123,30 +119,13 @@ def build_snapshot(active_metas, speeds, invert_weights=False):
 
     scaled_d = scale_weights(raw_d)
     scaled_tt = scale_weights(raw_tt)
-    if invert_weights:
-        scaled_d = 1.0 - scaled_d + W_FLOOR
-        scaled_tt = 1.0 - scaled_tt + W_FLOOR
 
     adj_d = np.zeros((n, n))
     adj_tt = np.zeros((n, n))
-    edges_d, edges_tt = [], []
     for k, (i, j, _) in enumerate(chain):
         adj_d[i, j] = adj_d[j, i] = scaled_d[k]
         adj_tt[i, j] = adj_tt[j, i] = scaled_tt[k]
-        edges_d.append((i, j, raw_d[k], scaled_d[k]))
-        edges_tt.append((i, j, raw_tt[k], scaled_tt[k]))
 
     return GraphSnapshot(node_ids=[m.detector_id for m in active_metas],
-                         edges_d=edges_d, edges_tt=edges_tt,
                          adj_d=adj_d, adj_tt=adj_tt)
 
-
-def dump_edges_csv(snapshots, path):
-    """Debug dump: one row per edge per modality per time step."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,modality,i,j,raw_weight,scaled_weight\n")
-        for t, snap in enumerate(snapshots):
-            for modality, edges in (("d", snap.edges_d), ("tt", snap.edges_tt)):
-                for (i, j, raw, scaled) in edges:
-                    fh.write(f"{t},{modality},{snap.node_ids[i]},"
-                             f"{snap.node_ids[j]},{raw!r},{scaled!r}\n")

@@ -8,7 +8,7 @@ ranking is the ascending mask-count order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,58 +85,68 @@ class EpsilonSchedule:
         return eps
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    priority: float
-
-
 class ReplayBuffer:
-    """Proportional prioritized replay: P(i) ∝ priority_i ** alpha."""
+    """Proportional prioritized replay: P(i) ∝ priority_i ** alpha.
+
+    Transitions are rows of a ring of arrays. The arrays double when they
+    fill, up to `capacity` rows; after that the oldest row is overwritten
+    first.
+    """
 
     def __init__(self, capacity=BUFFER_CAPACITY, alpha=PER_ALPHA):
         self.capacity = capacity
         self.alpha = alpha
-        self.items = []
+        self.size = 0
         self._next = 0
+        self.states = self.next_states = None  # (rows, F), on the first push
+        self.actions = np.zeros(0, dtype=np.int64)
+        self.rewards = np.zeros(0)
+        self.priorities = np.zeros(0)
 
     def __len__(self):
-        return len(self.items)
+        return self.size
 
-    def push(self, transition):
-        if transition.priority <= 0:
+    def _grow(self, n_features):
+        rows = min(self.capacity, max(1, 2 * len(self.priorities)))
+        if self.states is None:
+            self.states = self.next_states = np.zeros((0, n_features))
+        for name in ("states", "next_states", "actions", "rewards",
+                     "priorities"):
+            old = getattr(self, name)
+            pad = np.zeros((rows - len(old),) + old.shape[1:], old.dtype)
+            setattr(self, name, np.concatenate([old, pad]))
+
+    def push(self, state, action, reward, next_state, priority):
+        if priority <= 0:
             raise ValueError("priority must be positive")
-        if len(self.items) < self.capacity:
-            self.items.append(transition)
-        else:
-            self.items[self._next] = transition
-            self._next = (self._next + 1) % self.capacity
+        k = self._next
+        if k == len(self.priorities):
+            self._grow(len(state))
+        self.states[k] = state
+        self.next_states[k] = next_state
+        self.actions[k] = action
+        self.rewards[k] = reward
+        self.priorities[k] = priority
+        self._next = (k + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
 
     def probabilities(self):
-        prios = np.array([t.priority for t in self.items]) ** self.alpha
+        prios = self.priorities[:self.size] ** self.alpha
         return prios / prios.sum()
 
     def sample(self, batch_size, beta, rng):
-        """Returns (transitions, importance weights, indices).
+        """Returns (indices, importance weights).
 
         Weights are (N * P(i))^-beta normalized by their max. A batch
         larger than the buffer samples with replacement (it always
         samples with replacement, matching proportional selection).
         """
-        if not self.items:
+        if not self.size:
             raise ValueError("replay buffer is empty")
         probs = self.probabilities()
-        idx = rng.choice(len(self.items), size=batch_size, p=probs)
-        weights = (len(self.items) * probs[idx]) ** (-beta)
-        weights = weights / weights.max()
-        return [self.items[i] for i in idx], weights, idx
-
-    def update_priorities(self, indices, priorities):
-        for i, p in zip(indices, priorities):
-            self.items[i].priority = float(p)
+        idx = rng.choice(self.size, size=batch_size, p=probs)
+        weights = (self.size * probs[idx]) ** (-beta)
+        return idx, weights / weights.max()
 
 
 class QNetwork:
@@ -167,7 +177,9 @@ class QNetwork:
         return x
 
     def q_values(self, state):
-        return self.forward(state).data[0]
+        """(F,) for one state, (B, F) for a batch of states."""
+        q = self.forward(state).data
+        return q[0] if np.ndim(state) == 1 else q
 
     def copy_from(self, other):
         for dst, src in zip(self.trainable(), other.trainable()):
@@ -184,23 +196,25 @@ class QNetwork:
             b.data = data.copy()
 
 
-def argmax_lowest_index(values):
-    return int(np.argmax(values))  # np.argmax already ties to lowest index
-
-
 def select_action(state, online, epsilon, rng, n_actions):
     """ε-greedy: uniform with prob ε, else greedy on online Q-values."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon outside [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(n_actions))
-    return argmax_lowest_index(online.q_values(state))
+    return int(np.argmax(online.q_values(state)))  # ties: lowest index
 
 
 def ddqn_target(reward, next_state, gamma, online, target):
-    """Online net selects the next action, target net evaluates it."""
-    a_star = argmax_lowest_index(online.q_values(next_state))
-    return reward + gamma * float(target.q_values(next_state)[a_star])
+    """Online net selects the next action, target net evaluates it.
+
+    Takes one transition (a float reward and an (F,) state) or a batch
+    ((B,) rewards and (B, F) states) and returns a float or a (B,) array.
+    """
+    a_star = np.argmax(online.q_values(next_state), axis=-1)
+    value = np.take_along_axis(target.q_values(next_state),
+                               np.expand_dims(a_star, -1), axis=-1)
+    return reward + gamma * value.squeeze(-1)
 
 
 @dataclass
@@ -272,26 +286,23 @@ class Agent:
         return action, eps
 
     def observe(self, state, action, reward, next_state):
-        prio = max(t.priority for t in self.buffer.items) \
-            if self.buffer.items else 1.0
-        self.buffer.push(Transition(state, action, reward, next_state, prio))
+        buf = self.buffer
+        prio = buf.priorities[:len(buf)].max() if len(buf) else 1.0
+        buf.push(state, action, reward, next_state, prio)
 
     def learn(self):
         """One prioritized DDQN update; returns the mean |TD error|."""
-        if not self.buffer.items:
+        buf = self.buffer
+        if not len(buf):
             return None
-        batch, weights, idx = self.buffer.sample(self.batch_size,
-                                                 self.beta(), self.rng)
-        targets = np.array([ddqn_target(t.reward, t.next_state, self.gamma,
-                                        self.online, self.target)
-                            for t in batch])
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch])
+        idx, weights = buf.sample(self.batch_size, self.beta(), self.rng)
+        targets = ddqn_target(buf.rewards[idx], buf.next_states[idx],
+                              self.gamma, self.online, self.target)
 
         self.optimizer.zero_grad()
-        q_all = self.online.forward(states)  # (B, F)
-        onehot = np.zeros((len(batch), self.n_features))
-        onehot[np.arange(len(batch)), actions] = 1.0
+        q_all = self.online.forward(buf.states[idx])  # (B, F)
+        onehot = np.zeros((len(idx), self.n_features))
+        onehot[np.arange(len(idx)), buf.actions[idx]] = 1.0
         q_taken = (q_all * onehot).sum(axis=1)
         td = q_taken - Tensor(targets)
         loss = (Tensor(weights) * td * td).mean()
@@ -299,7 +310,8 @@ class Agent:
         self.optimizer.step()
 
         abs_td = np.abs(td.data)
-        self.buffer.update_priorities(idx, abs_td + PRIORITY_EPS)
+        # a row drawn twice keeps its last TD error
+        buf.priorities[idx] = abs_td + PRIORITY_EPS
         self.updates += 1
         if self.updates % self.sync_every == 0:
             self.target.copy_from(self.online)

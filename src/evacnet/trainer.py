@@ -8,7 +8,7 @@ import hashlib
 import json
 import pickle
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -16,9 +16,8 @@ from . import dmf, graphs, metrics, numcore as nc, rlagent
 
 CHECKPOINT_VERSION = 1
 # Windows per forward pass in evaluate. Larger chunks amortize per-op
-# overhead further, but a pass holds its whole autograd graph: on a
-# 100-detector scenario, 16 windows per chunk raised peak RSS from 817 to
-# 904 MiB.
+# overhead further; a pass builds no autograd graph, so its memory is the
+# chunk's live activations.
 EVAL_CHUNK = 8
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
@@ -250,6 +249,9 @@ def evaluate(params, windows, dataset, static_full=None):
     does not grow with the number of windows."""
     if not windows:
         raise ValueError("no windows to evaluate")
+    # constant Tensors over the same arrays: the forward records no graph
+    params = replace(params, tensors={k: nc.Tensor(v.data)
+                                      for k, v in params.tensors.items()})
     predicted = []
     for i in range(0, len(windows), EVAL_CHUNK):
         chunk = windows[i:i + EVAL_CHUNK]

@@ -12,8 +12,8 @@ def random_snapshot(rng, node_ids):
     for i in range(n - 1):
         adj_d[i, i + 1] = adj_d[i + 1, i] = rng.uniform(0.1, 1.0)
         adj_tt[i, i + 1] = adj_tt[i + 1, i] = rng.uniform(0.1, 1.0)
-    return graphs.GraphSnapshot(node_ids=list(node_ids), edges_d=[],
-                                edges_tt=[], adj_d=adj_d, adj_tt=adj_tt)
+    return graphs.GraphSnapshot(node_ids=list(node_ids), adj_d=adj_d,
+                                adj_tt=adj_tt)
 
 
 def random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=0):

@@ -16,7 +16,7 @@ from scipy import stats
 from conftest import random_window
 from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
                      trainer)
-from evacnet.rlagent import Agent, EpsilonSchedule, ReplayBuffer, Transition
+from evacnet.rlagent import Agent, EpsilonSchedule, ReplayBuffer
 
 
 def report(cid, desc):
@@ -175,15 +175,14 @@ def test_c06_prioritized_replay():
         rng = np.random.default_rng(4)
         buf = ReplayBuffer(capacity=16)
         for _ in range(8):
-            buf.push(Transition(rng.normal(size=3), 0, 0.0,
-                                rng.normal(size=3),
-                                float(rng.uniform(0.2, 5.0))))
+            buf.push(rng.normal(size=3), 0, 0.0, rng.normal(size=3),
+                     float(rng.uniform(0.2, 5.0)))
         probs = buf.probabilities()
-        _, _, idx = buf.sample(100_000, beta=0.4, rng=rng)
+        idx, _ = buf.sample(100_000, beta=0.4, rng=rng)
         counts = np.bincount(idx, minlength=8)
         p = stats.chisquare(counts, f_exp=100_000 * probs).pvalue
         assert p > 0.01, f"chi^2 p-value {p}"
-        _, weights, _ = buf.sample(64, beta=0.0, rng=rng)
+        _, weights = buf.sample(64, beta=0.0, rng=rng)
         np.testing.assert_array_equal(weights, 1.0)
 
 

@@ -94,6 +94,20 @@ def test_train_bad_config_json(corpus, tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+def test_train_utc_offset_is_user_error(corpus, tmp_path, caplog):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "meta.csv").write_bytes((corpus / "meta.csv").read_bytes())
+    lines = (corpus / "records.csv").read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")  # file line 5
+    fields[1] += "+00:00"
+    lines[4] = ",".join(fields)
+    (data / "records.csv").write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "line 5" in caplog.text and "UTC offset" in caplog.text
+
+
 def test_train_unknown_config_field(corpus, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimizer": "sgd"}), encoding="utf-8")

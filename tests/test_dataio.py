@@ -70,6 +70,16 @@ def test_duplicate_timestamp_rejected(csv_pair):
         load_csv(meta, recs)
 
 
+def test_utc_offset_names_line(csv_pair):
+    meta, recs = csv_pair
+    rows = [record_row("det_a", T0, 100.0),
+            record_row("det_a", T0 + timedelta(hours=1), 100.0)
+            .replace(":00:00,", ":00:00Z,", 1)]
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match="line 3.*UTC offset"):
+        load_csv(meta, recs)
+
+
 def test_unknown_detector_rejected(csv_pair):
     meta, recs = csv_pair
     recs.write_text(REC_HEADER + "\n" + record_row("nope", T0, 1.0) + "\n")

@@ -170,7 +170,7 @@ def test_node_permutation_equivariance():
     w2.features.temporal = w.features.temporal[perm]
     w2.features.spatial = w.features.spatial[perm]
     w2.snapshots = [graphs.GraphSnapshot(
-        node_ids=s.node_ids, edges_d=[], edges_tt=[],
+        node_ids=s.node_ids,
         adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
         for s in w.snapshots]
     y1, _ = dmf.forward([w2], params)

@@ -115,12 +115,3 @@ def test_snapshot_symmetry_and_uniform_speed_equivalence():
     # weights before scaling, so identical after min-max scaling
     np.testing.assert_allclose(snap.adj_tt, snap.adj_d, atol=1e-12)
 
-
-def test_dump_edges_csv(tmp_path):
-    ms = metas([0.0, 2.0])
-    snap = graphs.build_snapshot(ms, {"d0": 60.0, "d1": 40.0})
-    out = tmp_path / "edges.csv"
-    graphs.dump_edges_csv([snap], out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,modality,i,j,raw_weight,scaled_weight"
-    assert len(lines) == 3  # 1 edge x 2 modalities

@@ -5,15 +5,14 @@ from scipy import stats
 from conftest import random_window
 from evacnet import rlagent
 from evacnet.rlagent import (Agent, EpsilonSchedule, MaskCounter, QNetwork,
-                             ReplayBuffer, Transition, apply_mask,
+                             ReplayBuffer, apply_mask,
                              build_state, compute_reward, ddqn_target,
                              ranking, select_action)
 
 
 def make_transition(rng, n_features=4, priority=1.0):
-    return Transition(rng.normal(size=n_features),
-                      int(rng.integers(n_features)), float(rng.normal()),
-                      rng.normal(size=n_features), priority)
+    return (rng.normal(size=n_features), int(rng.integers(n_features)),
+            float(rng.normal()), rng.normal(size=n_features), priority)
 
 
 def test_build_state_single_constant_node():
@@ -142,8 +141,8 @@ def test_replay_equal_priorities_uniform():
     rng = np.random.default_rng(5)
     buf = ReplayBuffer(capacity=10)
     for _ in range(5):
-        buf.push(make_transition(rng, priority=1.0))
-    _, _, idx = buf.sample(10_000, beta=0.4, rng=rng)
+        buf.push(*make_transition(rng, priority=1.0))
+    idx, _ = buf.sample(10_000, beta=0.4, rng=rng)
     counts = np.bincount(idx, minlength=5)
     assert stats.chisquare(counts).pvalue > 0.01
 
@@ -151,8 +150,8 @@ def test_replay_equal_priorities_uniform():
 def test_replay_proportional_probabilities():
     rng = np.random.default_rng(6)
     buf = ReplayBuffer(capacity=4, alpha=1.0)
-    buf.push(make_transition(rng, priority=3.0))
-    buf.push(make_transition(rng, priority=1.0))
+    buf.push(*make_transition(rng, priority=3.0))
+    buf.push(*make_transition(rng, priority=1.0))
     np.testing.assert_allclose(buf.probabilities(), [0.75, 0.25])
 
 
@@ -160,17 +159,68 @@ def test_replay_beta_zero_unit_weights():
     rng = np.random.default_rng(7)
     buf = ReplayBuffer()
     for _ in range(8):
-        buf.push(make_transition(rng, priority=float(rng.uniform(0.5, 5))))
-    _, weights, _ = buf.sample(32, beta=0.0, rng=rng)
+        buf.push(*make_transition(rng, priority=float(rng.uniform(0.5, 5))))
+    _, weights = buf.sample(32, beta=0.0, rng=rng)
     np.testing.assert_array_equal(weights, 1.0)
 
 
 def test_replay_batch_larger_than_buffer():
     rng = np.random.default_rng(8)
     buf = ReplayBuffer()
-    buf.push(make_transition(rng))
-    batch, _, _ = buf.sample(5, beta=0.4, rng=rng)
-    assert len(batch) == 5
+    buf.push(*make_transition(rng))
+    idx, _ = buf.sample(5, beta=0.4, rng=rng)
+    assert len(idx) == 5
+
+
+def test_replay_ring_wraps_oldest_first():
+    buf = ReplayBuffer(capacity=5, alpha=1.0)
+    for i in range(12):
+        buf.push(np.full(2, i), 0, float(i), np.full(2, i), float(i + 1))
+    assert len(buf) == 5
+    # pushes 7..11 are live; push i sits in slot i % 5
+    np.testing.assert_array_equal(buf.rewards[:5], [10, 11, 7, 8, 9])
+    np.testing.assert_array_equal(buf.states[:5, 0], [10, 11, 7, 8, 9])
+    prios = np.array([11.0, 12.0, 8.0, 9.0, 10.0])
+    np.testing.assert_allclose(buf.probabilities(), prios / prios.sum())
+
+
+def test_replay_storage_grows_with_use():
+    rng = np.random.default_rng(13)
+    buf = ReplayBuffer(capacity=10_000)
+    for _ in range(3):
+        buf.push(*make_transition(rng))
+    assert len(buf) == 3
+    assert len(buf.priorities) < buf.capacity
+    assert len(buf.states) < buf.capacity
+
+
+def test_ddqn_target_batch_matches_rows():
+    online = QNetwork(5, seed=3)
+    target = QNetwork(5, seed=4)
+    rng = np.random.default_rng(14)
+    rewards = rng.normal(size=64)
+    next_states = rng.normal(size=(64, 5))
+    batched = ddqn_target(rewards, next_states, 0.95, online, target)
+    rows = [ddqn_target(r, s, 0.95, online, target)
+            for r, s in zip(rewards, next_states)]
+    assert batched.shape == (64,)
+    np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-12)
+
+
+def test_observe_gives_max_live_priority():
+    agent = Agent(n_features=3, seed=15)
+    s = np.zeros(3)
+    agent.observe(s, 0, 0.0, s)
+    assert agent.buffer.priorities[0] == 1.0
+    agent.buffer.priorities[0] = 0.5
+    agent.observe(s, 1, 0.0, s)
+    agent.buffer.priorities[1] = 4.0
+    agent.observe(s, 2, 0.0, s)
+    # allocated rows past the live ones are not transitions
+    agent.buffer.priorities[len(agent.buffer):] = 99.0
+    agent.observe(s, 0, 0.0, s)
+    np.testing.assert_array_equal(agent.buffer.priorities[:4],
+                                  [0.5, 4.0, 4.0, 4.0])
 
 
 def test_train_q_zero_td_error_leaves_theta():
@@ -185,7 +235,7 @@ def test_train_q_zero_td_error_leaves_theta():
     agent.gamma = 0.0
     q_now = agent.online.forward(
         np.stack([s] * agent.batch_size)).data[0][a]
-    agent.buffer.push(Transition(s, a, q_now, s, 1.0))
+    agent.buffer.push(s, a, q_now, s, 1.0)
     before = [w.data.copy() for w in agent.online.trainable()]
     agent.learn()
     for b, w in zip(before, agent.online.trainable()):
@@ -196,19 +246,18 @@ def test_train_q_priority_update_contract():
     agent = Agent(n_features=3, seed=10, gamma=0.0)
     rng = np.random.default_rng(10)
     s = rng.normal(size=3)
-    agent.buffer.push(Transition(s, 0, 5.0, s, 1.0))
+    agent.buffer.push(s, 0, 5.0, s, 1.0)
     agent.learn()
-    t = agent.buffer.items[0]
     q = agent.online.q_values(s)[0]
     # priority was set from the pre-update TD error; just check form
-    assert t.priority > rlagent.PRIORITY_EPS / 2
+    assert agent.buffer.priorities[0] > rlagent.PRIORITY_EPS / 2
 
 
 def test_single_transition_overfit():
     agent = Agent(n_features=4, seed=11, gamma=0.0, batch_size=8)
     rng = np.random.default_rng(11)
     s = rng.normal(size=4)
-    agent.buffer.push(Transition(s, 2, -0.7, s.copy(), 1.0))
+    agent.buffer.push(s, 2, -0.7, s.copy(), 1.0)
     td = None
     for _ in range(500):
         td = agent.learn()
