@@ -432,17 +432,24 @@ class WindowSample:
     features: FeatureTensor
     targets: np.ndarray  # (n_nodes, p) normalized flow
     targets_raw: np.ndarray  # (n_nodes, p) veh/h
-    snapshots: list  # per input step; node order = predicted + step extras
+    snapshots: list  # per input step, the hour's shared snapshot
     extra_temporal: list  # per step (n_extra, F_t) normalized
     extra_spatial: list  # per step (n_extra, F_s) normalized
+    # modality ("d", "tt") -> (l, n_nodes, F_t + F_s): the predicted nodes'
+    # rows of Ã·[temporal ‖ spatial] at each input step
+    propagated: dict
 
 
 def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
     """One WindowSample per anchor whose full l+p span fits in [start, end).
 
     A detector is predicted in a window only if active at every one of
-    the l+p hours; per-step snapshots still include every detector
-    active at that step so transient neighbors contribute context.
+    the l+p hours. Each input hour has one snapshot over every detector
+    active then, in ascending detector order, shared by the windows that
+    cover it; the detectors that are not predicted are the step extras,
+    so transient neighbors contribute context. Ã·[temporal ‖ spatial] is
+    computed once per hour and modality, and each window keeps the rows
+    of its predicted nodes.
     """
     if l < 1 or p < 1:
         raise ValueError("l and p must be >= 1")
@@ -452,17 +459,29 @@ def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
         raise ValueError(f"span of {end - start} hours is shorter than "
                          f"l + p = {l + p}")
     f_t = len(TEMPORAL_FEATURES)
-    norm_temporal = norm.transform(
+    # one normalized [temporal_t ‖ spatial] row per (detector, hour);
+    # inactive slots can carry nan (missing history/exogenous columns),
+    # they only enter the model as step extras, zero is the neutral fill
+    rows = np.nan_to_num(norm.transform(
         np.concatenate([data.temporal,
                         np.broadcast_to(data.spatial[:, None, :],
                                         (*data.temporal.shape[:2],
-                                         data.spatial.shape[1]))], axis=2))
-    norm_spatial = norm_temporal[:, 0, f_t:].copy()
-    norm_temporal = norm_temporal[:, :, :f_t]
-    # inactive slots can carry nan (missing history/exogenous columns);
-    # they only enter the model as step extras, zero is the neutral fill
-    norm_temporal = np.nan_to_num(norm_temporal, nan=0.0)
-    norm_spatial = np.nan_to_num(norm_spatial, nan=0.0)
+                                         data.spatial.shape[1]))], axis=2)),
+        nan=0.0)
+    norm_temporal = rows[:, :, :f_t]
+    norm_spatial = rows[:, 0, f_t:]
+
+    hours = {}  # hour -> (active detectors, snapshot, propagated rows)
+
+    def hour(t):
+        if t not in hours:
+            act = np.flatnonzero(data.active[:, t])
+            ids = [data.detector_ids[i] for i in act]
+            snap = graphs.build_snapshot(
+                [data.metas[d] for d in ids],
+                {d: float(data.speed[i, t]) for d, i in zip(ids, act)})
+            hours[t] = (act, snap, graphs.propagate(snap, rows[act, t]))
+        return hours[t]
 
     windows = []
     for a in range(start, end - (l + p) + 1):
@@ -470,34 +489,33 @@ def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
         pred = np.where(data.active[:, span].all(axis=1))[0]
         if pred.size == 0:
             continue
-        not_pred = np.ones(len(data.detector_ids), dtype=bool)
-        not_pred[pred] = False
-        snapshots = []
-        extra_t, extra_s = [], []
+        snapshots, extra_t, extra_s = [], [], []
+        propagated = {"d": [], "tt": []}
         for step in range(l):
-            t = a + step
-            extras = np.flatnonzero(data.active[:, t] & not_pred)
-            ordered = np.concatenate([pred, extras])
-            metas = [data.metas[data.detector_ids[i]] for i in ordered]
-            speeds = {data.detector_ids[i]: float(data.speed[i, t])
-                      for i in ordered}
-            snapshots.append(graphs.build_snapshot(metas, speeds))
-            extra_t.append(norm_temporal[extras, t, :])
-            extra_s.append(norm_spatial[extras, :])
+            act, snap, prop = hour(a + step)
+            pos = np.searchsorted(act, pred)  # pred is a subset of act
+            extras = np.delete(act, pos)
+            snapshots.append(snap)
+            extra_t.append(norm_temporal[extras, a + step])
+            extra_s.append(norm_spatial[extras])
+            for g, steps in propagated.items():
+                steps.append(prop[g][pos])
 
         features = FeatureTensor(
-            temporal=norm_temporal[pred][:, a:a + l, :].copy(),
-            spatial=norm_spatial[pred].copy(),
+            temporal=norm_temporal[pred, a:a + l],
+            spatial=norm_spatial[pred],
             node_ids=[data.detector_ids[i] for i in pred],
             registry=data.registry)
-        raw = data.flow[pred][:, a + l:a + l + p].copy()
+        raw = data.flow[pred, a + l:a + l + p]
         windows.append(WindowSample(
             anchor_index=a, anchor_time=data.timeline[a],
             det_indices=pred, features=features,
             targets=target_norm.transform(pred, raw),
             targets_raw=raw,
             snapshots=snapshots, extra_temporal=extra_t,
-            extra_spatial=extra_s))
+            extra_spatial=extra_s,
+            propagated={g: np.stack(steps)
+                        for g, steps in propagated.items()}))
     return windows
 
 

@@ -72,20 +72,16 @@ class FusionTrace:
     alphas: list = field(default_factory=list)  # (N_t, n_modalities) arrays
 
 
-def concat_node_features(temporal_step, spatial, m_temp=None, m_spatial=None):
-    """Masked [temporal || spatial] node matrix for one step (numpy)."""
+def concat_node_features(temporal_step, spatial):
+    """[temporal || spatial] node matrix for one step (numpy)."""
     if temporal_step.shape[0] != spatial.shape[0]:
         raise ValueError("temporal/spatial node counts disagree")
-    if m_temp is not None:
-        temporal_step = temporal_step * m_temp
-    if m_spatial is not None:
-        spatial = spatial * m_spatial
     return np.concatenate([temporal_step, spatial], axis=1)
 
 
-def gcn_layer(norm_adj, h_nodes, weight):
-    """Graph convolution: ReLU(Ã H W), with Ã a numcore.EdgeList."""
-    return nc.relu(nc.matmul(nc.spmm(norm_adj, h_nodes), weight))
+def gcn_layer(h_prop, weight):
+    """Graph convolution ReLU(Ã H W), given the propagated rows Ã·H."""
+    return nc.relu(nc.matmul(h_prop, weight))
 
 
 def attention_fuse(z_by_modality, params):
@@ -123,59 +119,28 @@ def predict_head(h, params):
     return nc.matmul(h, params.tensors["W_out"]) + params.tensors["b_out"]
 
 
-def _union_adjacency(adjs, n_pred, n_extra):
-    """Predicted rows of the disjoint union of per-window EdgeLists.
-
-    Window k's adjacency indexes its n_pred[k] predicted nodes first and
-    its n_extra[k] step extras after. In the union every window's
-    predicted nodes come first, in window order, then every window's
-    extras, in window order. Only the predicted nodes' rows are kept, as
-    only they feed the LSTM; the extras still enter as their neighbors.
-    """
-    n_pred = np.asarray(n_pred)
-    n_extra = np.asarray(n_extra)
-    if [a.shape[0] for a in adjs] != (n_pred + n_extra).tolist():
-        raise ValueError("snapshot node counts disagree with the window")
-    owner = np.repeat(np.arange(len(adjs)), [a.rows.size for a in adjs])
-    rows = np.concatenate([a.rows for a in adjs])
-    keep = rows < n_pred[owner]
-    owner = owner[keep]
-    n_own = n_pred[owner]
-    pred_start = np.cumsum(n_pred) - n_pred
-    extra_start = n_pred.sum() + np.cumsum(n_extra) - n_extra
-    pred_shift = pred_start[owner]
-    extra_shift = extra_start[owner] - n_own
-    cols = np.concatenate([a.cols for a in adjs])[keep]
-    # still sorted by row: window k's kept rows are its predicted rows,
-    # shifted by pred_start[k], which grows with k
-    return nc.EdgeList(
-        rows[keep] + pred_shift,
-        cols + np.where(cols < n_own, pred_shift, extra_shift),
-        np.concatenate([a.vals for a in adjs])[keep],
-        (int(n_pred.sum()), int(n_pred.sum() + n_extra.sum())))
+def node_rows(features):
+    """(l, n, F_t + F_s) unpropagated rows [temporal_t ‖ spatial] of a
+    window's predicted nodes, one block per input step."""
+    return np.stack([concat_node_features(features.temporal[:, step],
+                                          features.spatial)
+                     for step in range(features.temporal.shape[1])])
 
 
-def _step_adjacency(modality, snapshots, n_pred, n_extra):
-    if modality == "identity":
-        n = sum(n_pred)
-        return nc.EdgeList(np.arange(n), np.arange(n), np.ones(n),
-                           (n, n + sum(n_extra)))
-    return _union_adjacency([s.sparse_d if modality == "d" else s.sparse_tt
-                             for s in snapshots], n_pred, n_extra)
-
-
-def forward(windows, params, mask=None, static_adj=None):
+def forward(windows, params, mask=None, static_rows=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
-    At every input step the GCN reads each window's full active node set:
-    every window's predicted nodes first, in window order, then every
-    window's transient extras. It acts on the union block by block, so
-    this equals running the windows one at a time. Only the predicted
-    nodes' rows are computed and feed the LSTM, and the output has one
-    row per predicted node of the batch, in window order. `mask` carries
-    the RL agent's binary feature masks; None means all features active.
-    `static_adj`, one EdgeList per window over its predicted nodes,
-    freezes the spatial stage (static-graph baseline).
+    Each window carries Ã·[temporal ‖ spatial] for its predicted nodes at
+    every input step, per modality, computed once from its hours'
+    snapshots when the data were prepared (`dataio.make_windows`). A GCN
+    acts on a disjoint union block by block, so stacking the windows' rows
+    equals running the windows one at a time. The output has one row per
+    predicted node of the batch, in window order. `mask` carries the RL
+    agent's binary feature masks; it scales columns, so it applies to the
+    propagated rows. None means all features active. The "identity"
+    modality uses the unpropagated rows. `static_rows`, one (l, n_w, F)
+    array per window, replaces every modality's rows (static-graph
+    baseline).
     """
     if not windows:
         raise ValueError("empty batch of windows")
@@ -188,37 +153,30 @@ def forward(windows, params, mask=None, static_adj=None):
             raise ValueError("windows in a batch differ in input length")
         if f_t != params.f_t or w.features.spatial.shape[1] != params.f_s:
             raise ValueError("feature registry does not match parameters")
-    n_pred = [w.features.temporal.shape[0] for w in windows]
-    temporal = np.concatenate([w.features.temporal for w in windows])
-    spatial = np.concatenate([w.features.spatial for w in windows])
-    n = temporal.shape[0]
-    m_temp = None if mask is None else mask.m_temp
-    m_spatial = None if mask is None else mask.m_spatial
-    static = None if static_adj is None else \
-        _union_adjacency(static_adj, n_pred, [0] * len(windows))
+
+    def batch_rows(g):
+        if static_rows is not None:
+            per_window = static_rows
+        elif g == "identity":
+            per_window = [node_rows(w.features) for w in windows]
+        else:
+            per_window = [w.propagated[g] for w in windows]
+        if [r.shape[:2] for r in per_window] != \
+                [(l, len(w.features.temporal)) for w in windows]:
+            raise ValueError("propagated rows disagree with the window")
+        return np.concatenate(per_window, axis=1)
+
+    rows = {g: batch_rows(g) for g in params.modalities}
+    if mask is not None:
+        m = np.concatenate([mask.m_temp, mask.m_spatial])
+        rows = {g: x * m for g, x in rows.items()}
 
     trace = FusionTrace()
+    n = rows[params.modalities[0]].shape[1]
     h = nc.zeros(n, params.hidden)
     c = nc.zeros(n, params.hidden)
     for step in range(l):
-        if static is not None:
-            rows = concat_node_features(temporal[:, step, :], spatial,
-                                        m_temp, m_spatial)
-            adjs = {g: static for g in params.modalities}
-        else:
-            rows = concat_node_features(
-                np.concatenate([temporal[:, step, :]]
-                               + [w.extra_temporal[step] for w in windows]),
-                np.concatenate([spatial]
-                               + [w.extra_spatial[step] for w in windows]),
-                m_temp, m_spatial)
-            n_extra = [len(w.extra_temporal[step]) for w in windows]
-            snaps = [w.snapshots[step] for w in windows]
-            adjs = {g: _step_adjacency(g, snaps, n_pred, n_extra)
-                    for g in params.modalities}
-
-        h_t = Tensor(rows)
-        z_by_mod = {g: gcn_layer(adjs[g], h_t, params.tensors[f"W_{g}"])
+        z_by_mod = {g: gcn_layer(rows[g][step], params.tensors[f"W_{g}"])
                     for g in params.modalities}
         if len(params.modalities) > 1:
             fused, alpha = attention_fuse(z_by_mod, params)

@@ -4,6 +4,9 @@ Two modalities are built for every hour: a distance graph whose edge
 weights are mileposts apart, and a travel-time graph whose weights are
 distance over the mean of the endpoint speeds. Both are min-max scaled
 per snapshot and symmetrically normalized for the GCN stage.
+
+The first GCN product Ã·X needs no parameters, so `propagate` computes it
+once per snapshot when the data are prepared.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numcore import EdgeList
 
 # Minimum edge weight after min-max scaling; keeps the shortest edge alive.
 W_FLOOR = 0.01
@@ -28,21 +29,12 @@ class GraphSnapshot:
     adj_tt: np.ndarray
     norm_d: np.ndarray = field(default=None)  # D^-1/2 (A+I) D^-1/2
     norm_tt: np.ndarray = field(default=None)
-    # edge-list forms of norm_d/norm_tt, built once here for the GCN op
-    sparse_d: EdgeList = field(init=False, repr=False)
-    sparse_tt: EdgeList = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.norm_d is None:
             self.norm_d = gcn_normalize(self.adj_d)
         if self.norm_tt is None:
             self.norm_tt = gcn_normalize(self.adj_tt)
-        # one index pattern, the union of both; build_snapshot gives both
-        # modalities the same chain edges
-        rows, cols = np.nonzero((self.norm_d != 0) | (self.norm_tt != 0))
-        shape = self.norm_d.shape
-        self.sparse_d = EdgeList(rows, cols, self.norm_d[rows, cols], shape)
-        self.sparse_tt = EdgeList(rows, cols, self.norm_tt[rows, cols], shape)
 
 
 def build_edges(active_metas):
@@ -129,3 +121,14 @@ def build_snapshot(active_metas, speeds):
     return GraphSnapshot(node_ids=[m.detector_id for m in active_metas],
                          adj_d=adj_d, adj_tt=adj_tt)
 
+
+def propagate(snapshot, x):
+    """Ã·x for both modalities: {"d": norm_d @ x, "tt": norm_tt @ x}.
+
+    `x` holds one row per snapshot node, in `node_ids` order. A feature
+    mask scales columns, so it commutes with this product and can be
+    applied afterwards.
+    """
+    if x.shape[0] != len(snapshot.node_ids):
+        raise ValueError("feature rows disagree with the snapshot's nodes")
+    return {"d": snapshot.norm_d @ x, "tt": snapshot.norm_tt @ x}

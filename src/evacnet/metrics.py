@@ -1,8 +1,10 @@
 """Forecast error metrics: RMSE, MAE, MAPE and R² over flow series.
 
-MAPE terms with zero actual flow are skipped (and counted); R² with zero
-(or rounding-level) variance in the actuals is reported as undefined
-rather than coerced.
+MAPE terms whose actual flow is zero, or below `MAPE_MIN_ACTUAL` in
+magnitude, are skipped (and counted in `mape_skipped`): dividing by a
+near-zero actual says nothing about the forecast and can overflow. R²
+with zero (or rounding-level) variance in the actuals is reported as
+undefined rather than coerced.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 # can move the variance by more than ~1e-7 relative; at rounding-level
 # spreads R² came out as noise of order -1e30.
 R2_MIN_REL_SPREAD = 1e-8
+# Actual flows (veh/h) smaller than this in magnitude count as zero for
+# MAPE, far below any measured flow.
+MAPE_MIN_ACTUAL = 1e-6
 
 
 @dataclass
@@ -44,10 +49,10 @@ def compute(actual, predicted):
     rmse = float(np.sqrt(np.mean(err ** 2)))
     mae = float(np.mean(np.abs(err)))
 
-    nonzero = actual != 0
-    skipped = int((~nonzero).sum())
-    if nonzero.any():
-        mape = float(np.mean(np.abs(err[nonzero] / actual[nonzero])) * 100.0)
+    counted = np.abs(actual) >= MAPE_MIN_ACTUAL
+    skipped = int((~counted).sum())
+    if counted.any():
+        mape = float(np.mean(np.abs(err[counted] / actual[counted])) * 100.0)
     else:
         mape = None
 

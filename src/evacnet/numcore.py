@@ -1,5 +1,4 @@
-"""Minimal dense-tensor autograd core with an Adam optimizer, plus a
-product with a constant sparse matrix (`EdgeList`) for graph convolutions.
+"""Minimal dense-tensor autograd core with an Adam optimizer.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
@@ -50,9 +49,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -177,17 +173,6 @@ class Tensor:
         return Tensor._make(a.data.reshape(shape), (a,),
                             lambda g: (g.reshape(old),))
 
-    def transpose(self, *axes):
-        a = self
-        axes = axes or tuple(reversed(range(a.data.ndim)))
-        inv = np.argsort(axes)
-        return Tensor._make(a.data.transpose(axes), (a,),
-                            lambda g: (g.transpose(inv),))
-
-    @property
-    def T(self):
-        return self.transpose()
-
     def sum(self, axis=None, keepdims=False):
         a = self
         out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -228,57 +213,6 @@ def matmul(a, b):
     return Tensor._make(out, (a, b), bwd)
 
 
-class EdgeList:
-    """Sparse (n_rows, n_cols) matrix held as (row, col, value) entries.
-    The entries must be sorted by row, so that each row's entries form one
-    contiguous run; `dot` checks this."""
-
-    __slots__ = ("rows", "cols", "vals", "shape")
-
-    def __init__(self, rows, cols, vals, shape):
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.shape = shape
-
-    @classmethod
-    def from_dense(cls, dense):
-        rows, cols = np.nonzero(dense)  # row-major, so sorted by row
-        return cls(rows, cols, dense[rows, cols], dense.shape)
-
-    def transpose(self):
-        order = np.argsort(self.cols, kind="stable")
-        return EdgeList(self.cols[order], self.rows[order], self.vals[order],
-                        self.shape[::-1])
-
-    def dot(self, x):
-        """self @ x for a 2-d numpy array: gather, weight, segment-sum."""
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ValueError(f"spmm shapes disagree: {self.shape} x "
-                             f"{x.shape}")
-        rows = self.rows
-        if (rows[1:] < rows[:-1]).any():
-            raise ValueError("EdgeList entries must be sorted by row")
-        out = np.zeros((self.shape[0], x.shape[1]))
-        if rows.size:
-            # first entry of each non-empty row
-            starts = np.flatnonzero(np.concatenate(([True],
-                                                    rows[1:] != rows[:-1])))
-            # np.take gathers rows several times faster than x[self.cols]
-            out[rows[starts]] = np.add.reduceat(
-                np.take(x, self.cols, axis=0) * self.vals[:, None], starts,
-                axis=0)
-        return out
-
-
-def spmm(adj, x):
-    """Product of a constant EdgeList `adj` with a 2-d Tensor `x`; the
-    gradient with respect to `x` is adj^T @ g."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    return Tensor._make(adj.dot(x.data), (x,),
-                        lambda g: (adj.transpose().dot(g),))
-
-
 def relu(x):
     x = x if isinstance(x, Tensor) else Tensor(x)
     mask = x.data > 0
@@ -308,17 +242,6 @@ def softmax(x, axis=-1):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return (s * (g - dot),)
     return Tensor._make(s, (x,), bwd)
-
-
-def concat(tensors, axis=0):
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis),
-                        tuple(tensors), bwd)
 
 
 def stack(tensors, axis=0):
@@ -367,16 +290,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-    def state_dict(self):
-        return {"step_count": self.step_count,
-                "m": [m.copy() for m in self.m],
-                "v": [v.copy() for v in self.v]}
-
-    def load_state_dict(self, state):
-        self.step_count = state["step_count"]
-        self.m = [m.copy() for m in state["m"]]
-        self.v = [v.copy() for v in state["v"]]
 
 
 def finite_diff_check(f, params, h=1e-6):

@@ -149,6 +149,15 @@ class ReplayBuffer:
         return idx, weights / weights.max()
 
 
+def _mlp(states, weights, biases):
+    x = Tensor(np.atleast_2d(np.asarray(states, dtype=float)))
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        x = nc.matmul(x, w) + b
+        if k < len(weights) - 1:
+            x = nc.relu(x)
+    return x
+
+
 class QNetwork:
     """MLP (F,) -> 128 -> 128 -> (F,) with ReLU hidden activations."""
 
@@ -168,17 +177,14 @@ class QNetwork:
         return self.weights + self.biases
 
     def forward(self, states):
-        """states: (B, F) or (F,) -> Q-values of the same leading shape."""
-        x = Tensor(np.atleast_2d(np.asarray(states, dtype=float)))
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = nc.matmul(x, w) + b
-            if k < len(self.weights) - 1:
-                x = nc.relu(x)
-        return x
+        """states: (B, F) or (F,) -> (B, F) Q-values, recorded for backward."""
+        return _mlp(states, self.weights, self.biases)
 
     def q_values(self, state):
-        """(F,) for one state, (B, F) for a batch of states."""
-        q = self.forward(state).data
+        """(F,) for one state, (B, F) for a batch of states. Runs on
+        constant Tensors over the same arrays, so it records no graph."""
+        q = _mlp(state, [Tensor(w.data) for w in self.weights],
+                 [Tensor(b.data) for b in self.biases]).data
         return q[0] if np.ndim(state) == 1 else q
 
     def copy_from(self, other):

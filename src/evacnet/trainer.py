@@ -8,7 +8,7 @@ import hashlib
 import json
 import pickle
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _MODALITIES = {
     "static_gcn_lstm": ("d",),
 }
 _RL_VARIANTS = frozenset({"rl_dmf", "rl_dgl_distance", "rl_dgl_traveltime"})
+# TrainConfig annotation -> accepted types; an int is a valid float
+_FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
 class TrainingDiverged(RuntimeError):
@@ -62,6 +64,16 @@ class TrainConfig:
     force_all_ones_mask: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional == "None":
+                continue
+            # bools are ints to isinstance, so they only fill bool fields
+            if (isinstance(value, bool) != (kind == "bool")
+                    or not isinstance(value, _FIELD_TYPES[kind])):
+                raise ValueError(f"{f.name} must be {f.type}, got "
+                                 f"{value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected "
                              f"one of {VARIANTS}")
@@ -114,20 +126,20 @@ def _window_static_adj(static_full, det_indices):
     return graphs.gcn_normalize(sub)
 
 
-def _static_edge_lists(static_full, windows):
+def _static_rows(static_full, windows):
+    """Each window's static-graph product Ã_w·[temporal ‖ spatial],
+    (l, n_w, F), or None when the variant has no static graph."""
     if static_full is None:
         return None
-    return [nc.EdgeList.from_dense(_window_static_adj(static_full,
-                                                      w.det_indices))
-            for w in windows]
+    return [_window_static_adj(static_full, w.det_indices)
+            @ dmf.node_rows(w.features) for w in windows]
 
 
-def _forward_loss(batch, params, mask, static_full):
+def _forward_loss(batch, params, mask, static_rows):
     """One forward pass over the whole batch; the loss is the mean over its
     windows of each window's MSE."""
     predicted, _ = dmf.forward(batch, params, mask=mask,
-                               static_adj=_static_edge_lists(static_full,
-                                                             batch))
+                               static_rows=static_rows)
     return predicted, dmf.mse_loss(predicted, batch)
 
 
@@ -147,6 +159,7 @@ def train(config, dataset, log_fn=None):
     optimizer = nc.Adam(params.trainable(), lr=config.lr)
     static_full = (_static_distance_adj(dataset)
                    if config.variant == "static_gcn_lstm" else None)
+    static = _static_rows(static_full, dataset.train_windows)
 
     agent = None
     if config.uses_rl():
@@ -187,7 +200,9 @@ def train(config, dataset, log_fn=None):
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
             optimizer.zero_grad()
-            loss = _forward_loss(batch, params, mask, static_full)[1]
+            batch_static = (None if static is None
+                            else [static[i] for i in batch_idx])
+            loss = _forward_loss(batch, params, mask, batch_static)[1]
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
@@ -252,12 +267,12 @@ def evaluate(params, windows, dataset, static_full=None):
     # constant Tensors over the same arrays: the forward records no graph
     params = replace(params, tensors={k: nc.Tensor(v.data)
                                       for k, v in params.tensors.items()})
+    static = _static_rows(static_full, windows)
     predicted = []
     for i in range(0, len(windows), EVAL_CHUNK):
         chunk = windows[i:i + EVAL_CHUNK]
-        yhat, _ = dmf.forward(chunk, params,
-                              static_adj=_static_edge_lists(static_full,
-                                                            chunk))
+        chunk_static = None if static is None else static[i:i + EVAL_CHUNK]
+        yhat, _ = dmf.forward(chunk, params, static_rows=chunk_static)
         predicted.append(dataset.target_norm.inverse(
             np.concatenate([w.det_indices for w in chunk]), yhat.data))
     predicted = np.concatenate(predicted)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from evacnet import graphs
+from evacnet import dmf, graphs
 from evacnet.dataio import FeatureTensor, WindowSample
 
 
@@ -33,8 +33,26 @@ def random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=0):
         extra_t.append(rng.normal(size=(m, f_t)))
         extra_s.append(rng.normal(size=(m, f_s)))
     targets = rng.normal(size=(n, p))
-    return WindowSample(anchor_index=0, anchor_time=None,
-                        det_indices=np.arange(n), features=feats,
-                        targets=targets, targets_raw=targets.copy(),
-                        snapshots=snapshots, extra_temporal=extra_t,
-                        extra_spatial=extra_s)
+    w = WindowSample(anchor_index=0, anchor_time=None,
+                     det_indices=np.arange(n), features=feats,
+                     targets=targets, targets_raw=targets.copy(),
+                     snapshots=snapshots, extra_temporal=extra_t,
+                     extra_spatial=extra_s, propagated=None)
+    derive_rows(w)
+    return w
+
+
+def derive_rows(w):
+    """Set `w.propagated` from its snapshots, whose nodes are the predicted
+    nodes followed by the step extras, and its raw features; call again
+    after changing the features."""
+    n = w.features.temporal.shape[0]
+    steps = []
+    for step, snap in enumerate(w.snapshots):
+        x = dmf.concat_node_features(
+            np.concatenate([w.features.temporal[:, step],
+                            w.extra_temporal[step]]),
+            np.concatenate([w.features.spatial, w.extra_spatial[step]]))
+        steps.append(graphs.propagate(snap, x))
+    w.propagated = {g: np.stack([rows[g][:n] for rows in steps])
+                    for g in ("d", "tt")}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_window
+from conftest import derive_rows, random_window
 from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
                      trainer)
 from evacnet.rlagent import Agent, EpsilonSchedule, ReplayBuffer
@@ -120,6 +120,7 @@ def test_c03_masking_semantics():
                     w.features.spatial[:, col - f_t] += bump
                     for e in w.extra_spatial:
                         e[:, col - f_t] += bump
+                derive_rows(w)
                 y1, _ = dmf.forward([w], params, mask=mask)
                 if col == action:
                     np.testing.assert_array_equal(y0.data, y1.data)

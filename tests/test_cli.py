@@ -115,6 +115,14 @@ def test_train_unknown_config_field(corpus, tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "10"}), encoding="utf-8")
+    assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+    assert "epochs" in caplog.text
+
+
 def test_evaluate_checkpoint(corpus, trained, tmp_path):
     assert cli.main(["evaluate", "--checkpoint",
                      str(trained / "model.ckpt"), "--data", str(corpus),

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from evacnet import dataio, synth
+from evacnet import dataio, graphs, rlagent, synth
 from evacnet.dataio import (SchemaError, engineer_features, load_csv,
                             make_windows, split_and_fit)
 
@@ -212,9 +212,12 @@ def test_dark_detector_excluded_from_window(tmp_path):
     by_anchor = {w.anchor_index: w for w in windows}
     assert "det_b" not in by_anchor[48].features.node_ids
     assert "det_b" in by_anchor[60].features.node_ids
-    # det_b still appears as a step extra where it is active
+    # det_b still appears as a step extra where it is active: hours 48
+    # and 49 of the window's input hours 48-53
     w = by_anchor[48]
-    assert any(s.node_ids.count("det_b") for s in w.snapshots[:2])
+    assert [s.node_ids for s in w.snapshots] == \
+        [["det_a", "det_b"]] * 2 + [["det_a"]] * 4
+    assert [len(e) for e in w.extra_temporal] == [1, 1, 0, 0, 0, 0]
 
 
 def test_registry_identical_across_windows(tmp_path):
@@ -238,7 +241,62 @@ def test_step_extras_match_membership_loop(tmp_path):
             step_active = np.where(data.active[:, w.anchor_index + step])[0]
             ref = [i for i in step_active if i not in set(pred)]
             assert snap.node_ids == [data.detector_ids[i]
-                                     for i in list(pred) + ref]
+                                     for i in step_active]
+            assert sorted(list(pred) + ref) == list(step_active)
             assert len(w.extra_temporal[step]) == len(ref)
+            assert len(w.extra_spatial[step]) == len(ref)
             n_extras += len(ref)
     assert n_extras > 0  # outages must give S2 step extras
+
+
+def test_propagated_rows_match_window_order_graph(tmp_path):
+    """Each window's rows equal the graph over its predicted nodes then its
+    step extras, times the masked raw rows, kept for the predicted nodes."""
+    meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
+                                      tmp_path)
+    ds = dataio.prepare(meta, records, l=6, p=6)
+    data = ds.data
+    mask = rlagent.apply_mask(2, ds.f_t, ds.f_s)
+    m = np.concatenate([mask.m_temp, mask.m_spatial])
+    windows = [w for w in ds.train_windows + ds.val_windows
+               if any(len(e) for e in w.extra_temporal)]
+    assert windows
+    for w in windows:
+        pred = w.det_indices
+        for step in range(ds.l):
+            t = w.anchor_index + step
+            order = list(pred) + [i for i in np.flatnonzero(data.active[:, t])
+                                  if i not in set(pred)]
+            ids = [data.detector_ids[i] for i in order]
+            snap = graphs.build_snapshot(
+                [data.metas[d] for d in ids],
+                {d: float(data.speed[i, t]) for d, i in zip(ids, order)})
+            raw = np.nan_to_num(ds.norm.transform(np.concatenate(
+                [data.temporal[order, t], data.spatial[order]], axis=1)))
+            for g, norm_adj in (("d", snap.norm_d), ("tt", snap.norm_tt)):
+                np.testing.assert_allclose(
+                    w.propagated[g][step] * m,
+                    (norm_adj @ (raw * m))[:len(pred)],
+                    rtol=1e-12, atol=1e-12)
+
+
+def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
+    meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
+                                      tmp_path)
+    data = engineer_features(*reversed(load_csv(meta, records)))
+    train_end, norm, tnorm = split_and_fit(data)
+    built = []
+    real = graphs.build_snapshot
+
+    def counting(metas, speeds):
+        built.append(real(metas, speeds))
+        return built[-1]
+
+    monkeypatch.setattr(graphs, "build_snapshot", counting)
+    windows = make_windows(data, norm, tnorm, l=6, p=6, end=train_end)
+    by_hour = {}
+    for w in windows:
+        for step, snap in enumerate(w.snapshots):
+            assert by_hour.setdefault(w.anchor_index + step, snap) is snap
+    assert len(built) == len(by_hour)
+    assert len(by_hour) < sum(len(w.snapshots) for w in windows)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_snapshot, random_window
+from conftest import derive_rows, random_window
 from evacnet import dmf, graphs, numcore as nc, rlagent
 from evacnet.numcore import Tensor
 
@@ -35,8 +35,7 @@ def test_concat_node_count_mismatch():
 
 def test_gcn_layer_identity():
     h = np.array([[1.0, -2.0], [-3.0, 4.0]])
-    out = dmf.gcn_layer(nc.EdgeList.from_dense(np.eye(2)), Tensor(h),
-                        Tensor(np.eye(2)))
+    out = dmf.gcn_layer(Tensor(np.eye(2) @ h), Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, np.maximum(h, 0.0))
 
 
@@ -44,7 +43,7 @@ def test_gcn_layer_hand_case():
     adj = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.array([[1.0, 0.0], [0.0, 2.0]])
     w = np.array([[1.0], [1.0]])
-    out = dmf.gcn_layer(nc.EdgeList.from_dense(adj), Tensor(h), Tensor(w))
+    out = dmf.gcn_layer(Tensor(adj @ h), Tensor(w))
     np.testing.assert_allclose(out.data, np.maximum(adj @ h @ w, 0.0))
 
 
@@ -144,6 +143,7 @@ def test_masked_feature_column_invariance():
     w.features.temporal[:, :, 2] = rng.normal(size=w.features.temporal.shape[:2]) * 1e6
     for e in w.extra_temporal:
         e[:, 2] = 99.0
+    derive_rows(w)
     y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
@@ -155,6 +155,7 @@ def test_unmasked_column_still_matters():
     mask = rlagent.apply_mask(2, 5, 3)
     y0, _ = dmf.forward([w], params, mask=mask)
     w.features.temporal[:, :, 0] += 1.0
+    derive_rows(w)
     y1, _ = dmf.forward([w], params, mask=mask)
     assert not np.array_equal(y0.data, y1.data)
 
@@ -173,6 +174,7 @@ def test_node_permutation_equivariance():
         node_ids=s.node_ids,
         adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
         for s in w.snapshots]
+    derive_rows(w2)
     y1, _ = dmf.forward([w2], params)
     np.testing.assert_allclose(y1.data, y0.data[perm], atol=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_rounding_level_spread_r2_undefined():
 def test_zero_actuals_skipped_in_mape():
     r = metrics.compute([0.0, 100.0], [10.0, 110.0])
     assert r.mape == pytest.approx(10.0)
+    assert r.mape_skipped == 1
+
+
+def test_near_zero_actual_skipped_in_mape_without_overflow():
+    # 1e-310 used to overflow the MAPE division to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = metrics.compute([1e-310, 5.0], [1.0, 5.0])
+    assert r.mape == 0.0
     assert r.mape_skipped == 1
 
 

@@ -65,15 +65,6 @@ def test_repeated_backward_raises():
         y.backward()
 
 
-def test_detached_tensor_zero_grad():
-    x = Tensor(3.0, requires_grad=True)
-    d = x.detach()
-    y = x * x + d * d
-    y.backward()
-    np.testing.assert_allclose(x.grad, 6.0)
-    assert d.grad is None
-
-
 def test_finite_diff_relu_matvec():
     rng = np.random.default_rng(0)
     W = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -153,14 +144,13 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_stack_and_concat_gradients():
+def test_stack_gradients():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
-    s = nc.stack([a, b], axis=1)  # (2, 2)
-    c = nc.concat([a, b])  # (4,)
-    (s.sum() + (c * c).sum()).backward()
-    np.testing.assert_allclose(a.grad, 1.0 + 2 * a.data)
-    np.testing.assert_allclose(b.grad, 1.0 + 2 * b.data)
+    s = nc.stack([a, b], axis=1)  # (2, 2): a is column 0, b column 1
+    (s * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
+    np.testing.assert_allclose(a.grad, [1.0, 3.0])
+    np.testing.assert_allclose(b.grad, [2.0, 4.0])
 
 
 def test_debug_finite_mode():
@@ -170,26 +160,3 @@ def test_debug_finite_mode():
             Tensor([1.0], requires_grad=True) / Tensor([0.0])
     finally:
         nc.DEBUG_CHECK_FINITE = False
-
-
-def test_spmm_asymmetric_matches_dense_and_finite_differences():
-    rng = np.random.default_rng(3)
-    dense = rng.normal(size=(4, 4)) * (rng.uniform(size=(4, 4)) < 0.6)
-    dense[2] = 0.0  # a row with no entries
-    assert not np.allclose(dense, dense.T)
-    adj = nc.EdgeList.from_dense(dense)
-    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    np.testing.assert_allclose(nc.spmm(adj, x).data, dense @ x.data,
-                               rtol=1e-12, atol=1e-12)
-
-    def f():
-        y = nc.spmm(adj, x)
-        return (y * y).sum()
-
-    assert nc.finite_diff_check(f, [x]) < 1e-6
-    with pytest.raises(ValueError, match="shapes"):
-        nc.spmm(adj, Tensor(np.ones((3, 2))))
-    unsorted = nc.EdgeList(adj.rows[::-1], adj.cols[::-1], adj.vals[::-1],
-                           adj.shape)
-    with pytest.raises(ValueError, match="sorted"):
-        nc.spmm(unsorted, x)

@@ -242,6 +242,24 @@ def test_train_q_zero_td_error_leaves_theta():
         np.testing.assert_array_equal(b, w.data)
 
 
+def test_q_values_equal_forward_without_graph(monkeypatch):
+    net = QNetwork(5, seed=3)
+    rng = np.random.default_rng(3)
+    state, batch = rng.normal(size=5), rng.normal(size=(7, 5))
+    np.testing.assert_array_equal(net.q_values(state),
+                                  net.forward(state).data[0])
+    np.testing.assert_array_equal(net.q_values(batch),
+                                  net.forward(batch).data)
+    outputs = []
+    real = rlagent._mlp
+    monkeypatch.setattr(rlagent, "_mlp",
+                        lambda *args: outputs.append(real(*args))
+                        or outputs[-1])
+    net.q_values(batch)
+    assert not outputs[0].requires_grad and not outputs[0]._parents
+    assert net.forward(batch).requires_grad
+
+
 def test_train_q_priority_update_contract():
     agent = Agent(n_features=3, seed=10, gamma=0.0)
     rng = np.random.default_rng(10)

@@ -219,7 +219,8 @@ def builtin(tmp_path_factory):
 def _loss_and_grads(batch, params, mask, static_full):
     for t in params.trainable():
         t.zero_grad()
-    _, loss = trainer._forward_loss(batch, params, mask, static_full)
+    _, loss = trainer._forward_loss(batch, params, mask,
+                                    trainer._static_rows(static_full, batch))
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}
 
