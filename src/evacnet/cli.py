@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 EXIT_OK = 0
@@ -92,22 +92,33 @@ def _prepare_dataset(data_dir, l, p):
         raise UserError(f"invalid input data: {exc}")
 
 
+def _load_checkpoint(path):
+    from . import trainer
+    if not path.is_file():
+        raise UserError(f"checkpoint not found: {path}")
+    try:
+        return trainer.load_checkpoint(path)
+    except ValueError as exc:
+        raise UserError(str(exc))
+
+
 def cmd_generate(args):
     from . import synth
     out = _out_dir(args)
     builtins = synth.builtin_scenarios()
-    if args.scenario in builtins:
-        scenario = builtins[args.scenario]
-    elif Path(args.scenario).is_file():
-        scenario = synth.load_scenario_file(args.scenario)
-    else:
+    if args.scenario not in builtins and not Path(args.scenario).is_file():
         raise UserError(
             f"unknown scenario {args.scenario!r}; built-in scenarios are "
             f"{', '.join(sorted(builtins))} (or pass a scenario JSON file)")
-    if args.seed is not None:
-        from dataclasses import replace
-        scenario = replace(scenario, seed=args.seed)
-    scenario.validate()
+    try:
+        scenario = (builtins[args.scenario] if args.scenario in builtins
+                    else synth.load_scenario_file(args.scenario))
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+        scenario.validate()
+    # malformed JSON is a ValueError, an unknown field a TypeError
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"invalid scenario {args.scenario}: {exc}")
     meta, records, notes = synth.generate(scenario, out)
     log.info("generated %s: %d detectors, %d hours", scenario.name,
              notes["n_detectors"], scenario.horizon_hours)
@@ -156,9 +167,7 @@ def cmd_evaluate(args):
     from . import trainer
     out = _out_dir(args)
     ckpt = Path(args.checkpoint)
-    if not ckpt.is_file():
-        raise UserError(f"checkpoint not found: {ckpt}")
-    payload, config, params = trainer.load_checkpoint(ckpt)
+    payload, config, params = _load_checkpoint(ckpt)
     dataset = _prepare_dataset(args.data, config.l, config.p)
     try:
         trainer.check_registry(payload, dataset)
@@ -200,12 +209,10 @@ def cmd_ablate(args):
 
 
 def cmd_rank_features(args):
-    from . import rlagent, trainer
+    from . import rlagent
     out = _out_dir(args)
     ckpt = Path(args.checkpoint)
-    if not ckpt.is_file():
-        raise UserError(f"checkpoint not found: {ckpt}")
-    payload, config, _ = trainer.load_checkpoint(ckpt)
+    payload, config, _ = _load_checkpoint(ckpt)
     agent_state = payload.get("agent")
     if agent_state is None or agent_state["total"] <= 0:
         raise UserError(

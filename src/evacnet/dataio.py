@@ -56,6 +56,9 @@ META_COLUMNS = ("detector_id", "highway", "milepost", "lanes", "lat", "lon")
 # Longest run of consecutive missing flow/speed hours that is linearly
 # interpolated; longer gaps leave the detector inactive there.
 MAX_INTERP_GAP = 2
+# Longest timeline, first record to last, in hours. The feature arrays are
+# sized from it, so one mistyped year would otherwise allocate gigabytes.
+MAX_SPAN_HOURS = 366 * 24
 
 
 class SchemaError(ValueError):
@@ -137,6 +140,7 @@ def load_csv(meta_path, records_path):
 
     records = []
     seen_keys = set()
+    first = last = None  # (timestamp, line) of the earliest/latest record
     with open(records_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -166,6 +170,8 @@ def load_csv(meta_path, records_path):
                 raise SchemaError(f"line {line_no}: duplicate (detector, "
                                   f"timestamp) = ({det}, {ts.isoformat()})")
             seen_keys.add(key)
+            first = min(first or (ts, line_no), (ts, line_no))
+            last = max(last or (ts, line_no), (ts, line_no))
             flow = _parse_float(row[2], line_no, "flow")
             speed = _parse_float(row[3], line_no, "speed")
             if flow is not None and flow < 0:
@@ -184,6 +190,10 @@ def load_csv(meta_path, records_path):
                 exog[col] = parsed
             records.append(HourlyRecord(det, ts, flow, speed, exog))
 
+    if first and last[0] - first[0] >= timedelta(hours=MAX_SPAN_HOURS):
+        raise SchemaError(f"records from line {first[1]} ({first[0]}) to "
+                          f"line {last[1]} ({last[0]}) span more than "
+                          f"{MAX_SPAN_HOURS} hours")
     records.sort(key=lambda r: (r.detector_id, r.timestamp))
     return metas, records
 
@@ -420,8 +430,6 @@ class FeatureTensor:
     """Normalized feature block for one window's predicted node set."""
     temporal: np.ndarray  # (n_nodes, l, F_t)
     spatial: np.ndarray  # (n_nodes, F_s)
-    node_ids: list
-    registry: list
 
 
 @dataclass
@@ -503,9 +511,7 @@ def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
 
         features = FeatureTensor(
             temporal=norm_temporal[pred, a:a + l],
-            spatial=norm_spatial[pred],
-            node_ids=[data.detector_ids[i] for i in pred],
-            registry=data.registry)
+            spatial=norm_spatial[pred])
         raw = data.flow[pred, a + l:a + l + p]
         windows.append(WindowSample(
             anchor_index=a, anchor_time=data.timeline[a],

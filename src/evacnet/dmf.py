@@ -5,19 +5,19 @@ input window, and a linear multi-horizon head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numcore as nc
 from .numcore import Tensor
 
-LSTM_GATES = ("f", "i", "c", "o")
-
 
 @dataclass
 class DmfParameters:
-    """All trainable weights, keyed by name; values are numcore Tensors."""
+    """All trainable weights, keyed by name; values are numcore Tensors.
+    With M modalities: W_gcn (M, F, H), w_att (M, H) when M > 1, and the
+    LSTM's W_lstm, U_lstm (H, 4H) and b_lstm (4H,), gates f, i, c, o."""
     f_t: int
     f_s: int
     hidden: int
@@ -32,38 +32,34 @@ class DmfParameters:
 
         def uniform(*shape):
             bound = 1.0 / np.sqrt(shape[0])
-            return Tensor(rng.uniform(-bound, bound, size=shape),
-                          requires_grad=True)
+            return rng.uniform(-bound, bound, size=shape)
 
-        t = {}
-        for g in modalities:
-            t[f"W_{g}"] = uniform(f_in, hidden)
+        t = {"W_gcn": np.stack([uniform(f_in, hidden) for _ in modalities])}
         if len(modalities) > 1:
-            for g in modalities:
-                t[f"w_att_{g}"] = uniform(hidden)
-        for gate in LSTM_GATES:
-            t[f"W_{gate}_lstm"] = uniform(hidden, hidden)
-            t[f"U_{gate}_lstm"] = uniform(hidden, hidden)
-            t[f"b_{gate}_lstm"] = Tensor(np.zeros(hidden), requires_grad=True)
+            t["w_att"] = np.stack([uniform(hidden) for _ in modalities])
+        # drawn gate by gate, W then U, as separate (H, H) blocks
+        w_u = [(uniform(hidden, hidden), uniform(hidden, hidden))
+               for _ in range(4)]
+        t["W_lstm"] = np.concatenate([w for w, _ in w_u], axis=1)
+        t["U_lstm"] = np.concatenate([u for _, u in w_u], axis=1)
+        t["b_lstm"] = np.zeros(4 * hidden)
         t["W_out"] = uniform(hidden, horizon)
-        t["b_out"] = Tensor(np.zeros(horizon), requires_grad=True)
+        t["b_out"] = np.zeros(horizon)
         return cls(f_t=f_t, f_s=f_s, hidden=hidden, horizon=horizon,
-                   modalities=tuple(modalities), tensors=t)
+                   modalities=tuple(modalities),
+                   tensors={k: Tensor(v, requires_grad=True)
+                            for k, v in t.items()})
 
     def trainable(self):
         return list(self.tensors.values())
-
-    def named(self):
-        return dict(self.tensors)
 
     def param_count(self):
         return sum(t.data.size for t in self.tensors.values())
 
     def copy(self):
-        t = {k: Tensor(v.data.copy(), requires_grad=True)
-             for k, v in self.tensors.items()}
-        return DmfParameters(self.f_t, self.f_s, self.hidden, self.horizon,
-                             self.modalities, t)
+        return replace(self, tensors={
+            k: Tensor(v.data.copy(), requires_grad=True)
+            for k, v in self.tensors.items()})
 
 
 @dataclass
@@ -80,37 +76,34 @@ def concat_node_features(temporal_step, spatial):
 
 
 def gcn_layer(h_prop, weight):
-    """Graph convolution ReLU(Ã H W), given the propagated rows Ã·H."""
+    """Graph convolution ReLU(Ã H W), given the propagated rows Ã·H; with
+    (M, n, F) rows and an (M, F, H) weight, one product per modality."""
     return nc.relu(nc.matmul(h_prop, weight))
 
 
-def attention_fuse(z_by_modality, params):
-    """Softmax-weighted per-node combination of modality embeddings."""
-    modalities = params.modalities
-    logits = [nc.matmul(z_by_modality[g], params.tensors[f"w_att_{g}"])
-              for g in modalities]
-    alpha = nc.softmax(nc.stack(logits, axis=1), axis=1)  # (N, n_mod)
-    z_stack = nc.stack([z_by_modality[g] for g in modalities], axis=1)
-    n = alpha.shape[0]
-    fused = (alpha.reshape(n, len(modalities), 1) * z_stack).sum(axis=1)
-    return fused, alpha
+def attention_fuse(z_stack, params):
+    """Softmax-weighted per-node sum of the (M, n, H) modality embeddings;
+    returns the fused (n, H) embedding and the (n, M) weights (an array)."""
+    n_mod, n, hidden = z_stack.shape
+    logits = nc.matmul(z_stack, params.tensors["w_att"].reshape(
+        n_mod, hidden, 1))
+    alpha = nc.softmax(logits, axis=0)  # (M, n, 1)
+    return (alpha * z_stack).sum(axis=0), alpha.data[:, :, 0].T
 
 
 def lstm_step(z_fused, h_prev, c_prev, params):
-    """One LSTM cell update over all nodes at once."""
+    """One LSTM cell update over all nodes at once: one affine map whose
+    column blocks are the f, i, c, o gates."""
     t = params.tensors
-
-    def gate(name, act):
-        pre = (nc.matmul(z_fused, t[f"W_{name}_lstm"])
-               + nc.matmul(h_prev, t[f"U_{name}_lstm"])
-               + t[f"b_{name}_lstm"])
-        return act(pre)
-
-    f = gate("f", nc.sigmoid)
-    i = gate("i", nc.sigmoid)
-    c_tilde = gate("c", nc.tanh)
+    hidden = params.hidden
+    pre = (nc.matmul(z_fused, t["W_lstm"]) + nc.matmul(h_prev, t["U_lstm"])
+           + t["b_lstm"])
+    gates = nc.sigmoid(pre)
+    f = gates[:, :hidden]
+    i = gates[:, hidden:2 * hidden]
+    c_tilde = nc.tanh(pre[:, 2 * hidden:3 * hidden])
+    o = gates[:, 3 * hidden:]
     c = f * c_prev + i * c_tilde
-    o = gate("o", nc.sigmoid)
     h = o * nc.tanh(c)
     return h, c
 
@@ -134,9 +127,11 @@ def forward(windows, params, mask=None, static_rows=None):
     every input step, per modality, computed once from its hours'
     snapshots when the data were prepared (`dataio.make_windows`). A GCN
     acts on a disjoint union block by block, so stacking the windows' rows
-    equals running the windows one at a time. The output has one row per
-    predicted node of the batch, in window order. `mask` carries the RL
-    agent's binary feature masks; it scales columns, so it applies to the
+    equals running the windows one at a time. The rows of all M
+    modalities are stacked once into (l, M, n, F), so each hour is one GCN
+    product over every modality. The output has one row per predicted
+    node of the batch, in window order. `mask` carries the RL agent's
+    binary feature masks; it scales columns, so it applies to the
     propagated rows. None means all features active. The "identity"
     modality uses the unpropagated rows. `static_rows`, one (l, n_w, F)
     array per window, replaces every modality's rows (static-graph
@@ -166,23 +161,21 @@ def forward(windows, params, mask=None, static_rows=None):
             raise ValueError("propagated rows disagree with the window")
         return np.concatenate(per_window, axis=1)
 
-    rows = {g: batch_rows(g) for g in params.modalities}
+    rows = np.stack([batch_rows(g) for g in params.modalities], axis=1)
     if mask is not None:
-        m = np.concatenate([mask.m_temp, mask.m_spatial])
-        rows = {g: x * m for g, x in rows.items()}
+        rows = rows * np.concatenate([mask.m_temp, mask.m_spatial])
 
     trace = FusionTrace()
-    n = rows[params.modalities[0]].shape[1]
+    n = rows.shape[2]
     h = nc.zeros(n, params.hidden)
     c = nc.zeros(n, params.hidden)
     for step in range(l):
-        z_by_mod = {g: gcn_layer(rows[g][step], params.tensors[f"W_{g}"])
-                    for g in params.modalities}
+        z = gcn_layer(rows[step], params.tensors["W_gcn"])
         if len(params.modalities) > 1:
-            fused, alpha = attention_fuse(z_by_mod, params)
-            trace.alphas.append(alpha.data.copy())
+            fused, alphas = attention_fuse(z, params)
+            trace.alphas.append(alphas)
         else:
-            fused = z_by_mod[params.modalities[0]]
+            fused = z[0]
         h, c = lstm_step(fused, h, c, params)
 
     return predict_head(h, params), trace

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# When True every op output is checked for NaN/Inf and raises immediately.
-# Off by default: the checks cost a full pass over each array.
-DEBUG_CHECK_FINITE = False
-
 
 def _as_array(x):
     return np.asarray(x, dtype=np.float64)
@@ -61,8 +57,6 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward_fn):
-        if DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
-            raise FloatingPointError("non-finite value produced by an op")
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -131,9 +125,6 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
@@ -145,27 +136,18 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            return (_unbroadcast(g / b.data, a.data.shape),
-                    _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
-        return Tensor._make(a.data / b.data, (a, b), bwd)
-
-    def __pow__(self, exponent):
-        a = self
-        e = float(exponent)
-
-        def bwd(g):
-            return (g * e * a.data ** (e - 1),)
-        return Tensor._make(a.data ** e, (a,), bwd)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # ---- shaping ----
+
+    def __getitem__(self, index):
+        """Basic slicing only (ints and slices): no element is selected
+        twice, so the gradient is `g` scattered into zeros."""
+        a = self
+
+        def bwd(g):
+            full = np.zeros_like(a.data)
+            full[index] = g
+            return (full,)
+        return Tensor._make(a.data[index], (a,), bwd)
 
     def reshape(self, *shape):
         a = self

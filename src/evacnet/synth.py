@@ -16,6 +16,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .dataio import MAX_SPAN_HOURS
+
 FREE_FLOW_MPH = 70.0
 SPEED_FLOOR_MPH = 5.0
 LANE_CAPACITY_VPH = 2000.0
@@ -55,8 +57,10 @@ class Scenario:
     wave_strength: float = 0.9
 
     def validate(self):
-        if self.horizon_hours < 60:
-            raise ValueError("horizon too short for feature history")
+        # 60 hours for the feature history; the data path's timeline cap
+        if not 60 <= self.horizon_hours <= MAX_SPAN_HOURS:
+            raise ValueError(f"horizon_hours must be in [60, "
+                             f"{MAX_SPAN_HOURS}]")
         if self.surge_peak_multiplier <= 0 or self.base_flow <= 0:
             raise ValueError("multipliers and base flow must be positive")
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dmf, graphs, metrics, numcore as nc, rlagent
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # Windows per forward pass in evaluate. Larger chunks amortize per-op
 # overhead further; a pass builds no autograd graph, so its memory is the
 # chunk's live activations.
@@ -35,7 +35,7 @@ _MODALITIES = {
 }
 _RL_VARIANTS = frozenset({"rl_dmf", "rl_dgl_distance", "rl_dgl_traveltime"})
 # TrainConfig annotation -> accepted types; an int is a valid float
-_FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,8 +60,6 @@ class TrainConfig:
     patience: int = 50
     # stop as soon as denormalized training RMSE drops below this (veh/h)
     train_rmse_stop: float | None = None
-    # debug hook: keep the RL machinery off but mask nothing
-    force_all_ones_mask: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -69,8 +67,8 @@ class TrainConfig:
             kind, _, optional = f.type.partition(" | ")
             if value is None and optional == "None":
                 continue
-            # bools are ints to isinstance, so they only fill bool fields
-            if (isinstance(value, bool) != (kind == "bool")
+            # bools are ints to isinstance, but fill no field
+            if (isinstance(value, bool)
                     or not isinstance(value, _FIELD_TYPES[kind])):
                 raise ValueError(f"{f.name} must be {f.type}, got "
                                  f"{value!r}")
@@ -81,7 +79,7 @@ class TrainConfig:
             raise ValueError("l and p must be >= 1")
 
     def uses_rl(self):
-        return self.variant in _RL_VARIANTS and not self.force_all_ones_mask
+        return self.variant in _RL_VARIANTS
 
     def modalities(self):
         return _MODALITIES[self.variant]
@@ -360,7 +358,7 @@ def save_checkpoint(result, dataset, path):
         "f_t": result.params.f_t,
         "f_s": result.params.f_s,
         "params": {k: v.data.copy()
-                   for k, v in result.params.named().items()},
+                   for k, v in result.params.tensors.items()},
         "agent": result.agent.state_dict() if result.agent else None,
         "static_adj_full": result.static_adj_full,
         "target_norm": {"mean": dataset.target_norm.mean,
@@ -371,17 +369,26 @@ def save_checkpoint(result, dataset, path):
 
 
 def load_checkpoint(path):
+    """(payload, config, params); ValueError names a file that is not a
+    checkpoint of this version."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{payload.get('version')}")
+        try:
+            payload = pickle.load(fh)
+        # the exceptions pickle documents for malformed data
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError):
+            payload = None
+    if not isinstance(payload, dict) or "version" not in payload:
+        raise ValueError(f"{path} is not an evacnet checkpoint")
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {payload['version']!r}"
+                         f", expected version {CHECKPOINT_VERSION}")
     cfg = TrainConfig(**payload["config"])
     params = dmf.DmfParameters.init(payload["f_t"], payload["f_s"],
                                     cfg.hidden, cfg.p,
                                     modalities=tuple(payload["modalities"]),
                                     seed=cfg.seed + 1)
-    for k, tensor in params.named().items():
+    for k, tensor in params.tensors.items():
         tensor.data = payload["params"][k].copy()
     return payload, cfg, params
 

@@ -20,10 +20,7 @@ def random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=0):
     node_ids = [f"n{k}" for k in range(n)]
     feats = FeatureTensor(
         temporal=rng.normal(size=(n, l, f_t)),
-        spatial=rng.normal(size=(n, f_s)),
-        node_ids=node_ids,
-        registry=[f"t{k}" for k in range(f_t)]
-        + [f"s{k}" for k in range(f_s)])
+        spatial=rng.normal(size=(n, f_s)))
     snapshots = []
     extra_t, extra_s = [], []
     for _ in range(l):

@@ -1,10 +1,11 @@
 import json
-from dataclasses import asdict
+import pickle
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from evacnet import cli
+from evacnet import cli, dataio, trainer
 from evacnet.synth import Scenario
 
 HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.txt"
@@ -61,6 +62,24 @@ def test_generate_unknown_scenario(tmp_path, caplog):
     assert "S1, S2, S3" in caplog.text
 
 
+def test_generate_malformed_scenario_json(tmp_path, caplog):
+    scen_file = tmp_path / "bad.json"
+    scen_file.write_text('{"name": "x", "seed": ', encoding="utf-8")
+    assert cli.main(["generate", "--scenario", str(scen_file),
+                     "--out", str(tmp_path)]) == 1
+    assert "invalid scenario" in caplog.text
+
+
+def test_generate_rejected_scenario(tmp_path, caplog):
+    scen_file = tmp_path / "long.json"
+    too_long = replace(TINY, horizon_hours=dataio.MAX_SPAN_HOURS + 1)
+    scen_file.write_text(json.dumps(asdict(too_long)), encoding="utf-8")
+    assert cli.main(["generate", "--scenario", str(scen_file),
+                     "--out", str(tmp_path)]) == 1
+    assert "horizon_hours" in caplog.text
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_generate_seed_override(tmp_path):
     assert cli.main(["generate", "--scenario", "S1", "--seed", "55",
                      "--out", str(tmp_path)]) == 0
@@ -108,6 +127,20 @@ def test_train_utc_offset_is_user_error(corpus, tmp_path, caplog):
     assert "line 5" in caplog.text and "UTC offset" in caplog.text
 
 
+def test_train_timeline_span_cap_is_user_error(corpus, tmp_path, caplog):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "meta.csv").write_bytes((corpus / "meta.csv").read_bytes())
+    lines = (corpus / "records.csv").read_text().splitlines(keepends=True)
+    fields = lines[6].split(",")  # file line 7
+    fields[1] = "2999" + fields[1][4:]
+    lines[6] = ",".join(fields)
+    (data / "records.csv").write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "to line 7" in caplog.text
+
+
 def test_train_unknown_config_field(corpus, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimizer": "sgd"}), encoding="utf-8")
@@ -136,6 +169,40 @@ def test_evaluate_checkpoint(corpus, trained, tmp_path):
 def test_evaluate_missing_checkpoint(corpus, tmp_path):
     assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--data", str(corpus), "--out", str(tmp_path)]) == 1
+
+
+def _rewrite_checkpoint(trained, path, **changes):
+    with open(trained / "model.ckpt", "rb") as fh:
+        payload = pickle.load(fh)
+    payload.update(changes)
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "rank-features"])
+def test_other_checkpoint_version_is_user_error(command, corpus, trained,
+                                                tmp_path, caplog):
+    ckpt = tmp_path / "v1.ckpt"
+    _rewrite_checkpoint(trained, ckpt, version=1)
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path)]
+    if command == "evaluate":
+        argv += ["--data", str(corpus)]
+    assert cli.main(argv) == 1
+    assert str(ckpt) in caplog.text
+    assert "version 1" in caplog.text
+    assert f"version {trainer.CHECKPOINT_VERSION}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["evaluate", "rank-features"])
+def test_non_checkpoint_file_is_user_error(command, corpus, tmp_path,
+                                          caplog):
+    ckpt = tmp_path / "notes.ckpt"
+    ckpt.write_text("not a checkpoint\n", encoding="utf-8")
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path)]
+    if command == "evaluate":
+        argv += ["--data", str(corpus)]
+    assert cli.main(argv) == 1
+    assert "is not an evacnet checkpoint" in caplog.text
 
 
 def test_rank_features(trained, tmp_path):

@@ -47,33 +47,84 @@ def test_gcn_layer_hand_case():
     np.testing.assert_allclose(out.data, np.maximum(adj @ h @ w, 0.0))
 
 
+def test_stacked_init_equals_per_modality_per_gate_draws():
+    f_t, f_s, hidden, horizon, seed = 3, 2, 4, 2, 5
+    params = dmf.DmfParameters.init(f_t, f_s, hidden, horizon, seed=seed)
+    # the draw order of separately held weights: each modality's GCN
+    # weight, each modality's attention vector, then W and U gate by gate
+    # (f, i, c, o), then the head
+    rng = np.random.default_rng(seed)
+    f_in = f_t + f_s
+
+    def uniform(*shape):
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape)
+
+    gcn = [uniform(f_in, hidden) for _ in ("d", "tt")]
+    att = [uniform(hidden) for _ in ("d", "tt")]
+    w_gates, u_gates = [], []
+    for _ in range(4):
+        w_gates.append(uniform(hidden, hidden))
+        u_gates.append(uniform(hidden, hidden))
+    w_out = uniform(hidden, horizon)
+    t = params.tensors
+    for k in range(2):
+        np.testing.assert_array_equal(t["W_gcn"].data[k], gcn[k])
+        np.testing.assert_array_equal(t["w_att"].data[k], att[k])
+    for k in range(4):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        np.testing.assert_array_equal(t["W_lstm"].data[:, cols], w_gates[k])
+        np.testing.assert_array_equal(t["U_lstm"].data[:, cols], u_gates[k])
+    np.testing.assert_array_equal(t["b_lstm"].data, np.zeros(4 * hidden))
+    np.testing.assert_array_equal(t["W_out"].data, w_out)
+    np.testing.assert_array_equal(t["b_out"].data, np.zeros(horizon))
+
+
+@pytest.mark.parametrize("modalities,n_tensors", [
+    (("d", "tt"), 7), (("d",), 6), (("tt",), 6), (("identity",), 6)])
+def test_parameter_tensor_count(modalities, n_tensors):
+    params = dmf.DmfParameters.init(3, 2, 4, 2, modalities=modalities)
+    assert len(params.trainable()) == n_tensors
+
+
 def test_attention_equal_logits():
     rng = np.random.default_rng(0)
     params = dmf.DmfParameters.init(3, 1, 4, 2, seed=1)
     z = Tensor(rng.normal(size=(5, 4)))
-    params.tensors["w_att_d"] = Tensor(np.zeros(4), requires_grad=True)
-    params.tensors["w_att_tt"] = Tensor(np.zeros(4), requires_grad=True)
-    fused, alpha = dmf.attention_fuse({"d": z, "tt": z}, params)
-    np.testing.assert_allclose(alpha.data, 0.5)
+    params.tensors["w_att"] = Tensor(np.zeros((2, 4)), requires_grad=True)
+    fused, alpha = dmf.attention_fuse(nc.stack([z, z]), params)
+    np.testing.assert_allclose(alpha, 0.5)
     np.testing.assert_allclose(fused.data, z.data)
 
 
 def test_attention_closed_form_softmax():
     params = dmf.DmfParameters.init(3, 1, 1, 2, seed=1)
-    params.tensors["w_att_d"] = Tensor(np.ones(1), requires_grad=True)
-    params.tensors["w_att_tt"] = Tensor(np.ones(1), requires_grad=True)
+    params.tensors["w_att"] = Tensor(np.ones((2, 1)), requires_grad=True)
     z_d = Tensor(np.array([[np.log(2.0)]]))
     z_tt = Tensor(np.array([[0.0]]))
-    _, alpha = dmf.attention_fuse({"d": z_d, "tt": z_tt}, params)
-    np.testing.assert_allclose(alpha.data, [[2 / 3, 1 / 3]], rtol=1e-12)
+    _, alpha = dmf.attention_fuse(nc.stack([z_d, z_tt]), params)
+    np.testing.assert_allclose(alpha, [[2 / 3, 1 / 3]], rtol=1e-12)
+
+
+def test_attention_matches_per_modality_reference():
+    rng = np.random.default_rng(1)
+    params = dmf.DmfParameters.init(3, 2, 6, 2, seed=2)
+    z = rng.normal(size=(2, 7, 6)) * 2
+    fused, alpha = dmf.attention_fuse(Tensor(z), params)
+    w_att = params.tensors["w_att"].data
+    logits = np.stack([z[m] @ w_att[m] for m in range(2)], axis=1)  # (n, M)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    ref_alpha = e / e.sum(axis=1, keepdims=True)
+    ref_fused = ref_alpha[:, 0:1] * z[0] + ref_alpha[:, 1:2] * z[1]
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused.data, ref_fused, rtol=0, atol=1e-12)
 
 
 def test_lstm_zero_everything():
     params = dmf.DmfParameters.init(2, 1, 4, 2, seed=0)
-    for gate in dmf.LSTM_GATES:
-        for prefix in ("W", "U", "b"):
-            t = params.tensors[f"{prefix}_{gate}_lstm"]
-            t.data = np.zeros_like(t.data)
+    for name in ("W_lstm", "U_lstm", "b_lstm"):
+        t = params.tensors[name]
+        t.data = np.zeros_like(t.data)
     h, c = dmf.lstm_step(nc.zeros(3, 4), nc.zeros(3, 4), nc.zeros(3, 4),
                          params)
     np.testing.assert_array_equal(h.data, 0.0)
@@ -83,16 +134,40 @@ def test_lstm_zero_everything():
 def test_lstm_scalar_hand_case():
     # H=1, all weights 1, input 1, zero state
     params = dmf.DmfParameters.init(1, 0, 1, 1, seed=0)
-    for gate in dmf.LSTM_GATES:
-        params.tensors[f"W_{gate}_lstm"].data = np.ones((1, 1))
-        params.tensors[f"U_{gate}_lstm"].data = np.ones((1, 1))
-        params.tensors[f"b_{gate}_lstm"].data = np.zeros(1)
+    params.tensors["W_lstm"].data = np.ones((1, 4))
+    params.tensors["U_lstm"].data = np.ones((1, 4))
+    params.tensors["b_lstm"].data = np.zeros(4)
     z = Tensor(np.ones((1, 1)))
     h, c = dmf.lstm_step(z, nc.zeros(1, 1), nc.zeros(1, 1), params)
     sig1 = 1 / (1 + np.exp(-1.0))
     c_expected = sig1 * np.tanh(1.0)
     np.testing.assert_allclose(c.data, [[c_expected]])
     np.testing.assert_allclose(h.data, [[sig1 * np.tanh(c_expected)]])
+
+
+def test_lstm_matches_per_gate_reference():
+    rng = np.random.default_rng(2)
+    hidden = 5
+    params = dmf.DmfParameters.init(2, 1, hidden, 2, seed=3)
+    params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+    z, h, c = (rng.normal(size=(4, hidden)) for _ in range(3))
+    t = {k: v.data for k, v in params.tensors.items()}
+
+    def gate(k, act):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        return act(z @ t["W_lstm"][:, cols] + h @ t["U_lstm"][:, cols]
+                   + t["b_lstm"][cols])
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    f, i, c_tilde, o = (gate(0, sigmoid), gate(1, sigmoid),
+                        gate(2, np.tanh), gate(3, sigmoid))
+    c_ref = f * c + i * c_tilde
+    h_ref = o * np.tanh(c_ref)
+    h_new, c_new = dmf.lstm_step(Tensor(z), Tensor(h), Tensor(c), params)
+    np.testing.assert_allclose(c_new.data, c_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h_new.data, h_ref, rtol=0, atol=1e-12)
 
 
 def test_lstm_cell_state_bound():

@@ -153,10 +153,14 @@ def test_stack_gradients():
     np.testing.assert_allclose(b.grad, [2.0, 4.0])
 
 
-def test_debug_finite_mode():
-    nc.DEBUG_CHECK_FINITE = True
-    try:
-        with pytest.raises(FloatingPointError):
-            Tensor([1.0], requires_grad=True) / Tensor([0.0])
-    finally:
-        nc.DEBUG_CHECK_FINITE = False
+def test_getitem_gradient():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=3))]
+
+    def f():
+        # overlapping and disjoint blocks, and an int index
+        return ((x[:, 2:4] * weights[0]).sum() + (x[:, 3:5] * x[:, 6:]).sum()
+                + (x[1] * x[2]).sum() * 0.5 + (x[:, 0] * weights[1]).sum())
+
+    assert nc.finite_diff_check(f, [x]) < 1e-6

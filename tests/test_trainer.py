@@ -50,20 +50,12 @@ def test_rl_variant_produces_ranking(dataset):
     assert all(log.epsilon is not None for log in result.epoch_logs)
 
 
-def test_forced_all_ones_equals_no_rl(dataset):
-    r1 = trainer.train(tiny_config(variant="dmf_no_rl"), dataset)
-    r2 = trainer.train(tiny_config(variant="rl_dmf",
-                                   force_all_ones_mask=True), dataset)
-    for k, t in r1.params.named().items():
-        np.testing.assert_array_equal(t.data, r2.params.named()[k].data)
-
-
 def test_same_seed_deterministic(dataset):
     cfg = tiny_config(variant="rl_dmf", epochs=2)
     r1 = trainer.train(cfg, dataset)
     r2 = trainer.train(cfg, dataset)
-    for k, t in r1.params.named().items():
-        np.testing.assert_array_equal(t.data, r2.params.named()[k].data)
+    for k, t in r1.params.tensors.items():
+        np.testing.assert_array_equal(t.data, r2.params.tensors[k].data)
     assert [l.train_loss for l in r1.epoch_logs] == \
         [l.train_loss for l in r2.epoch_logs]
 
@@ -135,8 +127,8 @@ def test_checkpoint_roundtrip(dataset, tmp_path):
     trainer.save_checkpoint(result, dataset, path)
     payload, loaded_cfg, params = trainer.load_checkpoint(path)
     assert loaded_cfg == cfg
-    for k, t in result.params.named().items():
-        np.testing.assert_array_equal(t.data, params.named()[k].data)
+    for k, t in result.params.tensors.items():
+        np.testing.assert_array_equal(t.data, params.tensors[k].data)
     trainer.check_registry(payload, dataset)  # must not raise
     windows = dataset.val_windows or dataset.train_windows
     t1 = trainer.evaluate(result.params, windows, dataset)
@@ -222,7 +214,7 @@ def _loss_and_grads(batch, params, mask, static_full):
     _, loss = trainer._forward_loss(batch, params, mask,
                                     trainer._static_rows(static_full, batch))
     loss.backward()
-    return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}
+    return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
 
 
 def _assert_batch_is_mean_of_singles(ds, batch, modalities, mask=None,
