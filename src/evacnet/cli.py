@@ -94,12 +94,10 @@ def _prepare_dataset(data_dir, l, p):
 
 def _load_checkpoint(path):
     from . import trainer
-    if not path.is_file():
-        raise UserError(f"checkpoint not found: {path}")
     try:
         return trainer.load_checkpoint(path)
-    except ValueError as exc:
-        raise UserError(str(exc))
+    except (OSError, ValueError) as exc:
+        raise UserError(f"cannot load checkpoint: {exc}")
 
 
 def cmd_generate(args):

@@ -98,11 +98,11 @@ def lstm_step(z_fused, h_prev, c_prev, params):
     hidden = params.hidden
     pre = (nc.matmul(z_fused, t["W_lstm"]) + nc.matmul(h_prev, t["U_lstm"])
            + t["b_lstm"])
-    gates = nc.sigmoid(pre)
-    f = gates[:, :hidden]
-    i = gates[:, hidden:2 * hidden]
+    # per gate: at ~800 rows one (n, 4H) sigmoid took 4x three (n, H) ones
+    f = nc.sigmoid(pre[:, :hidden])
+    i = nc.sigmoid(pre[:, hidden:2 * hidden])
     c_tilde = nc.tanh(pre[:, 2 * hidden:3 * hidden])
-    o = gates[:, 3 * hidden:]
+    o = nc.sigmoid(pre[:, 3 * hidden:])
     c = f * c_prev + i * c_tilde
     h = o * nc.tanh(c)
     return h, c

@@ -290,6 +290,8 @@ def fusion_signal_fraction(dets, speed, scenario):
 def load_scenario_file(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a scenario file holds one JSON object")
     body = payload.get("scenario", payload)
     body["corridors"] = [tuple(c) for c in body.get("corridors", [])] or None
     if body["corridors"] is None:

@@ -369,8 +369,8 @@ def save_checkpoint(result, dataset, path):
 
 
 def load_checkpoint(path):
-    """(payload, config, params); ValueError names a file that is not a
-    checkpoint of this version."""
+    """Returns (payload, config, params). Raises ValueError, naming the
+    file, when it is not a checkpoint or is one of another version."""
     with open(path, "rb") as fh:
         try:
             payload = pickle.load(fh)

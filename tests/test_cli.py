@@ -62,9 +62,10 @@ def test_generate_unknown_scenario(tmp_path, caplog):
     assert "S1, S2, S3" in caplog.text
 
 
-def test_generate_malformed_scenario_json(tmp_path, caplog):
+@pytest.mark.parametrize("text", ['{"name": "x", "seed": ', '[1, 2]'])
+def test_generate_malformed_scenario_json(text, tmp_path, caplog):
     scen_file = tmp_path / "bad.json"
-    scen_file.write_text('{"name": "x", "seed": ', encoding="utf-8")
+    scen_file.write_text(text, encoding="utf-8")
     assert cli.main(["generate", "--scenario", str(scen_file),
                      "--out", str(tmp_path)]) == 1
     assert "invalid scenario" in caplog.text
