@@ -218,121 +218,117 @@ class EngineeredData:
 
 
 def _interpolate_short_gaps(values, max_gap=MAX_INTERP_GAP):
-    """Fill nan runs of length <= max_gap flanked by data, in place."""
-    n = len(values)
-    i = 0
-    while i < n:
-        if not np.isnan(values[i]):
-            i += 1
-            continue
-        j = i
-        while j < n and np.isnan(values[j]):
-            j += 1
-        if i > 0 and j < n and (j - i) <= max_gap:
-            left, right = values[i - 1], values[j]
-            for k in range(i, j):
-                frac = (k - i + 1) / (j - i + 1)
-                values[k] = left + (right - left) * frac
-        i = j
+    """Fill nan runs of length <= max_gap flanked by data along the last
+    axis, in place: a hole k between known hours a < k < b gets
+    v[a] + (v[b] - v[a]) * (k - a) / (b - a)."""
+    n = values.shape[-1]
+    t = np.arange(n)
+    known = ~np.isnan(values)
+    left = np.maximum.accumulate(np.where(known, t, -1), axis=-1)
+    right = np.flip(np.minimum.accumulate(
+        np.flip(np.where(known, t, n), -1), axis=-1), -1)
+    hole = ~known & (left >= 0) & (right < n) & (right - left <= max_gap + 1)
+    *rows, k = np.nonzero(hole)
+    a, b = left[hole], right[hole]
+    va, vb = values[(*rows, a)], values[(*rows, b)]
+    values[hole] = va + (vb - va) * ((k - a) / (b - a))
     return values
 
 
+def _moments(x, axis):
+    """Mean and population std of the non-nan values along `axis`, the
+    std two-pass as `np.std` computes it; both nan where there are none."""
+    valid = ~np.isnan(x)
+    n = valid.sum(axis=axis)
+    mean = np.divide(np.where(valid, x, 0.0).sum(axis=axis), n,
+                     out=np.full(n.shape, np.nan), where=n > 0)
+    dev = np.where(valid, x - np.expand_dims(mean, axis), 0.0)
+    var = np.divide((dev * dev).sum(axis=axis), n,
+                    out=np.full(n.shape, np.nan), where=n > 0)
+    return mean, np.sqrt(var)
+
+
 def engineer_features(records, metas):
-    """Derive the per-(detector, hour) temporal/spatial feature arrays."""
+    """Derive the per-(detector, hour) temporal/spatial feature arrays.
+
+    Records are written into one (detector, hour, column) block at once;
+    exogenous columns carry their last value forward through gaps; the
+    previous-day and previous-period (same hour, earlier days) flow
+    statistics are grouped reductions over a (detector, day, hour of
+    day) grid that starts at midnight of the first day.
+    """
     if not records:
         raise ValueError("no records")
     t0 = min(r.timestamp for r in records)
-    t1 = max(r.timestamp for r in records)
-    n_hours = int((t1 - t0).total_seconds() // 3600) + 1
-    timeline = [t0 + timedelta(hours=h) for h in range(n_hours)]
+    hour = timedelta(hours=1)
+    n_hours = (max(r.timestamp for r in records) - t0) // hour + 1
+    hours = np.datetime64(t0, "h") + np.arange(n_hours)
     detector_ids = sorted(metas)
     det_index = {d: k for k, d in enumerate(detector_ids)}
     n_det = len(detector_ids)
-    f_t = len(TEMPORAL_FEATURES)
+    exog_cols = RECORD_COLUMNS[4:]
+    values = np.full((n_det, n_hours, 2 + len(exog_cols)), np.nan)
+    values[[det_index[r.detector_id] for r in records],
+           [(r.timestamp - t0) // hour for r in records]] = np.array(
+        [(r.flow, r.speed, *map(r.exog.get, exog_cols)) for r in records],
+        dtype=float)  # None -> nan
+    flow = _interpolate_short_gaps(values[:, :, 0].copy())
+    speed = _interpolate_short_gaps(values[:, :, 1].copy())
+    # exogenous context carries forward through short detector gaps: each
+    # hour takes the value at the last hour with one (nan before the first)
+    exog = values[:, :, 2:]
+    last = np.where(np.isnan(exog), 0, np.arange(n_hours)[:, None])
+    exog = np.take_along_axis(exog, np.maximum.accumulate(last, axis=1), 1)
 
-    flow = np.full((n_det, n_hours), np.nan)
-    speed = np.full((n_det, n_hours), np.nan)
-    exog = {col: np.full((n_det, n_hours), np.nan)
-            for col in RECORD_COLUMNS[4:]}
-    for r in records:
-        i = det_index[r.detector_id]
-        t = int((r.timestamp - t0).total_seconds() // 3600)
-        if r.flow is not None:
-            flow[i, t] = r.flow
-        if r.speed is not None:
-            speed[i, t] = r.speed
-        for col, value in r.exog.items():
-            if value is not None:
-                exog[col][i, t] = value
-
-    for i in range(n_det):
-        _interpolate_short_gaps(flow[i])
-        _interpolate_short_gaps(speed[i])
-        # exogenous context carries forward through short detector gaps
-        for col in exog:
-            arr = exog[col][i]
-            last = np.nan
-            for t in range(n_hours):
-                if np.isnan(arr[t]):
-                    arr[t] = last
-                else:
-                    last = arr[t]
-
-    # calendar bookkeeping per timeline slot
-    day_index = np.array([(ts.date() - t0.date()).days for ts in timeline])
-    hour_of_day = np.array([ts.hour for ts in timeline])
-    is_weekday = np.array([1.0 if ts.weekday() < 5 else 0.0
-                           for ts in timeline])
-    tod_onehot = np.zeros((n_hours, 4))
-    tod_onehot[np.arange(n_hours), hour_of_day // 6] = 1.0
-
-    temporal = np.full((n_det, n_hours, f_t), np.nan)
+    days = hours.astype("datetime64[D]")
+    hour_of_day = (hours - days).astype(int)
     col = {name: k for k, name in enumerate(TEMPORAL_FEATURES)}
+    temporal = np.full((n_det, n_hours, len(TEMPORAL_FEATURES)), np.nan)
     temporal[:, :, col["flow"]] = flow
     temporal[:, :, col["speed"]] = speed
-    for k, name in enumerate(("tod_night", "tod_morning", "tod_noon",
-                              "tod_evening")):
-        temporal[:, :, col[name]] = tod_onehot[None, :, k]
-    temporal[:, :, col["weekday"]] = is_weekday[None, :]
-    for name in (*INCIDENT_COLUMNS, *EVAC_TEMPORAL_COLUMNS):
-        temporal[:, :, col[name]] = exog[name]
+    tod = col["tod_night"]  # then morning, noon, evening: 6 hours each
+    temporal[:, :, tod:tod + 4] = hour_of_day[:, None] // 6 == np.arange(4)
+    temporal[:, :, col["weekday"]] = np.is_busday(days)
+    passthrough = (*INCIDENT_COLUMNS, *EVAC_TEMPORAL_COLUMNS)
+    temporal[:, :, [col[name] for name in passthrough]] = exog[
+        :, :, [exog_cols.index(name) for name in passthrough]]
 
     # previous-day and previous-period (same hour, earlier days) statistics
-    n_days = day_index.max() + 1
-    stats_ok = np.zeros((n_det, n_hours), dtype=bool)
-    for i in range(n_det):
-        day_flows = [flow[i, day_index == d] for d in range(n_days)]
-        for t in range(n_hours):
-            d = day_index[t]
-            if d == 0:
-                continue
-            prev = day_flows[d - 1]
-            prev = prev[~np.isnan(prev)]
-            same_hour = flow[i, (hour_of_day == hour_of_day[t])
-                             & (day_index < d)]
-            same_hour = same_hour[~np.isnan(same_hour)]
-            if prev.size == 0 or same_hour.size == 0:
-                continue
-            temporal[i, t, col["prev_day_mean"]] = prev.mean()
-            temporal[i, t, col["prev_day_std"]] = prev.std()
-            temporal[i, t, col["prev_period_mean"]] = same_hour.mean()
-            temporal[i, t, col["prev_period_std"]] = same_hour.std()
-            stats_ok[i, t] = True
+    # over flow laid out as (detector, day, hour of day), nan-padded
+    h0 = hour_of_day[0]
+    n_days = (h0 + n_hours - 1) // 24 + 1
+    grid = np.full((n_det, n_days * 24), np.nan)
+    grid[:, h0:h0 + n_hours] = flow
+    grid = grid.reshape(n_det, n_days, 24)
+    day_mean, day_std = _moments(grid, axis=2)
+    stats = np.full((n_det, n_days, 24, 4), np.nan)
+    stats[:, 1:, :, 0] = day_mean[:, :-1, None]
+    stats[:, 1:, :, 1] = day_std[:, :-1, None]
+    for d in range(1, n_days):
+        stats[:, d, :, 2], stats[:, d, :, 3] = _moments(grid[:, :d], axis=1)
+    # a mean exists iff its group has flow: the previous day must have
+    # some, and so must the same hour on at least one earlier day
+    stats_ok = ~np.isnan(stats[..., [0, 2]]).any(axis=-1)
+    stats[~stats_ok] = np.nan
+    span = slice(h0, h0 + n_hours)
+    temporal[:, :, col["prev_day_mean"]:col["prev_period_std"] + 1] = (
+        stats.reshape(n_det, n_days * 24, 4)[:, span])
+    stats_ok = stats_ok.reshape(n_det, n_days * 24)[:, span]
 
     spatial = np.zeros((n_det, len(SPATIAL_FEATURES)))
     scol = {name: k for k, name in enumerate(SPATIAL_FEATURES)}
     for i, det in enumerate(detector_ids):
-        m = metas[det]
-        spatial[i, scol[f"hw_{m.highway}"]] = 1.0
-        spatial[i, scol["lanes"]] = m.lanes
-        for name in ("dist_evac_zone_mi", "dist_landfall_mi"):
-            values = exog[name][i]
-            values = values[~np.isnan(values)]
-            spatial[i, scol[name]] = values[0] if values.size else 0.0
+        spatial[i, scol[f"hw_{metas[det].highway}"]] = 1.0
+        spatial[i, scol["lanes"]] = metas[det].lanes
+    for name in ("dist_evac_zone_mi", "dist_landfall_mi"):
+        dist = exog[:, :, exog_cols.index(name)]
+        first = np.isnan(dist).argmin(axis=1)  # first hour with a value
+        spatial[:, scol[name]] = np.nan_to_num(
+            dist[np.arange(n_det), first], nan=0.0)
 
     active = (~np.isnan(flow)) & (~np.isnan(speed)) & stats_ok
     return EngineeredData(detector_ids=detector_ids, metas=metas,
-                          timeline=timeline, temporal=temporal,
+                          timeline=hours.tolist(), temporal=temporal,
                           spatial=spatial, active=active,
                           flow=flow, speed=speed)
 

@@ -173,22 +173,18 @@ class Tensor:
 
 
 def matmul(a, b):
-    """Matrix product with the usual gradients; supports stacked (>2-d) operands."""
+    """Matrix product with the usual gradients; supports stacked (>2-d)
+    operands. A vector is a (n, 1) column or a (1, n) row."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.data.ndim < 1 or b.data.ndim < 1:
-        raise ValueError("matmul requires at least 1-d operands")
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul requires at least 2-d operands")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: "
                          f"{a.data.shape} x {b.data.shape}")
     out = a.data @ b.data
 
     def bwd(g):
-        if b.data.ndim == 1:
-            ga = np.outer(g, b.data) if a.data.ndim == 2 else g * b.data
-            gb = a.data.T @ g if a.data.ndim == 2 else a.data * g
-            return (_unbroadcast(np.asarray(ga), a.data.shape),
-                    _unbroadcast(np.asarray(gb), b.data.shape))
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
@@ -224,15 +220,6 @@ def softmax(x, axis=-1):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return (s * (g - dot),)
     return Tensor._make(s, (x,), bwd)
-
-
-def stack(tensors, axis=0):
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-
-    def bwd(g):
-        return tuple(np.moveaxis(g, axis, 0))
-    return Tensor._make(np.stack([t.data for t in tensors], axis=axis),
-                        tuple(tensors), bwd)
 
 
 def zeros(*shape, requires_grad=False):

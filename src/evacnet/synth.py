@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .dataio import MAX_SPAN_HOURS
+from .dataio import HIGHWAYS, MAX_SPAN_HOURS
+from .fieldtypes import is_a
 
 FREE_FLOW_MPH = 70.0
 SPEED_FLOOR_MPH = 5.0
@@ -65,6 +66,21 @@ class Scenario:
             raise ValueError("multipliers and base flow must be positive")
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:
             raise ValueError("need order_hour < landfall_hour <= horizon")
+        try:
+            datetime.fromisoformat(self.start)
+        except ValueError:
+            raise ValueError(f"start must be an ISO timestamp, got "
+                             f"{self.start!r}") from None
+        for highway, n, spacing in self.corridors:
+            if highway not in HIGHWAYS or n < 1 or spacing <= 0:
+                raise ValueError(f"corridors: {(highway, n, spacing)} needs a "
+                                 f"highway in {HIGHWAYS}, n >= 1, spacing > 0")
+        n_det = sum(n for _, n, _ in self.corridors)
+        for i, start, length in self.forced_outages:
+            if not (0 <= i < n_det and start >= 0 and length >= 1):
+                raise ValueError(f"forced_outages: {(i, start, length)} needs "
+                                 f"0 <= detector < {n_det}, start >= 0, "
+                                 f"length >= 1")
 
 
 def builtin_scenarios():
@@ -287,12 +303,34 @@ def fusion_signal_fraction(dets, speed, scenario):
     return differing / max(1, total)
 
 
+# element annotations of the list-of-tuples fields
+_ROW_TYPES = {"corridors": ("str", "int", "float"),
+              "forced_outages": ("int", "int", "int")}
+
+
 def load_scenario_file(path):
+    """A Scenario from a JSON object (or one under "scenario"); every
+    field's type is checked against its annotation, so a wrong type is a
+    ValueError naming the field rather than a crash in `generate`."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("a scenario file holds one JSON object")
     body = payload.get("scenario", payload)
+    if not isinstance(body, dict):
+        raise ValueError("scenario must be a JSON object")
+    for f in fields(Scenario):
+        if f.name not in body:
+            continue
+        value, row = body[f.name], _ROW_TYPES.get(f.name)
+        if row is None:
+            if not is_a(value, f.type):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        elif not (isinstance(value, list) and all(
+                isinstance(r, list) and len(r) == len(row)
+                and all(map(is_a, r, row)) for r in value)):
+            raise ValueError(f"{f.name} must be a list of "
+                             f"[{', '.join(row)}] rows, got {value!r}")
     body["corridors"] = [tuple(c) for c in body.get("corridors", [])] or None
     if body["corridors"] is None:
         del body["corridors"]

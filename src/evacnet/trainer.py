@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 
 from . import dmf, graphs, metrics, numcore as nc, rlagent
+from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 2
 # Windows per forward pass in evaluate. Larger chunks amortize per-op
@@ -34,8 +35,6 @@ _MODALITIES = {
     "static_gcn_lstm": ("d",),
 }
 _RL_VARIANTS = frozenset({"rl_dmf", "rl_dgl_distance", "rl_dgl_traveltime"})
-# TrainConfig annotation -> accepted types; an int is a valid float
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 class TrainingDiverged(RuntimeError):
@@ -64,12 +63,7 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            if value is None and optional == "None":
-                continue
-            # bools are ints to isinstance, but fill no field
-            if (isinstance(value, bool)
-                    or not isinstance(value, _FIELD_TYPES[kind])):
+            if not is_a(value, f.type):
                 raise ValueError(f"{f.name} must be {f.type}, got "
                                  f"{value!r}")
         if self.variant not in VARIANTS:

@@ -81,6 +81,30 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     assert not (tmp_path / "records.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("corridors", [["I75", "4", 4.0]]),
+    ("seed", "1"),
+    ("congestion_waves", 1),
+    ("base_flow", True),
+    ("forced_outages", [[1, 2]]),
+    # well-typed, but outside what generate can lay out
+    ("start", "2024-13-01"),
+    ("corridors", [["I75", 0, 4.0]]),
+    ("forced_outages", [[4, 10, 2]]),
+])
+def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
+                                              caplog):
+    scen_file = tmp_path / "bad.json"
+    scen_file.write_text(json.dumps({**asdict(TINY), field: value}),
+                         encoding="utf-8")
+    assert cli.main(["generate", "--scenario", str(scen_file),
+                     "--out", str(tmp_path)]) == 1
+    message = caplog.records[-1].getMessage()
+    assert "invalid scenario" in message
+    assert field in message
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_generate_seed_override(tmp_path):
     assert cli.main(["generate", "--scenario", "S1", "--seed", "55",
                      "--out", str(tmp_path)]) == 0

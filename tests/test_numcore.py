@@ -23,6 +23,12 @@ def test_matmul_shape_error():
         nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("a, b", [((2, 3), (3,)), ((3,), (3, 2))])
+def test_matmul_rejects_vectors(a, b):
+    with pytest.raises(ValueError, match="2-d"):
+        nc.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
+
 def test_relu_values():
     out = nc.relu(Tensor([-2.0, 0.0, 3.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
@@ -68,7 +74,7 @@ def test_repeated_backward_raises():
 def test_finite_diff_relu_matvec():
     rng = np.random.default_rng(0)
     W = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    h = Tensor(rng.normal(size=(3,)))
+    h = Tensor(rng.normal(size=(3, 1)))
 
     def f():
         return nc.relu(nc.matmul(W, h)).sum()
@@ -79,10 +85,10 @@ def test_finite_diff_relu_matvec():
 def test_finite_diff_quadratic_form():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(3, 3))
-    x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
     def f():
-        return nc.matmul(x, nc.matmul(Tensor(A), x))
+        return nc.matmul(x.reshape(1, 3), nc.matmul(Tensor(A), x)).sum()
 
     assert nc.finite_diff_check(f, [x]) < 1e-9
 
@@ -101,8 +107,8 @@ def test_finite_diff_constant():
 def test_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    x = Tensor(rng.normal(size=(4,)))
+    b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 1)))
 
     def f():
         y = nc.tanh(nc.matmul(W, x) + b)
@@ -142,15 +148,6 @@ def test_adam_deterministic():
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
-
-
-def test_stack_gradients():
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0], requires_grad=True)
-    s = nc.stack([a, b], axis=1)  # (2, 2): a is column 0, b column 1
-    (s * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
-    np.testing.assert_allclose(a.grad, [1.0, 3.0])
-    np.testing.assert_allclose(b.grad, [2.0, 4.0])
 
 
 def test_getitem_gradient():
