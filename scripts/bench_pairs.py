@@ -11,11 +11,14 @@ the parent first in odd pairs and the change first in even ones, so a
 slow drift of the machine falls on both sides alike. A run's last line of
 standard output is the benchmark's JSON record.
 
-The file holds, per side, the revision, the seed, every sample and the
-median and quartiles (`statistics.quantiles(n=4)`) of each end-to-end
-metric that BENCHMARK.json declares, with every run's `ops_failed`,
-`val_rmse` and `rmse`; and, per metric, the pairs the change won and the
-change's median minus the parent's beside the parent's Q3 - Q1. A run
+The file holds, per side, the revision, the line count of
+`src/evacnet/*.py`, the seed, every sample and the median and quartiles
+(`statistics.quantiles(n=4)`) of each end-to-end metric that
+BENCHMARK.json declares, with every run's `ops_failed`, `val_rmse` and
+`rmse`; per metric, the pairs the change won and the change's median
+minus the parent's beside the parent's Q3 - Q1; and, for `val_rmse` and
+`rmse`, whether every change run equals every parent run and the largest
+relative difference between a change run and a parent run. A run
 that exits non-zero (a failed check or operation) stops the series with
 exit code 1 and writes no file.
 """
@@ -67,6 +70,19 @@ def run_once(checkout, args):
     return record, details
 
 
+def src_lines(checkout):
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src" / "evacnet").glob("*.py"))
+
+
+def outputs_match(parent, change):
+    """Whether every change value equals every parent value, and the largest
+    |change - parent| / |parent| over all pairs of them."""
+    diffs = [abs(c - p) / abs(p) for p in parent for c in change]
+    return {"equal": all(c == p for p in parent for c in change),
+            "max_rel_diff": max(diffs)}
+
+
 def summary(values):
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -94,6 +110,7 @@ def series(parent_dir, args, metrics):
                    for m in metrics}
         out[side] = {
             "revision": commit, "uncommitted_changes": dirty,
+            "src_lines": src_lines(checkout),
             "source_sha256": sorted({d.get("source_sha256")
                                      for _, d in runs[side]}, key=str),
             "seed": args.seed,
@@ -104,6 +121,9 @@ def series(parent_dir, args, metrics):
             **{name: [d.get(name) for _, d in runs[side]]
                for name in DETAILS},
         }
+    out["outputs_match"] = {
+        name: outputs_match(out["parent"][name], out["change"][name])
+        for name in DETAILS}
     out["change_vs_parent"] = {}
     for m, better in metrics.items():
         sign = -1 if better == "lower" else 1
@@ -151,6 +171,12 @@ def main(argv=None):
               f"better in {row['wins']}/{args.pairs} pairs, median delta "
               f"{row['median_delta']:.4g} vs parent IQR "
               f"{row['parent_iqr']:.4g}")
+    for name, row in out["outputs_match"].items():
+        print(f"{name}: every change run equals every parent run: "
+              f"{row['equal']}, largest relative difference "
+              f"{row['max_rel_diff']:.3g}")
+    print(f"src/evacnet lines: parent {out['parent']['src_lines']} -> "
+          f"change {out['change']['src_lines']}")
     print(f"wrote {path}")
     return 0
 

@@ -421,39 +421,64 @@ def split_and_fit(data, train_frac=0.9):
 
 # ---- windowing ----
 
-@dataclass
-class FeatureTensor:
-    """Normalized feature block for one window's predicted node set."""
-    temporal: np.ndarray  # (n_nodes, l, F_t)
-    spatial: np.ndarray  # (n_nodes, F_s)
+# Modality axis of the input table: the normalized rows themselves at 0,
+# then their products with each hour's distance and travel-time graphs.
+INPUT_MODALITIES = ("identity", "d", "tt")
+
+
+def input_table(data, norm):
+    """(T, 3, n_det, F) model inputs per hour and detector, shared by every
+    window over `data`: modality "identity" holds the normalized rows
+    [temporal_t ‖ spatial], filled here; "d" and "tt" hold Ã·rows over the
+    detectors active at that hour, which `make_windows` fills for the hours
+    its windows cover and which stay zero everywhere else.
+    """
+    # inactive slots can carry nan (missing history/exogenous columns); they
+    # only enter the model as neighbors, and zero is the neutral fill
+    rows = np.nan_to_num(norm.transform(
+        np.concatenate([data.temporal,
+                        np.broadcast_to(data.spatial[:, None, :],
+                                        (*data.temporal.shape[:2],
+                                         data.spatial.shape[1]))], axis=2)),
+        nan=0.0)
+    n_det, n_hours, n_features = rows.shape
+    table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det, n_features))
+    table[:, 0] = rows.transpose(1, 0, 2)
+    return table
 
 
 @dataclass
 class WindowSample:
+    """One anchor's predicted detectors and targets; its inputs are rows of
+    the shared input table, read through `inputs`."""
     anchor_index: int  # timeline index of the first input hour
-    anchor_time: datetime
+    l: int  # input hours
     det_indices: np.ndarray  # predicted detectors, indices into data order
-    features: FeatureTensor
     targets: np.ndarray  # (n_nodes, p) normalized flow
     targets_raw: np.ndarray  # (n_nodes, p) veh/h
-    snapshots: list  # per input step, the hour's shared snapshot
-    extra_temporal: list  # per step (n_extra, F_t) normalized
-    extra_spatial: list  # per step (n_extra, F_s) normalized
-    # modality ("d", "tt") -> (l, n_nodes, F_t + F_s): the predicted nodes'
-    # rows of Ã·[temporal ‖ spatial] at each input step
-    propagated: dict
+    # per input hour, the indices of the active detectors that are not
+    # predicted (the step extras); the benchmark harness counts their
+    # lengths under this name, so it stays
+    extra_temporal: list
+    table: np.ndarray  # `input_table`, shared, not a copy
+
+    def inputs(self, modalities):
+        """(l, M, n_nodes, F) input rows of the predicted detectors at each
+        input hour, one block per modality in `INPUT_MODALITIES`."""
+        k = [INPUT_MODALITIES.index(g) for g in modalities]
+        return self.table[self.anchor_index:self.anchor_index + self.l,
+                          np.array(k)[:, None], self.det_indices]
 
 
-def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
+def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     """One WindowSample per anchor whose full l+p span fits in [start, end).
 
     A detector is predicted in a window only if active at every one of
-    the l+p hours. Each input hour has one snapshot over every detector
-    active then, in ascending detector order, shared by the windows that
-    cover it; the detectors that are not predicted are the step extras,
-    so transient neighbors contribute context. Ã·[temporal ‖ spatial] is
-    computed once per hour and modality, and each window keeps the rows
-    of its predicted nodes.
+    the l+p hours; the other detectors active at an input hour are its
+    step extras, so transient neighbors contribute context. Each hour a
+    window covers gets one snapshot over every detector active then, in
+    ascending detector order; its products Ã·rows are written into
+    `table` (see `input_table`) and the snapshot is dropped.
     """
     if l < 1 or p < 1:
         raise ValueError("l and p must be >= 1")
@@ -462,62 +487,28 @@ def make_windows(data, norm, target_norm, l=6, p=6, start=0, end=None):
     if end - start < l + p:
         raise ValueError(f"span of {end - start} hours is shorter than "
                          f"l + p = {l + p}")
-    f_t = len(TEMPORAL_FEATURES)
-    # one normalized [temporal_t ‖ spatial] row per (detector, hour);
-    # inactive slots can carry nan (missing history/exogenous columns),
-    # they only enter the model as step extras, zero is the neutral fill
-    rows = np.nan_to_num(norm.transform(
-        np.concatenate([data.temporal,
-                        np.broadcast_to(data.spatial[:, None, :],
-                                        (*data.temporal.shape[:2],
-                                         data.spatial.shape[1]))], axis=2)),
-        nan=0.0)
-    norm_temporal = rows[:, :, :f_t]
-    norm_spatial = rows[:, 0, f_t:]
-
-    hours = {}  # hour -> (active detectors, snapshot, propagated rows)
-
-    def hour(t):
-        if t not in hours:
-            act = np.flatnonzero(data.active[:, t])
-            ids = [data.detector_ids[i] for i in act]
-            snap = graphs.build_snapshot(
-                [data.metas[d] for d in ids],
-                {d: float(data.speed[i, t]) for d, i in zip(ids, act)})
-            hours[t] = (act, snap, graphs.propagate(snap, rows[act, t]))
-        return hours[t]
-
     windows = []
     for a in range(start, end - (l + p) + 1):
-        span = slice(a, a + l + p)
-        pred = np.where(data.active[:, span].all(axis=1))[0]
+        pred = np.flatnonzero(data.active[:, a:a + l + p].all(axis=1))
         if pred.size == 0:
             continue
-        snapshots, extra_t, extra_s = [], [], []
-        propagated = {"d": [], "tt": []}
-        for step in range(l):
-            act, snap, prop = hour(a + step)
-            pos = np.searchsorted(act, pred)  # pred is a subset of act
-            extras = np.delete(act, pos)
-            snapshots.append(snap)
-            extra_t.append(norm_temporal[extras, a + step])
-            extra_s.append(norm_spatial[extras])
-            for g, steps in propagated.items():
-                steps.append(prop[g][pos])
-
-        features = FeatureTensor(
-            temporal=norm_temporal[pred, a:a + l],
-            spatial=norm_spatial[pred])
+        extras = data.active[:, a:a + l].copy()
+        extras[pred] = False
         raw = data.flow[pred, a + l:a + l + p]
         windows.append(WindowSample(
-            anchor_index=a, anchor_time=data.timeline[a],
-            det_indices=pred, features=features,
-            targets=target_norm.transform(pred, raw),
-            targets_raw=raw,
-            snapshots=snapshots, extra_temporal=extra_t,
-            extra_spatial=extra_s,
-            propagated={g: np.stack(steps)
-                        for g, steps in propagated.items()}))
+            anchor_index=a, l=l, det_indices=pred,
+            targets=target_norm.transform(pred, raw), targets_raw=raw,
+            extra_temporal=[np.flatnonzero(e) for e in extras.T],
+            table=table))
+
+    for t in sorted({w.anchor_index + s for w in windows for s in range(l)}):
+        act = np.flatnonzero(data.active[:, t])
+        ids = [data.detector_ids[i] for i in act]
+        snap = graphs.build_snapshot(
+            [data.metas[d] for d in ids],
+            {d: float(data.speed[i, t]) for d, i in zip(ids, act)})
+        for g, rows in graphs.propagate(snap, table[t, 0, act]).items():
+            table[t, INPUT_MODALITIES.index(g), act] = rows
     return windows
 
 
@@ -549,9 +540,10 @@ def prepare(meta_path, records_path, l=6, p=6, train_frac=0.9):
     metas, records = load_csv(meta_path, records_path)
     data = engineer_features(records, metas)
     train_end, norm, target_norm = split_and_fit(data, train_frac)
-    train = make_windows(data, norm, target_norm, l, p, 0, train_end)
+    table = input_table(data, norm)
+    train = make_windows(data, table, target_norm, l, p, 0, train_end)
     if len(data.timeline) - train_end >= l + p:
-        val = make_windows(data, norm, target_norm, l, p,
+        val = make_windows(data, table, target_norm, l, p,
                            train_end, len(data.timeline))
     else:
         val = []

@@ -68,13 +68,6 @@ class FusionTrace:
     alphas: list = field(default_factory=list)  # (N_t, n_modalities) arrays
 
 
-def concat_node_features(temporal_step, spatial):
-    """[temporal || spatial] node matrix for one step (numpy)."""
-    if temporal_step.shape[0] != spatial.shape[0]:
-        raise ValueError("temporal/spatial node counts disagree")
-    return np.concatenate([temporal_step, spatial], axis=1)
-
-
 def gcn_layer(h_prop, weight):
     """Graph convolution ReLU(Ã H W), given the propagated rows Ã·H; with
     (M, n, F) rows and an (M, F, H) weight, one product per modality."""
@@ -112,56 +105,43 @@ def predict_head(h, params):
     return nc.matmul(h, params.tensors["W_out"]) + params.tensors["b_out"]
 
 
-def node_rows(features):
-    """(l, n, F_t + F_s) unpropagated rows [temporal_t ‖ spatial] of a
-    window's predicted nodes, one block per input step."""
-    return np.stack([concat_node_features(features.temporal[:, step],
-                                          features.spatial)
-                     for step in range(features.temporal.shape[1])])
-
-
 def forward(windows, params, mask=None, static_rows=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
-    Each window carries Ã·[temporal ‖ spatial] for its predicted nodes at
-    every input step, per modality, computed once from its hours'
-    snapshots when the data were prepared (`dataio.make_windows`). A GCN
-    acts on a disjoint union block by block, so stacking the windows' rows
-    equals running the windows one at a time. The rows of all M
-    modalities are stacked once into (l, M, n, F), so each hour is one GCN
-    product over every modality. The output has one row per predicted
-    node of the batch, in window order. `mask` carries the RL agent's
-    binary feature masks; it scales columns, so it applies to the
-    propagated rows. None means all features active. The "identity"
-    modality uses the unpropagated rows. `static_rows`, one (l, n_w, F)
-    array per window, replaces every modality's rows (static-graph
-    baseline).
+    A window's inputs at each of its l hours are rows of the data's shared
+    per-hour input table (`dataio.input_table`), read through
+    `WindowSample.inputs` as (l, M, n_w, F), one block per modality: the
+    predicted nodes' rows of Ã·[temporal ‖ spatial], computed once per
+    hour from that hour's snapshot when the data were prepared, or the
+    unpropagated rows for the "identity" modality. A GCN acts on a
+    disjoint union block by block, so stacking the windows' rows equals
+    running the windows one at a time, and each hour is one GCN product
+    over every modality. The output has one row per predicted node of the
+    batch, in window order. `mask` carries the RL agent's binary feature
+    masks; it scales columns, so it applies to the propagated rows. None
+    means all features active. `static_rows`, one (l, n_w, F) array per
+    window, replaces every modality's rows (static-graph baseline).
     """
     if not windows:
         raise ValueError("empty batch of windows")
-    l = windows[0].features.temporal.shape[1]
+    l = windows[0].l
     for w in windows:
-        n_w, l_w, f_t = w.features.temporal.shape
-        if n_w == 0:
+        if len(w.det_indices) == 0:
             raise ValueError("window has an empty predicted node set")
-        if l_w != l:
+        if w.l != l:
             raise ValueError("windows in a batch differ in input length")
-        if f_t != params.f_t or w.features.spatial.shape[1] != params.f_s:
-            raise ValueError("feature registry does not match parameters")
 
-    def batch_rows(g):
-        if static_rows is not None:
-            per_window = static_rows
-        elif g == "identity":
-            per_window = [node_rows(w.features) for w in windows]
-        else:
-            per_window = [w.propagated[g] for w in windows]
-        if [r.shape[:2] for r in per_window] != \
-                [(l, len(w.features.temporal)) for w in windows]:
-            raise ValueError("propagated rows disagree with the window")
-        return np.concatenate(per_window, axis=1)
-
-    rows = np.stack([batch_rows(g) for g in params.modalities], axis=1)
+    if static_rows is None:
+        rows = np.concatenate([w.inputs(params.modalities) for w in windows],
+                              axis=2)
+    else:
+        if [r.shape[:2] for r in static_rows] != \
+                [(l, len(w.det_indices)) for w in windows]:
+            raise ValueError("static rows disagree with the windows")
+        rows = np.stack([np.concatenate(static_rows, axis=1)]
+                        * len(params.modalities), axis=1)
+    if rows.shape[-1] != params.f_t + params.f_s:
+        raise ValueError("feature registry does not match parameters")
     if mask is not None:
         rows = rows * np.concatenate([mask.m_temp, mask.m_spatial])
 

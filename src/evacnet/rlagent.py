@@ -51,14 +51,17 @@ def apply_mask(action, f_t, f_s):
     return mask
 
 
-def build_state(feature_tensors):
-    """State vector: batch/time mean of temporal features, batch mean of
-    spatial features, concatenated."""
-    if not feature_tensors:
+def build_state(windows, f_t):
+    """State vector: batch/time mean of the windows' temporal features (the
+    first f_t input columns), batch mean of their spatial features,
+    concatenated."""
+    if not windows:
         raise ValueError("empty batch")
-    temp = np.concatenate([ft.temporal.reshape(-1, ft.temporal.shape[-1])
-                           for ft in feature_tensors], axis=0)
-    spat = np.concatenate([ft.spatial for ft in feature_tensors], axis=0)
+    rows = [w.inputs(("identity",))[:, 0] for w in windows]  # (l, n_w, F)
+    # node-major rows: the mean's summation order sets its last bits
+    temp = np.concatenate([r[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
+                           for r in rows], axis=0)
+    spat = np.concatenate([r[0, :, f_t:] for r in rows], axis=0)
     return np.concatenate([temp.mean(axis=0), spat.mean(axis=0)])
 
 

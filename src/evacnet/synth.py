@@ -67,14 +67,21 @@ class Scenario:
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:
             raise ValueError("need order_hour < landfall_hour <= horizon")
         try:
-            datetime.fromisoformat(self.start)
+            offset = datetime.fromisoformat(self.start).tzinfo
         except ValueError:
             raise ValueError(f"start must be an ISO timestamp, got "
                              f"{self.start!r}") from None
+        if offset is not None:  # load_csv rejects offset timestamps
+            raise ValueError(f"start must be a local clock time without a "
+                             f"UTC offset, got {self.start!r}")
         for highway, n, spacing in self.corridors:
             if highway not in HIGHWAYS or n < 1 or spacing <= 0:
                 raise ValueError(f"corridors: {(highway, n, spacing)} needs a "
                                  f"highway in {HIGHWAYS}, n >= 1, spacing > 0")
+        highways = [highway for highway, _, _ in self.corridors]
+        if len(set(highways)) < len(highways):  # detector ids repeat
+            raise ValueError(f"corridors: each highway may appear once, got "
+                             f"{highways}")
         n_det = sum(n for _, n, _ in self.corridors)
         for i, start, length in self.forced_outages:
             if not (0 <= i < n_det and start >= 0 and length >= 1):

@@ -124,7 +124,7 @@ def _static_rows(static_full, windows):
     if static_full is None:
         return None
     return [_window_static_adj(static_full, w.det_indices)
-            @ dmf.node_rows(w.features) for w in windows]
+            @ w.inputs(("identity",))[:, 0] for w in windows]
 
 
 def _forward_loss(batch, params, mask, static_rows):
@@ -184,7 +184,7 @@ def train(config, dataset, log_fn=None):
             mask = None
             state = None
             if agent is not None:
-                state = rlagent.build_state([w.features for w in batch])
+                state = rlagent.build_state(batch, dataset.f_t)
                 if pending is not None:
                     agent.observe(*pending, state)
                     agent.learn()

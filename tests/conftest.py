@@ -1,7 +1,7 @@
 import numpy as np
 
-from evacnet import dmf, graphs
-from evacnet.dataio import FeatureTensor, WindowSample
+from evacnet import graphs
+from evacnet.dataio import INPUT_MODALITIES, WindowSample
 
 
 def random_snapshot(rng, node_ids):
@@ -17,39 +17,31 @@ def random_snapshot(rng, node_ids):
 
 
 def random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=0):
-    node_ids = [f"n{k}" for k in range(n)]
-    feats = FeatureTensor(
-        temporal=rng.normal(size=(n, l, f_t)),
-        spatial=rng.normal(size=(n, f_s)))
-    snapshots = []
-    extra_t, extra_s = [], []
-    for _ in range(l):
-        m = extras_per_step
-        snapshots.append(random_snapshot(
-            rng, node_ids + [f"x{k}" for k in range(m)]))
-        extra_t.append(rng.normal(size=(m, f_t)))
-        extra_s.append(rng.normal(size=(m, f_s)))
+    """A window over a small input table of l hours and n predicted
+    detectors followed by `extras_per_step` step extras, all active at every
+    hour: random normalized rows (a predicted detector's spatial columns
+    constant over the hours) and one random snapshot per hour over all of
+    them. Returns (window, snapshots)."""
+    m = extras_per_step
+    node_ids = [f"n{k}" for k in range(n)] + [f"x{k}" for k in range(m)]
+    rows = rng.normal(size=(l, n + m, f_t + f_s))
+    rows[:, :n, f_t:] = rows[0, :n, f_t:]
+    table = np.zeros((l, len(INPUT_MODALITIES), n + m, f_t + f_s))
+    table[:, INPUT_MODALITIES.index("identity")] = rows
+    snapshots = [random_snapshot(rng, node_ids) for _ in range(l)]
     targets = rng.normal(size=(n, p))
-    w = WindowSample(anchor_index=0, anchor_time=None,
-                     det_indices=np.arange(n), features=feats,
+    w = WindowSample(anchor_index=0, l=l, det_indices=np.arange(n),
                      targets=targets, targets_raw=targets.copy(),
-                     snapshots=snapshots, extra_temporal=extra_t,
-                     extra_spatial=extra_s, propagated=None)
-    derive_rows(w)
-    return w
+                     extra_temporal=[np.arange(n, n + m)] * l, table=table)
+    repropagate(w.table, snapshots)
+    return w, snapshots
 
 
-def derive_rows(w):
-    """Set `w.propagated` from its snapshots, whose nodes are the predicted
-    nodes followed by the step extras, and its raw features; call again
-    after changing the features."""
-    n = w.features.temporal.shape[0]
-    steps = []
-    for step, snap in enumerate(w.snapshots):
-        x = dmf.concat_node_features(
-            np.concatenate([w.features.temporal[:, step],
-                            w.extra_temporal[step]]),
-            np.concatenate([w.features.spatial, w.extra_spatial[step]]))
-        steps.append(graphs.propagate(snap, x))
-    w.propagated = {g: np.stack([rows[g][:n] for rows in steps])
-                    for g in ("d", "tt")}
+def repropagate(table, snapshots):
+    """Set each hour's graph products in `table` from its "identity" rows and
+    that hour's snapshot, whose nodes are all the table's detectors; call
+    again after changing the rows."""
+    identity = INPUT_MODALITIES.index("identity")
+    for t, snap in enumerate(snapshots):
+        for g, rows in graphs.propagate(snap, table[t, identity]).items():
+            table[t, INPUT_MODALITIES.index(g)] = rows

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import derive_rows, random_window
+from conftest import random_window, repropagate
 from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
                      trainer)
+from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import Agent, EpsilonSchedule, ReplayBuffer
 
 
@@ -61,8 +62,8 @@ def test_c01_gradient_correctness():
     with report("C01", "full forward+MSE gradients match finite "
                        "differences (rel err < 1e-4, < 30 s)"):
         rng = np.random.default_rng(0)
-        w = random_window(rng, n=5, f_t=6, f_s=3, l=3, p=2,
-                          extras_per_step=1)
+        w, _ = random_window(rng, n=5, f_t=6, f_s=3, l=3, p=2,
+                             extras_per_step=1)
         params = dmf.DmfParameters.init(6, 3, 8, 2, seed=1)
 
         def f():
@@ -82,7 +83,7 @@ def test_c02_attention_invariant():
         rng = np.random.default_rng(1)
         for k in range(1000):
             n = int(rng.integers(2, 5))
-            w = random_window(rng, n=n, f_t=4, f_s=2, l=2, p=1)
+            w, _ = random_window(rng, n=n, f_t=4, f_s=2, l=2, p=1)
             params = dmf.DmfParameters.init(4, 2, 6, 1, seed=k)
             _, trace = dmf.forward([w], params)
             assert trace.alphas
@@ -98,41 +99,29 @@ def test_c03_masking_semantics():
                        "unmasked column"):
         rng = np.random.default_rng(2)
         f_t, f_s = 6, 3
+        rows = INPUT_MODALITIES.index("identity")
         for _ in range(20):
-            w = random_window(rng, n=4, f_t=f_t, f_s=f_s, l=3, p=2,
-                              extras_per_step=1)
+            w, snapshots = random_window(rng, n=4, f_t=f_t, f_s=f_s, l=3,
+                                         p=2, extras_per_step=1)
             params = dmf.DmfParameters.init(f_t, f_s, 8, 2,
                                             seed=int(rng.integers(1e6)))
             action = int(rng.integers(f_t + f_s))
             mask = rlagent.apply_mask(action, f_t, f_s)
             y0, _ = dmf.forward([w], params, mask=mask)
 
-            saved = (w.features.temporal.copy(), w.features.spatial.copy(),
-                     [e.copy() for e in w.extra_temporal],
-                     [e.copy() for e in w.extra_spatial])
+            saved = w.table.copy()
             for col in range(f_t + f_s):
                 bump = float(rng.uniform(0.5, 100.0))
-                if col < f_t:
-                    w.features.temporal[:, :, col] += bump
-                    for e in w.extra_temporal:
-                        e[:, col] += bump
-                else:
-                    w.features.spatial[:, col - f_t] += bump
-                    for e in w.extra_spatial:
-                        e[:, col - f_t] += bump
-                derive_rows(w)
+                # every node's value, the step extras' included
+                w.table[:, rows, :, col] += bump
+                repropagate(w.table, snapshots)
                 y1, _ = dmf.forward([w], params, mask=mask)
                 if col == action:
                     np.testing.assert_array_equal(y0.data, y1.data)
                 else:
                     assert not np.array_equal(y0.data, y1.data), \
                         f"unmasked column {col} had no effect"
-                w.features.temporal[:] = saved[0]
-                w.features.spatial[:] = saved[1]
-                for e, s in zip(w.extra_temporal, saved[2]):
-                    e[:] = s
-                for e, s in zip(w.extra_spatial, saved[3]):
-                    e[:] = s
+                w.table[:] = saved
 
 
 def test_c04_ddqn_algebra():
@@ -251,9 +240,8 @@ def test_c09_dynamic_topology(s2_dataset):
         sizes = {len(w.det_indices) for w in dataset.train_windows}
         assert len(sizes) > 1, "outages did not vary the node sets"
         data = dataset.data
-        t0_by_time = {t: k for k, t in enumerate(data.timeline)}
         for w in dataset.train_windows + dataset.val_windows:
-            anchor = t0_by_time[w.anchor_time]
+            anchor = w.anchor_index
             for i in w.det_indices:
                 assert data.active[i, anchor:anchor + dataset.l
                                    + dataset.p].all()

@@ -91,6 +91,8 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     ("start", "2024-13-01"),
     ("corridors", [["I75", 0, 4.0]]),
     ("forced_outages", [[4, 10, 2]]),
+    ("corridors", [["I75", 3, 4.0], ["I75", 2, 4.0]]),
+    ("start", "2024-10-01T00:00:00+02:00"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacnet import dataio, graphs, rlagent, synth
-from evacnet.dataio import (SchemaError, engineer_features, load_csv,
-                            make_windows, split_and_fit)
+from evacnet.dataio import (INPUT_MODALITIES, SchemaError, engineer_features,
+                            input_table, load_csv, make_windows, split_and_fit)
 
 T0 = datetime(2024, 10, 1, 0)
 
@@ -233,36 +233,36 @@ def window_fixture(tmp_path, hours, flow_fn, l=6, p=6):
     write_records(recs, hours, flow_fn)
     data = engineer_features(*reversed(load_csv(meta, recs)))
     _, norm, tnorm = split_and_fit(data)
-    return data, norm, tnorm
+    return data, input_table(data, norm), tnorm
 
 
 def test_window_count_formula(tmp_path):
-    data, norm, tnorm = window_fixture(tmp_path, 240,
-                                       lambda d, h: 100.0 + h % 24)
+    data, table, tnorm = window_fixture(tmp_path, 240,
+                                        lambda d, h: 100.0 + h % 24)
     # day 0 is inactive (no previous-day statistics), so the fully
     # active span is hours [24, 240); the anchor-count formula holds there
-    windows = make_windows(data, norm, tnorm, l=6, p=6, start=24)
+    windows = make_windows(data, table, tnorm, l=6, p=6, start=24)
     assert len(windows) == (240 - 24) - 12 + 1
 
 
 def test_minimal_window(tmp_path):
-    data, norm, tnorm = window_fixture(tmp_path, 72, lambda d, h: 100.0)
-    windows = make_windows(data, norm, tnorm, l=1, p=1, start=40, end=42)
+    data, table, tnorm = window_fixture(tmp_path, 72, lambda d, h: 100.0)
+    windows = make_windows(data, table, tnorm, l=1, p=1, start=40, end=42)
     assert len(windows) == 1
 
 
 def test_span_too_short(tmp_path):
-    data, norm, tnorm = window_fixture(tmp_path, 72, lambda d, h: 100.0)
+    data, table, tnorm = window_fixture(tmp_path, 72, lambda d, h: 100.0)
     with pytest.raises(ValueError, match="shorter"):
-        make_windows(data, norm, tnorm, l=6, p=6, start=0, end=10)
+        make_windows(data, table, tnorm, l=6, p=6, start=0, end=10)
 
 
 def test_dark_detector_excluded_from_window(tmp_path):
     dark = set(range(50, 54))  # det_b offline for 4 hours
-    data, norm, tnorm = window_fixture(
+    data, table, tnorm = window_fixture(
         tmp_path, 96,
         lambda d, h: None if (d == "det_b" and h in dark) else 100.0 + h % 24)
-    windows = make_windows(data, norm, tnorm, l=6, p=6)
+    windows = make_windows(data, table, tnorm, l=6, p=6)
     by_anchor = {w.anchor_index: w for w in windows}
     det_b = data.detector_ids.index("det_b")
     assert det_b not in by_anchor[48].det_indices
@@ -270,9 +270,17 @@ def test_dark_detector_excluded_from_window(tmp_path):
     # det_b still appears as a step extra where it is active: hours 48
     # and 49 of the window's input hours 48-53
     w = by_anchor[48]
-    assert [s.node_ids for s in w.snapshots] == \
-        [["det_a", "det_b"]] * 2 + [["det_a"]] * 4
-    assert [len(e) for e in w.extra_temporal] == [1, 1, 0, 0, 0, 0]
+    assert [list(e) for e in w.extra_temporal] == [[det_b]] * 2 + [[]] * 4
+    # so those hours' graphs join det_a to det_b, and the later ones hold
+    # det_a alone, whose product with its own row is that row
+    rows = w.inputs(("identity",))[:, 0, 0]
+    for g in ("d", "tt"):
+        prop = w.inputs((g,))[:, 0, 0]
+        assert not (prop[:2] == rows[:2]).all(axis=1).any()
+        np.testing.assert_array_equal(prop[2:], rows[2:])
+        k = INPUT_MODALITIES.index(g)
+        assert table[48:50, k, det_b].any(axis=1).all()
+        assert not table[50:54, k, det_b].any()
 
 
 def test_step_extras_match_membership_loop(tmp_path):
@@ -280,17 +288,22 @@ def test_step_extras_match_membership_loop(tmp_path):
                                       tmp_path)
     ds = dataio.prepare(meta, records, l=6, p=6)
     data = ds.data
+    table = ds.train_windows[0].table
     n_extras = 0
     for w in ds.train_windows + ds.val_windows:
+        assert w.table is table  # shared, not a copy
         pred = w.det_indices
-        for step, snap in enumerate(w.snapshots):
-            step_active = np.where(data.active[:, w.anchor_index + step])[0]
+        for step in range(ds.l):
+            t = w.anchor_index + step
+            step_active = np.where(data.active[:, t])[0]
             ref = [i for i in step_active if i not in set(pred)]
-            assert snap.node_ids == [data.detector_ids[i]
-                                     for i in step_active]
+            # the hour's graph products cover exactly its active detectors
+            for g in ("d", "tt"):
+                k = INPUT_MODALITIES.index(g)
+                np.testing.assert_array_equal(
+                    np.flatnonzero(table[t, k].any(axis=1)), step_active)
             assert sorted(list(pred) + ref) == list(step_active)
-            assert len(w.extra_temporal[step]) == len(ref)
-            assert len(w.extra_spatial[step]) == len(ref)
+            assert list(w.extra_temporal[step]) == ref
             n_extras += len(ref)
     assert n_extras > 0  # outages must give S2 step extras
 
@@ -319,9 +332,11 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
                 {d: float(data.speed[i, t]) for d, i in zip(ids, order)})
             raw = np.nan_to_num(ds.norm.transform(np.concatenate(
                 [data.temporal[order, t], data.spatial[order]], axis=1)))
+            np.testing.assert_array_equal(
+                w.inputs(("identity",))[step, 0], raw[:len(pred)])
             for g, norm_adj in (("d", snap.norm_d), ("tt", snap.norm_tt)):
                 np.testing.assert_allclose(
-                    w.propagated[g][step] * m,
+                    w.inputs((g,))[step, 0] * m,
                     (norm_adj @ (raw * m))[:len(pred)],
                     rtol=1e-12, atol=1e-12)
 
@@ -339,10 +354,44 @@ def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(graphs, "build_snapshot", counting)
-    windows = make_windows(data, norm, tnorm, l=6, p=6, end=train_end)
-    by_hour = {}
-    for w in windows:
-        for step, snap in enumerate(w.snapshots):
-            assert by_hour.setdefault(w.anchor_index + step, snap) is snap
-    assert len(built) == len(by_hour)
-    assert len(by_hour) < sum(len(w.snapshots) for w in windows)
+    table = input_table(data, norm)
+    windows = make_windows(data, table, tnorm, l=6, p=6, end=train_end)
+    covered = sorted({w.anchor_index + step for w in windows
+                      for step in range(6)})
+    # one graph per covered hour, over the detectors active then, and no
+    # graph product at any other hour
+    assert [s.node_ids for s in built] == [
+        [data.detector_ids[i] for i in np.flatnonzero(data.active[:, t])]
+        for t in covered]
+    assert len(covered) < 6 * len(windows)
+    np.testing.assert_array_equal(
+        np.flatnonzero(table[:, 1:].any(axis=(1, 2, 3))), covered)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), rate=st.floats(0.0, 0.05),
+       outages=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100),
+                                  st.integers(1, 12)), max_size=4))
+def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
+                                              outages):
+    scenario = synth.Scenario(
+        name="outages", seed=seed, horizon_hours=110,
+        corridors=[("I75", 3, 4.0), ("I4", 2, 5.0)], order_hour=40,
+        landfall_hour=90, outage_rate_per_hour=rate,
+        forced_outages=[list(o) for o in outages])
+    meta, records, _ = synth.generate(scenario,
+                                      tmp_path_factory.mktemp("outages"))
+    ds = dataio.prepare(meta, records, l=4, p=3)
+    read = {}  # (hour, detector) -> the rows the first window read there
+    for w in ds.train_windows + ds.val_windows:
+        a = w.anchor_index
+        assert ds.data.active[w.det_indices, a:a + ds.l + ds.p].all()
+        np.testing.assert_allclose(
+            ds.target_norm.inverse(w.det_indices, w.targets), w.targets_raw,
+            rtol=1e-12, atol=0)
+        rows = w.inputs(INPUT_MODALITIES)
+        for step in range(ds.l):
+            for k, i in enumerate(w.det_indices):
+                np.testing.assert_array_equal(
+                    read.setdefault((a + step, i), rows[step, :, k]),
+                    rows[step, :, k])

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import derive_rows, random_window
+from conftest import random_window, repropagate
 from evacnet import dmf, graphs, numcore as nc, rlagent
+from evacnet.dataio import INPUT_MODALITIES
 from evacnet.numcore import Tensor
 
+ROWS = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
-def params_for(window, hidden=8, seed=0, modalities=("d", "tt")):
-    n, l, f_t = window.features.temporal.shape
-    f_s = window.features.spatial.shape[1]
+
+def params_for(window, f_t, hidden=8, seed=0, modalities=("d", "tt")):
+    f_s = window.table.shape[-1] - f_t
     p = window.targets.shape[1]
     return dmf.DmfParameters.init(f_t, f_s, hidden, p,
                                   modalities=modalities, seed=seed)
@@ -19,18 +23,6 @@ def test_parameter_count_formula():
     f, h, p = 9, 8, 2
     assert params.param_count() == 2 * f * h + 2 * h + 8 * h * h + 4 * h \
         + p * h + p
-
-
-def test_concat_node_features_order():
-    temporal = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spatial = np.array([[5.0], [6.0]])
-    out = dmf.concat_node_features(temporal, spatial)
-    np.testing.assert_array_equal(out, [[1, 2, 5], [3, 4, 6]])
-
-
-def test_concat_node_count_mismatch():
-    with pytest.raises(ValueError):
-        dmf.concat_node_features(np.zeros((2, 3)), np.zeros((3, 1)))
 
 
 def test_gcn_layer_identity():
@@ -190,8 +182,8 @@ def test_predict_head_zero_weights():
 
 def test_forward_shapes_and_noop_mask():
     rng = np.random.default_rng(5)
-    w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
-    params = params_for(w)
+    w, _ = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
+    params = params_for(w, 5)
     y0, _ = dmf.forward([w], params)
     assert y0.data.shape == (4, 2)
     mask = rlagent.MaskState.all_ones(5, 3)
@@ -201,8 +193,8 @@ def test_forward_shapes_and_noop_mask():
 
 def test_forward_attention_normalization():
     rng = np.random.default_rng(6)
-    w = random_window(rng, n=5, f_t=4, f_s=2, l=4, p=3)
-    params = params_for(w, seed=2)
+    w, _ = random_window(rng, n=5, f_t=4, f_s=2, l=4, p=3)
+    params = params_for(w, 4, seed=2)
     _, trace = dmf.forward([w], params)
     for alpha in trace.alphas:
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -211,62 +203,60 @@ def test_forward_attention_normalization():
 
 def test_masked_feature_column_invariance():
     rng = np.random.default_rng(7)
-    w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2, extras_per_step=1)
-    params = params_for(w, seed=3)
+    w, snapshots = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2,
+                                 extras_per_step=1)
+    params = params_for(w, 5, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)  # temporal feature 2
     y0, _ = dmf.forward([w], params, mask=mask)
-    w.features.temporal[:, :, 2] = rng.normal(size=w.features.temporal.shape[:2]) * 1e6
-    for e in w.extra_temporal:
-        e[:, 2] = 99.0
-    derive_rows(w)
+    w.table[:, ROWS, :4, 2] = rng.normal(size=(3, 4)) * 1e6
+    w.table[:, ROWS, 4:, 2] = 99.0  # the step extras
+    repropagate(w.table, snapshots)
     y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
 
 def test_unmasked_column_still_matters():
     rng = np.random.default_rng(8)
-    w = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
-    params = params_for(w, seed=3)
+    w, snapshots = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
+    params = params_for(w, 5, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)
     y0, _ = dmf.forward([w], params, mask=mask)
-    w.features.temporal[:, :, 0] += 1.0
-    derive_rows(w)
+    w.table[:, ROWS, :, 0] += 1.0
+    repropagate(w.table, snapshots)
     y1, _ = dmf.forward([w], params, mask=mask)
     assert not np.array_equal(y0.data, y1.data)
 
 
 def test_node_permutation_equivariance():
     rng = np.random.default_rng(9)
-    w = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
-    params = params_for(w, seed=4)
+    w, snapshots = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
+    params = params_for(w, 4, seed=4)
     y0, _ = dmf.forward([w], params)
 
     perm = rng.permutation(5)
-    w2 = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
-    w2.features.temporal = w.features.temporal[perm]
-    w2.features.spatial = w.features.spatial[perm]
-    w2.snapshots = [graphs.GraphSnapshot(
+    w2 = replace(w, table=w.table[:, :, perm])
+    repropagate(w2.table, [graphs.GraphSnapshot(
         node_ids=s.node_ids,
         adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
-        for s in w.snapshots]
-    derive_rows(w2)
+        for s in snapshots])
     y1, _ = dmf.forward([w2], params)
     np.testing.assert_allclose(y1.data, y0.data[perm], atol=1e-12)
 
 
 def test_dynamic_topology_with_step_extras():
     rng = np.random.default_rng(10)
-    w = random_window(rng, n=3, f_t=4, f_s=2, l=4, p=2, extras_per_step=2)
-    params = params_for(w, seed=5)
+    w, _ = random_window(rng, n=3, f_t=4, f_s=2, l=4, p=2,
+                         extras_per_step=2)
+    params = params_for(w, 4, seed=5)
     y, _ = dmf.forward([w], params)
     assert y.data.shape == (3, 2)
 
 
 def test_single_modality_and_identity_variants():
     rng = np.random.default_rng(11)
-    w = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
+    w, _ = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
     for modalities in (("d",), ("tt",), ("identity",)):
-        params = params_for(w, seed=6, modalities=modalities)
+        params = params_for(w, 4, seed=6, modalities=modalities)
         y, trace = dmf.forward([w], params)
         assert y.data.shape == (4, 2)
         assert trace.alphas == []  # no fusion in single-graph variants
@@ -274,9 +264,8 @@ def test_single_modality_and_identity_variants():
 
 def test_empty_node_set_errors():
     rng = np.random.default_rng(12)
-    w = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
-    w.features.temporal = w.features.temporal[:0]
-    w.features.spatial = w.features.spatial[:0]
+    w, _ = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
+    w.det_indices = w.det_indices[:0]
     params = dmf.DmfParameters.init(4, 2, 8, 2)
     with pytest.raises(ValueError, match="empty"):
         dmf.forward([w], params)
@@ -284,8 +273,9 @@ def test_empty_node_set_errors():
 
 def test_forward_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
-    w = random_window(rng, n=5, f_t=3, f_s=2, l=3, p=2, extras_per_step=1)
-    params = params_for(w, hidden=4, seed=7)
+    w, _ = random_window(rng, n=5, f_t=3, f_s=2, l=3, p=2,
+                         extras_per_step=1)
+    params = params_for(w, 3, hidden=4, seed=7)
 
     def f():
         y, _ = dmf.forward([w], params)

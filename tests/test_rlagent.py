@@ -4,10 +4,13 @@ from scipy import stats
 
 from conftest import random_window
 from evacnet import rlagent
+from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import (Agent, EpsilonSchedule, MaskCounter, QNetwork,
                              ReplayBuffer, apply_mask,
                              build_state, compute_reward, ddqn_target,
                              ranking, select_action)
+
+ROWS = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
 
 def make_transition(rng, n_features=4, priority=1.0):
@@ -17,29 +20,28 @@ def make_transition(rng, n_features=4, priority=1.0):
 
 def test_build_state_single_constant_node():
     rng = np.random.default_rng(0)
-    w = random_window(rng, n=1, f_t=3, f_s=2, l=4, p=1)
-    w.features.temporal[:] = np.array([1.0, 2.0, 3.0])
-    w.features.spatial[:] = np.array([4.0, 5.0])
-    s = build_state([w.features])
+    w, _ = random_window(rng, n=1, f_t=3, f_s=2, l=4, p=1)
+    w.table[:, ROWS, 0] = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    s = build_state([w], 3)
     np.testing.assert_allclose(s, [1, 2, 3, 4, 5])
 
 
 def test_build_state_mean_over_time():
     rng = np.random.default_rng(1)
-    w = random_window(rng, n=1, f_t=1, f_s=1, l=2, p=1)
-    w.features.temporal[0, 0, 0] = 0.0
-    w.features.temporal[0, 1, 0] = 2.0
-    w.features.spatial[:] = 7.0
-    np.testing.assert_allclose(build_state([w.features]), [1.0, 7.0])
+    w, _ = random_window(rng, n=1, f_t=1, f_s=1, l=2, p=1)
+    w.table[0, ROWS, 0, 0] = 0.0
+    w.table[1, ROWS, 0, 0] = 2.0
+    w.table[:, ROWS, 0, 1] = 7.0
+    np.testing.assert_allclose(build_state([w], 1), [1.0, 7.0])
 
 
 def test_build_state_length_and_empty():
     rng = np.random.default_rng(2)
-    ws = [random_window(rng, n=3, f_t=4, f_s=2, l=3, p=1).features
+    ws = [random_window(rng, n=3, f_t=4, f_s=2, l=3, p=1)[0]
           for _ in range(3)]
-    assert build_state(ws).shape == (6,)
+    assert build_state(ws, 4).shape == (6,)
     with pytest.raises(ValueError):
-        build_state([])
+        build_state([], 4)
 
 
 def test_apply_mask_temporal_branch():
