@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Alternating parent/change runs of the benchmark, summarised into
-BENCH_<workload>.json at the checkout root.
+BENCH_<workload>.json at the checkout root, or BENCH_<workload>_seed<S>.json
+for a workload seed S other than 1 (a held-out series).
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload corridors100_rl_dmf
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload s2_dmf_no_rl --seed 2
 
 The change is this working tree, uncommitted edits included. The parent
 is `--parent` checked out in a `git worktree` under a temporary directory
@@ -90,6 +92,13 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def series_path(workload, seed):
+    """Seed 1's series is BENCH_<workload>.json; any other seed's is held
+    out beside it, so it never overwrites the seed-1 file."""
+    suffix = "" if seed == 1 else f"_seed{seed}"
+    return ROOT / f"BENCH_{workload}{suffix}.json"
+
+
 def series(parent_dir, args, metrics):
     sides = {"parent": parent_dir, "change": ROOT}
     runs = {side: [] for side in sides}
@@ -163,7 +172,7 @@ def main(argv=None):
             out = series(tree, args, metrics)
         finally:
             git("worktree", "remove", "--force", str(tree))
-    path = ROOT / f"BENCH_{args.workload}.json"
+    path = series_path(args.workload, args.seed)
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     for m, row in out["change_vs_parent"].items():
         print(f"{m}: parent {out['parent']['summary'][m]['median']:.6g} -> "

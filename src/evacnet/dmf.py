@@ -68,37 +68,113 @@ class FusionTrace:
     alphas: list = field(default_factory=list)  # (N_t, n_modalities) arrays
 
 
-def gcn_layer(h_prop, weight):
-    """Graph convolution ReLU(Ã H W), given the propagated rows Ã·H; with
-    (M, n, F) rows and an (M, F, H) weight, one product per modality."""
-    return nc.relu(nc.matmul(h_prop, weight))
+def gcn_layer(rows, weight):
+    """Graph convolution ReLU(Ã H W) at every input hour and modality at
+    once, given the propagated rows Ã·H: constant (l, M, n, F) rows and an
+    (M, F, H) weight give (l, M, n, H). One node; its backward returns only
+    the weight's gradient, since the rows are data."""
+    pre = rows @ weight.data
+    active = pre > 0
+
+    def bwd(g):
+        # one product per hour over every modality: no transposed copy of
+        # the rows
+        dz = g * active
+        return (sum(np.swapaxes(rows[k], -1, -2) @ dz[k]
+                    for k in range(len(rows))),)
+    return Tensor.node(np.maximum(pre, 0.0, out=pre), (weight,), bwd)
 
 
-def attention_fuse(z_stack, params):
-    """Softmax-weighted per-node sum of the (M, n, H) modality embeddings;
-    returns the fused (n, H) embedding and the (n, M) weights (an array)."""
-    n_mod, n, hidden = z_stack.shape
-    logits = nc.matmul(z_stack, params.tensors["w_att"].reshape(
-        n_mod, hidden, 1))
-    alpha = nc.softmax(logits, axis=0)  # (M, n, 1)
-    return (alpha * z_stack).sum(axis=0), alpha.data[:, :, 0].T
+def attention_fuse(z, w_att):
+    """Per-node attention over the modalities at every input hour: logits
+    z_m·w_m of the (l, M, n, H) embeddings and an (M, H) weight, a softmax
+    over M and the weighted sum. Returns the fused (l, n, H) embeddings,
+    one node, and the weights α as an (l, n, M) array."""
+    logits = z.data @ w_att.data[:, :, None]  # (l, M, n, 1)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    alpha = (e / e.sum(axis=1, keepdims=True))[..., 0]  # (l, M, n)
+
+    def bwd(g):
+        # the contractions run as einsum: no (l, M, n, H) temporaries
+        d_alpha = np.einsum("lnh,lmnh->lmn", g, z.data)
+        d_logits = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1,
+                                                            keepdims=True))
+        return (alpha[..., None] * g[:, None]
+                + d_logits[..., None] * w_att.data[:, None, :],
+                np.einsum("lmn,lmnh->mh", d_logits, z.data))
+    fused = Tensor.node(np.einsum("lmn,lmnh->lnh", alpha, z.data),
+                        (z, w_att), bwd)
+    return fused, alpha.transpose(0, 2, 1)
 
 
-def lstm_step(z_fused, h_prev, c_prev, params):
-    """One LSTM cell update over all nodes at once: one affine map whose
-    column blocks are the f, i, c, o gates."""
+def _sigmoid(x):
+    """x ← 1 / (1 + exp(-x)), in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+
+
+def lstm_step(x, params):
+    """The LSTM over a window's l input hours from a zero state, all nodes
+    at once. `x` holds each hour's (n, H) inputs, as (l, n, H) or as a
+    single modality's (l, 1, n, H). The input projection of every hour is
+    one product; only h·U runs hour by hour. The pre-activation's column
+    blocks are the f, i, c, o gates. Returns the last hour's hidden state
+    (n, H), one node whose backward is backpropagation through time, and
+    the last cell state as an array."""
     t = params.tensors
-    hidden = params.hidden
-    pre = (nc.matmul(z_fused, t["W_lstm"]) + nc.matmul(h_prev, t["U_lstm"])
-           + t["b_lstm"])
-    # per gate: at ~800 rows one (n, 4H) sigmoid took 4x three (n, H) ones
-    f = nc.sigmoid(pre[:, :hidden])
-    i = nc.sigmoid(pre[:, hidden:2 * hidden])
-    c_tilde = nc.tanh(pre[:, 2 * hidden:3 * hidden])
-    o = nc.sigmoid(pre[:, 3 * hidden:])
-    c = f * c_prev + i * c_tilde
-    h = o * nc.tanh(c)
-    return h, c
+    w, u, b = t["W_lstm"], t["U_lstm"], t["b_lstm"]
+    hid = params.hidden
+    l = x.shape[0]
+    xs = x.data.reshape(l, -1, hid)
+    n = xs.shape[1]
+
+    def blocks(a):
+        return (a[..., j * hid:(j + 1) * hid] for j in range(4))
+
+    # x·W + h·U + b, activated in place hour by hour into f, i, c̃, o
+    gates = (xs.reshape(l * n, hid) @ w.data).reshape(l, n, 4 * hid)
+    hs = np.empty((l + 1, n, hid))  # hs[k], cs[k]: the state entering hour k
+    cs = np.empty((l + 1, n, hid))
+    hs[0] = cs[0] = 0.0
+    tanh_c = np.empty((l, n, hid))
+    for k in range(l):
+        if k:
+            gates[k] += hs[k] @ u.data
+        gates[k] += b.data
+        f, i, c_tilde, o = blocks(gates[k])
+        _sigmoid(f)
+        _sigmoid(i)
+        np.tanh(c_tilde, out=c_tilde)
+        _sigmoid(o)
+        np.multiply(f, cs[k], out=cs[k + 1])
+        cs[k + 1] += i * c_tilde
+        np.tanh(cs[k + 1], out=tanh_c[k])
+        np.multiply(o, tanh_c[k], out=hs[k + 1])
+
+    def bwd(g):
+        d_pre = np.empty_like(gates)
+        dh, dc = g, 0.0
+        for k in reversed(range(l)):
+            f, i, c_tilde, o = blocks(gates[k])
+            df, di, dg, do = blocks(d_pre[k])
+            dc = dc + dh * o * (1.0 - tanh_c[k] ** 2)
+            np.multiply(dc * cs[k], f * (1.0 - f), out=df)
+            np.multiply(dc * c_tilde, i * (1.0 - i), out=di)
+            np.multiply(dc * i, 1.0 - c_tilde ** 2, out=dg)
+            np.multiply(dh * tanh_c[k], o * (1.0 - o), out=do)
+            dc = dc * f
+            if k:
+                dh = d_pre[k] @ u.data.T
+        flat = d_pre.reshape(l * n, 4 * hid)
+        # the state entering hour 0 is zero, so hour 0 adds nothing to dU
+        dx = ((flat @ w.data.T).reshape(x.shape) if x.requires_grad
+              else None)
+        return (dx, xs.reshape(l * n, hid).T @ flat,
+                hs[1:l].reshape((l - 1) * n, hid).T @ flat[n:],
+                flat.sum(axis=0))
+    return Tensor.node(hs[l], (x, w, u, b), bwd), cs[l]
 
 
 def predict_head(h, params):
@@ -115,12 +191,16 @@ def forward(windows, params, mask=None, static_rows=None):
     hour from that hour's snapshot when the data were prepared, or the
     unpropagated rows for the "identity" modality. A GCN acts on a
     disjoint union block by block, so stacking the windows' rows equals
-    running the windows one at a time, and each hour is one GCN product
-    over every modality. The output has one row per predicted node of the
-    batch, in window order. `mask` carries the RL agent's binary feature
-    masks; it scales columns, so it applies to the propagated rows. None
-    means all features active. `static_rows`, one (l, n_w, F) array per
-    window, replaces every modality's rows (static-graph baseline).
+    running the windows one at a time. GCN, attention and input projection
+    do not depend on the recurrence, so each runs over all l hours at
+    once: the batch is one `gcn_layer` node over every hour and modality,
+    one `attention_fuse` node (skipped with a single modality) and one
+    `lstm_step` node, whose loop over the hours holds only h·U, then the
+    head. The output has one row per predicted node of the batch, in
+    window order. `mask` carries the RL agent's binary feature masks; it
+    scales columns, so it applies to the propagated rows. None means all
+    features active. `static_rows`, one (l, n_w, F) array per window,
+    replaces every modality's rows (static-graph baseline).
     """
     if not windows:
         raise ValueError("empty batch of windows")
@@ -143,21 +223,15 @@ def forward(windows, params, mask=None, static_rows=None):
     if rows.shape[-1] != params.f_t + params.f_s:
         raise ValueError("feature registry does not match parameters")
     if mask is not None:
-        rows = rows * np.concatenate([mask.m_temp, mask.m_spatial])
+        # rows is a fresh array here, so the mask scales it in place
+        rows *= np.concatenate([mask.m_temp, mask.m_spatial])
 
     trace = FusionTrace()
-    n = rows.shape[2]
-    h = nc.zeros(n, params.hidden)
-    c = nc.zeros(n, params.hidden)
-    for step in range(l):
-        z = gcn_layer(rows[step], params.tensors["W_gcn"])
-        if len(params.modalities) > 1:
-            fused, alphas = attention_fuse(z, params)
-            trace.alphas.append(alphas)
-        else:
-            fused = z[0]
-        h, c = lstm_step(fused, h, c, params)
-
+    z = gcn_layer(rows, params.tensors["W_gcn"])
+    if len(params.modalities) > 1:
+        z, alphas = attention_fuse(z, params.tensors["w_att"])
+        trace.alphas.extend(alphas)
+    h, _ = lstm_step(z, params)
     return predict_head(h, params), trace
 
 

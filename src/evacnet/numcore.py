@@ -1,8 +1,11 @@
-"""Minimal dense-tensor autograd core with an Adam optimizer.
+"""A small op library over one reverse-mode backward pass, with an Adam
+optimizer.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
-passes (node counts in the traffic graph do). Everything is float64.
+passes (node counts in the traffic graph do). Fused ops defined
+elsewhere (the forecaster's cells in `dmf`) join the graph through
+`Tensor.node` with their own backward. Everything is float64.
 """
 
 from __future__ import annotations
@@ -56,7 +59,11 @@ class Tensor:
     # ---- graph construction ----
 
     @staticmethod
-    def _make(data, parents, backward_fn):
+    def node(data, parents, backward_fn):
+        """The result of an op: `backward_fn` maps its gradient to one
+        gradient (or None) per parent. Parents and `backward_fn` are
+        recorded only when some parent requires grad, so an op on
+        constants keeps nothing alive for a backward pass."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -113,13 +120,13 @@ class Tensor:
 
         def bwd(g):
             return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-        return Tensor._make(a.data + b.data, (a, b), bwd)
+        return Tensor.node(a.data + b.data, (a, b), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self
-        return Tensor._make(-a.data, (a,), lambda g: (-g,))
+        return Tensor.node(-a.data, (a,), lambda g: (-g,))
 
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -132,28 +139,11 @@ class Tensor:
         def bwd(g):
             return (_unbroadcast(g * b.data, a.data.shape),
                     _unbroadcast(g * a.data, b.data.shape))
-        return Tensor._make(a.data * b.data, (a, b), bwd)
+        return Tensor.node(a.data * b.data, (a, b), bwd)
 
     __rmul__ = __mul__
 
-    # ---- shaping ----
-
-    def __getitem__(self, index):
-        """Basic slicing only (ints and slices): no element is selected
-        twice, so the gradient is `g` scattered into zeros."""
-        a = self
-
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            return (full,)
-        return Tensor._make(a.data[index], (a,), bwd)
-
-    def reshape(self, *shape):
-        a = self
-        old = a.data.shape
-        return Tensor._make(a.data.reshape(shape), (a,),
-                            lambda g: (g.reshape(old),))
+    # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
         a = self
@@ -164,7 +154,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, a.data.shape).copy(),)
-        return Tensor._make(out, (a,), bwd)
+        return Tensor.node(out, (a,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         a = self
@@ -185,45 +175,20 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
-    return Tensor._make(out, (a, b), bwd)
+        # a constant operand (input rows) gets no gradient
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+              if b.requires_grad else None)
+        return ga, gb
+    return Tensor.node(out, (a, b), bwd)
 
 
 def relu(x):
     x = x if isinstance(x, Tensor) else Tensor(x)
     mask = x.data > 0
-    return Tensor._make(np.where(mask, x.data, 0.0), (x,),
-                        lambda g: (g * mask,))
-
-
-def sigmoid(x):
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor._make(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(x):
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    t = np.tanh(x.data)
-    return Tensor._make(t, (x,), lambda g: (g * (1.0 - t * t),))
-
-
-def softmax(x, axis=-1):
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
-    return Tensor._make(s, (x,), bwd)
-
-
-def zeros(*shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor.node(np.where(mask, x.data, 0.0), (x,),
+                       lambda g: (g * mask,))
 
 
 # ---- optimization ----

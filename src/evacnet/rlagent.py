@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .dataio import INPUT_MODALITIES
 from .numcore import Tensor
 
 GAMMA = 0.95
@@ -24,6 +25,7 @@ PER_BETA_START = 0.4
 PER_BETA_END = 1.0
 PRIORITY_EPS = 1e-6
 HIDDEN_UNITS = 128
+IDENTITY = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
 
 @dataclass
@@ -53,16 +55,21 @@ def apply_mask(action, f_t, f_s):
 
 def build_state(windows, f_t):
     """State vector: batch/time mean of the windows' temporal features (the
-    first f_t input columns), batch mean of their spatial features,
-    concatenated."""
+    first f_t input columns), batch mean of their spatial features at the
+    first input hour, concatenated. Only those columns are read from the
+    input table."""
     if not windows:
         raise ValueError("empty batch")
-    rows = [w.inputs(("identity",))[:, 0] for w in windows]  # (l, n_w, F)
-    # node-major rows: the mean's summation order sets its last bits
-    temp = np.concatenate([r[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
-                           for r in rows], axis=0)
-    spat = np.concatenate([r[0, :, f_t:] for r in rows], axis=0)
-    return np.concatenate([temp.mean(axis=0), spat.mean(axis=0)])
+    temp, spat = [], []
+    for w in windows:
+        hours = w.anchor_index + np.arange(w.l)
+        # node-major (node, hour) rows: the mean's summation order sets its
+        # last bits
+        temp.append(w.table[hours, IDENTITY, w.det_indices[:, None], :f_t]
+                    .reshape(-1, f_t))
+        spat.append(w.table[w.anchor_index, IDENTITY, w.det_indices, f_t:])
+    return np.concatenate([np.concatenate(temp).mean(axis=0),
+                           np.concatenate(spat).mean(axis=0)])
 
 
 def compute_reward(loss):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_window, repropagate
 from evacnet import dmf, graphs, numcore as nc, rlagent
@@ -27,16 +29,21 @@ def test_parameter_count_formula():
 
 def test_gcn_layer_identity():
     h = np.array([[1.0, -2.0], [-3.0, 4.0]])
-    out = dmf.gcn_layer(Tensor(np.eye(2) @ h), Tensor(np.eye(2)))
-    np.testing.assert_array_equal(out.data, np.maximum(h, 0.0))
+    out = dmf.gcn_layer((np.eye(2) @ h)[None, None], Tensor(np.eye(2)[None]))
+    np.testing.assert_array_equal(out.data[0, 0], np.maximum(h, 0.0))
 
 
 def test_gcn_layer_hand_case():
     adj = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.array([[1.0, 0.0], [0.0, 2.0]])
     w = np.array([[1.0], [1.0]])
-    out = dmf.gcn_layer(Tensor(adj @ h), Tensor(w))
-    np.testing.assert_allclose(out.data, np.maximum(adj @ h @ w, 0.0))
+    # two hours, two modalities: the second one's weight negated
+    rows = np.stack([np.stack([adj @ h, adj @ h])] * 2)
+    out = dmf.gcn_layer(rows, Tensor(np.stack([w, -w])))
+    assert out.data.shape == (2, 2, 2, 1)
+    np.testing.assert_allclose(out.data[:, 0], np.maximum(adj @ h @ w, 0.0)
+                               [None].repeat(2, axis=0))
+    np.testing.assert_array_equal(out.data[:, 1], 0.0)
 
 
 def test_stacked_init_equals_per_modality_per_gate_draws():
@@ -81,35 +88,77 @@ def test_parameter_tensor_count(modalities, n_tensors):
 
 def test_attention_equal_logits():
     rng = np.random.default_rng(0)
-    params = dmf.DmfParameters.init(3, 1, 4, 2, seed=1)
-    z = rng.normal(size=(5, 4))
-    params.tensors["w_att"] = Tensor(np.zeros((2, 4)), requires_grad=True)
-    fused, alpha = dmf.attention_fuse(Tensor(np.stack([z, z])), params)
-    np.testing.assert_allclose(alpha, 0.5)
-    np.testing.assert_allclose(fused.data, z)
+    z = rng.normal(size=(2, 5, 4))  # two hours
+    for n_mod in (2, 3):
+        fused, alpha = dmf.attention_fuse(
+            Tensor(np.stack([z] * n_mod, axis=1)),
+            Tensor(np.zeros((n_mod, 4))))
+        assert alpha.shape == (2, 5, n_mod)
+        np.testing.assert_allclose(alpha, 1.0 / n_mod)
+        np.testing.assert_allclose(fused.data, z)
 
 
 def test_attention_closed_form_softmax():
-    params = dmf.DmfParameters.init(3, 1, 1, 2, seed=1)
-    params.tensors["w_att"] = Tensor(np.ones((2, 1)), requires_grad=True)
-    z_d = np.array([[np.log(2.0)]])
-    z_tt = np.array([[0.0]])
-    _, alpha = dmf.attention_fuse(Tensor(np.stack([z_d, z_tt])), params)
-    np.testing.assert_allclose(alpha, [[2 / 3, 1 / 3]], rtol=1e-12)
+    z = np.array([np.log(2.0), 0.0]).reshape(1, 2, 1, 1)  # (l, M, n, H)
+    _, alpha = dmf.attention_fuse(Tensor(z), Tensor(np.ones((2, 1))))
+    np.testing.assert_allclose(alpha, [[[2 / 3, 1 / 3]]], rtol=1e-12)
+
+
+@given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
+def test_attention_softmax_normalized(logits):
+    # one node, one hour, H = 1: modality m's logit is 1 · w_m
+    z = np.ones((1, len(logits), 1, 1))
+    _, alpha = dmf.attention_fuse(Tensor(z),
+                                  Tensor(np.array(logits)[:, None]))
+    assert np.all(alpha >= 0)
+    assert abs(alpha.sum() - 1.0) < 1e-12
+
+
+def softmax_fusion_reference(z, w_att):
+    """Hour by hour and modality by modality: (l, n, H) fused, (l, n, M) α."""
+    fused, alphas = [], []
+    for z_t in z:
+        logits = np.stack([z_t[m] @ w_att[m] for m in range(len(z_t))],
+                          axis=1)  # (n, M)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        alpha = e / e.sum(axis=1, keepdims=True)
+        fused.append(sum(alpha[:, m:m + 1] * z_t[m]
+                         for m in range(len(z_t))))
+        alphas.append(alpha)
+    return np.stack(fused), np.stack(alphas)
 
 
 def test_attention_matches_per_modality_reference():
     rng = np.random.default_rng(1)
     params = dmf.DmfParameters.init(3, 2, 6, 2, seed=2)
-    z = rng.normal(size=(2, 7, 6)) * 2
-    fused, alpha = dmf.attention_fuse(Tensor(z), params)
-    w_att = params.tensors["w_att"].data
-    logits = np.stack([z[m] @ w_att[m] for m in range(2)], axis=1)  # (n, M)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    ref_alpha = e / e.sum(axis=1, keepdims=True)
-    ref_fused = ref_alpha[:, 0:1] * z[0] + ref_alpha[:, 1:2] * z[1]
+    z = rng.normal(size=(3, 2, 7, 6)) * 2  # three hours
+    w_att = params.tensors["w_att"]
+    fused, alpha = dmf.attention_fuse(Tensor(z), w_att)
+    ref_fused, ref_alpha = softmax_fusion_reference(z, w_att.data)
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fused.data, ref_fused, rtol=0, atol=1e-12)
+
+
+def lstm_reference(x, params):
+    """Hour by hour and gate by gate from a zero state: the last (h, c)."""
+    t = {k: v.data for k, v in params.tensors.items()}
+    hidden = params.hidden
+    h = c = np.zeros(x.shape[1:])
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    for z in x:
+        def gate(k, act):
+            cols = slice(k * hidden, (k + 1) * hidden)
+            return act(z @ t["W_lstm"][:, cols] + h @ t["U_lstm"][:, cols]
+                       + t["b_lstm"][cols])
+
+        f, i, c_tilde, o = (gate(0, sigmoid), gate(1, sigmoid),
+                            gate(2, np.tanh), gate(3, sigmoid))
+        c = f * c + i * c_tilde
+        h = o * np.tanh(c)
+    return h, c
 
 
 def test_lstm_zero_everything():
@@ -117,23 +166,21 @@ def test_lstm_zero_everything():
     for name in ("W_lstm", "U_lstm", "b_lstm"):
         t = params.tensors[name]
         t.data = np.zeros_like(t.data)
-    h, c = dmf.lstm_step(nc.zeros(3, 4), nc.zeros(3, 4), nc.zeros(3, 4),
-                         params)
+    h, c = dmf.lstm_step(Tensor(np.zeros((3, 3, 4))), params)
     np.testing.assert_array_equal(h.data, 0.0)
-    np.testing.assert_array_equal(c.data, 0.0)
+    np.testing.assert_array_equal(c, 0.0)
 
 
 def test_lstm_scalar_hand_case():
-    # H=1, all weights 1, input 1, zero state
+    # H=1, all weights 1, input 1, zero state, one hour
     params = dmf.DmfParameters.init(1, 0, 1, 1, seed=0)
     params.tensors["W_lstm"].data = np.ones((1, 4))
     params.tensors["U_lstm"].data = np.ones((1, 4))
     params.tensors["b_lstm"].data = np.zeros(4)
-    z = Tensor(np.ones((1, 1)))
-    h, c = dmf.lstm_step(z, nc.zeros(1, 1), nc.zeros(1, 1), params)
+    h, c = dmf.lstm_step(Tensor(np.ones((1, 1, 1))), params)
     sig1 = 1 / (1 + np.exp(-1.0))
     c_expected = sig1 * np.tanh(1.0)
-    np.testing.assert_allclose(c.data, [[c_expected]])
+    np.testing.assert_allclose(c, [[c_expected]])
     np.testing.assert_allclose(h.data, [[sig1 * np.tanh(c_expected)]])
 
 
@@ -142,41 +189,97 @@ def test_lstm_matches_per_gate_reference():
     hidden = 5
     params = dmf.DmfParameters.init(2, 1, hidden, 2, seed=3)
     params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
-    z, h, c = (rng.normal(size=(4, hidden)) for _ in range(3))
-    t = {k: v.data for k, v in params.tensors.items()}
-
-    def gate(k, act):
-        cols = slice(k * hidden, (k + 1) * hidden)
-        return act(z @ t["W_lstm"][:, cols] + h @ t["U_lstm"][:, cols]
-                   + t["b_lstm"][cols])
-
-    def sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    f, i, c_tilde, o = (gate(0, sigmoid), gate(1, sigmoid),
-                        gate(2, np.tanh), gate(3, sigmoid))
-    c_ref = f * c + i * c_tilde
-    h_ref = o * np.tanh(c_ref)
-    h_new, c_new = dmf.lstm_step(Tensor(z), Tensor(h), Tensor(c), params)
-    np.testing.assert_allclose(c_new.data, c_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(h_new.data, h_ref, rtol=0, atol=1e-12)
+    for l in (1, 3):
+        x = rng.normal(size=(l, 4, hidden))
+        h_ref, c_ref = lstm_reference(x, params)
+        h_new, c_new = dmf.lstm_step(Tensor(x), params)
+        np.testing.assert_allclose(c_new, c_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_new.data, h_ref, rtol=0, atol=1e-12)
+        # a single modality's (l, 1, n, H) GCN output is the same input
+        h_mod, _ = dmf.lstm_step(Tensor(x[:, None]), params)
+        np.testing.assert_array_equal(h_mod.data, h_new.data)
 
 
 def test_lstm_cell_state_bound():
+    # from a zero state each hour moves |c| by less than 1 (|i·c̃| < 1 and
+    # 0 < f < 1), so after l hours |c| < l
     rng = np.random.default_rng(3)
     params = dmf.DmfParameters.init(2, 1, 6, 2, seed=4)
-    c = Tensor(rng.normal(size=(5, 6)))
-    h = Tensor(rng.normal(size=(5, 6)))
-    z = Tensor(rng.normal(size=(5, 6)) * 3)
-    _, c_next = dmf.lstm_step(z, h, c, params)
-    assert np.all(np.abs(c_next.data) <= np.abs(c.data) + 1.0 + 1e-12)
+    for l in (1, 4):
+        _, c = dmf.lstm_step(Tensor(rng.normal(size=(l, 5, 6)) * 3), params)
+        assert np.all(np.abs(c) <= l + 1e-12)
+
+
+def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
+    """(f, params): a scalar of one fused op's output, weighted by a fixed
+    random array, and the tensors it is differentiated in."""
+    if op == "gcn_layer":
+        rows = rng.normal(size=(l, n_mod, n, f_in))
+        weight = Tensor(rng.normal(size=(n_mod, f_in, hidden)),
+                        requires_grad=True)
+        assert (dmf.gcn_layer(rows, weight).data == 0).any()  # ReLU-inactive
+        run, params = (lambda: dmf.gcn_layer(rows, weight)), [weight]
+    elif op == "attention_fuse":
+        z = Tensor(rng.normal(size=(l, n_mod, n, hidden)), requires_grad=True)
+        w_att = Tensor(rng.normal(size=(n_mod, hidden)), requires_grad=True)
+        run, params = (lambda: dmf.attention_fuse(z, w_att)[0]), [z, w_att]
+    else:
+        lstm = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
+        lstm.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+        # a single modality's GCN output keeps its modality axis
+        shape = (l, n, hidden) if n_mod > 1 else (l, 1, n, hidden)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        run, params = (lambda: dmf.lstm_step(x, lstm)[0]), [x] + [
+            lstm.tensors[k] for k in ("W_lstm", "U_lstm", "b_lstm")]
+    weights = Tensor(rng.normal(size=run().shape))
+    return (lambda: (run() * weights).sum()), params
+
+
+@pytest.mark.parametrize("op", ["gcn_layer", "attention_fuse", "lstm_step"])
+@pytest.mark.parametrize("n_mod", [1, 2])
+@pytest.mark.parametrize("l", [1, 3])
+def test_fused_op_matches_finite_differences(op, n_mod, l):
+    rng = np.random.default_rng(20 + 4 * n_mod + l)
+    f, params = random_op_case(rng, op, n_mod, l)
+    assert nc.finite_diff_check(f, params) < 1e-6
+
+
+def test_fused_ops_on_constants_record_no_graph():
+    # as in `evaluate`: constant parameters, so no parents, no backward
+    # closure and no cached intermediates survive the forward
+    rng = np.random.default_rng(21)
+    params = dmf.DmfParameters.init(3, 2, 4, 2, seed=1)
+    params = replace(params, tensors={k: Tensor(v.data)
+                                      for k, v in params.tensors.items()})
+    z = dmf.gcn_layer(rng.normal(size=(3, 2, 5, 5)),
+                      params.tensors["W_gcn"])
+    fused, _ = dmf.attention_fuse(z, params.tensors["w_att"])
+    h, _ = dmf.lstm_step(fused, params)
+    for out in (z, fused, h):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
+
+def test_training_step_graph_is_one_node_per_fused_op():
+    rng = np.random.default_rng(22)
+    w, _ = random_window(rng, n=4, f_t=3, f_s=2, l=3, p=2)
+    params = params_for(w, 3, hidden=4)
+    y, _ = dmf.forward([w], params)
+    nodes, stack = {id(y): y}, [y]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    # 7 parameters, one node per fused op and the head's product and sum
+    assert len(nodes) == 7 + 3 + 2
 
 
 def test_predict_head_zero_weights():
     params = dmf.DmfParameters.init(2, 1, 4, 3, seed=0)
     params.tensors["W_out"].data = np.zeros((4, 3))
     params.tensors["b_out"].data = np.array([1.0, 2.0, 3.0])
-    out = dmf.predict_head(nc.zeros(2, 4) + 5.0, params)
+    out = dmf.predict_head(Tensor(np.full((2, 4), 5.0)), params)
     np.testing.assert_allclose(out.data, [[1, 2, 3], [1, 2, 3]])
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_window
-from evacnet import rlagent
+from evacnet import dataio, rlagent, synth
 from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import (Agent, EpsilonSchedule, MaskCounter, QNetwork,
                              ReplayBuffer, apply_mask,
@@ -42,6 +42,38 @@ def test_build_state_length_and_empty():
     assert build_state(ws, 4).shape == (6,)
     with pytest.raises(ValueError):
         build_state([], 4)
+
+
+def build_state_reference(windows, f_t):
+    """The state from each window's full (l, n, F) input rows, copied
+    node-major: the gather `build_state` replaced."""
+    rows = [w.inputs(("identity",))[:, 0] for w in windows]
+    temp = np.concatenate([r[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
+                           for r in rows], axis=0)
+    spat = np.concatenate([r[0, :, f_t:] for r in rows], axis=0)
+    return np.concatenate([temp.mean(axis=0), spat.mean(axis=0)])
+
+
+CORRIDORS100 = synth.Scenario(
+    name="corridors100", seed=1, horizon_hours=336,
+    corridors=[("I75", 25, 3.0), ("I4", 25, 3.0), ("I95", 25, 3.0),
+               ("I10", 25, 3.0)],
+    order_hour=168, landfall_hour=302, noise_std=20.0,
+    incident_rate_per_hour=0.01, outage_rate_per_hour=0.003)
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "corridors100"])
+def test_build_state_bit_identical_to_full_row_gather(name, tmp_path):
+    scenario = (CORRIDORS100 if name == "corridors100"
+                else synth.builtin_scenarios()[name])
+    meta, records, _ = synth.generate(scenario, tmp_path)
+    ds = dataio.prepare(meta, records)
+    windows = ds.train_windows + ds.val_windows
+    order = np.random.default_rng(0).permutation(len(windows))
+    for k in range(0, len(order), 8):
+        batch = [windows[i] for i in order[k:k + 8]]
+        np.testing.assert_array_equal(build_state(batch, ds.f_t),
+                                      build_state_reference(batch, ds.f_t))
 
 
 def test_apply_mask_temporal_branch():
