@@ -91,8 +91,7 @@ def attention_fuse(z, w_att):
     over M and the weighted sum. Returns the fused (l, n, H) embeddings,
     one node, and the weights α as an (l, n, M) array."""
     logits = z.data @ w_att.data[:, :, None]  # (l, M, n, 1)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    alpha = (e / e.sum(axis=1, keepdims=True))[..., 0]  # (l, M, n)
+    alpha = nc.softmax(logits, axis=1)[..., 0]  # (l, M, n)
 
     def bwd(g):
         # the contractions run as einsum: no (l, M, n, H) temporaries

@@ -191,6 +191,13 @@ def relu(x):
                        lambda g: (g * mask,))
 
 
+def softmax(x, axis=-1):
+    """Numerically stable softmax of an array along `axis`: the weights
+    of a fused op, which differentiates through them itself."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 # ---- optimization ----
 
 class Adam:

@@ -34,6 +34,22 @@ def test_relu_values():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
 
+def test_softmax_symmetry():
+    np.testing.assert_allclose(nc.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+
+
+def test_softmax_closed_form():
+    out = nc.softmax(np.array([np.log(2.0), 0.0]))
+    np.testing.assert_allclose(out, [2 / 3, 1 / 3], rtol=1e-12)
+
+
+@given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
+def test_softmax_normalized(xs):
+    out = nc.softmax(np.array(xs))
+    assert np.all(out >= 0)
+    assert abs(out.sum() - 1.0) < 1e-12
+
+
 def test_backward_square():
     x = Tensor(3.0, requires_grad=True)
     (x * x).backward()
