@@ -88,7 +88,7 @@ def _prepare_dataset(data_dir, l, p):
             raise UserError(f"missing input file: {path}")
     try:
         return dataio.prepare(meta, records, l=l, p=p)
-    except dataio.SchemaError as exc:
+    except (dataio.SchemaError, dataio.ShortSpanError) as exc:
         raise UserError(f"invalid input data: {exc}")
 
 

@@ -65,6 +65,10 @@ class SchemaError(ValueError):
     """A CSV row violated the input contract; message names the line."""
 
 
+class ShortSpanError(ValueError):
+    """The data span fewer hours than one window's l + p."""
+
+
 @dataclass(frozen=True)
 class DetectorMeta:
     detector_id: str
@@ -485,8 +489,8 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     n_hours = len(data.timeline)
     end = n_hours if end is None else end
     if end - start < l + p:
-        raise ValueError(f"span of {end - start} hours is shorter than "
-                         f"l + p = {l + p}")
+        raise ShortSpanError(f"span of {end - start} hours is shorter "
+                             f"than l + p = {l + p}")
     windows = []
     for a in range(start, end - (l + p) + 1):
         pred = np.flatnonzero(data.active[:, a:a + l + p].all(axis=1))

@@ -177,7 +177,12 @@ def lstm_step(x, params):
 
 
 def predict_head(h, params):
-    return nc.matmul(h, params.tensors["W_out"]) + params.tensors["b_out"]
+    """The linear multi-horizon head h·W_out + b_out, one node."""
+    w, b = params.tensors["W_out"], params.tensors["b_out"]
+
+    def bwd(g):
+        return g @ w.data.T, h.data.T @ g, g.sum(axis=0)
+    return Tensor.node(h.data @ w.data + b.data, (h, w, b), bwd)
 
 
 def forward(windows, params, mask=None, static_rows=None):
@@ -237,10 +242,15 @@ def forward(windows, params, mask=None, static_rows=None):
 def mse_loss(predicted, windows):
     """Mean over windows of each window's mean squared error over nodes and
     horizons (normalized units): a squared error of window k weighs
-    1/(B·n_k·p), with B windows and n_k predicted nodes in window k."""
+    1/(B·n_k·p), with B windows and n_k predicted nodes in window k. One
+    node over `predicted`."""
     targets = np.concatenate([w.targets for w in windows])
     counts = [w.targets.shape[0] for w in windows]
     weights = np.repeat([1.0 / (len(windows) * k * targets.shape[1])
-                         for k in counts], counts)
-    diff = predicted - Tensor(targets)
-    return (diff * diff * Tensor(weights[:, None])).sum()
+                         for k in counts], counts)[:, None]
+    diff = predicted.data - targets
+
+    def bwd(g):
+        d = g * (weights * diff)
+        return (d + d,)
+    return Tensor.node((diff * diff * weights).sum(), (predicted,), bwd)

@@ -1,11 +1,13 @@
-"""A small op library over one reverse-mode backward pass, with an Adam
-optimizer.
+"""One reverse-mode backward pass over fused ops, with an Adam optimizer.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
-passes (node counts in the traffic graph do). Fused ops defined
-elsewhere (the forecaster's cells in `dmf`) join the graph through
-`Tensor.node` with their own backward. Everything is float64.
+passes (node counts in the traffic graph do). Every differentiable op of
+the program is defined where it is used (the forecaster's cells, head and
+loss in `dmf`, the agent's TD loss in `rlagent`) and joins the graph
+through `Tensor.node` with its own hand-written backward. The only
+generic ops left are `*` and `sum`, for tests that weight an op's output
+into a scalar. Everything is float64.
 """
 
 from __future__ import annotations
@@ -114,24 +116,6 @@ class Tensor:
 
     # ---- arithmetic ----
 
-    def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-        return Tensor.node(a.data + b.data, (a, b), bwd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self
-        return Tensor.node(-a.data, (a,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
@@ -140,8 +124,6 @@ class Tensor:
             return (_unbroadcast(g * b.data, a.data.shape),
                     _unbroadcast(g * a.data, b.data.shape))
         return Tensor.node(a.data * b.data, (a, b), bwd)
-
-    __rmul__ = __mul__
 
     # ---- reductions ----
 
@@ -155,40 +137,6 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, a.data.shape).copy(),)
         return Tensor.node(out, (a,), bwd)
-
-    def mean(self, axis=None, keepdims=False):
-        a = self
-        n = a.data.size if axis is None else a.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def matmul(a, b):
-    """Matrix product with the usual gradients; supports stacked (>2-d)
-    operands. A vector is a (n, 1) column or a (1, n) row."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul requires at least 2-d operands")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul inner dimensions disagree: "
-                         f"{a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
-
-    def bwd(g):
-        # a constant operand (input rows) gets no gradient
-        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-              if a.requires_grad else None)
-        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-              if b.requires_grad else None)
-        return ga, gb
-    return Tensor.node(out, (a, b), bwd)
-
-
-def relu(x):
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    mask = x.data > 0
-    return Tensor.node(np.where(mask, x.data, 0.0), (x,),
-                       lambda g: (g * mask,))
 
 
 def softmax(x, axis=-1):

@@ -160,12 +160,13 @@ class ReplayBuffer:
 
 
 def _mlp(states, weights, biases):
-    x = Tensor(np.atleast_2d(np.asarray(states, dtype=float)))
+    """The MLP on arrays: the (B, F) input rows, each hidden layer's ReLU
+    output and the Q-values, in order."""
+    acts = [np.atleast_2d(np.asarray(states, dtype=float))]
     for k, (w, b) in enumerate(zip(weights, biases)):
-        x = nc.matmul(x, w) + b
-        if k < len(weights) - 1:
-            x = nc.relu(x)
-    return x
+        x = acts[-1] @ w + b
+        acts.append(np.where(x > 0, x, 0.0) if k < len(weights) - 1 else x)
+    return acts
 
 
 class QNetwork:
@@ -186,16 +187,36 @@ class QNetwork:
     def trainable(self):
         return self.weights + self.biases
 
-    def forward(self, states):
-        """states: (B, F) or (F,) -> (B, F) Q-values, recorded for backward."""
-        return _mlp(states, self.weights, self.biases)
-
     def q_values(self, state):
-        """(F,) for one state, (B, F) for a batch of states. Runs on
-        constant Tensors over the same arrays, so it records no graph."""
-        q = _mlp(state, [Tensor(w.data) for w in self.weights],
-                 [Tensor(b.data) for b in self.biases]).data
+        """(F,) for one state, (B, F) for a batch of states."""
+        q = _mlp(state, [w.data for w in self.weights],
+                 [b.data for b in self.biases])[-1]
         return q[0] if np.ndim(state) == 1 else q
+
+    def td_loss(self, states, actions, targets, weights):
+        """The importance-weighted mean squared TD error of the taken
+        actions, mean_b w_b·(Q(s_b, a_b) - y_b)², as one node over the
+        weights and biases; its backward runs through the three layers.
+        Returns the loss and the (B,) TD errors."""
+        ws = [w.data for w in self.weights]
+        acts = _mlp(states, ws, [b.data for b in self.biases])
+        onehot = np.eye(ws[-1].shape[1])[actions]
+        td = (acts[-1] * onehot).sum(axis=1) - targets
+        n = len(td)
+
+        def bwd(g):
+            g = g * (1.0 / n)
+            dx = (g * (weights * td) + (g * td) * weights)[:, None] * onehot
+            dws, dbs = [], []
+            for k in reversed(range(len(ws))):
+                dws.insert(0, acts[k].T @ dx)
+                dbs.insert(0, dx.sum(axis=0))
+                if k:  # the input rows are data: no gradient
+                    dx = (dx @ ws[k].T) * (acts[k] > 0)
+            return dws + dbs
+        loss = Tensor.node((weights * td * td).sum() * (1.0 / n),
+                           self.trainable(), bwd)
+        return loss, td
 
     def copy_from(self, other):
         for dst, src in zip(self.trainable(), other.trainable()):
@@ -316,16 +337,12 @@ class Agent:
                               self.gamma, self.online, self.target)
 
         self.optimizer.zero_grad()
-        q_all = self.online.forward(buf.states[idx])  # (B, F)
-        onehot = np.zeros((len(idx), self.n_features))
-        onehot[np.arange(len(idx)), buf.actions[idx]] = 1.0
-        q_taken = (q_all * onehot).sum(axis=1)
-        td = q_taken - Tensor(targets)
-        loss = (Tensor(weights) * td * td).mean()
+        loss, td = self.online.td_loss(buf.states[idx], buf.actions[idx],
+                                       targets, weights)
         loss.backward()
         self.optimizer.step()
 
-        abs_td = np.abs(td.data)
+        abs_td = np.abs(td)
         # a row drawn twice keeps its last TD error
         buf.priorities[idx] = abs_td + PRIORITY_EPS
         self.updates += 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
 import time
 from dataclasses import dataclass, asdict, fields, replace
@@ -69,8 +70,16 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected "
                              f"one of {VARIANTS}")
-        if self.l < 1 or self.p < 1:
-            raise ValueError("l and p must be >= 1")
+        for name in ("epochs", "batch_size", "l", "p", "hidden", "rl_buffer",
+                     "rl_batch", "rl_sync_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("lr", "rl_lr"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{value!r}")
 
     def uses_rl(self):
         return self.variant in _RL_VARIANTS

@@ -175,12 +175,33 @@ def test_train_unknown_config_field(corpus, tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
-def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog):
+@pytest.mark.parametrize("fields, name", [
+    ({"epochs": "10"}, "epochs"),
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": 1, "batch_size": 0}, "batch_size"),
+    ({"epochs": 1, "hidden": 0}, "hidden"),
+    ({"epochs": 1, "lr": -1.0}, "lr"),
+    ({"epochs": 1, "rl_buffer": 0}, "rl_buffer"),
+    ({"epochs": 1, "rl_batch": 0}, "rl_batch"),
+    ({"epochs": 1, "rl_sync_every": 0}, "rl_sync_every"),
+], ids=["epochs-type", "epochs", "batch_size", "hidden", "lr", "rl_buffer",
+        "rl_batch", "rl_sync_every"])
+def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog,
+                                               fields, name):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": "10"}), encoding="utf-8")
+    cfg.write_text(json.dumps(fields), encoding="utf-8")
     assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
-    assert "epochs" in caplog.text
+    assert f"{name} must" in caplog.text
+
+
+def test_train_data_shorter_than_window_is_user_error(corpus, tmp_path,
+                                                      caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l": 500}), encoding="utf-8")
+    assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+    assert "shorter than l + p = 506" in caplog.text
 
 
 def test_evaluate_checkpoint(corpus, trained, tmp_path):

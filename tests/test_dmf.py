@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_lstm_cell_state_bound():
 
 def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
     """(f, params): a scalar of one fused op's output, weighted by a fixed
-    random array, and the tensors it is differentiated in."""
+    random array, and the tensors it is differentiated in. The head and
+    the loss do not use `n_mod`."""
     if op == "gcn_layer":
         rows = rng.normal(size=(l, n_mod, n, f_in))
         weight = Tensor(rng.normal(size=(n_mod, f_in, hidden)),
@@ -223,6 +225,19 @@ def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
         z = Tensor(rng.normal(size=(l, n_mod, n, hidden)), requires_grad=True)
         w_att = Tensor(rng.normal(size=(n_mod, hidden)), requires_grad=True)
         run, params = (lambda: dmf.attention_fuse(z, w_att)[0]), [z, w_att]
+    elif op == "predict_head":
+        head = dmf.DmfParameters.init(hidden, 0, hidden, 2, seed=l)
+        head.tensors["b_out"].data = rng.normal(size=2)
+        h = Tensor(rng.normal(size=(n, hidden)), requires_grad=True)
+        run, params = (lambda: dmf.predict_head(h, head)), [h] + [
+            head.tensors[k] for k in ("W_out", "b_out")]
+    elif op == "mse_loss":
+        # l windows of 1..l nodes each, so the windows' weights differ
+        windows = [SimpleNamespace(targets=rng.normal(size=(k, 2)))
+                   for k in range(1, l + 1)]
+        y = Tensor(rng.normal(size=(l * (l + 1) // 2, 2)),
+                   requires_grad=True)
+        run, params = (lambda: dmf.mse_loss(y, windows)), [y]
     else:
         lstm = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
         lstm.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
@@ -235,7 +250,8 @@ def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
     return (lambda: (run() * weights).sum()), params
 
 
-@pytest.mark.parametrize("op", ["gcn_layer", "attention_fuse", "lstm_step"])
+@pytest.mark.parametrize("op", ["gcn_layer", "attention_fuse", "lstm_step",
+                                "predict_head", "mse_loss"])
 @pytest.mark.parametrize("n_mod", [1, 2])
 @pytest.mark.parametrize("l", [1, 3])
 def test_fused_op_matches_finite_differences(op, n_mod, l):
@@ -265,14 +281,15 @@ def test_training_step_graph_is_one_node_per_fused_op():
     w, _ = random_window(rng, n=4, f_t=3, f_s=2, l=3, p=2)
     params = params_for(w, 3, hidden=4)
     y, _ = dmf.forward([w], params)
-    nodes, stack = {id(y): y}, [y]
+    loss = dmf.mse_loss(y, [w])
+    nodes, stack = {id(loss): loss}, [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in nodes:
                 nodes[id(parent)] = parent
                 stack.append(parent)
-    # 7 parameters, one node per fused op and the head's product and sum
-    assert len(nodes) == 7 + 3 + 2
+    # 7 parameters, one node per fused op, the head and the loss
+    assert len(nodes) == 7 + 3 + 1 + 1
 
 
 def test_predict_head_zero_weights():

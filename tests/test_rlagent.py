@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_window
-from evacnet import dataio, rlagent, synth
+from evacnet import dataio, numcore as nc, rlagent, synth
 from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import (Agent, EpsilonSchedule, MaskCounter, QNetwork,
                              ReplayBuffer, apply_mask,
@@ -267,8 +267,7 @@ def test_train_q_zero_td_error_leaves_theta():
     # reward chosen so TD error is exactly zero with gamma forced to 0;
     # computed through the same batched matmul path learn() will use
     agent.gamma = 0.0
-    q_now = agent.online.forward(
-        np.stack([s] * agent.batch_size)).data[0][a]
+    q_now = agent.online.q_values(np.stack([s] * agent.batch_size))[0][a]
     agent.buffer.push(s, a, q_now, s, 1.0)
     before = [w.data.copy() for w in agent.online.trainable()]
     agent.learn()
@@ -277,21 +276,61 @@ def test_train_q_zero_td_error_leaves_theta():
 
 
 def test_q_values_equal_forward_without_graph(monkeypatch):
+    # the loss node's forward reads the same Q-values as q_values
     net = QNetwork(5, seed=3)
     rng = np.random.default_rng(3)
     state, batch = rng.normal(size=5), rng.normal(size=(7, 5))
+    actions = rng.integers(5, size=7)
     np.testing.assert_array_equal(net.q_values(state),
-                                  net.forward(state).data[0])
-    np.testing.assert_array_equal(net.q_values(batch),
-                                  net.forward(batch).data)
+                                  net.q_values(state[None])[0])
+    loss, td = net.td_loss(batch, actions, np.zeros(7), np.ones(7))
+    np.testing.assert_array_equal(net.q_values(batch)[np.arange(7), actions],
+                                  td)
     outputs = []
     real = rlagent._mlp
     monkeypatch.setattr(rlagent, "_mlp",
                         lambda *args: outputs.append(real(*args))
                         or outputs[-1])
     net.q_values(batch)
-    assert not outputs[0].requires_grad and not outputs[0]._parents
-    assert net.forward(batch).requires_grad
+    assert all(type(a) is np.ndarray for a in outputs[0])
+    assert loss.requires_grad
+    assert loss._parents == tuple(net.trainable())
+
+
+def test_td_loss_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    net = QNetwork(4, hidden=6, seed=12)
+    for b in net.biases:
+        b.data = rng.normal(size=b.shape) * 0.1
+    # replay row 1 drawn twice; actions on three columns
+    idx = np.array([0, 1, 2, 1, 3, 4])
+    rows = rng.normal(size=(5, 4))[idx]
+    actions = np.array([0, 2, 3, 0, 1])[idx]
+    targets = rng.normal(size=5)[idx]
+    weights = rng.uniform(0.2, 1.0, size=5)[idx]
+    acts = rlagent._mlp(rows, [w.data for w in net.weights],
+                        [b.data for b in net.biases])
+    assert (acts[1] == 0).any() and (acts[2] == 0).any()  # ReLU-inactive
+
+    def f():
+        return net.td_loss(rows, actions, targets, weights)[0]
+
+    assert nc.finite_diff_check(f, net.trainable()) < 1e-6
+
+
+def test_agent_update_graph_is_one_node():
+    net = QNetwork(4, hidden=6, seed=13)
+    rng = np.random.default_rng(13)
+    loss, _ = net.td_loss(rng.normal(size=(8, 4)), rng.integers(4, size=8),
+                          rng.normal(size=8), np.ones(8))
+    nodes, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    # 6 parameters and the loss
+    assert len(nodes) == 6 + 1
 
 
 def test_train_q_priority_update_contract():
