@@ -117,60 +117,97 @@ def _sigmoid(x):
 def lstm_step(x, params):
     """The LSTM over a window's l input hours from a zero state, all nodes
     at once. `x` holds each hour's (n, H) inputs, as (l, n, H) or as a
-    single modality's (l, 1, n, H). The input projection of every hour is
-    one product; only h·U runs hour by hour. The pre-activation's column
-    blocks are the f, i, c, o gates. Returns the last hour's hidden state
+    single modality's (l, 1, n, H). Returns the last hour's hidden state
     (n, H), one node whose backward is backpropagation through time, and
-    the last cell state as an array."""
+    the last cell state as an array.
+
+    The activations are gate-major: one (4, l, n, H) array in which gate
+    f, i, c̃ or o of hour k is a contiguous (n, H) block. The input
+    projection of every hour is one product, and only h·U runs hour by
+    hour, into one (4, n, H) buffer; both multiply (4, H, H) views of the
+    (H, 4H) weights' column blocks, so no weight is copied. The backward
+    writes an hour's four gate gradients into a gate-major (4, n, H)
+    block and copies it into the hour-major (l, n, 4H) d_pre, which the
+    products dh, dx, dW and dU and the sum db read whole. Apart from
+    d_pre and the gradients it returns, both passes write only into
+    buffers made once per call. Every elementwise op takes the operands of
+    a column-block layout in the same order and the backward's products
+    are the same; with H = 32 the forward's per-gate products also round
+    as the (H, 4H) ones do, so h, c and the gradients equal a column-block
+    LSTM's bit for bit."""
     t = params.tensors
     w, u, b = t["W_lstm"], t["U_lstm"], t["b_lstm"]
     hid = params.hidden
     l = x.shape[0]
-    xs = x.data.reshape(l, -1, hid)
-    n = xs.shape[1]
+    xs = x.data.reshape(-1, hid)
+    n = xs.shape[0] // l
 
-    def blocks(a):
-        return (a[..., j * hid:(j + 1) * hid] for j in range(4))
+    def by_gate(a):
+        """(H, 4H) → (4, H, H) view: gate j's columns at [j]."""
+        return a.reshape(hid, 4, hid).transpose(1, 0, 2)
 
     # x·W + h·U + b, activated in place hour by hour into f, i, c̃, o
-    gates = (xs.reshape(l * n, hid) @ w.data).reshape(l, n, 4 * hid)
+    pre = (xs @ by_gate(w.data)).reshape(4, l, n, hid)
+    bias = b.data.reshape(4, 1, hid)
+    u_gates = by_gate(u.data)
     hs = np.empty((l + 1, n, hid))  # hs[k], cs[k]: the state entering hour k
     cs = np.empty((l + 1, n, hid))
     hs[0] = cs[0] = 0.0
     tanh_c = np.empty((l, n, hid))
-    for k in range(l):
-        if k:
-            gates[k] += hs[k] @ u.data
-        gates[k] += b.data
-        f, i, c_tilde, o = blocks(gates[k])
-        _sigmoid(f)
-        _sigmoid(i)
-        np.tanh(c_tilde, out=c_tilde)
-        _sigmoid(o)
-        np.multiply(f, cs[k], out=cs[k + 1])
-        cs[k + 1] += i * c_tilde
-        np.tanh(cs[k + 1], out=tanh_c[k])
-        np.multiply(o, tanh_c[k], out=hs[k + 1])
+    hu = np.empty((4, n, hid))  # one hour's h·U; then hu[0] holds i·c̃
+    # a gate under about -709 overflows exp to inf, and 1 / inf is its
+    # exact value 0
+    with np.errstate(over="ignore"):
+        for k in range(l):
+            gates = pre[:, k]
+            if k:
+                gates += np.matmul(hs[k], u_gates, out=hu)
+            gates += bias
+            _sigmoid(gates[:2])
+            f, i, c_tilde, o = gates
+            np.tanh(c_tilde, out=c_tilde)
+            _sigmoid(o)
+            np.multiply(f, cs[k], out=cs[k + 1])
+            cs[k + 1] += np.multiply(i, c_tilde, out=hu[0])
+            np.tanh(cs[k + 1], out=tanh_c[k])
+            np.multiply(o, tanh_c[k], out=hs[k + 1])
 
     def bwd(g):
-        d_pre = np.empty_like(gates)
-        dh, dc = g, 0.0
+        d_gates = np.empty((4, n, hid))  # one hour's d_pre, gate-major
+        d_pre = np.empty((l, n, 4 * hid))  # every hour's, hour-major
+        dc = np.zeros((n, hid))
+        dh, dh_next = g, np.empty((n, hid))
+        s, s2 = np.empty((2, n, hid))
+
+        def dsig(a):
+            """σ' = a·(1 - a) of a gate a = σ(·), into s2."""
+            np.subtract(1.0, a, out=s2)
+            return np.multiply(s2, a, out=s2)
+
+        def dtanh(a):
+            """tanh' = 1 - a² of a = tanh(·), into s2."""
+            np.square(a, out=s2)
+            return np.subtract(1.0, s2, out=s2)
+
+        df, di, dg, do = d_gates
         for k in reversed(range(l)):
-            f, i, c_tilde, o = blocks(gates[k])
-            df, di, dg, do = blocks(d_pre[k])
-            dc = dc + dh * o * (1.0 - tanh_c[k] ** 2)
-            np.multiply(dc * cs[k], f * (1.0 - f), out=df)
-            np.multiply(dc * c_tilde, i * (1.0 - i), out=di)
-            np.multiply(dc * i, 1.0 - c_tilde ** 2, out=dg)
-            np.multiply(dh * tanh_c[k], o * (1.0 - o), out=do)
-            dc = dc * f
+            f, i, c_tilde, o = pre[:, k]
+            np.multiply(dh, o, out=s)
+            s *= dtanh(tanh_c[k])
+            dc += s
+            np.multiply(np.multiply(dc, cs[k], out=s), dsig(f), out=df)
+            np.multiply(np.multiply(dc, c_tilde, out=s), dsig(i), out=di)
+            np.multiply(np.multiply(dc, i, out=s), dtanh(c_tilde), out=dg)
+            np.multiply(np.multiply(dh, tanh_c[k], out=s), dsig(o), out=do)
+            dc *= f
+            np.copyto(d_pre[k].reshape(n, 4, hid), d_gates.transpose(1, 0, 2))
             if k:
-                dh = d_pre[k] @ u.data.T
+                dh = np.matmul(d_pre[k], u.data.T, out=dh_next)
         flat = d_pre.reshape(l * n, 4 * hid)
         # the state entering hour 0 is zero, so hour 0 adds nothing to dU
         dx = ((flat @ w.data.T).reshape(x.shape) if x.requires_grad
               else None)
-        return (dx, xs.reshape(l * n, hid).T @ flat,
+        return (dx, xs.T @ flat,
                 hs[1:l].reshape((l - 1) * n, hid).T @ flat[n:],
                 flat.sum(axis=0))
     return Tensor.node(hs[l], (x, w, u, b), bwd), cs[l]

@@ -75,6 +75,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
         for name in ("lr", "rl_lr"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

@@ -184,8 +184,9 @@ def test_train_unknown_config_field(corpus, tmp_path):
     ({"epochs": 1, "rl_buffer": 0}, "rl_buffer"),
     ({"epochs": 1, "rl_batch": 0}, "rl_batch"),
     ({"epochs": 1, "rl_sync_every": 0}, "rl_sync_every"),
+    ({"epochs": 5, "patience": -1}, "patience"),
 ], ids=["epochs-type", "epochs", "batch_size", "hidden", "lr", "rl_buffer",
-        "rl_batch", "rl_sync_every"])
+        "rl_batch", "rl_sync_every", "patience"])
 def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog,
                                                fields, name):
     cfg = tmp_path / "cfg.json"

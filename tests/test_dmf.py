@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_window, repropagate
+from lstm_reference import lstm_step as column_block_lstm
 from evacnet import dmf, graphs, numcore as nc, rlagent
 from evacnet.dataio import INPUT_MODALITIES
 from evacnet.numcore import Tensor
@@ -209,6 +211,49 @@ def test_lstm_cell_state_bound():
     for l in (1, 4):
         _, c = dmf.lstm_step(Tensor(rng.normal(size=(l, 5, 6)) * 3), params)
         assert np.all(np.abs(c) <= l + 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 61, 800])
+@pytest.mark.parametrize("l", [1, 6])
+@pytest.mark.parametrize("modality_axis", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_lstm_equals_column_block_lstm_bit_for_bit(n, l, modality_axis,
+                                                   x_grad):
+    # gate-major storage changes no operand and no order of summation
+    hidden = 32
+    rng = np.random.default_rng(40 + n + l)
+    params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
+    params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+    shape = (l, 1, n, hidden) if modality_axis else (l, n, hidden)
+    x_data = rng.normal(size=shape)
+    weights = Tensor(rng.normal(size=(n, hidden)))
+
+    def run(step):
+        p = params.copy()
+        x = Tensor(x_data, requires_grad=x_grad)
+        h, c = step(x, p)
+        (h * weights).sum().backward()
+        return [h.data, c, x.grad] + [
+            p.tensors[k].grad for k in ("W_lstm", "U_lstm", "b_lstm")]
+
+    new, old = run(dmf.lstm_step), run(column_block_lstm)
+    assert (new[2] is None) == (old[2] is None) == (not x_grad)
+    for a, b in zip(new, old):
+        assert a is None or np.array_equal(a, b)
+
+
+def test_lstm_saturated_gate_is_zero_without_overflow_warning():
+    # a -1000 pre-activation overflows exp(1000) to inf, so the output
+    # gate is 1 / (1 + inf) = 0 exactly, at both hours
+    params = dmf.DmfParameters.init(1, 0, 1, 1, seed=0)
+    params.tensors["W_lstm"].data = np.ones((1, 4))
+    params.tensors["U_lstm"].data = np.ones((1, 4))
+    params.tensors["b_lstm"].data = np.array([0.0, 0.0, 0.0, -1001.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, c = dmf.lstm_step(Tensor(np.ones((2, 1, 1))), params)
+    assert c[0, 0] > 0.0
+    assert h.data[0, 0] == 0.0
 
 
 def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):

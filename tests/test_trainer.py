@@ -28,6 +28,12 @@ def test_unknown_variant_rejected():
         TrainConfig(variant="transformer")
 
 
+def test_negative_patience_rejected():
+    assert TrainConfig(patience=0).patience == 0
+    with pytest.raises(ValueError, match="patience must be >= 0"):
+        TrainConfig(patience=-1)
+
+
 def test_config_hash_stable_and_sensitive():
     a, b = tiny_config(), tiny_config()
     assert a.hash() == b.hash()
