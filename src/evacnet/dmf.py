@@ -17,13 +17,16 @@ from .numcore import Tensor
 class DmfParameters:
     """All trainable weights, keyed by name; values are numcore Tensors.
     With M modalities: W_gcn (M, F, H), w_att (M, H) when M > 1, and the
-    LSTM's W_lstm, U_lstm (H, 4H) and b_lstm (4H,), gates f, i, c, o."""
+    LSTM's W_lstm, U_lstm (H, 4H) and b_lstm (4H,), gates f, i, c, o.
+    Their data are consecutive views, in key order, of the one contiguous
+    vector `flat` (`numcore.flatten`)."""
     f_t: int
     f_s: int
     hidden: int
     horizon: int
     modalities: tuple
     tensors: dict = field(default_factory=dict)
+    flat: np.ndarray | None = None
 
     @classmethod
     def init(cls, f_t, f_s, hidden, horizon, modalities=("d", "tt"), seed=0):
@@ -45,10 +48,10 @@ class DmfParameters:
         t["b_lstm"] = np.zeros(4 * hidden)
         t["W_out"] = uniform(hidden, horizon)
         t["b_out"] = np.zeros(horizon)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in t.items()}
         return cls(f_t=f_t, f_s=f_s, hidden=hidden, horizon=horizon,
-                   modalities=tuple(modalities),
-                   tensors={k: Tensor(v, requires_grad=True)
-                            for k, v in t.items()})
+                   modalities=tuple(modalities), tensors=tensors,
+                   flat=nc.flatten(tensors.values()))
 
     def trainable(self):
         return list(self.tensors.values())
@@ -57,9 +60,11 @@ class DmfParameters:
         return sum(t.data.size for t in self.tensors.values())
 
     def copy(self):
-        return replace(self, tensors={
-            k: Tensor(v.data.copy(), requires_grad=True)
-            for k, v in self.tensors.items()})
+        """Parameters over one copy of the flat vector."""
+        tensors = {k: Tensor(v.data, requires_grad=True)
+                   for k, v in self.tensors.items()}
+        return replace(self, tensors=tensors,
+                       flat=nc.flatten(tensors.values()))
 
 
 @dataclass

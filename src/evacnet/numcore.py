@@ -146,35 +146,94 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-# ---- optimization ----
+# ---- flat parameters and optimization ----
+
+def flatten(tensors):
+    """Copy the tensors' values, in order, into one new contiguous float64
+    vector and rebind each tensor's data to its reshaped slice of it.
+    Returns the vector; writing into it writes the tensors and back."""
+    flat = np.concatenate([t.data.ravel() for t in tensors])
+    start = 0
+    for t in tensors:
+        stop = start + t.data.size
+        t.data = flat[start:stop].reshape(t.data.shape)
+        start = stop
+    return flat
+
+
+def _flat_vector(tensors):
+    """The vector that `flatten` made for `tensors`: ValueError when their
+    data are not its consecutive slices, in order."""
+    flat = tensors[0].data.base if tensors else None
+    ok = isinstance(flat, np.ndarray) and flat.ndim == 1
+    start = 0
+    for t in tensors:
+        ok = ok and t.data.base is flat and t.data.flags.c_contiguous \
+            and t.data.ctypes.data == flat.ctypes.data + flat.itemsize * start
+        start += t.data.size
+    if not ok or start != flat.size:
+        raise ValueError("parameters are not consecutive views of one flat "
+                         "vector; make them with numcore.flatten")
+    return flat
+
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter Tensors, updated in place."""
+    """Bias-corrected Adam (Kingma and Ba) over parameter Tensors whose data
+    are consecutive views of one flat vector (`flatten`), updated in place.
+
+    A step gathers every gradient into one flat gradient vector and runs
+    the update on whole vectors with in-place ufuncs: the moments `m` and
+    `v`, the gradient and one scratch vector are made once. Each entry
+    gets the per-tensor rule's elementwise ops in its order, so the
+    parameters equal a per-tensor Adam's bit for bit. A parameter without
+    a gradient, or whose data no longer view the vector, is an error."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.flat = _flat_vector(self.params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
+
+    def _gather(self):
+        """Every parameter's gradient, in order, into `self.grad`."""
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise ValueError(f"parameter {i} of shape {p.data.shape} "
+                                 "has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise ValueError("gradient/parameter shape mismatch")
+            if p.data.base is not self.flat:
+                raise ValueError(f"parameter {i} of shape {p.data.shape} "
+                                 "is no longer a view of the flat vector")
+        np.concatenate([p.grad.ravel() for p in self.params], out=self.grad)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._gather()
+        g, a, m, v = self.grad, self._scratch, self.m, self.v
+        # m = beta1·m + (1 - beta1)·g
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, g, out=a)
+        # v = beta2·v + (1 - beta2)·g·g
+        v *= self.beta2
+        np.multiply(1 - self.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # p -= lr·m̂ / (√v̂ + eps); g is free now and holds √v̂ + eps
+        np.divide(m, 1 - self.beta1 ** t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - self.beta2 ** t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        a /= g
+        self.flat -= a
 
     def zero_grad(self):
         for p in self.params:

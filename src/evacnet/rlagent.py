@@ -161,16 +161,21 @@ class ReplayBuffer:
 
 def _mlp(states, weights, biases):
     """The MLP on arrays: the (B, F) input rows, each hidden layer's ReLU
-    output and the Q-values, in order."""
+    output and the Q-values, in order. The ReLU runs in place on the fresh
+    product; max(x, 0) is +0 at x = -0, as x > 0's select is."""
     acts = [np.atleast_2d(np.asarray(states, dtype=float))]
     for k, (w, b) in enumerate(zip(weights, biases)):
         x = acts[-1] @ w + b
-        acts.append(np.where(x > 0, x, 0.0) if k < len(weights) - 1 else x)
+        if k < len(weights) - 1:
+            np.maximum(x, 0.0, out=x)
+        acts.append(x)
     return acts
 
 
 class QNetwork:
-    """MLP (F,) -> 128 -> 128 -> (F,) with ReLU hidden activations."""
+    """MLP (F,) -> 128 -> 128 -> (F,) with ReLU hidden activations. The
+    weights, then the biases, are consecutive views of the one contiguous
+    vector `flat` (`numcore.flatten`)."""
 
     def __init__(self, n_features, hidden=HIDDEN_UNITS, seed=0):
         rng = np.random.default_rng(seed)
@@ -183,6 +188,7 @@ class QNetwork:
                                                    (fan_in, fan_out)),
                                        requires_grad=True))
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        self.flat = nc.flatten(self.trainable())
 
     def trainable(self):
         return self.weights + self.biases
@@ -219,18 +225,16 @@ class QNetwork:
         return loss, td
 
     def copy_from(self, other):
-        for dst, src in zip(self.trainable(), other.trainable()):
-            dst.data = src.data.copy()
+        np.copyto(self.flat, other.flat)
 
     def state_dict(self):
         return {"weights": [w.data.copy() for w in self.weights],
                 "biases": [b.data.copy() for b in self.biases]}
 
     def load_state_dict(self, state):
-        for w, data in zip(self.weights, state["weights"]):
-            w.data = data.copy()
-        for b, data in zip(self.biases, state["biases"]):
-            b.data = data.copy()
+        for p, data in zip(self.trainable(),
+                           state["weights"] + state["biases"]):
+            np.copyto(p.data, data)
 
 
 def select_action(state, online, epsilon, rng, n_actions):

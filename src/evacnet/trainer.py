@@ -394,7 +394,7 @@ def load_checkpoint(path):
                                     modalities=tuple(payload["modalities"]),
                                     seed=cfg.seed + 1)
     for k, tensor in params.tensors.items():
-        tensor.data = payload["params"][k].copy()
+        np.copyto(tensor.data, payload["params"][k])
     return payload, cfg, params
 
 

@@ -447,3 +447,16 @@ def test_forward_gradients_match_finite_differences():
         return dmf.mse_loss(y, [w])
 
     assert nc.finite_diff_check(f, params.trainable()) < 1e-4
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    params = dmf.DmfParameters.init(3, 2, 4, 2, seed=5)
+    copy = params.copy()
+    for p in (params, copy):
+        assert p.flat.size == p.param_count()
+        for t in p.trainable():
+            assert np.shares_memory(t.data, p.flat)
+    assert not np.shares_memory(copy.flat, params.flat)
+    np.testing.assert_array_equal(copy.flat, params.flat)
+    for k, t in params.tensors.items():
+        np.testing.assert_array_equal(copy.tensors[k].data, t.data)

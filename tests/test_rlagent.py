@@ -386,3 +386,64 @@ def test_write_ranking_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,feature_name,mask_count,mask_fraction"
     assert lines[1].startswith("1,x,1,")
+
+
+def test_mlp_relu_matches_select_bit_for_bit():
+    # a product of BLAS never rounds to -0.0, so the hidden pre-activation
+    # comes from a stand-in weight whose product is a given (64, 128) array
+    # holding -0.0, +0.0, negatives and positives; adding the bias -0.0
+    # keeps every entry, -0.0 included
+    class Given:
+        __array_ufunc__ = None  # ndarray @ Given defers to __rmatmul__
+
+        def __rmatmul__(self, rows):
+            return pre.copy()
+
+    rng = np.random.default_rng(21)
+    pre = rng.choice([-0.0, 0.0, -1.5, 2.0, -1e-300, 1e-300], size=(64, 128))
+    assert np.signbit(pre[pre == 0]).any()
+    assert not np.signbit(pre[pre == 0]).all()
+    w2, b2 = rng.normal(size=(128, 3)), np.zeros(3)
+    acts = rlagent._mlp(np.ones((64, 1)), [Given(), w2],
+                        [np.full(128, -0.0), b2])
+    expected = np.where(pre > 0, pre, 0.0)
+    np.testing.assert_array_equal(acts[1], expected)
+    np.testing.assert_array_equal(np.signbit(acts[1]), np.signbit(expected))
+
+
+def _assert_views(net):
+    for t in net.trainable():
+        assert np.shares_memory(t.data, net.flat)
+
+
+def test_q_network_parameters_stay_views_of_flat():
+    net, other = QNetwork(4, hidden=6, seed=1), QNetwork(4, hidden=6, seed=2)
+    _assert_views(net)
+    assert net.flat.size == sum(t.data.size for t in net.trainable())
+    net.copy_from(other)
+    _assert_views(net)
+    np.testing.assert_array_equal(net.flat, other.flat)
+    assert not np.shares_memory(net.flat, other.flat)
+    state = QNetwork(4, hidden=6, seed=3).state_dict()
+    net.load_state_dict(state)
+    _assert_views(net)
+    for t, data in zip(net.trainable(), state["weights"] + state["biases"]):
+        np.testing.assert_array_equal(t.data, data)
+        assert not np.shares_memory(t.data, data)
+
+
+def test_agent_learns_after_load_state_dict():
+    rng = np.random.default_rng(22)
+    source, agent = Agent(4, seed=1), Agent(4, seed=2)
+    agent.load_state_dict(source.state_dict())
+    for net in (agent.online, agent.target):
+        _assert_views(net)
+    for _ in range(8):
+        agent.observe(*make_transition(rng)[:4])
+    loaded = [t.data.copy() for t in agent.online.trainable()]
+    for t, data in zip(agent.online.trainable(), source.online.trainable()):
+        np.testing.assert_array_equal(t.data, data.data)
+    agent.learn()
+    # the update reached every loaded weight tensor
+    for t, before in zip(agent.online.weights, loaded):
+        assert (t.data != before).any()

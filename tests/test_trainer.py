@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evacnet import dataio, dmf, rlagent, synth, trainer
+from evacnet import dataio, dmf, numcore as nc, rlagent, synth, trainer
 from evacnet.synth import Scenario
 from evacnet.trainer import TrainConfig
 
@@ -142,6 +142,15 @@ def test_checkpoint_roundtrip(dataset, tmp_path):
     assert t1["overall"].rmse == t2["overall"].rmse
 
 
+def test_loaded_checkpoint_parameters_are_views_of_flat(dataset, tmp_path):
+    result = trainer.train(tiny_config(epochs=1), dataset)
+    trainer.save_checkpoint(result, dataset, tmp_path / "m")
+    _, _, params = trainer.load_checkpoint(tmp_path / "m")
+    for k, t in params.tensors.items():
+        assert np.shares_memory(t.data, params.flat)
+        np.testing.assert_array_equal(t.data, result.params.tensors[k].data)
+
+
 def test_checkpoint_bytes_deterministic(dataset, tmp_path):
     cfg = tiny_config(variant="rl_dmf", epochs=2)
     for name in ("a", "b"):
@@ -268,3 +277,39 @@ def test_batch_loss_and_gradients_equal_mean_of_windows_static(builtin):
     _assert_batch_is_mean_of_singles(ds, _ragged_s2_batch(ds), ("d",),
                                      static_full=trainer._static_distance_adj(
                                          ds))
+
+
+@pytest.mark.parametrize("variant", trainer.VARIANTS)
+def test_every_step_has_every_gradient(dataset, variant, monkeypatch):
+    # two forecaster steps, so an RL variant's agent also learns once
+    checked = []
+    step = nc.Adam.step
+
+    def checked_step(self):
+        checked.append(all(p.grad is not None for p in self.params))
+        step(self)
+    monkeypatch.setattr(nc.Adam, "step", checked_step)
+    n = len(dataset.train_windows)
+    trainer.train(tiny_config(variant=variant, epochs=1,
+                              batch_size=(n + 1) // 2), dataset)
+    rl = variant in ("rl_dmf", "rl_dgl_distance", "rl_dgl_traveltime")
+    assert checked == [True] * (3 if rl else 2)
+
+
+def test_training_equals_per_tensor_adam(builtin, monkeypatch):
+    from adam_reference import Adam as ReferenceAdam
+
+    cfg = TrainConfig(variant="rl_dmf", epochs=2, seed=0)
+    flat = trainer.train(cfg, builtin["S1"])
+    monkeypatch.setattr(nc, "Adam", ReferenceAdam)
+    ref = trainer.train(cfg, builtin["S1"])
+    for k, t in flat.params.tensors.items():
+        np.testing.assert_array_equal(t.data, ref.params.tensors[k].data)
+    a, b = flat.agent.state_dict(), ref.agent.state_dict()
+    for net in ("online", "target"):
+        for part in ("weights", "biases"):
+            for x, y in zip(a[net][part], b[net][part]):
+                np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a["counts"], b["counts"])
+    assert [a[k] for k in ("total", "schedule_steps", "updates")] \
+        == [b[k] for k in ("total", "schedule_steps", "updates")]
