@@ -1,4 +1,5 @@
-"""One reverse-mode backward pass over fused ops, with an Adam optimizer.
+"""One reverse-mode backward pass over fused ops, with an Adam optimizer
+over a flat parameter vector.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
@@ -8,6 +9,9 @@ loss in `dmf`, the agent's TD loss in `rlagent`) and joins the graph
 through `Tensor.node` with its own hand-written backward. The only
 generic ops left are `*` and `sum`, for tests that weight an op's output
 into a scalar. Everything is float64.
+
+A model's parameter Tensors are views of one contiguous vector
+(`flatten`), and `Adam` updates that vector as a whole, in place.
 """
 
 from __future__ import annotations
@@ -215,9 +219,9 @@ class Adam:
         np.concatenate([p.grad.ravel() for p in self.params], out=self.grad)
 
     def step(self):
+        self._gather()
         self.step_count += 1
         t = self.step_count
-        self._gather()
         g, a, m, v = self.grad, self._scratch, self.m, self.v
         # m = beta1·m + (1 - beta1)·g
         m *= self.beta1

@@ -394,7 +394,12 @@ def load_checkpoint(path):
                                     modalities=tuple(payload["modalities"]),
                                     seed=cfg.seed + 1)
     for k, tensor in params.tensors.items():
-        np.copyto(tensor.data, payload["params"][k])
+        saved = payload["params"][k]
+        # copyto would broadcast a smaller array over the parameter
+        if np.shape(saved) != tensor.shape:
+            raise ValueError(f"{path}: parameter {k} has shape "
+                             f"{np.shape(saved)}, expected {tensor.shape}")
+        np.copyto(tensor.data, saved)
     return payload, cfg, params
 
 

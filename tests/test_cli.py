@@ -242,6 +242,19 @@ def test_other_checkpoint_version_is_user_error(command, corpus, trained,
     assert f"version {trainer.CHECKPOINT_VERSION}" in caplog.text
 
 
+def test_checkpoint_parameter_of_another_shape_is_user_error(corpus, trained,
+                                                             tmp_path,
+                                                             caplog):
+    with open(trained / "model.ckpt", "rb") as fh:
+        params = pickle.load(fh)["params"]
+    ckpt = tmp_path / "bias.ckpt"
+    _rewrite_checkpoint(trained, ckpt,
+                        params={**params, "b_lstm": params["b_lstm"][:1]})
+    assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
+                     str(corpus), "--out", str(tmp_path)]) == 1
+    assert "parameter b_lstm has shape (1,)" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["evaluate", "rank-features"])
 def test_non_checkpoint_file_is_user_error(command, corpus, tmp_path,
                                           caplog):

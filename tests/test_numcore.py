@@ -192,6 +192,7 @@ def test_adam_missing_gradient_rejected():
     with pytest.raises(ValueError, match=r"parameter 1 of shape \(4,\)"):
         opt.step()
     np.testing.assert_array_equal(flat, 1.0)  # nothing was updated
+    assert opt.step_count == 0
 
 
 def test_adam_rejects_parameters_off_the_flat_vector():
