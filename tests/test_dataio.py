@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -395,3 +396,112 @@ def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
                 np.testing.assert_array_equal(
                     read.setdefault((a + step, i), rows[step, :, k]),
                     rows[step, :, k])
+
+
+# ---- malformed corpora: the loader's error contract ----
+
+NUMERIC = range(2, len(dataio.RECORD_COLUMNS))  # flow onwards
+
+
+@pytest.fixture(scope="module")
+def s1_corpus(tmp_path_factory):
+    """The built-in S1 corpus's files and records lines, and a config for
+    a one-epoch training small enough to run per example."""
+    work = tmp_path_factory.mktemp("mutated")
+    meta, records, _ = synth.generate(synth.builtin_scenarios()["S1"],
+                                      work / "corpus")
+    config = work / "config.json"
+    config.write_text('{"epochs": 1, "hidden": 4, "l": 2, "p": 1, '
+                      '"batch_size": 64}', encoding="utf-8")
+    return work, meta, records.read_text(encoding="utf-8").splitlines(), \
+        config
+
+
+def _set_field(line, column, value):
+    fields = line.split(",")
+    fields[column] = value
+    return ",".join(fields)
+
+
+MUTATIONS = ("text", "empty", "nonfinite", "negative", "field_count",
+             "duplicate", "offset", "far_year", "crlf", "bom", "truncated")
+
+
+@st.composite
+def mutations(draw, kind, lines):
+    """(lines, the file line that changed, whether the file ends with a
+    newline) after one change of `kind` to one line of a valid records
+    file's `lines`, header included."""
+    lines = list(lines)
+    i = draw(st.integers(1, len(lines) - 1))  # a data line, 0-based
+    line = lines[i]
+    if kind == "text":
+        text = draw(st.text(alphabet="abcxyz.-_ ", min_size=1, max_size=5))
+        lines[i] = _set_field(line, draw(st.sampled_from(NUMERIC)), text)
+    elif kind == "empty":
+        lines[i] = _set_field(
+            line, draw(st.integers(0, len(dataio.RECORD_COLUMNS) - 1)), "")
+    elif kind == "nonfinite":
+        lines[i] = _set_field(line, draw(st.sampled_from(NUMERIC)),
+                              draw(st.sampled_from(["nan", "NaN", "inf",
+                                                    "-inf", "Infinity",
+                                                    "+inf"])))
+    elif kind == "negative":
+        lines[i] = _set_field(line, draw(st.sampled_from(NUMERIC)),
+                              draw(st.sampled_from(["-1", "-0.5", "-250"])))
+    elif kind == "field_count":
+        fields = line.split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        if draw(st.booleans()):
+            fields.pop(column)
+        else:
+            fields.insert(column, "0")
+        lines[i] = ",".join(fields)
+    elif kind == "duplicate":  # a copy of line i right after it
+        lines.insert(i + 1, line)
+        i += 1
+    elif kind == "offset":
+        lines[i] = _set_field(line, 1, line.split(",")[1] + draw(
+            st.sampled_from(["Z", "+00:00", "-05:00", "+05:30"])))
+    elif kind == "far_year":
+        year = draw(st.sampled_from(["2999", "9999"]))
+        lines[i] = _set_field(line, 1, year + line.split(",")[1][4:])
+    elif kind == "crlf":  # this line, or every line
+        if draw(st.booleans()):
+            lines[i] += "\r"
+        else:
+            lines = [ln + "\r" for ln in lines]
+    elif kind == "bom":
+        lines[i] = "\ufeff" + line
+    elif kind == "truncated":  # the last line, without its newline
+        i = len(lines) - 1
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    return lines, i + 1, kind != "truncated"
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_mutated_line_loads_or_is_named(s1_corpus, kind, data):
+    """One malformed line of a valid S1 records file either loads, or is a
+    SchemaError naming that line (or a ShortSpanError); `evacnet train`
+    then exits 0 or 1, never 2 (an internal error)."""
+    from evacnet import cli
+    work, meta, lines, config = s1_corpus
+    lines, line_no, final_newline = data.draw(mutations(kind, lines))
+    corpus = work / "data"
+    corpus.mkdir(exist_ok=True)
+    (corpus / "meta.csv").write_bytes(meta.read_bytes())
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    (corpus / "records.csv").write_text(text, encoding="utf-8", newline="")
+    try:
+        dataio.prepare(corpus / "meta.csv", corpus / "records.csv", l=2, p=1)
+        expected = 0
+    except SchemaError as exc:
+        assert re.search(rf"\bline {line_no}\b", str(exc)), str(exc)
+        expected = 1
+    except dataio.ShortSpanError:
+        expected = 1
+    assert cli.main(["train", "--data", str(corpus), "--config", str(config),
+                     "--out", str(work / "out"), "--log-level", "ERROR"]) \
+        == expected
