@@ -1,6 +1,9 @@
 """Detector CSV ingestion, feature engineering, normalization and
 sliding-window slicing.
 
+The records file is read once into columns (`RecordColumns`) and checked
+column by column; the meta file, about one row per detector, row by row.
+
 Input schema (both files UTF-8 with a header row):
   meta:    detector_id,highway,milepost,lanes,lat,lon
   records: detector_id,timestamp_iso8601,flow,speed,incident_flag,
@@ -15,9 +18,13 @@ Empty record fields mean missing.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import operator
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -80,18 +87,47 @@ class DetectorMeta:
 
 
 @dataclass
-class HourlyRecord:
-    detector_id: str
-    timestamp: datetime
-    flow: float | None
-    speed: float | None
-    exog: dict  # remaining passthrough columns, None where missing
+class RecordColumns:
+    """The records file as columns, one entry per data row in file order."""
+    detector: np.ndarray  # (n,) index into the sorted detector ids
+    hour: np.ndarray  # (n,) datetime64[h]: the timestamp truncated to its hour
+    values: np.ndarray  # (n, 2 + exogenous) RECORD_COLUMNS[2:], nan if empty
 
 
-def _parse_float(value, line_no, column, allow_missing=True):
+# Exogenous record columns whose values may not be negative.
+NON_NEGATIVE_COLUMNS = frozenset(
+    {*INCIDENT_COLUMNS, "cum_pop_under_orders", "dist_evac_zone_mi",
+     "dist_landfall_mi", "hrs_after_order"})
+
+# Why a cell is unusable, 0 where it is usable (`_parse_column` and
+# `_parse_hours`).
+NOT_A_NUMBER, NOT_FINITE = 1, 2
+NOT_A_TIMESTAMP, HAS_UTC_OFFSET = 1, 2
+
+
+def _read_rows(path, columns, name):
+    """The rows after the header of a CSV whose header must be `columns`,
+    as lists of strings. Undecodable bytes and fields over the csv
+    module's size limit are schema errors that name their line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"line {line_no}: byte 0x{raw[exc.start]:02x} is "
+                          f"not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != list(columns):
+            raise SchemaError(f"{name} header mismatch: expected "
+                              + ",".join(columns))
+        return list(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_float(value, line_no, column):
     if value == "":
-        if allow_missing:
-            return None
         raise SchemaError(f"line {line_no}: column {column} must not be empty")
     try:
         out = float(value)
@@ -103,103 +139,178 @@ def _parse_float(value, line_no, column, allow_missing=True):
     return out
 
 
+def _load_meta(path):
+    metas = {}
+    seen_positions = set()
+    for line_no, row in enumerate(_read_rows(path, META_COLUMNS, "meta"),
+                                  start=2):
+        if len(row) != len(META_COLUMNS):
+            raise SchemaError(f"line {line_no}: expected "
+                              f"{len(META_COLUMNS)} fields, got {len(row)}")
+        det, highway = row[0], row[1]
+        if highway not in HIGHWAYS:
+            raise SchemaError(f"line {line_no}: unknown highway "
+                              f"{highway!r} (expected one of {HIGHWAYS})")
+        milepost = _parse_float(row[2], line_no, "milepost")
+        lanes = _parse_float(row[3], line_no, "lanes")
+        if milepost < 0:
+            raise SchemaError(f"line {line_no}: milepost must be >= 0")
+        if lanes < 1 or lanes != int(lanes):
+            raise SchemaError(f"line {line_no}: lanes must be a positive "
+                              f"integer")
+        if det in metas:
+            raise SchemaError(f"line {line_no}: duplicate detector id {det}")
+        if (highway, milepost) in seen_positions:
+            raise SchemaError(f"line {line_no}: duplicate (highway, "
+                              f"milepost) = ({highway}, {milepost})")
+        seen_positions.add((highway, milepost))
+        metas[det] = DetectorMeta(det, highway, milepost, int(lanes),
+                                  _parse_float(row[4], line_no, "lat"),
+                                  _parse_float(row[5], line_no, "lon"))
+    return metas
+
+
+def _parse_column(texts):
+    """(values, status) of one numeric column: float() of each text, nan
+    where it is empty; status 0 where the cell is usable, else
+    NOT_A_NUMBER or NOT_FINITE."""
+    n = len(texts)
+    empty = bad = np.zeros(n, bool)
+    try:
+        values = np.fromiter(map(float, texts), float, n)
+    except ValueError:  # empty cells, or text that is not a number
+        empty = np.fromiter(map(operator.not_, texts), bool, n)
+        texts = list(texts)
+        for k in np.flatnonzero(empty):
+            texts[k] = "nan"
+        try:
+            values = np.fromiter(map(float, texts), float, n)
+        except ValueError:  # some text is not a number: find it
+            values = np.full(n, np.nan)
+            bad = np.zeros(n, bool)
+            for k, text in enumerate(texts):
+                try:
+                    values[k] = float(text)
+                except ValueError:
+                    bad[k] = True
+    status = np.where(np.isfinite(values) | empty, 0, NOT_FINITE)
+    status[bad] = NOT_A_NUMBER
+    return values, status
+
+
+def _parse_hours(texts):
+    """(hour, status) per timestamp text, each distinct text parsed once:
+    the hour it falls in, and status 0, NOT_A_TIMESTAMP or
+    HAS_UTC_OFFSET."""
+    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    hour = np.zeros(len(index), "datetime64[h]")
+    status = np.zeros(len(index), np.int8)
+    for text, k in index.items():
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            status[k] = NOT_A_TIMESTAMP
+            continue
+        if ts.tzinfo is not None:
+            status[k] = HAS_UTC_OFFSET
+        else:
+            hour[k] = ts.replace(minute=0, second=0, microsecond=0)
+    which = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+    return hour[which], status[which]
+
+
+def _load_records(path, detector_ids):
+    """The records file as `RecordColumns`. Every check runs over whole
+    columns; when one fails, the error names the first failing line, and
+    of the checks failing there the one that comes first in this order:
+    field count, detector id, timestamp, UTC offset, duplicate, flow,
+    speed, the signs of flow and speed, then each exogenous column. Only
+    a file that passes them all has its time span checked."""
+    rows = _read_rows(path, RECORD_COLUMNS, "records")
+    failures = []  # (row, message) of each failed check's first row
+
+    def check(bad, message):
+        if bad.any():
+            k = int(bad.argmax())
+            failures.append((k, message(k)))
+
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    check(width != len(RECORD_COLUMNS),
+          lambda k: f"expected {len(RECORD_COLUMNS)} fields, got {width[k]}")
+    if failures:  # every later check sees the rows before it only
+        rows = rows[:failures[0][0]]
+    n = len(rows)
+    cols = list(zip(*rows)) or [()] * len(RECORD_COLUMNS)
+    del rows
+
+    index = {d: k for k, d in enumerate(detector_ids)}
+    detector = np.fromiter(map(index.get, cols[0], repeat(-1)), np.intp, n)
+    check(detector < 0, lambda k: f"unknown detector id {cols[0][k]}")
+    hour, status = _parse_hours(cols[1])
+    check(status == NOT_A_TIMESTAMP,
+          lambda k: f"bad timestamp {cols[1][k]!r}")
+    check(status == HAS_UTC_OFFSET,
+          lambda k: f"timestamp {cols[1][k]!r} carries a UTC offset; "
+                    f"timestamps are local clock hours without one")
+    keyed = np.flatnonzero((detector >= 0) & (status == 0))
+    if keyed.size:
+        offset = (hour[keyed] - hour[keyed].min()).astype(np.int64)
+        _, first = np.unique(detector[keyed] * (offset.max() + 1) + offset,
+                             return_index=True)
+        repeated = np.zeros(n, bool)
+        repeated[keyed] = True
+        repeated[keyed[first]] = False
+        check(repeated, lambda k: f"duplicate (detector, timestamp) = "
+                                  f"({cols[0][k]}, "
+                                  f"{hour[k].item().isoformat()})")
+
+    numeric = RECORD_COLUMNS[2:]
+    values = np.empty((n, len(numeric)))
+    statuses = []
+    for j, column in enumerate(numeric):
+        values[:, j], cell_status = _parse_column(cols[j + 2])
+        statuses.append(cell_status)
+
+    def check_parsed(j):
+        check(statuses[j] != 0, lambda k: (
+            f"column {numeric[j]} is not a number: {cols[j + 2][k]!r}"
+            if statuses[j][k] == NOT_A_NUMBER
+            else f"column {numeric[j]} is not finite"))
+
+    check_parsed(0)
+    check_parsed(1)
+    check(values[:, 0] < 0, lambda k: "negative flow")
+    check(values[:, 1] < 0, lambda k: "negative speed")
+    for j in range(2, len(numeric)):
+        check_parsed(j)
+        if numeric[j] in NON_NEGATIVE_COLUMNS:
+            check(values[:, j] < 0,
+                  lambda k: f"column {numeric[j]} must be non-negative")
+    if failures:
+        k, message = min(failures, key=lambda f: f[0])  # ties: check order
+        raise SchemaError(f"line {k + 2}: {message}")
+
+    if n:
+        first = int(hour.argmin())  # of the earliest hour, the first line
+        last = n - 1 - int(hour[::-1].argmax())  # of the latest, the last
+        if (hour[last] - hour[first]).astype(np.int64) >= MAX_SPAN_HOURS:
+            raise SchemaError(f"records from line {first + 2} "
+                              f"({hour[first].item()}) to line {last + 2} "
+                              f"({hour[last].item()}) span more than "
+                              f"{MAX_SPAN_HOURS} hours")
+    return RecordColumns(detector=detector, hour=hour, values=values)
+
+
 def load_csv(meta_path, records_path):
     """Parse and validate both CSVs.
 
-    Returns (metas, records): detector_id -> DetectorMeta and a list of
-    HourlyRecord sorted by (detector_id, timestamp).
+    Returns (metas, columns): detector_id -> DetectorMeta, and the records
+    as `RecordColumns` in file order, detectors indexed in sorted id
+    order. The meta file is read row by row; the records file is read
+    once and checked column by column.
     """
-    metas = {}
-    seen_positions = set()
-    with open(meta_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(META_COLUMNS):
-            raise SchemaError(f"meta header mismatch: expected "
-                              f"{','.join(META_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(META_COLUMNS):
-                raise SchemaError(f"line {line_no}: expected "
-                                  f"{len(META_COLUMNS)} fields, got {len(row)}")
-            det, highway = row[0], row[1]
-            if highway not in HIGHWAYS:
-                raise SchemaError(f"line {line_no}: unknown highway "
-                                  f"{highway!r} (expected one of {HIGHWAYS})")
-            milepost = _parse_float(row[2], line_no, "milepost", False)
-            lanes = _parse_float(row[3], line_no, "lanes", False)
-            if milepost < 0:
-                raise SchemaError(f"line {line_no}: milepost must be >= 0")
-            if lanes < 1 or lanes != int(lanes):
-                raise SchemaError(f"line {line_no}: lanes must be a positive "
-                                  f"integer")
-            if det in metas:
-                raise SchemaError(f"line {line_no}: duplicate detector id {det}")
-            if (highway, milepost) in seen_positions:
-                raise SchemaError(f"line {line_no}: duplicate (highway, "
-                                  f"milepost) = ({highway}, {milepost})")
-            seen_positions.add((highway, milepost))
-            metas[det] = DetectorMeta(det, highway, milepost, int(lanes),
-                                      _parse_float(row[4], line_no, "lat", False),
-                                      _parse_float(row[5], line_no, "lon", False))
-
-    records = []
-    seen_keys = set()
-    first = last = None  # (timestamp, line) of the earliest/latest record
-    with open(records_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_COLUMNS):
-            raise SchemaError("records header mismatch: expected "
-                              + ",".join(RECORD_COLUMNS))
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(RECORD_COLUMNS):
-                raise SchemaError(f"line {line_no}: expected "
-                                  f"{len(RECORD_COLUMNS)} fields, got "
-                                  f"{len(row)}")
-            det = row[0]
-            if det not in metas:
-                raise SchemaError(f"line {line_no}: unknown detector id {det}")
-            try:
-                ts = datetime.fromisoformat(row[1])
-            except ValueError:
-                raise SchemaError(f"line {line_no}: bad timestamp "
-                                  f"{row[1]!r}") from None
-            if ts.tzinfo is not None:
-                raise SchemaError(f"line {line_no}: timestamp {row[1]!r} "
-                                  f"carries a UTC offset; timestamps are "
-                                  f"local clock hours without one")
-            ts = ts.replace(minute=0, second=0, microsecond=0)
-            key = (det, ts)
-            if key in seen_keys:
-                raise SchemaError(f"line {line_no}: duplicate (detector, "
-                                  f"timestamp) = ({det}, {ts.isoformat()})")
-            seen_keys.add(key)
-            first = min(first or (ts, line_no), (ts, line_no))
-            last = max(last or (ts, line_no), (ts, line_no))
-            flow = _parse_float(row[2], line_no, "flow")
-            speed = _parse_float(row[3], line_no, "speed")
-            if flow is not None and flow < 0:
-                raise SchemaError(f"line {line_no}: negative flow")
-            if speed is not None and speed < 0:
-                raise SchemaError(f"line {line_no}: negative speed")
-            exog = {}
-            for col, value in zip(RECORD_COLUMNS[4:], row[4:]):
-                parsed = _parse_float(value, line_no, col)
-                if parsed is not None and parsed < 0 and col in (
-                        *INCIDENT_COLUMNS, "cum_pop_under_orders",
-                        "dist_evac_zone_mi", "dist_landfall_mi",
-                        "hrs_after_order"):
-                    raise SchemaError(f"line {line_no}: column {col} must be "
-                                      f"non-negative")
-                exog[col] = parsed
-            records.append(HourlyRecord(det, ts, flow, speed, exog))
-
-    if first and last[0] - first[0] >= timedelta(hours=MAX_SPAN_HOURS):
-        raise SchemaError(f"records from line {first[1]} ({first[0]}) to "
-                          f"line {last[1]} ({last[0]}) span more than "
-                          f"{MAX_SPAN_HOURS} hours")
-    records.sort(key=lambda r: (r.detector_id, r.timestamp))
-    return metas, records
+    metas = _load_meta(meta_path)
+    return metas, _load_records(records_path, sorted(metas))
 
 
 # ---- feature engineering ----
@@ -252,30 +363,28 @@ def _moments(x, axis):
     return mean, np.sqrt(var)
 
 
-def engineer_features(records, metas):
-    """Derive the per-(detector, hour) temporal/spatial feature arrays.
+def engineer_features(columns, metas):
+    """Derive the per-(detector, hour) temporal/spatial feature arrays
+    from the `RecordColumns` of `load_csv`.
 
-    Records are written into one (detector, hour, column) block at once;
-    exogenous columns carry their last value forward through gaps; the
-    previous-day and previous-period (same hour, earlier days) flow
-    statistics are grouped reductions over a (detector, day, hour of
-    day) grid that starts at midnight of the first day.
+    The record values are written into one (detector, hour, column) block
+    in a single indexed assignment; exogenous columns carry their last
+    value forward through gaps; the previous-day and previous-period (same
+    hour, earlier days) flow statistics are grouped reductions over a
+    (detector, day, hour of day) grid that starts at midnight of the first
+    day.
     """
-    if not records:
-        raise ValueError("no records")
-    t0 = min(r.timestamp for r in records)
-    hour = timedelta(hours=1)
-    n_hours = (max(r.timestamp for r in records) - t0) // hour + 1
-    hours = np.datetime64(t0, "h") + np.arange(n_hours)
+    if not len(columns.hour):
+        raise ShortSpanError("no records, so the data span 0 hours")
+    t0 = columns.hour.min()
+    n_hours = int((columns.hour.max() - t0).astype(np.int64)) + 1
+    hours = t0 + np.arange(n_hours)
     detector_ids = sorted(metas)
-    det_index = {d: k for k, d in enumerate(detector_ids)}
     n_det = len(detector_ids)
     exog_cols = RECORD_COLUMNS[4:]
     values = np.full((n_det, n_hours, 2 + len(exog_cols)), np.nan)
-    values[[det_index[r.detector_id] for r in records],
-           [(r.timestamp - t0) // hour for r in records]] = np.array(
-        [(r.flow, r.speed, *map(r.exog.get, exog_cols)) for r in records],
-        dtype=float)  # None -> nan
+    values[columns.detector, (columns.hour - t0).astype(np.intp)] = (
+        columns.values)
     flow = _interpolate_short_gaps(values[:, :, 0].copy())
     speed = _interpolate_short_gaps(values[:, :, 1].copy())
     # exogenous context carries forward through short detector gaps: each
@@ -411,7 +520,8 @@ def split_and_fit(data, train_frac=0.9):
     n_hours = len(data.timeline)
     train_end = int(n_hours * train_frac)
     if train_end < 1 or train_end >= n_hours:
-        raise ValueError("split produces an empty train or validation set")
+        raise ShortSpanError(f"a split of {n_hours} hours produces an empty "
+                             f"train or validation set")
 
     mask = data.active[:, :train_end]
     f_t = len(TEMPORAL_FEATURES)
@@ -541,8 +651,8 @@ class Dataset:
 
 
 def prepare(meta_path, records_path, l=6, p=6, train_frac=0.9):
-    metas, records = load_csv(meta_path, records_path)
-    data = engineer_features(records, metas)
+    metas, columns = load_csv(meta_path, records_path)
+    data = engineer_features(columns, metas)
     train_end, norm, target_norm = split_and_fit(data, train_frac)
     table = input_table(data, norm)
     train = make_windows(data, table, target_norm, l, p, 0, train_end)

@@ -1,14 +1,33 @@
 """Reference oracle for `dataio.engineer_features`: the per-(detector,
 hour) loop implementation it replaced, kept verbatim so the array version
-can be checked against it. Only the imports differ."""
+can be checked against it. Only the imports differ. It reads record-like
+rows; `as_records` makes them from the columns `dataio.load_csv`
+returns."""
 
+import math
 from datetime import timedelta
+from types import SimpleNamespace
 
 import numpy as np
 
 from evacnet.dataio import (EVAC_TEMPORAL_COLUMNS, INCIDENT_COLUMNS,
                             MAX_INTERP_GAP, RECORD_COLUMNS, SPATIAL_FEATURES,
                             TEMPORAL_FEATURES, EngineeredData)
+
+
+def as_records(columns, metas):
+    """One row per record of `columns` (`dataio.RecordColumns`), in file
+    order: detector_id, timestamp (a datetime), flow, speed and an exog
+    dict of the other columns, None where a value is missing."""
+    detector_ids = sorted(metas)
+    rows = []
+    for det, hour, values in zip(columns.detector, columns.hour.tolist(),
+                                 columns.values.tolist()):
+        flow, speed, *exog = [None if math.isnan(v) else v for v in values]
+        rows.append(SimpleNamespace(
+            detector_id=detector_ids[det], timestamp=hour, flow=flow,
+            speed=speed, exog=dict(zip(RECORD_COLUMNS[4:], exog))))
+    return rows
 
 
 def _interpolate_short_gaps(values, max_gap=MAX_INTERP_GAP):

@@ -168,6 +168,41 @@ def test_train_timeline_span_cap_is_user_error(corpus, tmp_path, caplog):
     assert "to line 7" in caplog.text
 
 
+@pytest.mark.parametrize("n_lines", [1, 5], ids=["header-only", "one-hour"])
+def test_train_too_short_corpus_is_user_error(corpus, tmp_path, caplog,
+                                              n_lines):
+    # the records file's header, then the first hour of each of the four
+    # detectors, which the corpus writes 72 lines apart
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "meta.csv").write_bytes((corpus / "meta.csv").read_bytes())
+    lines = (corpus / "records.csv").read_text().splitlines(keepends=True)
+    keep = [lines[0]] + lines[1::72][:n_lines - 1]
+    (data / "records.csv").write_text("".join(keep), encoding="utf-8")
+    assert cli.main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "invalid input data" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["meta.csv", "records.csv"])
+@pytest.mark.parametrize("fault, message", [
+    (b"\xff", "line 3: byte 0xff is not UTF-8"),
+    (b"x" * 200_000, "line 3: field larger than field limit"),
+], ids=["undecodable", "oversized"])
+def test_train_bad_bytes_is_user_error(corpus, tmp_path, caplog, name, fault,
+                                       message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for other in ("meta.csv", "records.csv"):
+        (data / other).write_bytes((corpus / other).read_bytes())
+    lines = (data / name).read_bytes().split(b"\n")
+    lines[2] = fault + lines[2]  # file line 3
+    (data / name).write_bytes(b"\n".join(lines))
+    assert cli.main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert message in caplog.text
+
+
 def test_train_unknown_config_field(corpus, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimizer": "sgd"}), encoding="utf-8")

@@ -10,6 +10,9 @@ from evacnet import dataio, graphs, rlagent, synth
 from evacnet.dataio import (INPUT_MODALITIES, SchemaError, engineer_features,
                             input_table, load_csv, make_windows, split_and_fit)
 
+import loader_reference
+from features_reference import as_records
+
 T0 = datetime(2024, 10, 1, 0)
 
 META_HEADER = "detector_id,highway,milepost,lanes,lat,lon"
@@ -49,11 +52,83 @@ def csv_pair(tmp_path):
 def test_load_well_formed(csv_pair):
     meta, recs = csv_pair
     write_records(recs, 48, lambda d, h: 100.0)
-    metas, records = load_csv(meta, recs)
+    metas, columns = load_csv(meta, recs)
     assert set(metas) == {"det_a", "det_b"}
-    assert len(records) == 96
-    assert records == sorted(records,
-                             key=lambda r: (r.detector_id, r.timestamp))
+    assert columns.values.shape == (96, len(dataio.RECORD_COLUMNS) - 2)
+    # file order: det_a's 48 hours, then det_b's
+    np.testing.assert_array_equal(columns.detector, np.repeat([0, 1], 48))
+    np.testing.assert_array_equal(
+        columns.hour, np.datetime64(T0, "h") + np.tile(np.arange(48), 2))
+    assert (columns.values[:, 0] == 100.0).all()
+
+
+def test_values_are_float_of_each_cell(tmp_path):
+    """Each loaded value is float() of its cell, nan where the cell is
+    empty, in file order (S2 has empty flow and speed cells)."""
+    meta, recs, _ = synth.generate(synth.builtin_scenarios()["S2"], tmp_path)
+    metas, columns = load_csv(meta, recs)
+    rows = [line.split(",") for line in recs.read_text().splitlines()[1:]]
+    detector_ids = sorted(metas)
+    assert [detector_ids[k] for k in columns.detector] == [r[0] for r in rows]
+    assert columns.hour.tolist() == [datetime.fromisoformat(r[1])
+                                     for r in rows]
+    expected = np.array([[float(v) if v else np.nan for v in r[2:]]
+                         for r in rows])
+    assert np.isnan(expected).any()
+    assert columns.values.tobytes() == expected.tobytes()
+
+
+def test_first_failing_line_wins_then_check_order(csv_pair):
+    meta, recs = csv_pair
+    rows = [record_row("det_a", T0, 100.0),
+            record_row("det_a", T0 + timedelta(hours=1), -5.0, "fast"),
+            record_row("nope", T0 + timedelta(hours=2), 100.0)]
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    # line 3 fails the speed and the flow sign checks, and speed is first
+    with pytest.raises(SchemaError,
+                       match="^line 3: column speed is not a number: 'fast'$"):
+        load_csv(meta, recs)
+
+
+def test_span_error_names_first_earliest_and_last_latest_line(csv_pair):
+    meta, recs = csv_pair
+    far = T0.replace(year=2999)
+    rows = [record_row("det_a", T0, 1.0), record_row("det_b", T0, 1.0),
+            record_row("det_a", far, 1.0), record_row("det_b", far, 1.0)]
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^records from line 2 \(2024-10-01 "
+                       r"00:00:00\) to line 5 \(2999-10-01 00:00:00\) span"):
+        load_csv(meta, recs)
+
+
+def test_header_only_records_is_short_span(csv_pair):
+    meta, recs = csv_pair
+    recs.write_text(REC_HEADER + "\n")
+    with pytest.raises(dataio.ShortSpanError, match="no records"):
+        dataio.prepare(meta, recs)
+
+
+def test_one_hour_of_records_is_short_span(csv_pair):
+    meta, recs = csv_pair
+    write_records(recs, 1, lambda d, h: 100.0)
+    with pytest.raises(dataio.ShortSpanError, match="split of 1 hours"):
+        dataio.prepare(meta, recs)
+
+
+@pytest.mark.parametrize("which", ["meta", "records"])
+@pytest.mark.parametrize("fault, pattern", [
+    (b"\xff", "^line 3: byte 0xff is not UTF-8$"),
+    (b"x" * (131072 + 1), "^line 3: field larger than field limit"),
+], ids=["undecodable", "oversized"])
+def test_bad_bytes_name_their_line(csv_pair, which, fault, pattern):
+    meta, recs = csv_pair
+    write_records(recs, 48, lambda d, h: 100.0)
+    path = {"meta": meta, "records": recs}[which]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = fault + lines[2]  # file line 3
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemaError, match=pattern):
+        load_csv(meta, recs)
 
 
 def test_negative_flow_names_line(csv_pair):
@@ -417,8 +492,14 @@ def s1_corpus(tmp_path_factory):
         config
 
 
+def _field(line, column):
+    fields = line.split(",")
+    return fields[column] if column < len(fields) else ""
+
+
 def _set_field(line, column, value):
     fields = line.split(",")
+    fields += [""] * (column + 1 - len(fields))
     fields[column] = value
     return ",".join(fields)
 
@@ -461,11 +542,11 @@ def mutations(draw, kind, lines):
         lines.insert(i + 1, line)
         i += 1
     elif kind == "offset":
-        lines[i] = _set_field(line, 1, line.split(",")[1] + draw(
+        lines[i] = _set_field(line, 1, _field(line, 1) + draw(
             st.sampled_from(["Z", "+00:00", "-05:00", "+05:30"])))
     elif kind == "far_year":
         year = draw(st.sampled_from(["2999", "9999"]))
-        lines[i] = _set_field(line, 1, year + line.split(",")[1][4:])
+        lines[i] = _set_field(line, 1, year + _field(line, 1)[4:])
     elif kind == "crlf":  # this line, or every line
         if draw(st.booleans()):
             lines[i] += "\r"
@@ -475,7 +556,7 @@ def mutations(draw, kind, lines):
         lines[i] = "\ufeff" + line
     elif kind == "truncated":  # the last line, without its newline
         i = len(lines) - 1
-        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+        lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
     return lines, i + 1, kind != "truncated"
 
 
@@ -505,3 +586,43 @@ def test_mutated_line_loads_or_is_named(s1_corpus, kind, data):
     assert cli.main(["train", "--data", str(corpus), "--config", str(config),
                      "--out", str(work / "out"), "--log-level", "ERROR"]) \
         == expected
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Two detectors' 30 hours: the meta file, the loaded metas and the
+    records lines."""
+    work = tmp_path_factory.mktemp("small")
+    meta, recs = work / "meta.csv", work / "records.csv"
+    write_meta(meta)
+    write_records(recs, 30, lambda d, h: 100.0 + h)
+    metas, _ = load_csv(meta, recs)
+    return work, meta, metas, recs.read_text().splitlines()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
+    """With up to three malformed lines, the columnar loader raises the
+    row-wise loader's SchemaError, message for message, or reads the same
+    records."""
+    work, meta, metas, lines = small_corpus
+    final_newline = True
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
+                                   max_size=3)):
+        lines, _, keeps_newline = data.draw(mutations(kind, lines))
+        final_newline &= keeps_newline
+    recs = work / "mutated.csv"
+    recs.write_text("\n".join(lines) + ("\n" if final_newline else ""),
+                    encoding="utf-8", newline="")
+    try:
+        expected = loader_reference.load_records(recs, metas)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            load_csv(meta, recs)
+        assert str(got.value) == str(exc)
+        return
+    _, columns = load_csv(meta, recs)
+    records = as_records(columns, metas)
+    assert sorted(records, key=lambda r: (r.detector_id, r.timestamp)) == \
+        expected

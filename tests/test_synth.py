@@ -4,6 +4,14 @@ import pytest
 from evacnet import dataio, synth
 from evacnet.synth import Scenario, builtin_scenarios, generate
 
+from features_reference import as_records
+
+
+def load_records(meta, records):
+    """The loaded records as rows, in file order."""
+    metas, columns = dataio.load_csv(meta, records)
+    return as_records(columns, metas)
+
 
 def test_builtin_names_and_seeds_frozen():
     scens = builtin_scenarios()
@@ -36,8 +44,7 @@ def test_generated_files_pass_ingestion(tmp_path):
 
 def test_flow_and_speed_bounds(tmp_path):
     meta, records, _ = generate(builtin_scenarios()["S1"], tmp_path)
-    metas, recs = dataio.load_csv(meta, records)
-    for r in recs:
+    for r in load_records(meta, records):
         if r.flow is not None:
             assert r.flow >= 0
         if r.speed is not None:
@@ -48,9 +55,8 @@ def test_zero_surge_zero_noise_flow_equals_diurnal(tmp_path):
     scen = Scenario(name="flat", seed=1, noise_std=0.0,
                     surge_peak_multiplier=1.0, incident_rate_per_hour=0.0)
     _, records, _ = generate(scen, tmp_path)
-    _, recs = dataio.load_csv(tmp_path / "meta.csv", records)
     by_hour = {}
-    for r in recs:
+    for r in load_records(tmp_path / "meta.csv", records):
         if r.detector_id == "I75_000":
             by_hour[r.timestamp.hour] = r.flow
     for hod, flow in by_hour.items():
@@ -70,8 +76,8 @@ def test_incident_slows_traffic(tmp_path):
                         incident_rate_per_hour=0.05,
                         incident_capacity_drop=0.5)
     _, records_inc, _ = generate(scen_inc, tmp_path / "inc")
-    _, clean = dataio.load_csv(tmp_path / "clean" / "meta.csv", records_clean)
-    _, inc = dataio.load_csv(tmp_path / "inc" / "meta.csv", records_inc)
+    clean = load_records(tmp_path / "clean" / "meta.csv", records_clean)
+    inc = load_records(tmp_path / "inc" / "meta.csv", records_inc)
     speeds_clean = {(r.detector_id, r.timestamp): r.speed for r in clean}
     slowed = [r for r in inc if r.exog["incident_flag"] == 1]
     assert slowed, "scenario produced no incidents"
@@ -87,7 +93,7 @@ def test_s1_surge_mean_exceeds_nonevac(tmp_path):
 def test_s2_has_outage_across_window_boundary(tmp_path):
     _, records, notes = generate(builtin_scenarios()["S2"], tmp_path)
     assert notes["n_outage_hours"] > 0
-    _, recs = dataio.load_csv(tmp_path / "meta.csv", records)
+    recs = load_records(tmp_path / "meta.csv", records)
     missing_hours = sorted({(r.timestamp - recs[0].timestamp).days * 24
                             + (r.timestamp - recs[0].timestamp).seconds // 3600
                             for r in recs if r.flow is None
