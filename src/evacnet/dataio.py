@@ -105,10 +105,11 @@ NOT_A_NUMBER, NOT_FINITE = 1, 2
 NOT_A_TIMESTAMP, HAS_UTC_OFFSET = 1, 2
 
 
-def _read_rows(path, columns, name):
-    """The rows after the header of a CSV whose header must be `columns`,
-    as lists of strings. Undecodable bytes and fields over the csv
-    module's size limit are schema errors that name their line."""
+def _read_cells(path, columns, name):
+    """(widths, cells) of a CSV whose header must be `columns`: the field
+    count of each row after the header, and the fields of all those rows
+    in one list. Undecodable bytes and fields over the csv module's size
+    limit are schema errors that name their line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -117,13 +118,17 @@ def _read_rows(path, columns, name):
         raise SchemaError(f"line {line_no}: byte 0x{raw[exc.start]:02x} is "
                           f"not UTF-8") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    widths, cells = [], []
     try:
         if next(reader, None) != list(columns):
             raise SchemaError(f"{name} header mismatch: expected "
                               + ",".join(columns))
-        return list(reader)
+        for row in reader:  # rows die at once: no garbage collection runs
+            widths.append(len(row))
+            cells += row
     except csv.Error as exc:
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    return widths, cells
 
 
 def _parse_float(value, line_no, column):
@@ -142,8 +147,11 @@ def _parse_float(value, line_no, column):
 def _load_meta(path):
     metas = {}
     seen_positions = set()
-    for line_no, row in enumerate(_read_rows(path, META_COLUMNS, "meta"),
-                                  start=2):
+    widths, cells = _read_cells(path, META_COLUMNS, "meta")
+    start = 0
+    for line_no, width in enumerate(widths, start=2):
+        row = cells[start:start + width]
+        start += width
         if len(row) != len(META_COLUMNS):
             raise SchemaError(f"line {line_no}: expected "
                               f"{len(META_COLUMNS)} fields, got {len(row)}")
@@ -226,7 +234,7 @@ def _load_records(path, detector_ids):
     field count, detector id, timestamp, UTC offset, duplicate, flow,
     speed, the signs of flow and speed, then each exogenous column. Only
     a file that passes them all has its time span checked."""
-    rows = _read_rows(path, RECORD_COLUMNS, "records")
+    widths, cells = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
 
     def check(bad, message):
@@ -234,14 +242,14 @@ def _load_records(path, detector_ids):
             k = int(bad.argmax())
             failures.append((k, message(k)))
 
-    width = np.fromiter(map(len, rows), np.intp, len(rows))
-    check(width != len(RECORD_COLUMNS),
-          lambda k: f"expected {len(RECORD_COLUMNS)} fields, got {width[k]}")
-    if failures:  # every later check sees the rows before it only
-        rows = rows[:failures[0][0]]
-    n = len(rows)
-    cols = list(zip(*rows)) or [()] * len(RECORD_COLUMNS)
-    del rows
+    width = np.array(widths, np.intp)
+    n_cols = len(RECORD_COLUMNS)
+    check(width != n_cols,
+          lambda k: f"expected {n_cols} fields, got {width[k]}")
+    # every later check sees only the rows before a bad field count
+    n = failures[0][0] if failures else len(width)
+    cols = [cells[k:n * n_cols:n_cols] for k in range(n_cols)]
+    del cells
 
     index = {d: k for k, d in enumerate(detector_ids)}
     detector = np.fromiter(map(index.get, cols[0], repeat(-1)), np.intp, n)
