@@ -115,22 +115,6 @@ def test_one_hour_of_records_is_short_span(csv_pair):
         dataio.prepare(meta, recs)
 
 
-@pytest.mark.parametrize("which", ["meta", "records"])
-@pytest.mark.parametrize("fault, pattern", [
-    (b"\xff", "^line 3: byte 0xff is not UTF-8$"),
-    (b"x" * (131072 + 1), "^line 3: field larger than field limit"),
-], ids=["undecodable", "oversized"])
-def test_bad_bytes_name_their_line(csv_pair, which, fault, pattern):
-    meta, recs = csv_pair
-    write_records(recs, 48, lambda d, h: 100.0)
-    path = {"meta": meta, "records": recs}[which]
-    lines = path.read_bytes().split(b"\n")
-    lines[2] = fault + lines[2]  # file line 3
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(SchemaError, match=pattern):
-        load_csv(meta, recs)
-
-
 def test_negative_flow_names_line(csv_pair):
     meta, recs = csv_pair
     rows = [record_row("det_a", T0, 100.0),
