@@ -18,9 +18,14 @@ The file holds, per side, the revision, the line count of
 (`statistics.quantiles(n=4)`) of each end-to-end metric that
 BENCHMARK.json declares, with every run's `ops_failed`, `val_rmse` and
 `rmse`; per metric, the pairs the change won and the change's median
-minus the parent's beside the parent's Q3 - Q1; and, for `val_rmse` and
-`rmse`, whether every change run equals every parent run and the largest
-relative difference between a change run and a parent run. A run
+minus the parent's beside the parent's Q3 - Q1, with two verdicts:
+`claim_met`, whether a claimed gain in this metric would hold (the change
+wins at least 9 of 10 pairs and its median is better than the parent's by
+more than the parent's Q3 - Q1), and `within_bound`, whether the change's
+median is worse than the parent's by at most the metric's `bound`, a
+share of the parent's median; and, for `val_rmse` and `rmse`, whether
+every change run equals every parent run and the largest relative
+difference between a change run and a parent run. A run
 that exits non-zero (a failed check or operation) stops the series with
 exit code 1 and writes no file.
 """
@@ -92,6 +97,26 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent, change, better, bound):
+    """The change's samples against the parent's, pair by pair, in the
+    direction `better` ("higher" or "lower"), with the verdicts
+    `claim_met` and `within_bound` (see the module docstring)."""
+    sign = -1 if better == "lower" else 1
+    ps, cs = summary(parent), summary(change)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gain = sign * (cs["median"] - ps["median"])
+    iqr = ps["q3"] - ps["q1"]
+    return {
+        "better": better,
+        "wins": wins,
+        "median_delta": cs["median"] - ps["median"],
+        "parent_iqr": iqr,
+        "claim_met": 10 * wins >= 9 * len(parent) and gain > iqr,
+        "bound": bound,
+        "within_bound": gain >= -bound * abs(ps["median"]),
+    }
+
+
 def series_path(workload, seed):
     """Seed 1's series is BENCH_<workload>.json; any other seed's is held
     out beside it, so it never overwrites the seed-1 file."""
@@ -133,17 +158,10 @@ def series(parent_dir, args, metrics):
     out["outputs_match"] = {
         name: outputs_match(out["parent"][name], out["change"][name])
         for name in DETAILS}
-    out["change_vs_parent"] = {}
-    for m, better in metrics.items():
-        sign = -1 if better == "lower" else 1
-        p, c = out["parent"]["samples"][m], out["change"]["samples"][m]
-        ps, cs = out["parent"]["summary"][m], out["change"]["summary"][m]
-        out["change_vs_parent"][m] = {
-            "better": better,
-            "wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
-            "median_delta": cs["median"] - ps["median"],
-            "parent_iqr": ps["q3"] - ps["q1"],
-        }
+    out["change_vs_parent"] = {
+        m: compare(out["parent"]["samples"][m], out["change"]["samples"][m],
+                   metric["better"], metric["bound"])
+        for m, metric in metrics.items()}
     return out
 
 
@@ -162,7 +180,7 @@ def main(argv=None):
         parser.error(f"--workload must be one of {workloads}")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,7 +197,8 @@ def main(argv=None):
               f"change {out['change']['summary'][m]['median']:.6g}, change "
               f"better in {row['wins']}/{args.pairs} pairs, median delta "
               f"{row['median_delta']:.4g} vs parent IQR "
-              f"{row['parent_iqr']:.4g}")
+              f"{row['parent_iqr']:.4g}; claim met: {row['claim_met']}, "
+              f"within its {row['bound']:g} bound: {row['within_bound']}")
     for name, row in out["outputs_match"].items():
         print(f"{name}: every change run equals every parent run: "
               f"{row['equal']}, largest relative difference "

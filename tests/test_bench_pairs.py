@@ -37,3 +37,54 @@ def test_summary_quartiles_even_and_odd_length():
         "median": 2.5, "q1": 1.25, "q3": 3.75}
     assert bench_pairs.summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {
         "median": 3.0, "q1": 1.5, "q3": 4.5}
+
+
+PARENT = [100.0, 98.0, 102.0, 101.0, 99.0, 100.0, 97.0, 103.0, 100.0, 100.0]
+
+
+def test_compare_claim_met_on_a_clear_gain():
+    # quartiles of PARENT: 98.75 and 101.25, so an IQR of 2.5
+    row = bench_pairs.compare(PARENT, [p + 5.0 for p in PARENT], "higher",
+                              0.25)
+    assert (row["wins"], row["median_delta"], row["parent_iqr"]) == (
+        10, 5.0, 2.5)
+    assert row["claim_met"] and row["within_bound"]
+
+
+def test_compare_claim_needs_nine_of_ten_wins():
+    # the median gains 5, but two pairs are lost
+    change = [p + 5.0 for p in PARENT]
+    change[0] = change[1] = 90.0
+    row = bench_pairs.compare(PARENT, change, "higher", 0.25)
+    assert row["wins"] == 8 and row["median_delta"] == 5.0
+    assert not row["claim_met"]
+    change[1] = PARENT[1] + 5.0
+    assert bench_pairs.compare(PARENT, change, "higher", 0.25)["claim_met"]
+
+
+def test_compare_claim_needs_a_gain_above_the_parent_iqr():
+    # every pair won by 2, less than the IQR of 2.5
+    row = bench_pairs.compare(PARENT, [p + 2.0 for p in PARENT], "higher",
+                              0.25)
+    assert row["wins"] == 10 and not row["claim_met"]
+
+
+def test_compare_lower_is_better():
+    # a 10 % lower time wins every pair; the same samples read as a
+    # throughput are 10 % worse, inside a 0.25 bound but not a 0.05 one
+    change = [0.9 * p for p in PARENT]
+    faster = bench_pairs.compare(PARENT, change, "lower", 0.25)
+    assert faster["wins"] == 10 and faster["claim_met"]
+    slower = bench_pairs.compare(PARENT, change, "higher", 0.25)
+    assert slower["wins"] == 0 and not slower["claim_met"]
+    assert slower["within_bound"]
+    assert not bench_pairs.compare(PARENT, change, "higher",
+                                   0.05)["within_bound"]
+
+
+def test_compare_within_bound_at_the_bound():
+    # medians 100 and 125: exactly 25 % worse is within a 0.25 bound
+    worse = [p + 25.0 for p in PARENT]
+    assert bench_pairs.compare(PARENT, worse, "lower", 0.25)["within_bound"]
+    assert not bench_pairs.compare(PARENT, [p + 25.5 for p in PARENT],
+                                   "lower", 0.25)["within_bound"]
