@@ -4,7 +4,8 @@ sliding-window slicing.
 The records file is read once into columns (`RecordColumns`) and checked
 column by column; the meta file, about one row per detector, row by row.
 
-Input schema (both files UTF-8 with a header row):
+Input schema (both files UTF-8, a leading byte order mark allowed, with a
+header row):
   meta:    detector_id,highway,milepost,lanes,lat,lon
   records: detector_id,timestamp_iso8601,flow,speed,incident_flag,
            n_incidents,max_lanes_closed,vehicles_involved,
@@ -23,7 +24,8 @@ import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
+from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +108,15 @@ NOT_A_TIMESTAMP, HAS_UTC_OFFSET = 1, 2
 
 
 def _read_cells(path, columns, name):
-    """(widths, cells) of a CSV whose header must be `columns`: the field
-    count of each row after the header, and the fields of all those rows
-    in one list. Undecodable bytes and fields over the csv module's size
-    limit are schema errors that name their line."""
+    """(widths, cells, line_of) of a CSV whose header must be `columns`: the
+    field count of each row after the header, the fields of all those rows
+    in one list, and `line_of(k)`, the file line on which row k starts.
+    One leading byte order mark is dropped. Undecodable bytes and fields
+    over the csv module's size limit are schema errors that name their
+    line."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise SchemaError(f"line {line_no}: byte 0x{raw[exc.start]:02x} is "
@@ -128,54 +132,73 @@ def _read_cells(path, columns, name):
             cells += row
     except csv.Error as exc:
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    return widths, cells
+    return widths, cells, partial(_row_line, text)
 
 
-def _parse_float(value, line_no, column):
+def _row_line(text, k):
+    """The file line on which row k after the header starts. A quoted cell
+    can span lines, so row k need not be line k + 2; the text is read again
+    to find it, which only error messages do."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for _ in islice(reader, k + 1):  # the header and rows 0 .. k - 1
+        pass
+    return reader.line_num + 1
+
+
+def _parse_float(value, column):
     if value == "":
-        raise SchemaError(f"line {line_no}: column {column} must not be empty")
+        raise SchemaError(f"column {column} must not be empty")
     try:
         out = float(value)
     except ValueError:
-        raise SchemaError(f"line {line_no}: column {column} is not a number: "
+        raise SchemaError(f"column {column} is not a number: "
                           f"{value!r}") from None
     if not math.isfinite(out):
-        raise SchemaError(f"line {line_no}: column {column} is not finite")
+        raise SchemaError(f"column {column} is not finite")
     return out
 
 
 def _load_meta(path):
     metas = {}
     seen_positions = set()
-    widths, cells = _read_cells(path, META_COLUMNS, "meta")
+    widths, cells, line_of = _read_cells(path, META_COLUMNS, "meta")
     start = 0
-    for line_no, width in enumerate(widths, start=2):
+    for k, width in enumerate(widths):
         row = cells[start:start + width]
         start += width
-        if len(row) != len(META_COLUMNS):
-            raise SchemaError(f"line {line_no}: expected "
-                              f"{len(META_COLUMNS)} fields, got {len(row)}")
-        det, highway = row[0], row[1]
-        if highway not in HIGHWAYS:
-            raise SchemaError(f"line {line_no}: unknown highway "
-                              f"{highway!r} (expected one of {HIGHWAYS})")
-        milepost = _parse_float(row[2], line_no, "milepost")
-        lanes = _parse_float(row[3], line_no, "lanes")
-        if milepost < 0:
-            raise SchemaError(f"line {line_no}: milepost must be >= 0")
-        if lanes < 1 or lanes != int(lanes):
-            raise SchemaError(f"line {line_no}: lanes must be a positive "
-                              f"integer")
-        if det in metas:
-            raise SchemaError(f"line {line_no}: duplicate detector id {det}")
-        if (highway, milepost) in seen_positions:
-            raise SchemaError(f"line {line_no}: duplicate (highway, "
-                              f"milepost) = ({highway}, {milepost})")
-        seen_positions.add((highway, milepost))
-        metas[det] = DetectorMeta(det, highway, milepost, int(lanes),
-                                  _parse_float(row[4], line_no, "lat"),
-                                  _parse_float(row[5], line_no, "lon"))
+        try:
+            meta = _meta_row(row, metas, seen_positions)
+        except SchemaError as exc:
+            raise SchemaError(f"line {line_of(k)}: {exc}") from None
+        metas[meta.detector_id] = meta
     return metas
+
+
+def _meta_row(row, metas, seen_positions):
+    """The DetectorMeta of one meta row, given the rows before it; a
+    SchemaError without the line for a bad one."""
+    if len(row) != len(META_COLUMNS):
+        raise SchemaError(f"expected {len(META_COLUMNS)} fields, got "
+                          f"{len(row)}")
+    det, highway = row[0], row[1]
+    if highway not in HIGHWAYS:
+        raise SchemaError(f"unknown highway {highway!r} (expected one of "
+                          f"{HIGHWAYS})")
+    milepost = _parse_float(row[2], "milepost")
+    lanes = _parse_float(row[3], "lanes")
+    if milepost < 0:
+        raise SchemaError("milepost must be >= 0")
+    if lanes < 1 or lanes != int(lanes):
+        raise SchemaError("lanes must be a positive integer")
+    if det in metas:
+        raise SchemaError(f"duplicate detector id {det}")
+    if (highway, milepost) in seen_positions:
+        raise SchemaError(f"duplicate (highway, milepost) = ({highway}, "
+                          f"{milepost})")
+    seen_positions.add((highway, milepost))
+    return DetectorMeta(det, highway, milepost, int(lanes),
+                        _parse_float(row[4], "lat"),
+                        _parse_float(row[5], "lon"))
 
 
 def _parse_column(texts):
@@ -234,7 +257,7 @@ def _load_records(path, detector_ids):
     field count, detector id, timestamp, UTC offset, duplicate, flow,
     speed, the signs of flow and speed, then each exogenous column. Only
     a file that passes them all has its time span checked."""
-    widths, cells = _read_cells(path, RECORD_COLUMNS, "records")
+    widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
 
     def check(bad, message):
@@ -296,14 +319,15 @@ def _load_records(path, detector_ids):
                   lambda k: f"column {numeric[j]} must be non-negative")
     if failures:
         k, message = min(failures, key=lambda f: f[0])  # ties: check order
-        raise SchemaError(f"line {k + 2}: {message}")
+        raise SchemaError(f"line {line_of(k)}: {message}")
 
     if n:
         first = int(hour.argmin())  # of the earliest hour, the first line
         last = n - 1 - int(hour[::-1].argmax())  # of the latest, the last
         if (hour[last] - hour[first]).astype(np.int64) >= MAX_SPAN_HOURS:
-            raise SchemaError(f"records from line {first + 2} "
-                              f"({hour[first].item()}) to line {last + 2} "
+            raise SchemaError(f"records from line {line_of(first)} "
+                              f"({hour[first].item()}) to line "
+                              f"{line_of(last)} "
                               f"({hour[last].item()}) span more than "
                               f"{MAX_SPAN_HOURS} hours")
     return RecordColumns(detector=detector, hour=hour, values=values)
@@ -587,9 +611,23 @@ class WindowSample:
     def inputs(self, modalities):
         """(l, M, n_nodes, F) input rows of the predicted detectors at each
         input hour, one block per modality in `INPUT_MODALITIES`."""
-        k = [INPUT_MODALITIES.index(g) for g in modalities]
-        return self.table[self.anchor_index:self.anchor_index + self.l,
-                          np.array(k)[:, None], self.det_indices]
+        return gather_inputs([self], modalities)
+
+
+def gather_inputs(windows, modalities):
+    """(l, M, N, F) input rows of a batch of windows of equal l over one
+    input table, N their predicted detectors in window order, one block
+    per modality in `INPUT_MODALITIES`: one fancy index of the table, at
+    hours anchor + arange(l) of each row's window."""
+    table = windows[0].table
+    if any(w.table is not table for w in windows):
+        raise ValueError("windows of a batch read different input tables")
+    dets = [w.det_indices for w in windows]
+    anchors = np.repeat([w.anchor_index for w in windows],
+                        [len(d) for d in dets])
+    hours = anchors + np.arange(windows[0].l)[:, None]  # (l, N)
+    k = [INPUT_MODALITIES.index(g) for g in modalities]
+    return table[hours[:, None], np.array(k)[:, None], np.concatenate(dets)]
 
 
 def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numcore as nc
+from .dataio import gather_inputs
 from .numcore import Tensor
 
 
@@ -231,21 +232,21 @@ def forward(windows, params, mask=None, static_rows=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
     A window's inputs at each of its l hours are rows of the data's shared
-    per-hour input table (`dataio.input_table`), read through
-    `WindowSample.inputs` as (l, M, n_w, F), one block per modality: the
-    predicted nodes' rows of Ã·[temporal ‖ spatial], computed once per
+    per-hour input table (`dataio.input_table`), one block per modality:
+    the predicted nodes' rows of Ã·[temporal ‖ spatial], computed once per
     hour from that hour's snapshot when the data were prepared, or the
-    unpropagated rows for the "identity" modality. A GCN acts on a
-    disjoint union block by block, so stacking the windows' rows equals
-    running the windows one at a time. GCN, attention and input projection
-    do not depend on the recurrence, so each runs over all l hours at
-    once: the batch is one `gcn_layer` node over every hour and modality,
-    one `attention_fuse` node (skipped with a single modality) and one
-    `lstm_step` node, whose loop over the hours holds only h·U, then the
-    head. The output has one row per predicted node of the batch, in
-    window order. `mask` carries the RL agent's binary feature masks; it
-    scales columns, so it applies to the propagated rows. None means all
-    features active. `static_rows`, one (l, n_w, F) array per window,
+    unpropagated rows for the "identity" modality. The batch's rows are
+    read as one (l, M, N, F) array with one fancy index
+    (`dataio.gather_inputs`). A GCN acts on a disjoint union block by
+    block, so stacking the windows' rows equals running the windows one at
+    a time. GCN, attention and input projection do not depend on the
+    recurrence, so each runs over all l hours at once: the batch is one
+    `gcn_layer` node over every hour and modality, one `attention_fuse`
+    node (skipped with a single modality) and one `lstm_step` node, whose
+    loop over the hours holds only h·U, then the head. The output has one
+    row per predicted node of the batch, in window order. `mask` carries
+    the RL agent's binary feature masks; it scales columns, so it applies
+    to the propagated rows. None means all features active. `static_rows`, one (l, n_w, F) array per window,
     replaces every modality's rows (static-graph baseline).
     """
     if not windows:
@@ -258,8 +259,7 @@ def forward(windows, params, mask=None, static_rows=None):
             raise ValueError("windows in a batch differ in input length")
 
     if static_rows is None:
-        rows = np.concatenate([w.inputs(params.modalities) for w in windows],
-                              axis=2)
+        rows = gather_inputs(windows, params.modalities)
     else:
         if [r.shape[:2] for r in static_rows] != \
                 [(l, len(w.det_indices)) for w in windows]:

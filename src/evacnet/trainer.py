@@ -17,10 +17,11 @@ from . import dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 2
-# Windows per forward pass in evaluate. Larger chunks amortize per-op
-# overhead further; a pass builds no autograd graph, so its memory is the
-# chunk's live activations.
-EVAL_CHUNK = 8
+# Predicted-node rows per forward pass in evaluate. A larger pass spreads
+# the fixed cost of each op over more rows until its arrays outgrow the
+# cache; a pass builds no autograd graph, so its memory is the chunk's live
+# activations.
+EVAL_ROWS = 512
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")
@@ -260,11 +261,27 @@ def train(config, dataset, log_fn=None):
                        static_adj_full=static_full)
 
 
+def _chunks(windows):
+    """(start, stop) of consecutive runs of windows, in order, each as long
+    as its predicted-node rows fit in EVAL_ROWS; a window over the budget
+    is a chunk of its own."""
+    bounds, start, rows = [], 0, 0
+    for k, w in enumerate(windows):
+        if k > start and rows + len(w.det_indices) > EVAL_ROWS:
+            bounds.append((start, k))
+            start, rows = k, 0
+        rows += len(w.det_indices)
+    bounds.append((start, len(windows)))
+    return bounds
+
+
 def evaluate(params, windows, dataset, static_full=None):
     """Per-horizon and overall metrics on denormalized flows, no mask.
 
-    Windows go through the forward pass EVAL_CHUNK at a time, so memory
-    does not grow with the number of windows."""
+    The windows go through the forward pass in chunks of consecutive
+    windows holding at most EVAL_ROWS predicted-node rows (a larger window
+    alone), each chunk's inputs gathered from the input table with one
+    index, so memory does not grow with the number of windows."""
     if not windows:
         raise ValueError("no windows to evaluate")
     # constant Tensors over the same arrays: the forward records no graph
@@ -272,13 +289,14 @@ def evaluate(params, windows, dataset, static_full=None):
                                       for k, v in params.tensors.items()})
     static = _static_rows(static_full, windows)
     predicted = []
-    for i in range(0, len(windows), EVAL_CHUNK):
-        chunk = windows[i:i + EVAL_CHUNK]
-        chunk_static = None if static is None else static[i:i + EVAL_CHUNK]
-        yhat, _ = dmf.forward(chunk, params, static_rows=chunk_static)
-        predicted.append(dataset.target_norm.inverse(
-            np.concatenate([w.det_indices for w in chunk]), yhat.data))
-    predicted = np.concatenate(predicted)
+    for start, stop in _chunks(windows):
+        chunk_static = None if static is None else static[start:stop]
+        yhat, _ = dmf.forward(windows[start:stop], params,
+                              static_rows=chunk_static)
+        predicted.append(yhat.data)
+    predicted = dataset.target_norm.inverse(
+        np.concatenate([w.det_indices for w in windows]),
+        np.concatenate(predicted))
     actual = np.concatenate([w.targets_raw for w in windows])
     table = {h + 1: metrics.compute(actual[:, h], predicted[:, h])
              for h in range(params.horizon)}

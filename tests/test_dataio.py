@@ -124,6 +124,34 @@ def test_negative_flow_names_line(csv_pair):
         load_csv(meta, recs)
 
 
+def test_error_names_file_line_after_multiline_cell(csv_pair):
+    meta, recs = csv_pair
+    rows = [record_row("det_a", T0 + timedelta(hours=h), 100.0)
+            for h in range(5)]
+    # a quoted incident_flag cell "0\n" puts row 1 on lines 3 and 4
+    rows[1] = rows[1].replace(",60.0,0,", ',60.0,"0\n",', 1)
+    rows[4] = record_row("det_a", T0 + timedelta(hours=4), -5.0)
+    text = REC_HEADER + "\n" + "\n".join(rows) + "\n"
+    assert text.splitlines()[6].startswith("det_a,2024-10-01T04:00:00,-5.0")
+    recs.write_text(text)
+    with pytest.raises(SchemaError, match=r"^line 7: negative flow$"):
+        load_csv(meta, recs)
+    rows[4] = record_row("det_a", T0 + timedelta(hours=9000), 100.0)
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^records from line 2 .* to line "
+                                          r"7 "):
+        load_csv(meta, recs)
+
+
+def test_meta_error_names_file_line_after_multiline_cell(csv_pair):
+    meta, recs = csv_pair
+    write_meta(meta, ['det_a,I75,0.0,3,"28.0\n",-82.0',
+                      "det_b,I75,2.5,3,28.1,-82.0",
+                      "det_c,I99,5.0,3,28.2,-82.0"])
+    with pytest.raises(SchemaError, match=r"^line 5: unknown highway 'I99'"):
+        load_csv(meta, recs)
+
+
 def test_duplicate_timestamp_rejected(csv_pair):
     meta, recs = csv_pair
     rows = [record_row("det_a", T0, 100.0), record_row("det_a", T0, 120.0)]
@@ -610,3 +638,33 @@ def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
     records = as_records(columns, metas)
     assert sorted(records, key=lambda r: (r.detector_id, r.timestamp)) == \
         expected
+
+
+def test_byte_order_mark_is_ignored(s1_corpus, tmp_path):
+    work, meta, lines, _ = s1_corpus
+    records = work / "corpus" / "records.csv"
+    assert records.read_text().splitlines() == lines
+    for path in (meta, records):
+        (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf"
+                                           + path.read_bytes())
+    plain_metas, plain = load_csv(meta, records)
+    metas, columns = load_csv(tmp_path / meta.name, tmp_path / records.name)
+    assert metas == plain_metas
+    for field in ("detector", "hour", "values"):
+        np.testing.assert_array_equal(getattr(columns, field),
+                                      getattr(plain, field))
+
+
+@pytest.mark.parametrize("name", ["meta.csv", "records.csv"])
+def test_undecodable_byte_after_byte_order_mark_names_line(s1_corpus,
+                                                           tmp_path, name):
+    work, meta, _, _ = s1_corpus
+    for path in (meta, work / "corpus" / "records.csv"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    lines = (tmp_path / name).read_bytes().split(b"\n")
+    lines[0] = b"\xef\xbb\xbf" + lines[0]
+    lines[2] = b"\xff" + lines[2]  # file line 3
+    (tmp_path / name).write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemaError,
+                       match=r"^line 3: byte 0xff is not UTF-8$"):
+        load_csv(tmp_path / "meta.csv", tmp_path / "records.csv")

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacnet import dataio, dmf, numcore as nc, rlagent, synth, trainer
 from evacnet.synth import Scenario
@@ -313,3 +317,85 @@ def test_training_equals_per_tensor_adam(builtin, monkeypatch):
     np.testing.assert_array_equal(a["counts"], b["counts"])
     assert [a[k] for k in ("total", "schedule_steps", "updates")] \
         == [b[k] for k in ("total", "schedule_steps", "updates")]
+
+
+def _sized(counts):
+    return [SimpleNamespace(det_indices=np.arange(n)) for n in counts]
+
+
+def test_chunks_hand_case(monkeypatch):
+    monkeypatch.setattr(trainer, "EVAL_ROWS", 5)
+    # 2 + 3 fill the budget; 7 is over it and alone; 4 + 1; 5; 5
+    assert trainer._chunks(_sized([2, 3, 1, 7, 4, 1, 5, 5])) == [
+        (0, 2), (2, 3), (3, 4), (4, 6), (6, 7), (7, 8)]
+    assert trainer._chunks(_sized([9])) == [(0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+       budget=st.integers(1, 20))
+def test_chunks_keep_order_and_budget(counts, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "EVAL_ROWS", budget)
+        bounds = trainer._chunks(_sized(counts))
+    # consecutive and covering every window once, in order
+    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+    assert bounds[-1][1] == len(counts)
+    for k, (a, b) in enumerate(bounds):
+        rows = sum(counts[a:b])
+        assert b > a
+        assert rows <= budget or b - a == 1  # over budget only alone
+        if b < len(counts):  # greedy: the next window would not fit
+            assert rows + counts[b] > budget
+
+
+def _one_window_chunks(windows):
+    return [(k, k + 1) for k in range(len(windows))]
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+@pytest.mark.parametrize("variant", ["rl_dmf", "lstm_only",
+                                     "static_gcn_lstm"])
+def test_evaluate_equals_one_window_chunks(builtin, name, variant,
+                                           monkeypatch):
+    ds = builtin[name]
+    cfg = TrainConfig(variant=variant, hidden=16, seed=2)
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
+                                    modalities=cfg.modalities(), seed=3)
+    static_full = (trainer._static_distance_adj(ds)
+                   if variant == "static_gcn_lstm" else None)
+    windows = ds.train_windows + ds.val_windows
+    tables = []
+    # the default budget, one that splits the windows at uneven points,
+    # then one window per chunk
+    for budget in (trainer.EVAL_ROWS, 37):
+        monkeypatch.setattr(trainer, "EVAL_ROWS", budget)
+        assert len(trainer._chunks(windows)) > 1
+        tables.append(trainer.evaluate(params, windows, ds, static_full))
+    monkeypatch.setattr(trainer, "_chunks", _one_window_chunks)
+    single = trainer.evaluate(params, windows, ds, static_full)
+    assert tables[0] == single
+    assert tables[1] == single
+
+
+@pytest.mark.parametrize("modalities", [("identity",), ("d",), ("d", "tt"),
+                                        dataio.INPUT_MODALITIES])
+def test_gather_equals_concatenated_window_rows(builtin, modalities):
+    ds = builtin["S2"]
+    batch = _ragged_s2_batch(ds)
+    k = np.array([dataio.INPUT_MODALITIES.index(g) for g in modalities])
+    # each window's rows as the per-window slice read them, side by side
+    reference = np.concatenate(
+        [w.table[w.anchor_index:w.anchor_index + w.l, k[:, None],
+                 w.det_indices] for w in batch], axis=2)
+    rows = dataio.gather_inputs(batch, modalities)
+    assert rows.shape == reference.shape
+    np.testing.assert_array_equal(rows, reference)
+    np.testing.assert_array_equal(
+        np.concatenate([w.inputs(modalities) for w in batch], axis=2), rows)
+
+
+def test_gather_rejects_windows_of_two_tables(builtin):
+    a, b = builtin["S1"].train_windows[0], builtin["S2"].train_windows[0]
+    with pytest.raises(ValueError, match="different input tables"):
+        dataio.gather_inputs([a, b], ("d",))
