@@ -152,15 +152,26 @@ def lstm_step(x, params):
         """(H, 4H) → (4, H, H) view: gate j's columns at [j]."""
         return a.reshape(hid, 4, hid).transpose(1, 0, 2)
 
-    # x·W + h·U + b, activated in place hour by hour into f, i, c̃, o
-    pre = (xs @ by_gate(w.data)).reshape(4, l, n, hid)
+    # pre (x·W + h·U + b, activated in place hour by hour into f, i, c̃, o),
+    # then hs[k] and cs[k] (the state entering hour k), tanh(c) and one
+    # hour's h·U (then i·c̃ in hu[0]). A pass that records no graph takes
+    # them as slices of one allocation: glibc's malloc hands memory at the
+    # top of its heap back to the system once more than twice the largest
+    # block it has freed lies there, so as one block an evaluate chunk's
+    # buffers stay mapped for the next chunk instead of being faulted in
+    # again. A recorded pass keeps them until its backward, and one block
+    # would only raise malloc's thresholds for the training step.
+    sizes = (4 * l, l + 1, l + 1, l, 4)
+    if any(p.requires_grad for p in (x, w, u, b)):
+        pre, hs, cs, tanh_c, hu = (np.empty((k, n, hid)) for k in sizes)
+    else:
+        pre, hs, cs, tanh_c, hu = np.split(np.empty((sum(sizes), n, hid)),
+                                           np.cumsum(sizes[:-1]))
+    np.matmul(xs, by_gate(w.data), out=pre.reshape(4, l * n, hid))
+    pre = pre.reshape(4, l, n, hid)
     bias = b.data.reshape(4, 1, hid)
     u_gates = by_gate(u.data)
-    hs = np.empty((l + 1, n, hid))  # hs[k], cs[k]: the state entering hour k
-    cs = np.empty((l + 1, n, hid))
     hs[0] = cs[0] = 0.0
-    tanh_c = np.empty((l, n, hid))
-    hu = np.empty((4, n, hid))  # one hour's h·U; then hu[0] holds i·c̃
     # a gate under about -709 overflows exp to inf, and 1 / inf is its
     # exact value 0
     with np.errstate(over="ignore"):

@@ -18,10 +18,10 @@ from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 2
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
-# the fixed cost of each op over more rows until its arrays outgrow the
-# cache; a pass builds no autograd graph, so its memory is the chunk's live
-# activations.
-EVAL_ROWS = 512
+# the fixed cost of each op over more rows, but a pass builds no autograd
+# graph, so its memory is the chunk's live activations, about 16 KB per
+# row with 32 hidden units, and that adds to peak memory.
+EVAL_ROWS = 256
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")

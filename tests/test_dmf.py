@@ -242,6 +242,24 @@ def test_lstm_equals_column_block_lstm_bit_for_bit(n, l, modality_axis,
         assert a is None or np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 61, 800])
+@pytest.mark.parametrize("l", [1, 6])
+def test_unrecorded_lstm_equals_recorded_bit_for_bit(n, l):
+    # a pass over constants takes its buffers from one allocation
+    hidden = 32
+    rng = np.random.default_rng(7 + n + l)
+    params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
+    params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+    x = rng.normal(size=(l, n, hidden))
+    constant = replace(params, tensors={k: Tensor(v.data) for k, v in
+                                        params.tensors.items()})
+    h, c = dmf.lstm_step(Tensor(x, requires_grad=True), params)
+    h0, c0 = dmf.lstm_step(Tensor(x), constant)
+    assert h.requires_grad and not h0.requires_grad
+    np.testing.assert_array_equal(h0.data, h.data)
+    np.testing.assert_array_equal(c0, c)
+
+
 def test_lstm_saturated_gate_is_zero_without_overflow_warning():
     # a -1000 pre-activation overflows exp(1000) to inf, so the output
     # gate is 1 / (1 + inf) = 0 exactly, at both hours
