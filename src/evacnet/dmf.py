@@ -257,8 +257,9 @@ def forward(windows, params, mask=None, static_rows=None):
     loop over the hours holds only h·U, then the head. The output has one
     row per predicted node of the batch, in window order. `mask` carries
     the RL agent's binary feature masks; it scales columns, so it applies
-    to the propagated rows. None means all features active. `static_rows`, one (l, n_w, F) array per window,
-    replaces every modality's rows (static-graph baseline).
+    to the propagated rows. None means all features active. `static_rows`,
+    one (l, n_w, F) array per window, replaces every modality's rows
+    (static-graph baseline).
     """
     if not windows:
         raise ValueError("empty batch of windows")
