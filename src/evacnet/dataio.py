@@ -363,6 +363,12 @@ class EngineeredData:
     def registry(self):
         return list(TEMPORAL_FEATURES) + list(SPATIAL_FEATURES)
 
+    def layout(self):
+        """(highway, milepost) arrays in detector order."""
+        metas = [self.metas[d] for d in self.detector_ids]
+        return (np.array([m.highway for m in metas]),
+                np.array([m.milepost for m in metas], dtype=float))
+
 
 def _interpolate_short_gaps(values, max_gap=MAX_INTERP_GAP):
     """Fill nan runs of length <= max_gap flanked by data along the last
@@ -661,12 +667,12 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
             extra_temporal=[np.flatnonzero(e) for e in extras.T],
             table=table))
 
+    ids = np.array(data.detector_ids)
+    highway, milepost = data.layout()
     for t in sorted({w.anchor_index + s for w in windows for s in range(l)}):
         act = np.flatnonzero(data.active[:, t])
-        ids = [data.detector_ids[i] for i in act]
-        snap = graphs.build_snapshot(
-            [data.metas[d] for d in ids],
-            {d: float(data.speed[i, t]) for d, i in zip(ids, act)})
+        snap = graphs.build_snapshot(ids[act].tolist(), highway[act],
+                                     milepost[act], data.speed[act, t])
         for g, rows in graphs.propagate(snap, table[t, 0, act]).items():
             table[t, INPUT_MODALITIES.index(g), act] = rows
     return windows

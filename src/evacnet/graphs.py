@@ -37,39 +37,25 @@ class GraphSnapshot:
             self.norm_tt = gcn_normalize(self.adj_tt)
 
 
-def build_edges(active_metas):
-    """Chain edges between consecutive active detectors per highway.
+def chain_edges(highway, milepost, speed):
+    """Chain edges between consecutive detectors along each highway.
 
-    `active_metas` is a sequence of objects with .detector_id, .highway
-    and .milepost. Offline detectors simply don't appear, so their
-    neighbors get connected directly. Returns (i, j, miles) triples with
-    indices into the given order.
+    The arrays hold one entry per detector: highway, milepost and speed
+    (mph). Offline detectors are simply absent, so their neighbors get
+    connected directly. Returns index arrays i, j into the given order
+    and each edge's miles and hours (miles over the mean endpoint speed,
+    `V_MIN` where that mean is not positive), in order of highway, then
+    milepost.
     """
-    order = sorted(range(len(active_metas)),
-                   key=lambda k: (active_metas[k].highway,
-                                  active_metas[k].milepost))
-    edges = []
-    for a, b in zip(order, order[1:]):
-        ma, mb = active_metas[a], active_metas[b]
-        if ma.highway != mb.highway:
-            continue
-        edges.append((a, b, abs(mb.milepost - ma.milepost)))
-    return edges
-
-
-def travel_time(d_ij, v_i, v_j):
-    """Hours to traverse d_ij miles at the mean endpoint speed.
-
-    Returns (hours, floored) where floored marks that the speed floor
-    was substituted for a non-positive mean speed.
-    """
-    if d_ij <= 0:
+    order = np.lexsort((milepost, highway))
+    i, j = order[:-1], order[1:]
+    keep = highway[i] == highway[j]
+    i, j = i[keep], j[keep]
+    miles = np.abs(milepost[j] - milepost[i])
+    if np.any(miles <= 0):
         raise ValueError("distance must be positive")
-    v = (v_i + v_j) / 2.0
-    floored = v <= 0
-    if floored:
-        v = V_MIN
-    return d_ij / v, floored
+    v = (speed[i] + speed[j]) / 2.0
+    return i, j, miles, miles / np.where(v <= 0, V_MIN, v)
 
 
 def scale_weights(raw, w_floor=W_FLOOR):
@@ -95,31 +81,17 @@ def gcn_normalize(adj):
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def build_snapshot(active_metas, speeds):
-    """Build both modality adjacencies over the given active detectors.
-
-    `speeds` maps detector_id -> mph at this hour.
-    """
-    n = len(active_metas)
-    chain = build_edges(active_metas)
-
-    raw_d = [d for (_, _, d) in chain]
-    raw_tt = [travel_time(d,
-                          speeds[active_metas[i].detector_id],
-                          speeds[active_metas[j].detector_id])[0]
-              for (i, j, d) in chain]
-
-    scaled_d = scale_weights(raw_d)
-    scaled_tt = scale_weights(raw_tt)
-
+def build_snapshot(node_ids, highway, milepost, speed):
+    """Build both modality adjacencies over the given active detectors:
+    their ids, and arrays of their highways, mileposts and speeds (mph)
+    at this hour, in the same order."""
+    n = len(node_ids)
+    i, j, miles, hours = chain_edges(highway, milepost, speed)
     adj_d = np.zeros((n, n))
     adj_tt = np.zeros((n, n))
-    for k, (i, j, _) in enumerate(chain):
-        adj_d[i, j] = adj_d[j, i] = scaled_d[k]
-        adj_tt[i, j] = adj_tt[j, i] = scaled_tt[k]
-
-    return GraphSnapshot(node_ids=[m.detector_id for m in active_metas],
-                         adj_d=adj_d, adj_tt=adj_tt)
+    adj_d[i, j] = adj_d[j, i] = scale_weights(miles)
+    adj_tt[i, j] = adj_tt[j, i] = scale_weights(hours)
+    return GraphSnapshot(node_ids=list(node_ids), adj_d=adj_d, adj_tt=adj_tt)
 
 
 def propagate(snapshot, x):

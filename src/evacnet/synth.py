@@ -16,6 +16,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from . import graphs
 from .dataio import HIGHWAYS, MAX_SPAN_HOURS
 from .fieldtypes import is_a
 
@@ -296,18 +297,14 @@ def generate(scenario, out_dir):
 def fusion_signal_fraction(dets, speed, scenario):
     """Fraction of surge-period hours where the travel-time edge ordering
     differs from the distance edge ordering."""
-    from . import graphs
+    highway = np.array([d.highway for d in dets])
+    milepost = np.array([d.milepost for d in dets])
+    hours = range(scenario.order_hour, scenario.landfall_hour)
     differing = 0
-    total = 0
-    for h in range(scenario.order_hour, scenario.landfall_hour):
-        chain = graphs.build_edges(dets)
-        raw_d = [d for (_, _, d) in chain]
-        raw_tt = [graphs.travel_time(dd, speed[i, h], speed[j, h])[0]
-                  for (i, j, dd) in chain]
-        total += 1
-        if list(np.argsort(raw_d)) != list(np.argsort(raw_tt)):
-            differing += 1
-    return differing / max(1, total)
+    for h in hours:
+        _, _, miles, tt = graphs.chain_edges(highway, milepost, speed[:, h])
+        differing += not np.array_equal(np.argsort(miles), np.argsort(tt))
+    return differing / max(1, len(hours))
 
 
 # element annotations of the list-of-tuples fields

@@ -120,9 +120,10 @@ class TrainResult:
 
 def _static_distance_adj(dataset):
     """Frozen distance adjacency over the union of all detectors."""
-    metas = [dataset.data.metas[d] for d in dataset.data.detector_ids]
-    speeds = {m.detector_id: graphs.V_MIN for m in metas}
-    return graphs.build_snapshot(metas, speeds).adj_d
+    data = dataset.data
+    highway, milepost = data.layout()
+    return graphs.build_snapshot(data.detector_ids, highway, milepost,
+                                 np.full(len(milepost), graphs.V_MIN)).adj_d
 
 
 def _window_static_adj(static_full, det_indices):

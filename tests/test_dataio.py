@@ -408,16 +408,16 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
     windows = [w for w in ds.train_windows + ds.val_windows
                if any(len(e) for e in w.extra_temporal)]
     assert windows
+    highway, milepost = data.layout()
     for w in windows:
         pred = w.det_indices
         for step in range(ds.l):
             t = w.anchor_index + step
             order = list(pred) + [i for i in np.flatnonzero(data.active[:, t])
                                   if i not in set(pred)]
-            ids = [data.detector_ids[i] for i in order]
             snap = graphs.build_snapshot(
-                [data.metas[d] for d in ids],
-                {d: float(data.speed[i, t]) for d, i in zip(ids, order)})
+                [data.detector_ids[i] for i in order], highway[order],
+                milepost[order], data.speed[order, t])
             raw = np.nan_to_num(ds.norm.transform(np.concatenate(
                 [data.temporal[order, t], data.spatial[order]], axis=1)))
             np.testing.assert_array_equal(
@@ -437,8 +437,8 @@ def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
     built = []
     real = graphs.build_snapshot
 
-    def counting(metas, speeds):
-        built.append(real(metas, speeds))
+    def counting(*args):
+        built.append(real(*args))
         return built[-1]
 
     monkeypatch.setattr(graphs, "build_snapshot", counting)
