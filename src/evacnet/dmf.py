@@ -96,8 +96,10 @@ def attention_fuse(z, w_att):
     z_m·w_m of the (l, M, n, H) embeddings and an (M, H) weight, a softmax
     over M and the weighted sum. Returns the fused (l, n, H) embeddings,
     one node, and the weights α as an (l, n, M) array."""
-    logits = z.data @ w_att.data[:, :, None]  # (l, M, n, 1)
-    alpha = nc.softmax(logits, axis=1)[..., 0]  # (l, M, n)
+    # as einsum, not a product with one column, whose rounding BLAS picks
+    # by the row count: a window's logits do not depend on its batch
+    alpha = nc.softmax(np.einsum("lmnh,mh->lmn", z.data, w_att.data),
+                       axis=1)  # (l, M, n)
 
     def bwd(g):
         # the contractions run as einsum: no (l, M, n, H) temporaries

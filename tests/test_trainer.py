@@ -399,3 +399,18 @@ def test_gather_rejects_windows_of_two_tables(builtin):
     a, b = builtin["S1"].train_windows[0], builtin["S2"].train_windows[0]
     with pytest.raises(ValueError, match="different input tables"):
         dataio.gather_inputs([a, b], ("d",))
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
+    """Grouping moves no bit of a prediction: every window predicted alone
+    equals its rows of a batch of 8 windows and of one batch of all."""
+    ds = builtin[name]
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 32, ds.p, seed=3)
+    windows = ds.train_windows + ds.val_windows
+    alone = [dmf.forward([w], params)[0].data for w in windows]
+    for size in (8, len(windows)):
+        for k in range(0, len(windows), size):
+            np.testing.assert_array_equal(
+                dmf.forward(windows[k:k + size], params)[0].data,
+                np.concatenate(alone[k:k + size]))
