@@ -68,6 +68,9 @@ MAX_INTERP_GAP = 2
 # Longest timeline, first record to last, in hours. The feature arrays are
 # sized from it, so one mistyped year would otherwise allocate gigabytes.
 MAX_SPAN_HOURS = 366 * 24
+# Largest flow a record may carry, veh/h: far above any detector's
+# capacity, and far below the flows whose feature statistics overflow.
+MAX_FLOW = 1e6
 
 
 class SchemaError(ValueError):
@@ -255,7 +258,8 @@ def _load_records(path, detector_ids):
     columns; when one fails, the error names the first failing line, and
     of the checks failing there the one that comes first in this order:
     field count, detector id, timestamp, UTC offset, duplicate, flow,
-    speed, the signs of flow and speed, then each exogenous column. Only
+    speed, the sign and bound of flow, the sign of speed, then each
+    exogenous column. Only
     a file that passes them all has its time span checked."""
     widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
@@ -311,6 +315,8 @@ def _load_records(path, detector_ids):
     check_parsed(0)
     check_parsed(1)
     check(values[:, 0] < 0, lambda k: "negative flow")
+    check(values[:, 0] > MAX_FLOW,
+          lambda k: f"flow above {MAX_FLOW:.0f} veh/h")
     check(values[:, 1] < 0, lambda k: "negative speed")
     for j in range(2, len(numeric)):
         check_parsed(j)

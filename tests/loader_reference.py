@@ -2,15 +2,16 @@
 row-by-row loader it replaced, kept so that the columnar one can be checked
 to raise the same `SchemaError` message on the same file and to read the
 same values. Only the imports, the signature (it takes the loaded metas)
-and the record type (a SimpleNamespace) differ."""
+and the record type (a SimpleNamespace) differ, and it has since gained
+the `MAX_FLOW` bound."""
 
 import csv
 import math
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
-from evacnet.dataio import (INCIDENT_COLUMNS, MAX_SPAN_HOURS, RECORD_COLUMNS,
-                            SchemaError)
+from evacnet.dataio import (INCIDENT_COLUMNS, MAX_FLOW, MAX_SPAN_HOURS,
+                            RECORD_COLUMNS, SchemaError)
 
 
 def _parse_float(value, line_no, column, allow_missing=True):
@@ -68,6 +69,9 @@ def load_records(records_path, metas):
             speed = _parse_float(row[3], line_no, "speed")
             if flow is not None and flow < 0:
                 raise SchemaError(f"line {line_no}: negative flow")
+            if flow is not None and flow > MAX_FLOW:
+                raise SchemaError(f"line {line_no}: flow above "
+                                  f"{MAX_FLOW:.0f} veh/h")
             if speed is not None and speed < 0:
                 raise SchemaError(f"line {line_no}: negative speed")
             exog = {}

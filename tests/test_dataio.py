@@ -283,8 +283,9 @@ def test_split_90_10(csv_pair):
 
 def test_normalizer_fit_on_train_only(csv_pair):
     meta, recs = csv_pair
-    # enormous flow outlier confined to the validation tail
-    write_records(recs, 100, lambda d, h: 1e7 if h >= 95 else 100.0 + (h % 7))
+    # the largest flow the loader accepts, confined to the validation tail
+    write_records(recs, 100, lambda d, h: dataio.MAX_FLOW if h >= 95
+                  else 100.0 + (h % 7))
     data = engineer_features(*reversed(load_csv(meta, recs)))
     train_end, norm, _ = split_and_fit(data)
     k = data.registry.index("flow")
@@ -516,7 +517,7 @@ def _set_field(line, column, value):
     return ",".join(fields)
 
 
-MUTATIONS = ("text", "empty", "nonfinite", "negative", "field_count",
+MUTATIONS = ("text", "empty", "nonfinite", "negative", "huge", "field_count",
              "duplicate", "offset", "far_year", "crlf", "bom", "truncated")
 
 
@@ -542,6 +543,9 @@ def mutations(draw, kind, lines):
     elif kind == "negative":
         lines[i] = _set_field(line, draw(st.sampled_from(NUMERIC)),
                               draw(st.sampled_from(["-1", "-0.5", "-250"])))
+    elif kind == "huge":  # a finite flow above MAX_FLOW
+        lines[i] = _set_field(line, 2, draw(st.sampled_from(
+            ["1e300", "1e160", "2e6"])))
     elif kind == "field_count":
         fields = line.split(",")
         column = draw(st.integers(0, len(fields) - 1))
