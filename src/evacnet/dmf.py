@@ -257,9 +257,9 @@ def forward(windows, params, mask=None, static_rows=None):
     `gcn_layer` node over every hour and modality, one `attention_fuse`
     node (skipped with a single modality) and one `lstm_step` node, whose
     loop over the hours holds only h·U, then the head. The output has one
-    row per predicted node of the batch, in window order. `mask` carries
-    the RL agent's binary feature masks; it scales columns, so it applies
-    to the propagated rows. None means all features active. `static_rows`,
+    row per predicted node of the batch, in window order. `mask` is the
+    RL agent's (F,) 0/1 feature mask; it scales columns, so it applies to
+    the propagated rows. None means all features active. `static_rows`,
     one (l, n_w, F) array per window, replaces every modality's rows
     (static-graph baseline).
     """
@@ -283,8 +283,7 @@ def forward(windows, params, mask=None, static_rows=None):
     if rows.shape[-1] != params.f_t + params.f_s:
         raise ValueError("feature registry does not match parameters")
     if mask is not None:
-        # rows is a fresh array here, so the mask scales it in place
-        rows *= np.concatenate([mask.m_temp, mask.m_spatial])
+        rows *= mask  # a fresh array here, so scaled in place
 
     trace = FusionTrace()
     z = gcn_layer(rows, params.tensors["W_gcn"])

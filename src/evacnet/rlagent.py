@@ -28,28 +28,14 @@ HIDDEN_UNITS = 128
 IDENTITY = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
 
-@dataclass
-class MaskState:
-    """Binary feature masks with at most one zero across both blocks."""
-    m_temp: np.ndarray
-    m_spatial: np.ndarray
-    action: int | None
-
-    @classmethod
-    def all_ones(cls, f_t, f_s):
-        return cls(np.ones(f_t), np.ones(f_s), None)
-
-
 def apply_mask(action, f_t, f_s):
-    """Mask the single feature selected by `action` (temporal-first order)."""
+    """The (f_t + f_s,) 0/1 feature mask that zeroes the single feature
+    `action` selects, in the input columns' order: temporal, then
+    spatial."""
     if not 0 <= action < f_t + f_s:
         raise ValueError(f"action {action} outside [0, {f_t + f_s})")
-    mask = MaskState.all_ones(f_t, f_s)
-    if action < f_t:
-        mask.m_temp[action] = 0.0
-    else:
-        mask.m_spatial[action - f_t] = 0.0
-    mask.action = action
+    mask = np.ones(f_t + f_s)
+    mask[action] = 0.0
     return mask
 
 

@@ -220,7 +220,7 @@ def train(config, dataset, log_fn=None):
             if agent is not None:
                 reward = rlagent.compute_reward(loss_value)
                 rewards.append(reward)
-                pending = (state, mask.action, reward)
+                pending = (state, action, reward)
 
         epoch_loss /= len(dataset.train_windows)
         val = evaluate(params, dataset.val_windows, dataset, static_full) \

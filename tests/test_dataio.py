@@ -404,8 +404,7 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
                                       tmp_path)
     ds = dataio.prepare(meta, records, l=6, p=6)
     data = ds.data
-    mask = rlagent.apply_mask(2, ds.f_t, ds.f_s)
-    m = np.concatenate([mask.m_temp, mask.m_spatial])
+    m = rlagent.apply_mask(2, ds.f_t, ds.f_s)
     windows = [w for w in ds.train_windows + ds.val_windows
                if any(len(e) for e in w.extra_temporal)]
     assert windows

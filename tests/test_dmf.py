@@ -369,7 +369,7 @@ def test_forward_shapes_and_noop_mask():
     params = params_for(w, 5)
     y0, _ = dmf.forward([w], params)
     assert y0.data.shape == (4, 2)
-    mask = rlagent.MaskState.all_ones(5, 3)
+    mask = np.ones(8)
     y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 

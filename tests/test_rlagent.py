@@ -78,15 +78,15 @@ def test_build_state_bit_identical_to_full_row_gather(name, tmp_path):
 
 def test_apply_mask_temporal_branch():
     m = apply_mask(3, f_t=8, f_s=4)
-    assert m.m_temp[3] == 0 and m.m_temp.sum() == 7
-    assert m.m_spatial.sum() == 4
-    assert m.action == 3
+    assert m.shape == (12,) and set(m) == {0.0, 1.0}
+    assert m[3] == 0 and m[:8].sum() == 7
+    assert m[8:].sum() == 4
 
 
 def test_apply_mask_spatial_branch():
     m = apply_mask(10, f_t=8, f_s=4)
-    assert m.m_spatial[2] == 0 and m.m_spatial.sum() == 3
-    assert m.m_temp.sum() == 8
+    assert m[10] == 0 and m[8:].sum() == 3
+    assert m[:8].sum() == 8
 
 
 def test_apply_mask_out_of_range():
