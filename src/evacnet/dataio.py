@@ -259,8 +259,8 @@ def _load_records(path, detector_ids):
     of the checks failing there the one that comes first in this order:
     field count, detector id, timestamp, UTC offset, duplicate, flow,
     speed, the sign and bound of flow, the sign of speed, then each
-    exogenous column. Only
-    a file that passes them all has its time span checked."""
+    exogenous column. Only a file that passes them all has its time span
+    checked."""
     widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
 
