@@ -172,7 +172,7 @@ def cmd_evaluate(args):
     except ValueError as exc:
         raise UserError(str(exc))
     windows = dataset.val_windows or dataset.train_windows
-    static_full = payload.get("static_adj_full")
+    static_full = payload["static_adj_full"]
     table = trainer.evaluate(params, windows, dataset, static_full)
     metrics_csv = out / "metrics.csv"
     trainer.write_metrics_csv(table, metrics_csv)
@@ -180,7 +180,7 @@ def cmd_evaluate(args):
              table["overall"].n)
     _write_manifest(out, "evaluate", config.seed, [metrics_csv],
                     extra={"checkpoint": str(ckpt),
-                           "config_hash": payload["config_hash"]})
+                           "config_hash": config.hash()})
     return EXIT_OK
 
 
@@ -211,14 +211,12 @@ def cmd_rank_features(args):
     out = _out_dir(args)
     ckpt = Path(args.checkpoint)
     payload, config, _ = _load_checkpoint(ckpt)
-    agent_state = payload.get("agent")
-    if agent_state is None or agent_state["total"] <= 0:
+    counts = payload["mask_counts"]
+    if counts is None or counts.sum() <= 0:
         raise UserError(
             f"checkpoint {ckpt} holds no feature-selection history "
             f"(variant {config.variant!r}); train an RL variant first")
-    counter = rlagent.MaskCounter(agent_state["counts"],
-                                  agent_state["total"])
-    rows = rlagent.ranking(counter, payload["registry"])
+    rows = rlagent.ranking(counts, payload["registry"])
     ranking_csv = out / "ranking.csv"
     rlagent.write_ranking_csv(rows, ranking_csv)
     log.info("most important feature: %s", rows[0][1])

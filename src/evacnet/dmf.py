@@ -5,7 +5,7 @@ input window, and a linear multi-horizon head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class DmfParameters:
 
     def param_count(self):
         return sum(t.data.size for t in self.tensors.values())
-
-    def copy(self):
-        """Parameters over one copy of the flat vector."""
-        tensors = {k: Tensor(v.data, requires_grad=True)
-                   for k, v in self.tensors.items()}
-        return replace(self, tensors=tensors,
-                       flat=nc.flatten(tensors.values()))
 
 
 @dataclass

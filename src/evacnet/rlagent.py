@@ -213,15 +213,6 @@ class QNetwork:
     def copy_from(self, other):
         np.copyto(self.flat, other.flat)
 
-    def state_dict(self):
-        return {"weights": [w.data.copy() for w in self.weights],
-                "biases": [b.data.copy() for b in self.biases]}
-
-    def load_state_dict(self, state):
-        for p, data in zip(self.trainable(),
-                           state["weights"] + state["biases"]):
-            np.copyto(p.data, data)
-
 
 def select_action(state, online, epsilon, rng, n_actions):
     """ε-greedy: uniform with prob ε, else greedy on online Q-values."""
@@ -244,32 +235,16 @@ def ddqn_target(reward, next_state, gamma, online, target):
     return reward + gamma * value.squeeze(-1)
 
 
-@dataclass
-class MaskCounter:
-    counts: np.ndarray
-    total: int = 0
-
-    @classmethod
-    def zeros(cls, n_features):
-        return cls(np.zeros(n_features, dtype=np.int64))
-
-    def record(self, action):
-        self.counts[action] += 1
-        self.total += 1
-
-
-def ranking(counter, feature_names):
-    """Features sorted ascending by mask count (least masked first = most
-    important); registry order breaks ties. Returns
+def ranking(counts, feature_names):
+    """Features sorted ascending by their mask counts (least masked first =
+    most important); registry order breaks ties. Returns
     (rank, name, count, fraction) rows."""
-    if counter.total <= 0:
+    total = int(counts.sum())
+    if total <= 0:
         raise ValueError("no recorded actions")
-    order = np.argsort(counter.counts, kind="stable")
-    rows = []
-    for rank, k in enumerate(order, start=1):
-        rows.append((rank, feature_names[k], int(counter.counts[k]),
-                     counter.counts[k] / counter.total))
-    return rows
+    order = np.argsort(counts, kind="stable")
+    return [(rank, feature_names[k], int(counts[k]), int(counts[k]) / total)
+            for rank, k in enumerate(order, start=1)]
 
 
 def write_ranking_csv(rows, path):
@@ -296,7 +271,8 @@ class Agent:
         self.target.copy_from(self.online)
         self.buffer = ReplayBuffer(capacity)
         self.schedule = EpsilonSchedule()
-        self.counter = MaskCounter.zeros(n_features)
+        # how often each feature was masked; the ranking reads these
+        self.mask_counts = np.zeros(n_features, dtype=np.int64)
         self.optimizer = nc.Adam(self.online.trainable(), lr=lr)
         self.updates = 0
         self.total_steps_hint = max(1, total_steps_hint)
@@ -309,7 +285,7 @@ class Agent:
         eps = self.schedule.advance()
         action = select_action(state, self.online, eps, self.rng,
                                self.n_features)
-        self.counter.record(action)
+        self.mask_counts[action] += 1
         return action, eps
 
     def observe(self, state, action, reward, next_state):
@@ -339,18 +315,3 @@ class Agent:
         if self.updates % self.sync_every == 0:
             self.target.copy_from(self.online)
         return float(abs_td.mean())
-
-    def state_dict(self):
-        return {"online": self.online.state_dict(),
-                "target": self.target.state_dict(),
-                "counts": self.counter.counts.copy(),
-                "total": self.counter.total,
-                "schedule_steps": self.schedule.steps,
-                "updates": self.updates}
-
-    def load_state_dict(self, state):
-        self.online.load_state_dict(state["online"])
-        self.target.load_state_dict(state["target"])
-        self.counter = MaskCounter(state["counts"].copy(), state["total"])
-        self.schedule.steps = state["schedule_steps"]
-        self.updates = state["updates"]

@@ -16,7 +16,7 @@ import numpy as np
 from . import dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
 # the fixed cost of each op over more rows, but a pass builds no autograd
 # graph, so its memory is the chunk's live activations, about 16 KB per
@@ -182,7 +182,7 @@ def train(config, dataset, log_fn=None):
     logs = []
     pending = None  # (state, action, reward) awaiting its next state
     best_val = np.inf
-    best_params = None
+    best = None  # the flat parameter vector of the best validation RMSE
     stale = 0
     t_start = time.perf_counter()
     for epoch in range(config.epochs):
@@ -246,17 +246,17 @@ def train(config, dataset, log_fn=None):
         if overall is not None:
             if overall.rmse < best_val - 1e-12:
                 best_val = overall.rmse
-                best_params = params.copy()
+                best = params.flat.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale > config.patience:
-                    params = best_params
+                    np.copyto(params.flat, best)
                     break
 
     ranking_rows = None
-    if agent is not None and agent.counter.total > 0:
-        ranking_rows = rlagent.ranking(agent.counter, dataset.registry)
+    if agent is not None and agent.mask_counts.sum() > 0:
+        ranking_rows = rlagent.ranking(agent.mask_counts, dataset.registry)
     return TrainResult(params=params, config=config, epoch_logs=logs,
                        agent=agent, ranking_rows=ranking_rows,
                        static_adj_full=static_full)
@@ -369,24 +369,20 @@ def write_epochs_csv(logs, path):
 
 
 def save_checkpoint(result, dataset, path):
-    """Versioned container; identical runs produce identical bytes."""
+    """Versioned container of what `evaluate` and `rank-features` read:
+    the config, the feature registry and sizes, the flat parameter vector,
+    the agent's mask counts (None without an agent) and the static graph
+    (None unless static_gcn_lstm). Identical runs produce identical
+    bytes."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(result.config),
-        "config_hash": result.config.hash(),
         "registry": dataset.registry,
-        "hyperparams": {"hidden": result.config.hidden,
-                        "l": result.config.l, "p": result.config.p,
-                        "seed": result.config.seed},
-        "modalities": result.params.modalities,
         "f_t": result.params.f_t,
         "f_s": result.params.f_s,
-        "params": {k: v.data.copy()
-                   for k, v in result.params.tensors.items()},
-        "agent": result.agent.state_dict() if result.agent else None,
+        "params": result.params.flat,
+        "mask_counts": result.agent.mask_counts if result.agent else None,
         "static_adj_full": result.static_adj_full,
-        "target_norm": {"mean": dataset.target_norm.mean,
-                        "std": dataset.target_norm.std},
     }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=4)
@@ -410,15 +406,14 @@ def load_checkpoint(path):
     cfg = TrainConfig(**payload["config"])
     params = dmf.DmfParameters.init(payload["f_t"], payload["f_s"],
                                     cfg.hidden, cfg.p,
-                                    modalities=tuple(payload["modalities"]),
+                                    modalities=cfg.modalities(),
                                     seed=cfg.seed + 1)
-    for k, tensor in params.tensors.items():
-        saved = payload["params"][k]
-        # copyto would broadcast a smaller array over the parameter
-        if np.shape(saved) != tensor.shape:
-            raise ValueError(f"{path}: parameter {k} has shape "
-                             f"{np.shape(saved)}, expected {tensor.shape}")
-        np.copyto(tensor.data, saved)
+    saved = payload["params"]
+    # copyto would broadcast a smaller array over the vector
+    if np.shape(saved) != params.flat.shape:
+        raise ValueError(f"{path}: parameter vector has shape "
+                         f"{np.shape(saved)}, expected {params.flat.shape}")
+    np.copyto(params.flat, saved)
     return payload, cfg, params
 
 

@@ -199,7 +199,7 @@ def test_c07_agent_learns_ranking():
             agent.learn()
             state = next_state
         uniform = 500 / n_features
-        counts = agent.counter.counts
+        counts = agent.mask_counts
         elapsed = time.perf_counter() - t0
         assert counts[noise] > 2 * uniform, \
             f"noise masked {counts[noise]} <= {2 * uniform:.1f}"

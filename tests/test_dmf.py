@@ -223,13 +223,14 @@ def test_lstm_equals_column_block_lstm_bit_for_bit(n, l, modality_axis,
     hidden = 32
     rng = np.random.default_rng(40 + n + l)
     params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
-    params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+    params.tensors["b_lstm"].data[:] = rng.normal(size=4 * hidden)
     shape = (l, 1, n, hidden) if modality_axis else (l, n, hidden)
     x_data = rng.normal(size=shape)
     weights = Tensor(rng.normal(size=(n, hidden)))
 
     def run(step):
-        p = params.copy()
+        p = dmf.DmfParameters.init(hidden, 0, hidden, 1)
+        np.copyto(p.flat, params.flat)
         x = Tensor(x_data, requires_grad=x_grad)
         h, c = step(x, p)
         (h * weights).sum().backward()
@@ -249,7 +250,7 @@ def test_unrecorded_lstm_equals_recorded_bit_for_bit(n, l):
     hidden = 32
     rng = np.random.default_rng(7 + n + l)
     params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
-    params.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
+    params.tensors["b_lstm"].data[:] = rng.normal(size=4 * hidden)
     x = rng.normal(size=(l, n, hidden))
     constant = replace(params, tensors={k: Tensor(v.data) for k, v in
                                         params.tensors.items()})
@@ -469,7 +470,8 @@ def test_forward_gradients_match_finite_differences():
 
 def test_parameters_are_views_of_one_flat_vector():
     params = dmf.DmfParameters.init(3, 2, 4, 2, seed=5)
-    copy = params.copy()
+    copy = dmf.DmfParameters.init(3, 2, 4, 2, seed=6)
+    np.copyto(copy.flat, params.flat)
     for p in (params, copy):
         assert p.flat.size == p.param_count()
         for t in p.trainable():

@@ -56,7 +56,7 @@ def test_rl_variant_produces_ranking(dataset):
     assert result.agent is not None
     rows = result.ranking_rows
     assert len(rows) == dataset.f_t + dataset.f_s
-    assert sum(r[2] for r in rows) == result.agent.counter.total
+    assert sum(r[2] for r in rows) == result.agent.mask_counts.sum()
     assert all(log.epsilon is not None for log in result.epoch_logs)
 
 
@@ -309,14 +309,11 @@ def test_training_equals_per_tensor_adam(builtin, monkeypatch):
     ref = trainer.train(cfg, builtin["S1"])
     for k, t in flat.params.tensors.items():
         np.testing.assert_array_equal(t.data, ref.params.tensors[k].data)
-    a, b = flat.agent.state_dict(), ref.agent.state_dict()
-    for net in ("online", "target"):
-        for part in ("weights", "biases"):
-            for x, y in zip(a[net][part], b[net][part]):
-                np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(a["counts"], b["counts"])
-    assert [a[k] for k in ("total", "schedule_steps", "updates")] \
-        == [b[k] for k in ("total", "schedule_steps", "updates")]
+    a, b = flat.agent, ref.agent
+    np.testing.assert_array_equal(a.online.flat, b.online.flat)
+    np.testing.assert_array_equal(a.target.flat, b.target.flat)
+    np.testing.assert_array_equal(a.mask_counts, b.mask_counts)
+    assert (a.schedule.steps, a.updates) == (b.schedule.steps, b.updates)
 
 
 def _sized(counts):
