@@ -17,6 +17,8 @@ from . import dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 3
+CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
+                     "mask_counts", "static_adj_full")
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
 # the fixed cost of each op over more rows, but a pass builds no autograd
 # graph, so its memory is the chunk's live activations, about 16 KB per
@@ -388,9 +390,17 @@ def save_checkpoint(result, dataset, path):
         pickle.dump(payload, fh, protocol=4)
 
 
+def _is_array(value, kind, ndim):
+    """Whether `value` is an ndarray with `ndim` axes and a dtype of the
+    kind "f" (float) or "i" (signed integer)."""
+    return (isinstance(value, np.ndarray) and value.dtype.kind == kind
+            and value.ndim == ndim)
+
+
 def load_checkpoint(path):
     """Returns (payload, config, params). Raises ValueError, naming the
-    file, when it is not a checkpoint or is one of another version."""
+    file, when it is not a checkpoint, is one of another version, or lacks
+    a field or has one of the wrong type or size."""
     with open(path, "rb") as fh:
         try:
             payload = pickle.load(fh)
@@ -403,16 +413,42 @@ def load_checkpoint(path):
     if payload["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {payload['version']!r}"
                          f", expected version {CHECKPOINT_VERSION}")
-    cfg = TrainConfig(**payload["config"])
-    params = dmf.DmfParameters.init(payload["f_t"], payload["f_s"],
-                                    cfg.hidden, cfg.p,
+    missing = [k for k in CHECKPOINT_FIELDS if k not in payload]
+    if missing:
+        raise ValueError(f"{path}: checkpoint field {missing[0]} is missing")
+    try:
+        # a config that is not a mapping, or has an unknown key, is a
+        # TypeError
+        cfg = TrainConfig(**payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint config rejected: {exc}") \
+            from None
+
+    def require(ok, name, what):
+        if not ok:
+            raise ValueError(f"{path}: checkpoint field {name} is not {what}")
+
+    f_t, f_s, registry = payload["f_t"], payload["f_s"], payload["registry"]
+    require(is_a(f_t, "int") and is_a(f_s, "int") and min(f_t, f_s) >= 0,
+            "f_t or f_s", "a non-negative integer")
+    n = f_t + f_s
+    require(isinstance(registry, list) and len(registry) == n
+            and all(isinstance(name, str) for name in registry),
+            "registry", f"a list of f_t + f_s = {n} feature names")
+    saved, counts = payload["params"], payload["mask_counts"]
+    require(_is_array(saved, "f", 1), "params", "a float vector")
+    require(counts is None or _is_array(counts, "i", 1) and len(counts) == n,
+            "mask_counts", f"None or {n} integer counts")
+    require(payload["static_adj_full"] is None
+            or _is_array(payload["static_adj_full"], "f", 2),
+            "static_adj_full", "None or a float matrix")
+    params = dmf.DmfParameters.init(f_t, f_s, cfg.hidden, cfg.p,
                                     modalities=cfg.modalities(),
                                     seed=cfg.seed + 1)
-    saved = payload["params"]
     # copyto would broadcast a smaller array over the vector
-    if np.shape(saved) != params.flat.shape:
+    if saved.shape != params.flat.shape:
         raise ValueError(f"{path}: parameter vector has shape "
-                         f"{np.shape(saved)}, expected {params.flat.shape}")
+                         f"{saved.shape}, expected {params.flat.shape}")
     np.copyto(params.flat, saved)
     return payload, cfg, params
 

@@ -3,6 +3,7 @@ import pickle
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evacnet import cli, dataio, trainer
@@ -288,6 +289,59 @@ def test_checkpoint_parameter_of_another_shape_is_user_error(corpus, trained,
                      str(corpus), "--out", str(tmp_path)]) == 1
     assert (f"parameter vector has shape ({flat.size - 1},), expected "
             f"({flat.size},)") in caplog.text
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _setting(key, value):
+    def edit(payload):
+        payload[key] = value(payload[key]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["evaluate", "rank-features"])
+@pytest.mark.parametrize("edit, message", [
+    (_setting("config", lambda c: {**c, "dropout": 0.1}),
+     "checkpoint config rejected: "),
+    (_setting("config", lambda c: list(c.values())),
+     "checkpoint config rejected: "),
+    (_setting("config", lambda c: {**c, "hidden": 0}),
+     "checkpoint config rejected: hidden must be >= 1"),
+    (_without("params"), "checkpoint field params is missing"),
+    (_without("mask_counts"), "checkpoint field mask_counts is missing"),
+    (_setting("params", lambda v: list(v)),
+     "checkpoint field params is not a float vector"),
+    (_setting("params", lambda v: v.astype(np.int64)),
+     "checkpoint field params is not a float vector"),
+    (_setting("f_s", "7"), "checkpoint field f_t or f_s is not"),
+    (_setting("registry", lambda r: r[:-1]),
+     "checkpoint field registry is not a list of f_t + f_s"),
+    (_setting("mask_counts", lambda c: c[:-1]),
+     "checkpoint field mask_counts is not None or"),
+    (_setting("static_adj_full", [[0.0]]),
+     "checkpoint field static_adj_full is not None or a float matrix"),
+], ids=["config-unknown-key", "config-list", "config-rejected-value",
+        "params-missing", "mask-counts-missing", "params-list",
+        "params-int", "f-s-text", "registry-short", "mask-counts-short",
+        "static-list"])
+def test_malformed_checkpoint_field_is_user_error(command, edit, message,
+                                                  corpus, trained, tmp_path,
+                                                  caplog):
+    with open(trained / "model.ckpt", "rb") as fh:
+        payload = pickle.load(fh)
+    edit(payload)
+    ckpt = tmp_path / "edited.ckpt"
+    with open(ckpt, "wb") as fh:
+        pickle.dump(payload, fh)
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path)]
+    if command == "evaluate":
+        argv += ["--data", str(corpus)]
+    assert cli.main(argv) == 1
+    assert f"{ckpt}: {message}" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["evaluate", "rank-features"])
