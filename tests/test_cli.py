@@ -256,6 +256,43 @@ def test_evaluate_missing_checkpoint(corpus, tmp_path):
                      "--data", str(corpus), "--out", str(tmp_path)]) == 1
 
 
+@pytest.fixture(scope="module")
+def static_trained(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("static")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({"variant": "static_gcn_lstm", "epochs": 1,
+                               "l": 3, "p": 2, "hidden": 8}),
+                   encoding="utf-8")
+    assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
+                     "--out", str(out), "--log-level", "WARNING"]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("corridors, message", [
+    ([("I75", 4, 4.0)], None),
+    ([("I75", 5, 4.0)], "holds a static graph of shape (4, 4), but the "
+                        "corpus's 5 detectors give (5, 5)"),
+    # four detectors too, on two chains instead of one
+    ([("I75", 2, 4.0), ("I4", 2, 4.0)],
+     "holds a static graph over other detector positions"),
+], ids=["same-corpus", "more-detectors", "other-positions"])
+def test_static_checkpoint_on_another_corpus_is_user_error(
+        corridors, message, static_trained, tmp_path, caplog):
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(asdict(replace(TINY, corridors=corridors))),
+                    encoding="utf-8")
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--scenario", str(scen),
+                     "--out", str(data)]) == 0
+    code = cli.main(["evaluate", "--checkpoint", str(static_trained),
+                     "--data", str(data), "--out", str(tmp_path / "eval")])
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"checkpoint {static_trained} {message}" in caplog.text
+
+
 def _rewrite_checkpoint(trained, path, **changes):
     with open(trained / "model.ckpt", "rb") as fh:
         payload = pickle.load(fh)
