@@ -71,6 +71,12 @@ MAX_SPAN_HOURS = 366 * 24
 # Largest flow a record may carry, veh/h: far above any detector's
 # capacity, and far below the flows whose feature statistics overflow.
 MAX_FLOW = 1e6
+# Smallest positive speed a record may carry, mph; a stalled detector
+# records 0. With MAX_MILEPOST it keeps a travel-time edge's hours, miles
+# over the mean endpoint speed, far below overflow.
+MIN_SPEED = 0.01
+# Largest milepost, miles: far beyond any highway's length.
+MAX_MILEPOST = 1e4
 
 
 class SchemaError(ValueError):
@@ -191,6 +197,8 @@ def _meta_row(row, metas, seen_positions):
     lanes = _parse_float(row[3], "lanes")
     if milepost < 0:
         raise SchemaError("milepost must be >= 0")
+    if milepost > MAX_MILEPOST:
+        raise SchemaError(f"milepost must be <= {MAX_MILEPOST:.0f}")
     if lanes < 1 or lanes != int(lanes):
         raise SchemaError("lanes must be a positive integer")
     if det in metas:
@@ -258,9 +266,9 @@ def _load_records(path, detector_ids):
     columns; when one fails, the error names the first failing line, and
     of the checks failing there the one that comes first in this order:
     field count, detector id, timestamp, UTC offset, duplicate, flow,
-    speed, the sign and bound of flow, the sign of speed, then each
-    exogenous column. Only a file that passes them all has its time span
-    checked."""
+    speed, the sign and bound of flow, the sign and lower bound of speed,
+    then each exogenous column. Only a file that passes them all has its
+    time span checked."""
     widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
 
@@ -318,6 +326,8 @@ def _load_records(path, detector_ids):
     check(values[:, 0] > MAX_FLOW,
           lambda k: f"flow above {MAX_FLOW:.0f} veh/h")
     check(values[:, 1] < 0, lambda k: "negative speed")
+    check((values[:, 1] > 0) & (values[:, 1] < MIN_SPEED),
+          lambda k: f"positive speed below {MIN_SPEED} mph")
     for j in range(2, len(numeric)):
         check_parsed(j)
         if numeric[j] in NON_NEGATIVE_COLUMNS:

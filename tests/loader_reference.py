@@ -3,7 +3,7 @@ row-by-row loader it replaced, kept so that the columnar one can be checked
 to raise the same `SchemaError` message on the same file and to read the
 same values. Only the imports, the signature (it takes the loaded metas)
 and the record type (a SimpleNamespace) differ, and it has since gained
-the `MAX_FLOW` bound."""
+the `MAX_FLOW` and `MIN_SPEED` bounds."""
 
 import csv
 import math
@@ -11,7 +11,7 @@ from datetime import datetime, timedelta
 from types import SimpleNamespace
 
 from evacnet.dataio import (INCIDENT_COLUMNS, MAX_FLOW, MAX_SPAN_HOURS,
-                            RECORD_COLUMNS, SchemaError)
+                            MIN_SPEED, RECORD_COLUMNS, SchemaError)
 
 
 def _parse_float(value, line_no, column, allow_missing=True):
@@ -74,6 +74,9 @@ def load_records(records_path, metas):
                                   f"{MAX_FLOW:.0f} veh/h")
             if speed is not None and speed < 0:
                 raise SchemaError(f"line {line_no}: negative speed")
+            if speed is not None and 0 < speed < MIN_SPEED:
+                raise SchemaError(f"line {line_no}: positive speed below "
+                                  f"{MIN_SPEED} mph")
             exog = {}
             for col, value in zip(RECORD_COLUMNS[4:], row[4:]):
                 parsed = _parse_float(value, line_no, col)

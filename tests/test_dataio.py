@@ -516,8 +516,9 @@ def _set_field(line, column, value):
     return ",".join(fields)
 
 
-MUTATIONS = ("text", "empty", "nonfinite", "negative", "huge", "field_count",
-             "duplicate", "offset", "far_year", "crlf", "bom", "truncated")
+MUTATIONS = ("text", "empty", "nonfinite", "negative", "huge", "slow",
+             "field_count", "duplicate", "offset", "far_year", "crlf", "bom",
+             "truncated")
 
 
 @st.composite
@@ -545,6 +546,9 @@ def mutations(draw, kind, lines):
     elif kind == "huge":  # a finite flow above MAX_FLOW
         lines[i] = _set_field(line, 2, draw(st.sampled_from(
             ["1e300", "1e160", "2e6"])))
+    elif kind == "slow":  # a positive speed below MIN_SPEED
+        lines[i] = _set_field(line, 3, draw(st.sampled_from(
+            ["1e-308", "5e-324", "0.0099"])))
     elif kind == "field_count":
         fields = line.split(",")
         column = draw(st.integers(0, len(fields) - 1))
@@ -601,6 +605,69 @@ def test_mutated_line_loads_or_is_named(s1_corpus, kind, data):
     assert cli.main(["train", "--data", str(corpus), "--config", str(config),
                      "--out", str(work / "out"), "--log-level", "ERROR"]) \
         == expected
+
+
+def _train_exit_code(work, meta_lines, records_lines, config):
+    """`evacnet train`'s exit code on a corpus of the given lines."""
+    from evacnet import cli
+    corpus = work / "edited"
+    corpus.mkdir(exist_ok=True)
+    for name, lines in (("meta.csv", meta_lines),
+                        ("records.csv", records_lines)):
+        (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cli.main(["train", "--data", str(corpus), "--config", str(config),
+                     "--out", str(work / "out"), "--log-level", "ERROR"])
+
+
+def _set_speeds(lines, prefixes, speed):
+    """The lines with the speed of each line starting with one of the
+    prefixes set; and the file line numbers of those lines."""
+    hits = [k for k, line in enumerate(lines) if line.startswith(prefixes)]
+    lines = list(lines)
+    for k in hits:
+        lines[k] = _set_field(lines[k], 3, speed)
+    return lines, [k + 1 for k in hits]
+
+
+def test_tiny_positive_speed_is_named_not_trained_on(s1_corpus, caplog):
+    """Speeds of 1e-308 at two neighbouring detectors made their travel
+    time overflow to inf, the snapshot's graph nan and `train` exit 2."""
+    work, meta, lines, config = s1_corpus
+    lines, line_nos = _set_speeds(lines, ("I75_000,2024-10-03T02:00",
+                                          "I75_001,2024-10-03T02:00"),
+                                  "1e-308")
+    assert len(line_nos) == 2
+    assert _train_exit_code(work, meta.read_text().splitlines(), lines,
+                            config) == 1
+    assert f"line {line_nos[0]}: positive speed below " \
+           f"{dataio.MIN_SPEED} mph" in caplog.text
+
+
+def test_huge_milepost_is_named_not_trained_on(s1_corpus, caplog):
+    """A milepost of 1e308 and two neighbouring speeds of 0.5 mph at one
+    hour made that edge's travel time overflow and `train` exit 2."""
+    work, meta, lines, config = s1_corpus
+    meta_lines = meta.read_text().splitlines()
+    assert meta_lines[6].startswith("I75_005,I75,")
+    meta_lines[6] = _set_field(meta_lines[6], 2, "1e308")
+    lines, _ = _set_speeds(lines, ("I75_004,2024-10-03T02:00",
+                                   "I75_005,2024-10-03T02:00"), "0.5")
+    assert _train_exit_code(work, meta_lines, lines, config) == 1
+    assert f"line 7: milepost must be <= {dataio.MAX_MILEPOST:.0f}" \
+        in caplog.text
+
+
+def test_bounds_themselves_load(csv_pair):
+    meta, recs = csv_pair
+    write_meta(meta, ["det_a,I75,0.0,3,28.0,-82.0",
+                      f"det_b,I75,{dataio.MAX_MILEPOST},3,28.1,-82.0"])
+    rows = [record_row(d, T0 + timedelta(hours=h), 100.0,
+                       speed=dataio.MIN_SPEED if h else 0.0)
+            for d in ("det_a", "det_b") for h in range(2)]
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    metas, columns = load_csv(meta, recs)
+    assert metas["det_b"].milepost == dataio.MAX_MILEPOST
+    assert sorted(set(columns.values[:, 1])) == [0.0, dataio.MIN_SPEED]
 
 
 @pytest.fixture(scope="module")
