@@ -402,6 +402,14 @@ def test_rank_features(trained, tmp_path):
     assert len(lines) == 1 + 32  # one row per feature
 
 
+def test_rank_features_reproduces_the_training_ranking(trained, tmp_path):
+    assert cli.main(["rank-features", "--checkpoint",
+                     str(trained / "model.ckpt"),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "ranking.csv").read_bytes() == \
+        (trained / "ranking.csv").read_bytes()
+
+
 def test_rank_features_rejects_non_rl_checkpoint(corpus, tmp_path, caplog):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"variant": "dmf_no_rl", "epochs": 1,

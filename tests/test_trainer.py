@@ -101,6 +101,19 @@ def test_train_rmse_stop_short_circuits(dataset):
     assert len(result.epoch_logs) == 1
 
 
+def test_patience_returns_best_validation_parameters(dataset):
+    cfg = tiny_config(epochs=40, patience=2)
+    result = trainer.train(cfg, dataset)
+    val = [log.val_rmse for log in result.epoch_logs]
+    best = int(np.argmin(val))
+    # stopped patience + 1 epochs after the best, which was not the last
+    assert len(val) < cfg.epochs
+    assert len(val) - 1 - best == cfg.patience + 1
+    assert val[-1] != val[best]
+    table = trainer.evaluate(result.params, dataset.val_windows, dataset)
+    assert table["overall"].rmse == val[best]
+
+
 def test_evaluate_table_shape(dataset):
     result = trainer.train(tiny_config(), dataset)
     windows = dataset.val_windows or dataset.train_windows
