@@ -177,17 +177,12 @@ def cmd_evaluate(args):
     static_full = None
     if config.variant == "static_gcn_lstm":
         static_full = trainer._static_distance_adj(dataset)
-        # the graph the model was trained on must be the corpus's own
         saved = payload["static_adj_full"]
-        if np.shape(saved) != static_full.shape:
-            raise UserError(
-                f"checkpoint {ckpt} holds a static graph of shape "
-                f"{np.shape(saved)}, but the corpus's "
-                f"{len(static_full)} detectors give {static_full.shape}")
         if not np.array_equal(saved, static_full):
             raise UserError(
-                f"checkpoint {ckpt} holds a static graph over other "
-                f"detector positions than the corpus's")
+                f"checkpoint {ckpt} was trained on a static graph of shape "
+                f"{np.shape(saved)} over other detectors than the corpus's "
+                f"{static_full.shape} graph")
     table = trainer.evaluate(params, windows, dataset, static_full)
     metrics_csv = out / "metrics.csv"
     trainer.write_metrics_csv(table, metrics_csv)

@@ -57,9 +57,6 @@ class DmfParameters:
     def trainable(self):
         return list(self.tensors.values())
 
-    def param_count(self):
-        return sum(t.data.size for t in self.tensors.values())
-
 
 @dataclass
 class FusionTrace:

@@ -391,8 +391,7 @@ def save_checkpoint(result, dataset, path):
 
 
 def _is_array(value, kind, ndim):
-    """Whether `value` is an ndarray with `ndim` axes and a dtype of the
-    kind "f" (float) or "i" (signed integer)."""
+    """Whether `value` is an ndarray of `ndim` axes and dtype kind `kind`."""
     return (isinstance(value, np.ndarray) and value.dtype.kind == kind
             and value.ndim == ndim)
 
@@ -417,8 +416,7 @@ def load_checkpoint(path):
     if missing:
         raise ValueError(f"{path}: checkpoint field {missing[0]} is missing")
     try:
-        # a config that is not a mapping, or has an unknown key, is a
-        # TypeError
+        # not a mapping, or an unknown key: a TypeError
         cfg = TrainConfig(**payload["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: checkpoint config rejected: {exc}") \

@@ -270,11 +270,12 @@ def static_trained(corpus, tmp_path_factory):
 
 @pytest.mark.parametrize("corridors, message", [
     ([("I75", 4, 4.0)], None),
-    ([("I75", 5, 4.0)], "holds a static graph of shape (4, 4), but the "
-                        "corpus's 5 detectors give (5, 5)"),
+    ([("I75", 5, 4.0)], "was trained on a static graph of shape (4, 4) "
+                        "over other detectors than the corpus's (5, 5) graph"),
     # four detectors too, on two chains instead of one
     ([("I75", 2, 4.0), ("I4", 2, 4.0)],
-     "holds a static graph over other detector positions"),
+     "was trained on a static graph of shape (4, 4) over other detectors "
+     "than the corpus's (4, 4) graph"),
 ], ids=["same-corpus", "more-detectors", "other-positions"])
 def test_static_checkpoint_on_another_corpus_is_user_error(
         corridors, message, static_trained, tmp_path, caplog):

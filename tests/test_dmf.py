@@ -26,7 +26,7 @@ def params_for(window, f_t, hidden=8, seed=0, modalities=("d", "tt")):
 def test_parameter_count_formula():
     params = dmf.DmfParameters.init(f_t=6, f_s=3, hidden=8, horizon=2)
     f, h, p = 9, 8, 2
-    assert params.param_count() == 2 * f * h + 2 * h + 8 * h * h + 4 * h \
+    assert params.flat.size == 2 * f * h + 2 * h + 8 * h * h + 4 * h \
         + p * h + p
 
 
@@ -473,7 +473,7 @@ def test_parameters_are_views_of_one_flat_vector():
     copy = dmf.DmfParameters.init(3, 2, 4, 2, seed=6)
     np.copyto(copy.flat, params.flat)
     for p in (params, copy):
-        assert p.flat.size == p.param_count()
+        assert p.flat.size == sum(t.data.size for t in p.trainable())
         for t in p.trainable():
             assert np.shares_memory(t.data, p.flat)
     assert not np.shares_memory(copy.flat, params.flat)
