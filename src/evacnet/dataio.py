@@ -618,7 +618,7 @@ def input_table(data, norm):
 @dataclass
 class WindowSample:
     """One anchor's predicted detectors and targets; its inputs are rows of
-    the shared input table, read through `inputs`."""
+    the shared input table, read through `gather_inputs`."""
     anchor_index: int  # timeline index of the first input hour
     l: int  # input hours
     det_indices: np.ndarray  # predicted detectors, indices into data order
@@ -629,11 +629,6 @@ class WindowSample:
     # lengths under this name, so it stays
     extra_temporal: list
     table: np.ndarray  # `input_table`, shared, not a copy
-
-    def inputs(self, modalities):
-        """(l, M, n_nodes, F) input rows of the predicted detectors at each
-        input hour, one block per modality in `INPUT_MODALITIES`."""
-        return gather_inputs([self], modalities)
 
 
 def gather_inputs(windows, modalities):

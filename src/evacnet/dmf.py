@@ -58,12 +58,6 @@ class DmfParameters:
         return list(self.tensors.values())
 
 
-@dataclass
-class FusionTrace:
-    """Per-step attention weights, for inspection."""
-    alphas: list = field(default_factory=list)  # (N_t, n_modalities) arrays
-
-
 def gcn_layer(rows, weight):
     """Graph convolution ReLU(Ã H W) at every input hour and modality at
     once, given the propagated rows Ã·H: constant (l, M, n, F) rows and an
@@ -251,7 +245,8 @@ def forward(windows, params, mask=None, static_rows=None):
     RL agent's (F,) 0/1 feature mask; it scales columns, so it applies to
     the propagated rows. None means all features active. `static_rows`,
     one (l, n_w, F) array per window, replaces every modality's rows
-    (static-graph baseline).
+    (static-graph baseline). Returns the predictions and the attention
+    weights α, an (l, N, M) array, or None with a single modality.
     """
     if not windows:
         raise ValueError("empty batch of windows")
@@ -275,13 +270,12 @@ def forward(windows, params, mask=None, static_rows=None):
     if mask is not None:
         rows *= mask  # a fresh array here, so scaled in place
 
-    trace = FusionTrace()
     z = gcn_layer(rows, params.tensors["W_gcn"])
+    alphas = None
     if len(params.modalities) > 1:
         z, alphas = attention_fuse(z, params.tensors["w_att"])
-        trace.alphas.extend(alphas)
     h, _ = lstm_step(z, params)
-    return predict_head(h, params), trace
+    return predict_head(h, params), alphas
 
 
 def mse_loss(predicted, windows):

@@ -33,8 +33,10 @@ class MetricReport:
     mape_skipped: int = 0
 
     def row(self):
+        """The CSV fields RMSE,MAE,MAPE,R2, joined; None is empty."""
         fmt = lambda v: "" if v is None else repr(float(v))
-        return (repr(self.rmse), repr(self.mae), fmt(self.mape), fmt(self.r2))
+        return ",".join((repr(self.rmse), repr(self.mae), fmt(self.mape),
+                         fmt(self.r2)))
 
 
 def compute(actual, predicted):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from . import dmf, graphs, metrics, numcore as nc, rlagent
+from . import dataio, dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 3
@@ -128,26 +128,15 @@ def _static_distance_adj(dataset):
                                  np.full(len(milepost), graphs.V_MIN)).adj_d
 
 
-def _window_static_adj(static_full, det_indices):
-    sub = static_full[np.ix_(det_indices, det_indices)]
-    return graphs.gcn_normalize(sub)
-
-
 def _static_rows(static_full, windows):
     """Each window's static-graph product Ã_w·[temporal ‖ spatial],
     (l, n_w, F), or None when the variant has no static graph."""
     if static_full is None:
         return None
-    return [_window_static_adj(static_full, w.det_indices)
-            @ w.inputs(("identity",))[:, 0] for w in windows]
-
-
-def _forward_loss(batch, params, mask, static_rows):
-    """One forward pass over the whole batch; the loss is the mean over its
-    windows of each window's MSE."""
-    predicted, _ = dmf.forward(batch, params, mask=mask,
-                               static_rows=static_rows)
-    return predicted, dmf.mse_loss(predicted, batch)
+    return [graphs.gcn_normalize(static_full[np.ix_(w.det_indices,
+                                                    w.det_indices)])
+            @ dataio.gather_inputs([w], ("identity",))[:, 0]
+            for w in windows]
 
 
 def train(config, dataset, log_fn=None):
@@ -209,7 +198,9 @@ def train(config, dataset, log_fn=None):
             optimizer.zero_grad()
             batch_static = (None if static is None
                             else [static[i] for i in batch_idx])
-            loss = _forward_loss(batch, params, mask, batch_static)[1]
+            predicted, _ = dmf.forward(batch, params, mask=mask,
+                                       static_rows=batch_static)
+            loss = dmf.mse_loss(predicted, batch)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
@@ -284,18 +275,18 @@ def evaluate(params, windows, dataset, static_full=None):
     The windows go through the forward pass in chunks of consecutive
     windows holding at most EVAL_ROWS predicted-node rows (a larger window
     alone), each chunk's inputs gathered from the input table with one
-    index, so memory does not grow with the number of windows."""
+    index and its static-graph rows made for it alone, so memory does not
+    grow with the number of windows."""
     if not windows:
         raise ValueError("no windows to evaluate")
     # constant Tensors over the same arrays: the forward records no graph
     params = replace(params, tensors={k: nc.Tensor(v.data)
                                       for k, v in params.tensors.items()})
-    static = _static_rows(static_full, windows)
     predicted = []
     for start, stop in _chunks(windows):
-        chunk_static = None if static is None else static[start:stop]
-        yhat, _ = dmf.forward(windows[start:stop], params,
-                              static_rows=chunk_static)
+        chunk = windows[start:stop]
+        yhat, _ = dmf.forward(chunk, params,
+                              static_rows=_static_rows(static_full, chunk))
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
         np.concatenate([w.det_indices for w in windows]),
@@ -331,17 +322,13 @@ def ablate(base_config, dataset, log_fn=None):
 
 # ---- artifact emission ----
 
-def _metric_row(report):
-    return ",".join(report.row())
-
-
 def write_metrics_csv(table, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("horizon,RMSE,MAE,MAPE,R2\n")
         horizons = sorted(k for k in table if k != "overall")
         for h in horizons:
-            fh.write(f"{h},{_metric_row(table[h])}\n")
-        fh.write(f"overall,{_metric_row(table['overall'])}\n")
+            fh.write(f"{h},{table[h].row()}\n")
+        fh.write(f"overall,{table['overall'].row()}\n")
 
 
 def write_ablation_csv(tables, path):
@@ -353,8 +340,8 @@ def write_ablation_csv(tables, path):
             table = tables[variant]
             horizons = sorted(k for k in table if k != "overall")
             for h in horizons:
-                fh.write(f"{variant},{h},{_metric_row(table[h])}\n")
-            fh.write(f"{variant},overall,{_metric_row(table['overall'])}\n")
+                fh.write(f"{variant},{h},{table[h].row()}\n")
+            fh.write(f"{variant},overall,{table['overall'].row()}\n")
 
 
 def write_epochs_csv(logs, path):

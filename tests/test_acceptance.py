@@ -85,12 +85,10 @@ def test_c02_attention_invariant():
             n = int(rng.integers(2, 5))
             w, _ = random_window(rng, n=n, f_t=4, f_s=2, l=2, p=1)
             params = dmf.DmfParameters.init(4, 2, 6, 1, seed=k)
-            _, trace = dmf.forward([w], params)
-            assert trace.alphas
-            for alpha in trace.alphas:
-                np.testing.assert_allclose(alpha.sum(axis=1), 1.0,
-                                           atol=1e-6)
-                assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
+            _, alphas = dmf.forward([w], params)
+            assert alphas.shape == (2, n, 2)  # (l, n, M)
+            np.testing.assert_allclose(alphas.sum(axis=2), 1.0, atol=1e-6)
+            assert np.all(alphas >= 0.0) and np.all(alphas <= 1.0)
 
 
 def test_c03_masking_semantics():

@@ -362,9 +362,9 @@ def test_dark_detector_excluded_from_window(tmp_path):
     assert [list(e) for e in w.extra_temporal] == [[det_b]] * 2 + [[]] * 4
     # so those hours' graphs join det_a to det_b, and the later ones hold
     # det_a alone, whose product with its own row is that row
-    rows = w.inputs(("identity",))[:, 0, 0]
+    rows = dataio.gather_inputs([w], ("identity",))[:, 0, 0]
     for g in ("d", "tt"):
-        prop = w.inputs((g,))[:, 0, 0]
+        prop = dataio.gather_inputs([w], (g,))[:, 0, 0]
         assert not (prop[:2] == rows[:2]).all(axis=1).any()
         np.testing.assert_array_equal(prop[2:], rows[2:])
         k = INPUT_MODALITIES.index(g)
@@ -421,10 +421,11 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
             raw = np.nan_to_num(ds.norm.transform(np.concatenate(
                 [data.temporal[order, t], data.spatial[order]], axis=1)))
             np.testing.assert_array_equal(
-                w.inputs(("identity",))[step, 0], raw[:len(pred)])
+                dataio.gather_inputs([w], ("identity",))[step, 0],
+                raw[:len(pred)])
             for g, norm_adj in (("d", snap.norm_d), ("tt", snap.norm_tt)):
                 np.testing.assert_allclose(
-                    w.inputs((g,))[step, 0] * m,
+                    dataio.gather_inputs([w], (g,))[step, 0] * m,
                     (norm_adj @ (raw * m))[:len(pred)],
                     rtol=1e-12, atol=1e-12)
 
@@ -477,7 +478,7 @@ def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
         np.testing.assert_allclose(
             ds.target_norm.inverse(w.det_indices, w.targets), w.targets_raw,
             rtol=1e-12, atol=0)
-        rows = w.inputs(INPUT_MODALITIES)
+        rows = dataio.gather_inputs([w], INPUT_MODALITIES)
         for step in range(ds.l):
             for k, i in enumerate(w.det_indices):
                 np.testing.assert_array_equal(

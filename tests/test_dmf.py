@@ -379,10 +379,10 @@ def test_forward_attention_normalization():
     rng = np.random.default_rng(6)
     w, _ = random_window(rng, n=5, f_t=4, f_s=2, l=4, p=3)
     params = params_for(w, 4, seed=2)
-    _, trace = dmf.forward([w], params)
-    for alpha in trace.alphas:
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(alpha >= 0) and np.all(alpha <= 1)
+    _, alphas = dmf.forward([w], params)
+    assert alphas.shape == (4, 5, 2)  # (l, n, M)
+    np.testing.assert_allclose(alphas.sum(axis=2), 1.0, atol=1e-6)
+    assert np.all(alphas >= 0) and np.all(alphas <= 1)
 
 
 def test_masked_feature_column_invariance():
@@ -441,9 +441,9 @@ def test_single_modality_and_identity_variants():
     w, _ = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
     for modalities in (("d",), ("tt",), ("identity",)):
         params = params_for(w, 4, seed=6, modalities=modalities)
-        y, trace = dmf.forward([w], params)
+        y, alphas = dmf.forward([w], params)
         assert y.data.shape == (4, 2)
-        assert trace.alphas == []  # no fusion in single-graph variants
+        assert alphas is None  # no fusion in single-graph variants
 
 
 def test_empty_node_set_errors():

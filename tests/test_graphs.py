@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacnet import graphs
+from evacnet import dataio, graphs
 
 
 def chain(mileposts, speeds=None, highways=None):
@@ -69,9 +69,21 @@ def test_travel_time_floor():
                                           3.0 / graphs.V_MIN])
 
 
-@given(st.floats(0.1, 100), st.floats(0, 90), st.floats(0, 90))
+# stalled (0) or a speed the loader accepts (at least MIN_SPEED)
+speeds = st.just(0.0) | st.floats(dataio.MIN_SPEED, 90)
+
+
+@given(st.floats(0.1, 100), speeds, speeds)
 def test_travel_time_symmetric(d, vi, vj):
     assert chain([0.0, d], [vi, vj])[3] == chain([0.0, d], [vj, vi])[3]
+
+
+def test_subnormal_mean_speed_overflows_to_inf_hours():
+    # the loader rejects positive speeds below MIN_SPEED, so no real input
+    # reaches this; a subnormal mean divides the miles past the float range
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _, _, _, hours = chain([0.0, 2.0], [1e-308, 1e-308])
+    assert hours.tolist() == [np.inf]
 
 
 def test_scale_weights_hand_case():

@@ -46,7 +46,8 @@ def test_build_state_length_and_empty():
 def build_state_reference(windows, f_t):
     """The state from each window's full (l, n, F) input rows, copied
     node-major: the gather `build_state` replaced."""
-    rows = [w.inputs(("identity",))[:, 0] for w in windows]
+    rows = [dataio.gather_inputs([w], ("identity",))[:, 0]
+            for w in windows]
     temp = np.concatenate([r[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
                            for r in rows], axis=0)
     spat = np.concatenate([r[0, :, f_t:] for r in rows], axis=0)

@@ -87,10 +87,10 @@ def test_all_variants_train(dataset, variant):
 def test_divergence_detected(dataset, monkeypatch):
     from evacnet.numcore import Tensor
 
-    def nan_loss(window, params, mask, static_full):
-        return None, Tensor(np.array(np.nan), requires_grad=True)
+    def nan_loss(predicted, windows):
+        return Tensor(np.array(np.nan), requires_grad=True)
 
-    monkeypatch.setattr(trainer, "_forward_loss", nan_loss)
+    monkeypatch.setattr(dmf, "mse_loss", nan_loss)
     with pytest.raises(trainer.TrainingDiverged, match="non-finite"):
         trainer.train(tiny_config(epochs=1), dataset)
 
@@ -225,9 +225,9 @@ def test_static_variant_frozen_adjacency(dataset):
     n = len(dataset.data.detector_ids)
     assert full.shape == (n, n)
     np.testing.assert_array_equal(full, full.T)
-    sub = trainer._window_static_adj(full, np.array([0, 1, 2]))
-    assert sub.shape == (3, 3)
-    np.testing.assert_allclose(sub, sub.T, atol=1e-12)
+    w = dataset.train_windows[0]
+    (rows,) = trainer._static_rows(full, [w])
+    assert rows.shape == (w.l, len(w.det_indices), dataset.f_t + dataset.f_s)
 
 
 @pytest.fixture(scope="module")
@@ -243,8 +243,10 @@ def builtin(tmp_path_factory):
 def _loss_and_grads(batch, params, mask, static_full):
     for t in params.trainable():
         t.zero_grad()
-    _, loss = trainer._forward_loss(batch, params, mask,
-                                    trainer._static_rows(static_full, batch))
+    predicted, _ = dmf.forward(batch, params, mask=mask,
+                               static_rows=trainer._static_rows(static_full,
+                                                                batch))
+    loss = dmf.mse_loss(predicted, batch)
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
 
@@ -388,6 +390,31 @@ def test_evaluate_equals_one_window_chunks(builtin, name, variant,
     assert tables[1] == single
 
 
+def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
+    """The static-graph rows are made per chunk, as it runs, not for every
+    window up front: evaluate's memory does not grow with the windows."""
+    ds = builtin["S2"]
+    cfg = TrainConfig(variant="static_gcn_lstm", hidden=16, seed=2)
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
+                                    modalities=cfg.modalities(), seed=3)
+    windows = ds.train_windows + ds.val_windows
+    calls = []
+    static_rows = trainer._static_rows
+
+    def recording(static_full, chunk):
+        calls.append(chunk)
+        return static_rows(static_full, chunk)
+    monkeypatch.setattr(trainer, "EVAL_ROWS", 37)
+    monkeypatch.setattr(trainer, "_static_rows", recording)
+    trainer.evaluate(params, windows, ds, trainer._static_distance_adj(ds))
+    bounds = trainer._chunks(windows)
+    assert len(bounds) > 1
+    assert len(calls) == len(bounds)
+    for chunk, (start, stop) in zip(calls, bounds):
+        assert len(chunk) == stop - start
+        assert all(a is b for a, b in zip(chunk, windows[start:stop]))
+
+
 @pytest.mark.parametrize("modalities", [("identity",), ("d",), ("d", "tt"),
                                         dataio.INPUT_MODALITIES])
 def test_gather_equals_concatenated_window_rows(builtin, modalities):
@@ -402,7 +429,8 @@ def test_gather_equals_concatenated_window_rows(builtin, modalities):
     assert rows.shape == reference.shape
     np.testing.assert_array_equal(rows, reference)
     np.testing.assert_array_equal(
-        np.concatenate([w.inputs(modalities) for w in batch], axis=2), rows)
+        np.concatenate([dataio.gather_inputs([w], modalities)
+                        for w in batch], axis=2), rows)
 
 
 def test_gather_rejects_windows_of_two_tables(builtin):
@@ -413,14 +441,20 @@ def test_gather_rejects_windows_of_two_tables(builtin):
 
 @pytest.mark.parametrize("name", ["S1", "S2"])
 def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
-    """Grouping moves no bit of a prediction: every window predicted alone
-    equals its rows of a batch of 8 windows and of one batch of all."""
+    """Grouping moves no bit of a prediction or of an attention weight:
+    every window predicted alone equals its rows of a batch of 8 windows
+    and of one batch of all, and so does its α."""
     ds = builtin[name]
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 32, ds.p, seed=3)
     windows = ds.train_windows + ds.val_windows
-    alone = [dmf.forward([w], params)[0].data for w in windows]
+    alone = [dmf.forward([w], params) for w in windows]
     for size in (8, len(windows)):
         for k in range(0, len(windows), size):
+            predicted, alphas = dmf.forward(windows[k:k + size], params)
             np.testing.assert_array_equal(
-                dmf.forward(windows[k:k + size], params)[0].data,
-                np.concatenate(alone[k:k + size]))
+                predicted.data,
+                np.concatenate([y.data for y, _ in alone[k:k + size]]))
+            # α is (l, N, M): a window's rows run along the node axis
+            np.testing.assert_array_equal(
+                alphas, np.concatenate([a for _, a in alone[k:k + size]],
+                                       axis=1))
