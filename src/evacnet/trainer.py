@@ -130,7 +130,8 @@ def _static_distance_adj(dataset):
 
 def _static_rows(static_full, windows):
     """Each window's static-graph product Ã_w·[temporal ‖ spatial],
-    (l, n_w, F), or None when the variant has no static graph."""
+    (l, n_w, F), Ã_w the normalized block of the frozen graph over its
+    predicted detectors; None when the variant has no static graph."""
     if static_full is None:
         return None
     return [graphs.gcn_normalize(static_full[np.ix_(w.det_indices,
