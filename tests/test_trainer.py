@@ -447,13 +447,14 @@ def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
     ds = builtin[name]
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 32, ds.p, seed=3)
     windows = ds.train_windows + ds.val_windows
-    alone = [dmf.forward([w], params) for w in windows]
+    alone = [(y.data, a) for y, a in (dmf.forward([w], params)
+                                      for w in windows)]
     for size in (8, len(windows)):
         for k in range(0, len(windows), size):
             predicted, alphas = dmf.forward(windows[k:k + size], params)
             np.testing.assert_array_equal(
                 predicted.data,
-                np.concatenate([y.data for y, _ in alone[k:k + size]]))
+                np.concatenate([y for y, _ in alone[k:k + size]]))
             # α is (l, N, M): a window's rows run along the node axis
             np.testing.assert_array_equal(
                 alphas, np.concatenate([a for _, a in alone[k:k + size]],
