@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacnet import dataio, dmf, numcore as nc, rlagent, synth, trainer
+from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
+                     trainer)
 from evacnet.synth import Scenario
 from evacnet.trainer import TrainConfig
 
@@ -225,9 +227,19 @@ def test_static_variant_frozen_adjacency(dataset):
     n = len(dataset.data.detector_ids)
     assert full.shape == (n, n)
     np.testing.assert_array_equal(full, full.T)
+    # a window over all detectors, and one over three of them, so that
+    # the block is a proper, non-leading sub-matrix of the frozen graph
     w = dataset.train_windows[0]
-    (rows,) = trainer._static_rows(full, [w])
-    assert rows.shape == (w.l, len(w.det_indices), dataset.f_t + dataset.f_s)
+    sub = dataclasses.replace(w, det_indices=np.array([0, 2, 3]))
+    rows = trainer._static_rows(full, [w, sub])
+    for window, got in zip([w, sub], rows):
+        det = window.det_indices
+        adj = graphs.gcn_normalize(full[np.ix_(det, det)])
+        assert adj.shape == (len(det), len(det))
+        np.testing.assert_allclose(adj, adj.T, atol=1e-12)
+        x = dataio.gather_inputs([window], ("identity",))[:, 0]
+        assert got.shape == (w.l, len(det), dataset.f_t + dataset.f_s)
+        np.testing.assert_array_equal(got, adj @ x)
 
 
 @pytest.fixture(scope="module")
