@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Byte comparison of the program's outputs at a parent revision and in
+this working tree.
+
+    python3 scripts/outputs_diff.py --parent HEAD~1
+
+The change is this working tree, uncommitted edits included. The parent
+is `--parent` checked out in a `git worktree` under a temporary directory
+and removed afterwards. On each tree, with that tree's own `src`, it runs
+`evacnet generate` for each built-in scenario of SCENARIOS, then for each
+model variant `evacnet train` (EPOCHS epochs) and `evacnet evaluate` on
+the checkpoint it wrote, and for each RL variant `evacnet rank-features`.
+It then compares train's `model.ckpt`, `metrics.csv` and `ranking.csv`,
+evaluate's `metrics.csv` and rank-features' `ranking.csv` byte for byte,
+prints one line per file and exits 0 when every file is identical, 1
+otherwise. BLAS runs on one thread (`EVACNET_THREADS=1`) unless the
+environment sets it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from evacnet.trainer import VARIANTS, TrainConfig  # noqa: E402
+
+SCENARIOS = ("S1", "S2")
+EPOCHS = 3
+# command -> the files of its output directory that are compared
+COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
+            "evaluate": ("metrics.csv",),
+            "rank-features": ("ranking.csv",)}
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def evacnet(tree, *args):
+    """One `evacnet` command run with `tree`'s sources; RuntimeError when
+    it exits non-zero."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env.setdefault("EVACNET_THREADS", "1")
+    out = subprocess.run([sys.executable, "-m", "evacnet.cli", *args,
+                          "--log-level", "WARNING"], cwd=tree, env=env,
+                         capture_output=True, text=True)
+    if out.returncode:
+        raise RuntimeError(f"{tree}: evacnet {' '.join(args)}: exit "
+                           f"{out.returncode}\n{out.stderr[-2000:]}")
+
+
+def run_tree(tree, out):
+    """Every command of the comparison on `tree`, into `out`: one
+    directory per scenario, variant and command."""
+    for scenario in SCENARIOS:
+        data = out / scenario / "data"
+        evacnet(tree, "generate", "--scenario", scenario, "--out", str(data))
+        for variant in VARIANTS:
+            base = out / scenario / variant
+            config = base / "config.json"
+            base.mkdir(parents=True)
+            config.write_text(json.dumps({"variant": variant,
+                                          "epochs": EPOCHS}),
+                              encoding="utf-8")
+            ckpt = str(base / "train" / "model.ckpt")
+            evacnet(tree, "train", "--data", str(data), "--config",
+                    str(config), "--out", str(base / "train"))
+            evacnet(tree, "evaluate", "--checkpoint", ckpt, "--data",
+                    str(data), "--out", str(base / "evaluate"))
+            if TrainConfig(variant=variant).uses_rl():
+                evacnet(tree, "rank-features", "--checkpoint", ckpt, "--out",
+                        str(base / "rank-features"))
+
+
+def expected_files():
+    """The compared files' paths relative to a tree's output directory."""
+    files = []
+    for scenario in SCENARIOS:
+        for variant in VARIANTS:
+            rl = TrainConfig(variant=variant).uses_rl()
+            # only an RL variant writes a ranking
+            files += [f"{scenario}/{variant}/{command}/{name}"
+                      for command, names in COMPARED.items()
+                      for name in names if rl or name != "ranking.csv"]
+    return files
+
+
+def compare(parent, change, files):
+    """(file, verdict) per relative path: "identical", "differs", or
+    "missing in parent" / "missing in change" / "missing in both"."""
+    rows = []
+    for rel in files:
+        p, c = parent / rel, change / rel
+        if not (p.is_file() and c.is_file()):
+            side = ("both" if not (p.is_file() or c.is_file())
+                    else "parent" if not p.is_file() else "change")
+            rows.append((rel, f"missing in {side}"))
+        else:
+            rows.append((rel, "identical" if p.read_bytes()
+                         == c.read_bytes() else "differs"))
+    return rows
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="parent revision, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+    commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "parent"
+        git("worktree", "add", "--detach", str(tree), commit)
+        try:
+            run_tree(tree, tmp / "out-parent")
+        finally:
+            git("worktree", "remove", "--force", str(tree))
+        run_tree(ROOT, tmp / "out-change")
+        rows = compare(tmp / "out-parent", tmp / "out-change",
+                       expected_files())
+    for rel, verdict in rows:
+        print(f"{rel}: {verdict}")
+    same = sum(verdict == "identical" for _, verdict in rows)
+    print(f"{same} of {len(rows)} files identical (parent {commit[:12]} "
+          f"against the working tree)")
+    return 0 if same == len(rows) else 1
+
+
+if __name__ == "__main__":
+    try:
+        sys.exit(main())
+    except RuntimeError as exc:
+        print(f"outputs_diff: {exc}", file=sys.stderr)
+        sys.exit(1)

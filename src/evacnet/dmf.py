@@ -49,13 +49,35 @@ class DmfParameters:
         t["b_lstm"] = np.zeros(4 * hidden)
         t["W_out"] = uniform(hidden, horizon)
         t["b_out"] = np.zeros(horizon)
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in t.items()}
+        flat, views = nc.flatten(t.values())
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in zip(t, views)}
         return cls(f_t=f_t, f_s=f_s, hidden=hidden, horizon=horizon,
-                   modalities=tuple(modalities), tensors=tensors,
-                   flat=nc.flatten(tensors.values()))
+                   modalities=tuple(modalities), tensors=tensors, flat=flat)
 
-    def trainable(self):
-        return list(self.tensors.values())
+    @staticmethod
+    def size(f_t, f_s, hidden, horizon, modalities):
+        """The length of `flat` that `init` makes for these sizes, counted
+        without making it."""
+        m = len(modalities)
+        return (m * (f_t + f_s) * hidden + (m * hidden if m > 1 else 0)
+                + 8 * hidden * hidden + 4 * hidden + (hidden + 1) * horizon)
+
+    def grad(self):
+        """The tensors' gradients, in key order, as one new vector shaped
+        like `flat`, taken from the tensors so that the next backward starts
+        from zero. A tensor without a gradient, or whose data no longer
+        view `flat`, is a ValueError."""
+        grads = []
+        for name, t in self.tensors.items():
+            if t.grad is None:
+                raise ValueError(f"parameter {name} of shape {t.shape} has "
+                                 "no gradient")
+            if t.data.base is not self.flat:
+                raise ValueError(f"parameter {name} of shape {t.shape} is "
+                                 "no longer a view of the flat vector")
+            grads.append(t.grad.ravel())
+            t.grad = None
+        return np.concatenate(grads)
 
 
 def gcn_layer(rows, weight):

@@ -3,15 +3,17 @@ over a flat parameter vector.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
-passes (node counts in the traffic graph do). Every differentiable op of
-the program is defined where it is used (the forecaster's cells, head and
-loss in `dmf`, the agent's TD loss in `rlagent`) and joins the graph
-through `Tensor.node` with its own hand-written backward. The only
-generic ops left are `*` and `sum`, for tests that weight an op's output
-into a scalar. Everything is float64.
+passes (node counts in the traffic graph do). The forecaster's ops (its
+cells, head and loss in `dmf`) are defined where they are used and join
+the graph through `Tensor.node`, each with its own hand-written
+backward. The only generic ops left are `*` and `sum`, for tests that
+weight an op's output into a scalar. Everything is float64.
 
-A model's parameter Tensors are views of one contiguous vector
-(`flatten`), and `Adam` updates that vector as a whole, in place.
+A model's parameters are views of one contiguous vector (`flatten`).
+`Adam` knows only that vector: `step` takes the model's gradient as one
+vector of the same shape and updates the parameters as a whole, in
+place. The RL agent builds no graph; its TD loss returns its flat
+gradient itself.
 """
 
 from __future__ import annotations
@@ -152,77 +154,54 @@ def softmax(x, axis=-1):
 
 # ---- flat parameters and optimization ----
 
-def flatten(tensors):
-    """Copy the tensors' values, in order, into one new contiguous float64
-    vector and rebind each tensor's data to its reshaped slice of it.
-    Returns the vector; writing into it writes the tensors and back."""
-    flat = np.concatenate([t.data.ravel() for t in tensors])
-    start = 0
-    for t in tensors:
-        stop = start + t.data.size
-        t.data = flat[start:stop].reshape(t.data.shape)
+def flatten(arrays):
+    """Copy the arrays' values, in order, into one new contiguous float64
+    vector. Returns the vector and one view of it per array, shaped like
+    that array; writing into the vector writes the views and back."""
+    arrays = [_as_array(a) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return flat, views(flat, [a.shape for a in arrays])
+
+
+def views(flat, shapes):
+    """Consecutive views of the vector `flat`, one per shape, in order."""
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        out.append(flat[start:stop].reshape(shape))
         start = stop
-    return flat
-
-
-def _flat_vector(tensors):
-    """The vector that `flatten` made for `tensors`: ValueError when their
-    data are not its consecutive slices, in order."""
-    flat = tensors[0].data.base if tensors else None
-    ok = isinstance(flat, np.ndarray) and flat.ndim == 1
-    start = 0
-    for t in tensors:
-        ok = ok and t.data.base is flat and t.data.flags.c_contiguous \
-            and t.data.ctypes.data == flat.ctypes.data + flat.itemsize * start
-        start += t.data.size
-    if not ok or start != flat.size:
-        raise ValueError("parameters are not consecutive views of one flat "
-                         "vector; make them with numcore.flatten")
-    return flat
+    return out
 
 
 class Adam:
-    """Bias-corrected Adam (Kingma and Ba) over parameter Tensors whose data
-    are consecutive views of one flat vector (`flatten`), updated in place.
+    """Bias-corrected Adam (Kingma and Ba) over one flat parameter vector,
+    updated in place.
 
-    A step gathers every gradient into one flat gradient vector and runs
-    the update on whole vectors with in-place ufuncs: the moments `m` and
-    `v`, the gradient and one scratch vector are made once. Each entry
-    gets the per-tensor rule's elementwise ops in its order, so the
-    parameters equal a per-tensor Adam's bit for bit. A parameter without
-    a gradient, or whose data no longer view the vector, is an error."""
+    `step(grad)` takes the model's gradient as one vector of the same
+    shape and runs the update on whole vectors with in-place ufuncs: the
+    moments `m` and `v` and two scratch vectors are made once, and `grad`
+    is only read. Each entry gets the per-tensor rule's elementwise ops in
+    its order, so the parameters equal a per-tensor Adam's bit for bit."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.flat = _flat_vector(self.params)
+    def __init__(self, flat, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.flat = flat
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self.grad = np.empty_like(self.flat)
-        self._scratch = np.empty_like(self.flat)
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self._scratch = np.empty((2,) + flat.shape)
 
-    def _gather(self):
-        """Every parameter's gradient, in order, into `self.grad`."""
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ValueError(f"parameter {i} of shape {p.data.shape} "
-                                 "has no gradient")
-            if p.grad.shape != p.data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            if p.data.base is not self.flat:
-                raise ValueError(f"parameter {i} of shape {p.data.shape} "
-                                 "is no longer a view of the flat vector")
-        np.concatenate([p.grad.ravel() for p in self.params], out=self.grad)
-
-    def step(self):
-        self._gather()
+    def step(self, grad):
+        if grad.shape != self.flat.shape:
+            raise ValueError(f"gradient of shape {grad.shape} for a "
+                             f"parameter vector of shape {self.flat.shape}")
         self.step_count += 1
         t = self.step_count
-        g, a, m, v = self.grad, self._scratch, self.m, self.v
+        g, m, v = grad, self.m, self.v
+        a, b = self._scratch
         # m = beta1·m + (1 - beta1)·g
         m *= self.beta1
         m += np.multiply(1 - self.beta1, g, out=a)
@@ -230,18 +209,14 @@ class Adam:
         v *= self.beta2
         np.multiply(1 - self.beta2, g, out=a)
         v += np.multiply(a, g, out=a)
-        # p -= lr·m̂ / (√v̂ + eps); g is free now and holds √v̂ + eps
+        # p -= lr·m̂ / (√v̂ + eps), with b = √v̂ + eps
         np.divide(m, 1 - self.beta1 ** t, out=a)
         a *= self.lr
-        np.divide(v, 1 - self.beta2 ** t, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        a /= g
+        np.divide(v, 1 - self.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
         self.flat -= a
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
 
 def finite_diff_check(f, params, h=1e-6):

@@ -4,6 +4,9 @@ One action per training step: pick a single input feature, zero it for
 that step's forward pass, and collect the negative prediction loss as
 the reward. Features the agent rarely masks are the important ones; the
 ranking is the ascending mask-count order.
+
+The Q-networks are plain arrays and build no autograd graph: the TD loss
+returns its flat gradient, which `numcore.Adam` applies to `flat`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 from . import numcore as nc
 from .dataio import INPUT_MODALITIES
-from .numcore import Tensor
 
 GAMMA = 0.95
 BUFFER_CAPACITY = 10_000
@@ -160,55 +162,49 @@ def _mlp(states, weights, biases):
 
 class QNetwork:
     """MLP (F,) -> 128 -> 128 -> (F,) with ReLU hidden activations. The
-    weights, then the biases, are consecutive views of the one contiguous
-    vector `flat` (`numcore.flatten`)."""
+    weights, then the biases, are arrays that view, consecutively, the one
+    contiguous vector `flat` (`numcore.flatten`)."""
 
     def __init__(self, n_features, hidden=HIDDEN_UNITS, seed=0):
         rng = np.random.default_rng(seed)
         sizes = [n_features, hidden, hidden, n_features]
-        self.weights = []
-        self.biases = []
+        weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(Tensor(rng.uniform(-bound, bound,
-                                                   (fan_in, fan_out)),
-                                       requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        self.flat = nc.flatten(self.trainable())
-
-    def trainable(self):
-        return self.weights + self.biases
+            weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        self.flat, views = nc.flatten(weights + biases)
+        self.weights, self.biases = views[:3], views[3:]
 
     def q_values(self, state):
         """(F,) for one state, (B, F) for a batch of states."""
-        q = _mlp(state, [w.data for w in self.weights],
-                 [b.data for b in self.biases])[-1]
+        q = _mlp(state, self.weights, self.biases)[-1]
         return q[0] if np.ndim(state) == 1 else q
 
     def td_loss(self, states, actions, targets, weights):
         """The importance-weighted mean squared TD error of the taken
-        actions, mean_b w_b·(Q(s_b, a_b) - y_b)², as one node over the
-        weights and biases; its backward runs through the three layers.
-        Returns the loss and the (B,) TD errors."""
-        ws = [w.data for w in self.weights]
-        acts = _mlp(states, ws, [b.data for b in self.biases])
+        actions, mean_b w_b·(Q(s_b, a_b) - y_b)², with its gradient by a
+        backward pass through the three layers written by hand. Returns
+        the loss, its gradient with respect to `flat` (each layer's weight
+        and bias gradients written into their views of one new vector)
+        and the (B,) TD errors."""
+        ws = self.weights
+        acts = _mlp(states, ws, self.biases)
         onehot = np.eye(ws[-1].shape[1])[actions]
         td = (acts[-1] * onehot).sum(axis=1) - targets
         n = len(td)
 
-        def bwd(g):
-            g = g * (1.0 / n)
-            dx = (g * (weights * td) + (g * td) * weights)[:, None] * onehot
-            dws, dbs = [], []
-            for k in reversed(range(len(ws))):
-                dws.insert(0, acts[k].T @ dx)
-                dbs.insert(0, dx.sum(axis=0))
-                if k:  # the input rows are data: no gradient
-                    dx = (dx @ ws[k].T) * (acts[k] > 0)
-            return dws + dbs
-        loss = Tensor.node((weights * td * td).sum() * (1.0 / n),
-                           self.trainable(), bwd)
-        return loss, td
+        grad = np.empty_like(self.flat)
+        d = nc.views(grad, [a.shape for a in ws + self.biases])
+        dws, dbs = d[:3], d[3:]
+        g = 1.0 / n
+        dx = (g * (weights * td) + (g * td) * weights)[:, None] * onehot
+        for k in reversed(range(len(ws))):
+            np.matmul(acts[k].T, dx, out=dws[k])
+            dx.sum(axis=0, out=dbs[k])
+            if k:  # the input rows are data: no gradient
+                dx = (dx @ ws[k].T) * (acts[k] > 0)
+        return float((weights * td * td).sum() * (1.0 / n)), grad, td
 
     def copy_from(self, other):
         np.copyto(self.flat, other.flat)
@@ -273,7 +269,7 @@ class Agent:
         self.schedule = EpsilonSchedule()
         # how often each feature was masked; the ranking reads these
         self.mask_counts = np.zeros(n_features, dtype=np.int64)
-        self.optimizer = nc.Adam(self.online.trainable(), lr=lr)
+        self.optimizer = nc.Adam(self.online.flat, lr=lr)
         self.updates = 0
         self.total_steps_hint = max(1, total_steps_hint)
 
@@ -302,11 +298,9 @@ class Agent:
         targets = ddqn_target(buf.rewards[idx], buf.next_states[idx],
                               self.gamma, self.online, self.target)
 
-        self.optimizer.zero_grad()
-        loss, td = self.online.td_loss(buf.states[idx], buf.actions[idx],
-                                       targets, weights)
-        loss.backward()
-        self.optimizer.step()
+        _, grad, td = self.online.td_loss(buf.states[idx], buf.actions[idx],
+                                          targets, weights)
+        self.optimizer.step(grad)
 
         abs_td = np.abs(td)
         # a row drawn twice keeps its last TD error

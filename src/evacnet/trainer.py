@@ -153,7 +153,7 @@ def train(config, dataset, log_fn=None):
     params = dmf.DmfParameters.init(dataset.f_t, dataset.f_s, config.hidden,
                                     config.p, modalities=config.modalities(),
                                     seed=config.seed + 1)
-    optimizer = nc.Adam(params.trainable(), lr=config.lr)
+    optimizer = nc.Adam(params.flat, lr=config.lr)
     static_full = (_static_distance_adj(dataset)
                    if config.variant == "static_gcn_lstm" else None)
     static = _static_rows(static_full, dataset.train_windows)
@@ -196,7 +196,6 @@ def train(config, dataset, log_fn=None):
                 action, eps = agent.act(state)
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
-            optimizer.zero_grad()
             batch_static = (None if static is None
                             else [static[i] for i in batch_idx])
             predicted, _ = dmf.forward(batch, params, mask=mask,
@@ -208,7 +207,7 @@ def train(config, dataset, log_fn=None):
                     f"non-finite loss at epoch {epoch}, variant "
                     f"{config.variant}, lr {config.lr}")
             loss.backward()
-            optimizer.step()
+            optimizer.step(params.grad())
             epoch_loss += loss_value * len(batch)
 
             if agent is not None:
@@ -428,13 +427,18 @@ def load_checkpoint(path):
     require(payload["static_adj_full"] is None
             or _is_array(payload["static_adj_full"], "f", 2),
             "static_adj_full", "None or a float matrix")
+    # counted, not made: the config's sizes would set the allocation
+    size = dmf.DmfParameters.size(f_t, f_s, cfg.hidden, cfg.p,
+                                  cfg.modalities())
+    if saved.size != size:
+        raise ValueError(f"{path}: parameter vector has shape {saved.shape}"
+                         f", expected ({size},): checkpoint field params "
+                         f"disagrees with f_t {f_t}, f_s {f_s}, hidden "
+                         f"{cfg.hidden}, p {cfg.p} and variant "
+                         f"{cfg.variant}")
     params = dmf.DmfParameters.init(f_t, f_s, cfg.hidden, cfg.p,
                                     modalities=cfg.modalities(),
                                     seed=cfg.seed + 1)
-    # copyto would broadcast a smaller array over the vector
-    if saved.shape != params.flat.shape:
-        raise ValueError(f"{path}: parameter vector has shape "
-                         f"{saved.shape}, expected {params.flat.shape}")
     np.copyto(params.flat, saved)
     return payload, cfg, params
 

@@ -71,7 +71,7 @@ def test_c01_gradient_correctness():
             return dmf.mse_loss(y, [w])
 
         t0 = time.perf_counter()
-        err = nc.finite_diff_check(f, params.trainable())
+        err = nc.finite_diff_check(f, list(params.tensors.values()))
         elapsed = time.perf_counter() - t0
         assert err < 1e-4, f"max rel err {err}"
         assert elapsed < 30.0, f"took {elapsed:.1f} s"

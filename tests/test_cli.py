@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evacnet import cli, dataio, trainer
+from evacnet import cli, dataio, dmf, trainer
 from evacnet.synth import Scenario
 
 HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.txt"
@@ -327,6 +327,34 @@ def test_checkpoint_parameter_of_another_shape_is_user_error(corpus, trained,
                      str(corpus), "--out", str(tmp_path)]) == 1
     assert (f"parameter vector has shape ({flat.size - 1},), expected "
             f"({flat.size},)") in caplog.text
+
+
+@pytest.mark.parametrize("command", ["evaluate", "rank-features"])
+def test_checkpoint_config_sizing_another_vector_allocates_nothing(
+        command, corpus, trained, tmp_path, caplog, monkeypatch):
+    # hidden 10**6 sizes a vector of about 8e12 floats: the saved vector's
+    # size must be checked before any parameters are made
+    def refuse(*args, **kwargs):
+        raise AssertionError("DmfParameters.init called")
+
+    monkeypatch.setattr(dmf.DmfParameters, "init", refuse)
+    with open(trained / "model.ckpt", "rb") as fh:
+        payload = pickle.load(fh)
+    hidden = 10 ** 6
+    size = dmf.DmfParameters.size(payload["f_t"], payload["f_s"], hidden,
+                                  payload["config"]["p"], ("d", "tt"))
+    assert size > 8 * hidden ** 2
+    ckpt = tmp_path / "huge.ckpt"
+    _rewrite_checkpoint(trained, ckpt,
+                        config={**payload["config"], "hidden": hidden})
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path)]
+    if command == "evaluate":
+        argv += ["--data", str(corpus)]
+    assert cli.main(argv) == 1
+    assert (f"{ckpt}: parameter vector has shape ({payload['params'].size},)"
+            f", expected ({size},): checkpoint field params disagrees with "
+            f"f_t {payload['f_t']}, f_s {payload['f_s']}, hidden {hidden}"
+            ) in caplog.text
 
 
 def _without(key):

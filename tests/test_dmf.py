@@ -30,6 +30,17 @@ def test_parameter_count_formula():
         + p * h + p
 
 
+@pytest.mark.parametrize("modalities", [("d", "tt"), ("tt",), ("identity",),
+                                        ("d", "tt", "identity")])
+@pytest.mark.parametrize("f_t, f_s, hidden, horizon",
+                         [(6, 3, 8, 2), (1, 0, 1, 1), (24, 8, 32, 6)])
+def test_size_counts_what_init_makes(modalities, f_t, f_s, hidden, horizon):
+    params = dmf.DmfParameters.init(f_t, f_s, hidden, horizon,
+                                    modalities=modalities)
+    assert dmf.DmfParameters.size(f_t, f_s, hidden, horizon,
+                                  modalities) == params.flat.size
+
+
 def test_gcn_layer_identity():
     h = np.array([[1.0, -2.0], [-3.0, 4.0]])
     out = dmf.gcn_layer((np.eye(2) @ h)[None, None], Tensor(np.eye(2)[None]))
@@ -86,7 +97,7 @@ def test_stacked_init_equals_per_modality_per_gate_draws():
     (("d", "tt"), 7), (("d",), 6), (("tt",), 6), (("identity",), 6)])
 def test_parameter_tensor_count(modalities, n_tensors):
     params = dmf.DmfParameters.init(3, 2, 4, 2, modalities=modalities)
-    assert len(params.trainable()) == n_tensors
+    assert len(params.tensors) == n_tensors
 
 
 def test_attention_equal_logits():
@@ -465,7 +476,7 @@ def test_forward_gradients_match_finite_differences():
         y, _ = dmf.forward([w], params)
         return dmf.mse_loss(y, [w])
 
-    assert nc.finite_diff_check(f, params.trainable()) < 1e-4
+    assert nc.finite_diff_check(f, list(params.tensors.values())) < 1e-4
 
 
 def test_parameters_are_views_of_one_flat_vector():
@@ -473,10 +484,51 @@ def test_parameters_are_views_of_one_flat_vector():
     copy = dmf.DmfParameters.init(3, 2, 4, 2, seed=6)
     np.copyto(copy.flat, params.flat)
     for p in (params, copy):
-        assert p.flat.size == sum(t.data.size for t in p.trainable())
-        for t in p.trainable():
+        assert p.flat.size == sum(t.data.size
+                                  for t in p.tensors.values())
+        for t in p.tensors.values():
             assert np.shares_memory(t.data, p.flat)
     assert not np.shares_memory(copy.flat, params.flat)
     np.testing.assert_array_equal(copy.flat, params.flat)
     for k, t in params.tensors.items():
         np.testing.assert_array_equal(copy.tensors[k].data, t.data)
+
+
+def _backward_once(params):
+    rng = np.random.default_rng(4)
+    w, _ = random_window(rng, n=3, f_t=3, f_s=2, l=2, p=2)
+    y, _ = dmf.forward([w], params)
+    dmf.mse_loss(y, [w]).backward()
+
+
+def test_grad_is_the_tensors_gradients_in_key_order():
+    params = dmf.DmfParameters.init(3, 2, 4, 2, seed=5)
+    _backward_once(params)
+    expected = np.concatenate([t.grad.ravel()
+                               for t in params.tensors.values()])
+    grad = params.grad()
+    np.testing.assert_array_equal(grad, expected)
+    assert grad.shape == params.flat.shape
+    # taken, not copied: the next backward starts from zero
+    assert all(t.grad is None for t in params.tensors.values())
+    _backward_once(params)
+    np.testing.assert_array_equal(params.grad(), expected)
+
+
+def test_grad_rejects_a_tensor_without_gradient():
+    params = dmf.DmfParameters.init(3, 2, 4, 2, seed=5)
+    _backward_once(params)
+    params.tensors["b_out"].grad = None
+    with pytest.raises(ValueError, match=r"parameter b_out of shape \(2,\) "
+                                         "has no gradient"):
+        params.grad()
+
+
+def test_grad_rejects_a_rebound_tensor():
+    params = dmf.DmfParameters.init(3, 2, 4, 2, seed=5)
+    _backward_once(params)
+    # rebound: an update of the flat vector would not reach it
+    params.tensors["W_out"].data = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"parameter W_out of shape \(4, 2\) "
+                                         "is no longer a view"):
+        params.grad()

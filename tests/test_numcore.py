@@ -109,38 +109,35 @@ def test_backward_matches_finite_differences(seed):
 
 def test_adam_first_step_closed_form():
     # unit gradient at step 1: m_hat = v_hat = 1, delta = -lr / (1 + eps)
-    p = Tensor(np.array([0.5]), requires_grad=True)
-    nc.flatten([p])
-    opt = nc.Adam([p], lr=1e-3)
-    p.grad = np.array([1.0])
-    opt.step()
-    np.testing.assert_allclose(p.data, 0.5 - 1e-3 / (1 + 1e-8), rtol=1e-12)
+    flat = np.array([0.5])
+    opt = nc.Adam(flat, lr=1e-3)
+    opt.step(np.array([1.0]))
+    np.testing.assert_allclose(flat, 0.5 - 1e-3 / (1 + 1e-8), rtol=1e-12)
 
 
 def test_adam_zero_grad_identity():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    nc.flatten([p])
-    opt = nc.Adam([p])
-    p.grad = np.zeros(2)
-    before = p.data.copy()
-    opt.step()
-    np.testing.assert_array_equal(p.data, before)
+    flat = np.array([1.0, -2.0])
+    opt = nc.Adam(flat)
+    opt.step(np.zeros(2))
+    np.testing.assert_array_equal(flat, [1.0, -2.0])
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(7)
-        p = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        nc.flatten([p])
-        opt = nc.Adam([p], lr=0.01)
+        flat = rng.normal(size=(3,))
+        opt = nc.Adam(flat, lr=0.01)
         for _ in range(20):
-            p.zero_grad()
-            loss = (p * p).sum()
-            loss.backward()
-            opt.step()
-        return p.data.copy()
+            opt.step(2 * flat)  # the gradient of sum(p²)
+        return flat
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_adam_reads_the_gradient_only():
+    flat, grad = np.ones(3), np.array([1.0, -2.0, 0.5])
+    nc.Adam(flat).step(grad)
+    np.testing.assert_array_equal(grad, [1.0, -2.0, 0.5])
 
 
 # S1's rl_dmf forecaster (F = 24 + 8, H = 32, p = 6) and its agent's
@@ -161,62 +158,46 @@ def _rough_gradient(rng, shape):
 @pytest.mark.parametrize("shapes", [FORECASTER_SHAPES, AGENT_SHAPES],
                          ids=["forecaster", "agent"])
 def test_adam_matches_per_tensor_reference(shapes):
-    from adam_reference import Adam as ReferenceAdam
+    from adam_flat_adapter import FlatReferenceAdam
 
     rng = np.random.default_rng(11)
-    init = [rng.normal(size=s) for s in shapes]
-    flat_params = [Tensor(a.copy(), requires_grad=True) for a in init]
-    flat = nc.flatten(flat_params)
-    ref_params = [Tensor(a.copy(), requires_grad=True) for a in init]
-    opt, ref = nc.Adam(flat_params, lr=5e-3), ReferenceAdam(ref_params,
-                                                            lr=5e-3)
+    flat, views = nc.flatten([rng.normal(size=s) for s in shapes])
+    ref_flat = flat.copy()
+    opt = nc.Adam(flat, lr=5e-3)
+    ref = FlatReferenceAdam(ref_flat, lr=5e-3, shapes=shapes)
     for _ in range(50):
-        for p, q in zip(flat_params, ref_params):
-            p.grad = _rough_gradient(rng, p.shape)
-            q.grad = p.grad.copy()
-        opt.step()
-        ref.step()
-    for p, q in zip(flat_params, ref_params):
-        assert np.shares_memory(p.data, flat)
-        np.testing.assert_array_equal(p.data, q.data)
+        grad, _ = nc.flatten([_rough_gradient(rng, s) for s in shapes])
+        opt.step(grad)
+        ref.step(grad)
+    for v, q in zip(views, ref.params):
+        assert np.shares_memory(v, flat) and np.shares_memory(q.data,
+                                                              ref_flat)
+        np.testing.assert_array_equal(v, q.data)
         # -0.0 == 0.0 above; the sign bits must agree too
-        np.testing.assert_array_equal(np.signbit(p.data), np.signbit(q.data))
+        np.testing.assert_array_equal(np.signbit(v), np.signbit(q.data))
 
 
-def test_adam_missing_gradient_rejected():
-    params = [Tensor(np.ones((2, 3)), requires_grad=True),
-              Tensor(np.ones(4), requires_grad=True)]
-    flat = nc.flatten(params)
-    opt = nc.Adam(params)
-    params[0].grad = np.ones((2, 3))
-    with pytest.raises(ValueError, match=r"parameter 1 of shape \(4,\)"):
-        opt.step()
-    np.testing.assert_array_equal(flat, 1.0)  # nothing was updated
-    assert opt.step_count == 0
-
-
-def test_adam_rejects_parameters_off_the_flat_vector():
-    p = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ValueError, match="flat vector"):
-        nc.Adam([p])
-    q = Tensor(np.ones(2), requires_grad=True)
-    nc.flatten([p, q])
-    with pytest.raises(ValueError, match="flat vector"):
-        nc.Adam([q, p])  # not in the vector's order
-    opt = nc.Adam([p, q])
-    q.data = np.zeros(2)  # rebound: an update would not reach it
-    p.grad, q.grad = np.ones(3), np.ones(2)
-    with pytest.raises(ValueError, match=r"parameter 1 of shape \(2,\) is "
-                                         "no longer a view"):
-        opt.step()
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+def test_adam_rejects_a_gradient_of_another_shape(shape):
+    rng = np.random.default_rng(3)
+    flat = rng.normal(size=5)
+    opt = nc.Adam(flat)
+    opt.step(rng.normal(size=5))
+    before = [a.copy() for a in (flat, opt.m, opt.v)]
+    with pytest.raises(ValueError, match=r"gradient of shape"):
+        opt.step(np.ones(shape))
+    for a, b in zip((flat, opt.m, opt.v), before):
+        np.testing.assert_array_equal(a, b)
+    assert opt.step_count == 1
 
 
 def test_flatten_makes_views_of_one_vector():
-    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    b = Tensor(np.array([7.0]), requires_grad=True)
-    flat = nc.flatten([a, b])
+    arrays = [np.arange(6.0).reshape(2, 3), np.array([7.0])]
+    flat, (a, b) = nc.flatten(arrays)
     np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 7])
     assert a.shape == (2, 3) and b.shape == (1,)
+    assert not any(np.shares_memory(flat, x) for x in arrays)
     flat += 1.0
-    np.testing.assert_array_equal(a.data, [[1, 2, 3], [4, 5, 6]])
-    np.testing.assert_array_equal(b.data, [8.0])
+    np.testing.assert_array_equal(a, [[1, 2, 3], [4, 5, 6]])
+    np.testing.assert_array_equal(b, [8.0])
+    np.testing.assert_array_equal(nc.views(flat, [(2, 3), (1,)])[1], b)

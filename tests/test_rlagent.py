@@ -269,21 +269,20 @@ def test_train_q_zero_td_error_leaves_theta():
     agent.gamma = 0.0
     q_now = agent.online.q_values(np.stack([s] * agent.batch_size))[0][a]
     agent.buffer.push(s, a, q_now, s, 1.0)
-    before = [w.data.copy() for w in agent.online.trainable()]
+    before = agent.online.flat.copy()
     agent.learn()
-    for b, w in zip(before, agent.online.trainable()):
-        np.testing.assert_array_equal(b, w.data)
+    np.testing.assert_array_equal(before, agent.online.flat)
 
 
 def test_q_values_equal_forward_without_graph(monkeypatch):
-    # the loss node's forward reads the same Q-values as q_values
+    # the TD loss's forward reads the same Q-values as q_values
     net = QNetwork(5, seed=3)
     rng = np.random.default_rng(3)
     state, batch = rng.normal(size=5), rng.normal(size=(7, 5))
     actions = rng.integers(5, size=7)
     np.testing.assert_array_equal(net.q_values(state),
                                   net.q_values(state[None])[0])
-    loss, td = net.td_loss(batch, actions, np.zeros(7), np.ones(7))
+    loss, grad, td = net.td_loss(batch, actions, np.zeros(7), np.ones(7))
     np.testing.assert_array_equal(net.q_values(batch)[np.arange(7), actions],
                                   td)
     outputs = []
@@ -293,44 +292,61 @@ def test_q_values_equal_forward_without_graph(monkeypatch):
                         or outputs[-1])
     net.q_values(batch)
     assert all(type(a) is np.ndarray for a in outputs[0])
-    assert loss.requires_grad
-    assert loss._parents == tuple(net.trainable())
+    assert type(loss) is float
+    assert loss == pytest.approx(np.mean(td * td), rel=1e-15)
+    assert type(grad) is np.ndarray and grad.shape == net.flat.shape
 
 
 def test_td_loss_matches_finite_differences():
     rng = np.random.default_rng(12)
     net = QNetwork(4, hidden=6, seed=12)
     for b in net.biases:
-        b.data = rng.normal(size=b.shape) * 0.1
+        b[...] = rng.normal(size=b.shape) * 0.1
     # replay row 1 drawn twice; actions on three columns
     idx = np.array([0, 1, 2, 1, 3, 4])
     rows = rng.normal(size=(5, 4))[idx]
     actions = np.array([0, 2, 3, 0, 1])[idx]
     targets = rng.normal(size=5)[idx]
     weights = rng.uniform(0.2, 1.0, size=5)[idx]
-    acts = rlagent._mlp(rows, [w.data for w in net.weights],
-                        [b.data for b in net.biases])
+    acts = rlagent._mlp(rows, net.weights, net.biases)
     assert (acts[1] == 0).any() and (acts[2] == 0).any()  # ReLU-inactive
 
     def f():
         return net.td_loss(rows, actions, targets, weights)[0]
 
-    assert nc.finite_diff_check(f, net.trainable()) < 1e-6
+    _, grad, _ = net.td_loss(rows, actions, targets, weights)
+    h, num = 1e-6, np.empty_like(net.flat)
+    for k in range(net.flat.size):
+        orig = net.flat[k]
+        net.flat[k] = orig + h
+        fp = f()
+        net.flat[k] = orig - h
+        fm = f()
+        net.flat[k] = orig
+        num[k] = (fp - fm) / (2 * h)
+    # per weight or bias, normalized by its gradient scale, as
+    # numcore.finite_diff_check does
+    shapes = [a.shape for a in net.weights + net.biases]
+    for ag, ng in zip(nc.views(grad, shapes), nc.views(num, shapes)):
+        scale = max(np.abs(ag).max(), np.abs(ng).max(), 1e-8)
+        rel = np.abs(ag - ng) / np.maximum(np.abs(ag) + np.abs(ng), scale)
+        assert rel.max() < 1e-6
 
 
-def test_agent_update_graph_is_one_node():
-    net = QNetwork(4, hidden=6, seed=13)
-    rng = np.random.default_rng(13)
-    loss, _ = net.td_loss(rng.normal(size=(8, 4)), rng.integers(4, size=8),
-                          rng.normal(size=8), np.ones(8))
-    nodes, stack = {id(loss): loss}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in nodes:
-                nodes[id(parent)] = parent
-                stack.append(parent)
-    # 6 parameters and the loss
-    assert len(nodes) == 6 + 1
+def test_agent_learn_never_calls_backward(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Tensor.backward called")
+
+    monkeypatch.setattr(nc.Tensor, "backward", refuse)
+    agent = Agent(n_features=4, seed=5)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        agent.observe(rng.normal(size=4), int(rng.integers(4)),
+                      float(rng.normal()), rng.normal(size=4))
+    before = agent.online.flat.copy()
+    assert agent.learn() > 0
+    assert agent.optimizer.step_count == 1
+    assert not np.array_equal(before, agent.online.flat)
 
 
 def test_train_q_priority_update_contract():
@@ -410,14 +426,14 @@ def test_mlp_relu_matches_select_bit_for_bit():
 
 
 def _assert_views(net):
-    for t in net.trainable():
-        assert np.shares_memory(t.data, net.flat)
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, net.flat)
 
 
 def test_q_network_parameters_stay_views_of_flat():
     net, other = QNetwork(4, hidden=6, seed=1), QNetwork(4, hidden=6, seed=2)
     _assert_views(net)
-    assert net.flat.size == sum(t.data.size for t in net.trainable())
+    assert net.flat.size == sum(a.size for a in net.weights + net.biases)
     net.copy_from(other)
     _assert_views(net)
     np.testing.assert_array_equal(net.flat, other.flat)

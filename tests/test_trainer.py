@@ -253,7 +253,7 @@ def builtin(tmp_path_factory):
 
 
 def _loss_and_grads(batch, params, mask, static_full):
-    for t in params.trainable():
+    for t in params.tensors.values():
         t.zero_grad()
     predicted, _ = dmf.forward(batch, params, mask=mask,
                                static_rows=trainer._static_rows(static_full,
@@ -316,9 +316,10 @@ def test_every_step_has_every_gradient(dataset, variant, monkeypatch):
     checked = []
     step = nc.Adam.step
 
-    def checked_step(self):
-        checked.append(all(p.grad is not None for p in self.params))
-        step(self)
+    def checked_step(self, grad):
+        checked.append(grad.shape == self.flat.shape
+                       and bool(np.isfinite(grad).all()))
+        step(self, grad)
     monkeypatch.setattr(nc.Adam, "step", checked_step)
     n = len(dataset.train_windows)
     trainer.train(tiny_config(variant=variant, epochs=1,
@@ -328,11 +329,11 @@ def test_every_step_has_every_gradient(dataset, variant, monkeypatch):
 
 
 def test_training_equals_per_tensor_adam(builtin, monkeypatch):
-    from adam_reference import Adam as ReferenceAdam
+    from adam_flat_adapter import FlatReferenceAdam
 
     cfg = TrainConfig(variant="rl_dmf", epochs=2, seed=0)
     flat = trainer.train(cfg, builtin["S1"])
-    monkeypatch.setattr(nc, "Adam", ReferenceAdam)
+    monkeypatch.setattr(nc, "Adam", FlatReferenceAdam)
     ref = trainer.train(cfg, builtin["S1"])
     for k, t in flat.params.tensors.items():
         np.testing.assert_array_equal(t.data, ref.params.tensors[k].data)
