@@ -192,7 +192,7 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
-        self._scratch = np.empty((2,) + flat.shape)
+        self._scratch = (np.empty_like(flat), np.empty_like(flat))
 
     def step(self, grad):
         if grad.shape != self.flat.shape:
