@@ -192,6 +192,7 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        # not one (2, n) block, which slowed a later evaluate (CHANGES.md)
         self._scratch = (np.empty_like(flat), np.empty_like(flat))
 
     def step(self, grad):

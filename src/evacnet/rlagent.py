@@ -198,6 +198,7 @@ class QNetwork:
         d = nc.views(grad, [a.shape for a in ws + self.biases])
         dws, dbs = d[:3], d[3:]
         g = 1.0 / n
+        # the products' order as in the graph's backward: the same bits
         dx = (g * (weights * td) + (g * td) * weights)[:, None] * onehot
         for k in reversed(range(len(ws))):
             np.matmul(acts[k].T, dx, out=dws[k])
