@@ -9,12 +9,13 @@ is `--parent` checked out in a `git worktree` under a temporary directory
 and removed afterwards. On each tree, with that tree's own `src`, it runs
 `evacnet generate` for each built-in scenario of SCENARIOS, then for each
 model variant `evacnet train` (EPOCHS epochs) and `evacnet evaluate` on
-the checkpoint it wrote, and for each RL variant `evacnet rank-features`.
-It then compares train's `model.ckpt`, `metrics.csv` and `ranking.csv`,
-evaluate's `metrics.csv` and rank-features' `ranking.csv` byte for byte,
-prints one line per file and exits 0 when every file is identical, 1
-otherwise. BLAS runs on one thread (`EVACNET_THREADS=1`) unless the
-environment sets it.
+the checkpoint it wrote, for each RL variant `evacnet rank-features`, and
+then `evacnet ablate` (EPOCHS epochs per ablation variant). It then
+compares train's `model.ckpt`, `metrics.csv` and `ranking.csv`,
+evaluate's `metrics.csv`, rank-features' `ranking.csv` and ablate's
+`ablation.csv` byte for byte, prints one line per file and exits 0 when
+every file is identical, 1 otherwise. BLAS runs on one thread
+(`EVACNET_THREADS=1`) unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -58,19 +59,24 @@ def evacnet(tree, *args):
                            f"{out.returncode}\n{out.stderr[-2000:]}")
 
 
+def write_config(base, **fields):
+    """`base`/config.json holding `fields`, `base` made; returns its path."""
+    base.mkdir(parents=True)
+    config = base / "config.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
+    return config
+
+
 def run_tree(tree, out):
     """Every command of the comparison on `tree`, into `out`: one
-    directory per scenario, variant and command."""
+    directory per scenario, variant and command, and one per scenario for
+    ablate."""
     for scenario in SCENARIOS:
         data = out / scenario / "data"
         evacnet(tree, "generate", "--scenario", scenario, "--out", str(data))
         for variant in VARIANTS:
             base = out / scenario / variant
-            config = base / "config.json"
-            base.mkdir(parents=True)
-            config.write_text(json.dumps({"variant": variant,
-                                          "epochs": EPOCHS}),
-                              encoding="utf-8")
+            config = write_config(base, variant=variant, epochs=EPOCHS)
             ckpt = str(base / "train" / "model.ckpt")
             evacnet(tree, "train", "--data", str(data), "--config",
                     str(config), "--out", str(base / "train"))
@@ -79,6 +85,10 @@ def run_tree(tree, out):
             if TrainConfig(variant=variant).uses_rl():
                 evacnet(tree, "rank-features", "--checkpoint", ckpt, "--out",
                         str(base / "rank-features"))
+        base = out / scenario / "ablate"
+        config = write_config(base, epochs=EPOCHS)
+        evacnet(tree, "ablate", "--data", str(data), "--config", str(config),
+                "--out", str(base))
 
 
 def expected_files():
@@ -91,6 +101,7 @@ def expected_files():
             files += [f"{scenario}/{variant}/{command}/{name}"
                       for command, names in COMPARED.items()
                       for name in names if rl or name != "ranking.csv"]
+        files.append(f"{scenario}/ablate/ablation.csv")
     return files
 
 

@@ -68,6 +68,11 @@ MAX_INTERP_GAP = 2
 # Longest timeline, first record to last, in hours. The feature arrays are
 # sized from it, so one mistyped year would otherwise allocate gigabytes.
 MAX_SPAN_HOURS = 366 * 24
+# Most detectors (of the meta file) × timeline hours. The feature arrays
+# and the input table are sized from them; the table takes 3 modalities ×
+# 32 float64 features = 768 B per detector-hour, 1.5 GB at the cap.
+# corridors100 is 100 × 336 = 33,600.
+MAX_DETECTOR_HOURS = 2_000_000
 # Largest flow a record may carry, veh/h: far above any detector's
 # capacity, and far below the flows whose feature statistics overflow.
 MAX_FLOW = 1e6
@@ -268,7 +273,7 @@ def _load_records(path, detector_ids):
     field count, detector id, timestamp, UTC offset, duplicate, flow,
     speed, the sign and bound of flow, the sign and lower bound of speed,
     then each exogenous column. Only a file that passes them all has its
-    time span checked."""
+    time span checked, then its detectors × hours."""
     widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
     failures = []  # (row, message) of each failed check's first row
 
@@ -340,12 +345,20 @@ def _load_records(path, detector_ids):
     if n:
         first = int(hour.argmin())  # of the earliest hour, the first line
         last = n - 1 - int(hour[::-1].argmax())  # of the latest, the last
-        if (hour[last] - hour[first]).astype(np.int64) >= MAX_SPAN_HOURS:
+        n_hours = int((hour[last] - hour[first]).astype(np.int64)) + 1
+        if n_hours > MAX_SPAN_HOURS:
             raise SchemaError(f"records from line {line_of(first)} "
                               f"({hour[first].item()}) to line "
                               f"{line_of(last)} "
                               f"({hour[last].item()}) span more than "
                               f"{MAX_SPAN_HOURS} hours")
+        n_det = len(detector_ids)
+        if n_det * n_hours > MAX_DETECTOR_HOURS:
+            raise SchemaError(f"{n_det} detectors over the {n_hours} hours "
+                              f"of records from line {line_of(first)} to "
+                              f"line {line_of(last)} make "
+                              f"{n_det * n_hours} detector-hours, more than "
+                              f"{MAX_DETECTOR_HOURS}")
     return RecordColumns(detector=detector, hour=hour, values=values)
 
 

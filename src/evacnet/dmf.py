@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numcore as nc
+from . import graphs, numcore as nc
 from .dataio import gather_inputs
 from .numcore import Tensor
 
@@ -247,7 +247,7 @@ def predict_head(h, params):
     return Tensor.node(h.data @ w.data + b.data, (h, w, b), bwd)
 
 
-def forward(windows, params, mask=None, static_rows=None):
+def forward(windows, params, mask=None, static_adj=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
     A window's inputs at each of its l hours are rows of the data's shared
@@ -256,19 +256,20 @@ def forward(windows, params, mask=None, static_rows=None):
     hour from that hour's snapshot when the data were prepared, or the
     unpropagated rows for the "identity" modality. The batch's rows are
     read as one (l, M, N, F) array with one fancy index
-    (`dataio.gather_inputs`). A GCN acts on a disjoint union block by
-    block, so stacking the windows' rows equals running the windows one at
-    a time. GCN, attention and input projection do not depend on the
-    recurrence, so each runs over all l hours at once: the batch is one
-    `gcn_layer` node over every hour and modality, one `attention_fuse`
-    node (skipped with a single modality) and one `lstm_step` node, whose
-    loop over the hours holds only h·U, then the head. The output has one
-    row per predicted node of the batch, in window order. `mask` is the
-    RL agent's (F,) 0/1 feature mask; it scales columns, so it applies to
-    the propagated rows. None means all features active. `static_rows`,
-    one (l, n_w, F) array per window, replaces every modality's rows
-    (static-graph baseline). Returns the predictions and the attention
-    weights α, an (l, N, M) array, or None with a single modality.
+    (`dataio.gather_inputs`). `static_adj` (static-graph baseline, over
+    the "identity" rows) is the frozen graph over every detector; each
+    window's rows are multiplied by its normalized block of it. A GCN acts
+    on a disjoint union block by block, so stacking the windows' rows
+    equals running them one at a time. GCN, attention and input projection
+    do not depend on the recurrence, so each runs over all l hours at once:
+    the batch is one `gcn_layer` node over every hour and modality, one
+    `attention_fuse` node (skipped with a single modality) and one
+    `lstm_step` node, whose loop over the hours holds only h·U, then the
+    head. The output has one row per predicted node of the batch, in window
+    order. `mask` is the RL agent's (F,) 0/1 feature mask; it scales
+    columns, so it applies to the propagated rows. None means all features
+    active. Returns the predictions and the attention weights α, an
+    (l, N, M) array, or None with a single modality.
     """
     if not windows:
         raise ValueError("empty batch of windows")
@@ -279,16 +280,16 @@ def forward(windows, params, mask=None, static_rows=None):
         if w.l != l:
             raise ValueError("windows in a batch differ in input length")
 
-    if static_rows is None:
-        rows = gather_inputs(windows, params.modalities)
-    else:
-        if [r.shape[:2] for r in static_rows] != \
-                [(l, len(w.det_indices)) for w in windows]:
-            raise ValueError("static rows disagree with the windows")
-        rows = np.stack([np.concatenate(static_rows, axis=1)]
-                        * len(params.modalities), axis=1)
+    rows = gather_inputs(windows, params.modalities)
     if rows.shape[-1] != params.f_t + params.f_s:
         raise ValueError("feature registry does not match parameters")
+    if static_adj is not None:
+        start = 0
+        for w in windows:
+            det, stop = w.det_indices, start + len(w.det_indices)
+            block = graphs.gcn_normalize(static_adj[np.ix_(det, det)])
+            rows[:, :, start:stop] = block @ rows[:, :, start:stop]
+            start = stop
     if mask is not None:
         rows *= mask  # a fresh array here, so scaled in place
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .dataio import INPUT_MODALITIES
+from .dataio import gather_inputs
 
 GAMMA = 0.95
 BUFFER_CAPACITY = 10_000
@@ -27,7 +27,6 @@ PER_BETA_START = 0.4
 PER_BETA_END = 1.0
 PRIORITY_EPS = 1e-6
 HIDDEN_UNITS = 128
-IDENTITY = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
 
 def apply_mask(action, f_t, f_s):
@@ -44,20 +43,15 @@ def apply_mask(action, f_t, f_s):
 def build_state(windows, f_t):
     """State vector: batch/time mean of the windows' temporal features (the
     first f_t input columns), batch mean of their spatial features at the
-    first input hour, concatenated. Only those columns are read from the
-    input table."""
+    first input hour, concatenated. The batch's unpropagated rows are read
+    with one `gather_inputs`."""
     if not windows:
         raise ValueError("empty batch")
-    temp, spat = [], []
-    for w in windows:
-        hours = w.anchor_index + np.arange(w.l)
-        # node-major (node, hour) rows: the mean's summation order sets its
-        # last bits
-        temp.append(w.table[hours, IDENTITY, w.det_indices[:, None], :f_t]
-                    .reshape(-1, f_t))
-        spat.append(w.table[w.anchor_index, IDENTITY, w.det_indices, f_t:])
-    return np.concatenate([np.concatenate(temp).mean(axis=0),
-                           np.concatenate(spat).mean(axis=0)])
+    rows = gather_inputs(windows, ("identity",))[:, 0]  # (l, N, F)
+    # node-major (node, hour) rows: the mean's summation order sets its
+    # last bits
+    temp = rows[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
+    return np.concatenate([temp.mean(axis=0), rows[0, :, f_t:].mean(axis=0)])
 
 
 def compute_reward(loss):

@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import graphs
-from .dataio import HIGHWAYS, MAX_SPAN_HOURS
+from .dataio import HIGHWAYS, MAX_DETECTOR_HOURS, MAX_SPAN_HOURS
 from .fieldtypes import is_a
 
 FREE_FLOW_MPH = 70.0
@@ -84,6 +84,11 @@ class Scenario:
             raise ValueError(f"corridors: each highway may appear once, got "
                              f"{highways}")
         n_det = sum(n for _, n, _ in self.corridors)
+        if n_det * self.horizon_hours > MAX_DETECTOR_HOURS:
+            raise ValueError(f"corridors: {n_det} detectors over "
+                             f"{self.horizon_hours} hours make "
+                             f"{n_det * self.horizon_hours} detector-hours, "
+                             f"more than {MAX_DETECTOR_HOURS}")
         for i, start, length in self.forced_outages:
             if not (0 <= i < n_det and start >= 0 and length >= 1):
                 raise ValueError(f"forced_outages: {(i, start, length)} needs "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from . import dataio, dmf, graphs, metrics, numcore as nc, rlagent
+from . import dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 3
@@ -36,7 +36,7 @@ _MODALITIES = {
     "rl_dgl_distance": ("d",),
     "rl_dgl_traveltime": ("tt",),
     "lstm_only": ("identity",),
-    "static_gcn_lstm": ("d",),
+    "static_gcn_lstm": ("identity",),
 }
 _RL_VARIANTS = frozenset({"rl_dmf", "rl_dgl_distance", "rl_dgl_traveltime"})
 
@@ -128,18 +128,6 @@ def _static_distance_adj(dataset):
                                  np.full(len(milepost), graphs.V_MIN)).adj_d
 
 
-def _static_rows(static_full, windows):
-    """Each window's static-graph product Ã_w·[temporal ‖ spatial],
-    (l, n_w, F), Ã_w the normalized block of the frozen graph over its
-    predicted detectors; None when the variant has no static graph."""
-    if static_full is None:
-        return None
-    return [graphs.gcn_normalize(static_full[np.ix_(w.det_indices,
-                                                    w.det_indices)])
-            @ dataio.gather_inputs([w], ("identity",))[:, 0]
-            for w in windows]
-
-
 def train(config, dataset, log_fn=None):
     """Run the configured variant over the dataset's training windows.
 
@@ -156,7 +144,6 @@ def train(config, dataset, log_fn=None):
     optimizer = nc.Adam(params.flat, lr=config.lr)
     static_full = (_static_distance_adj(dataset)
                    if config.variant == "static_gcn_lstm" else None)
-    static = _static_rows(static_full, dataset.train_windows)
 
     agent = None
     if config.uses_rl():
@@ -196,10 +183,8 @@ def train(config, dataset, log_fn=None):
                 action, eps = agent.act(state)
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
-            batch_static = (None if static is None
-                            else [static[i] for i in batch_idx])
             predicted, _ = dmf.forward(batch, params, mask=mask,
-                                       static_rows=batch_static)
+                                       static_adj=static_full)
             loss = dmf.mse_loss(predicted, batch)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -284,9 +269,8 @@ def evaluate(params, windows, dataset, static_full=None):
                                       for k, v in params.tensors.items()})
     predicted = []
     for start, stop in _chunks(windows):
-        chunk = windows[start:stop]
-        yhat, _ = dmf.forward(chunk, params,
-                              static_rows=_static_rows(static_full, chunk))
+        yhat, _ = dmf.forward(windows[start:stop], params,
+                              static_adj=static_full)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
         np.concatenate([w.det_indices for w in windows]),
@@ -390,9 +374,8 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         try:
             payload = pickle.load(fh)
-        # the exceptions pickle documents for malformed data
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        # unpickling malformed data "can raise any exception" (pickle docs)
+        except Exception:
             payload = None
     if not isinstance(payload, dict) or "version" not in payload:
         raise ValueError(f"{path} is not an evacnet checkpoint")

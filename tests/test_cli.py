@@ -169,6 +169,22 @@ def test_train_timeline_span_cap_is_user_error(corpus, tmp_path, caplog):
     assert "to line 7" in caplog.text
 
 
+def test_train_detector_hours_cap_is_user_error(corpus, tmp_path, caplog,
+                                                monkeypatch):
+    # the corpus's 4 detectors over 72 hours, one detector-hour over a cap
+    # lowered to make it small: rejected as the records are loaded, before
+    # any array is sized from them
+    def refuse(*args, **kwargs):
+        raise AssertionError("engineer_features called")
+
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 4 * 72 - 1)
+    monkeypatch.setattr(dataio, "engineer_features", refuse)
+    assert cli.main(["train", "--data", str(corpus),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert ("4 detectors over the 72 hours of records from line 2 to line "
+            "289 make 288 detector-hours, more than 287") in caplog.text
+
+
 @pytest.mark.parametrize("n_lines", [1, 5], ids=["header-only", "one-hour"])
 def test_train_too_short_corpus_is_user_error(corpus, tmp_path, caplog,
                                               n_lines):
@@ -420,6 +436,43 @@ def test_non_checkpoint_file_is_user_error(command, corpus, tmp_path,
         argv += ["--data", str(corpus)]
     assert cli.main(argv) == 1
     assert "is not an evacnet checkpoint" in caplog.text
+
+
+# Bytes 3-10 of a checkpoint hold the length of the data that follows (a
+# protocol-4 pickle's FRAME length); 0x7f or 0xff in one of the high ones
+# declares hundreds of gigabytes or more.
+LENGTH_CORRUPTIONS = [(k, v) for k in range(7, 11) for v in (0x7f, 0xff)]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "rank-features"])
+def test_corrupted_checkpoint_is_user_error(command, corpus, trained,
+                                            tmp_path, caplog):
+    """Whatever a corrupted byte makes the loader raise, the command exits
+    1: a corrupted length always, and a single-byte change drawn with a
+    fixed seed from the first 200 bytes whenever it leaves no checkpoint
+    (a change inside a config value can leave a valid one, which runs).
+    None exits 2."""
+    data = (trained / "model.ckpt").read_bytes()
+    rng = np.random.default_rng(0)
+    drawn = list(zip(rng.integers(11, 200, 150).tolist(),
+                     rng.integers(256, size=150).tolist()))
+    ckpt = tmp_path / "corrupted.ckpt"
+    argv = [command, "--checkpoint", str(ckpt), "--out",
+            str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--data", str(corpus)]
+    codes = {}
+    for k, v in LENGTH_CORRUPTIONS + drawn:
+        corrupted = bytearray(data)
+        corrupted[k] = v
+        ckpt.write_bytes(corrupted)
+        caplog.clear()
+        codes[k, v] = cli.main(argv + ["--log-level", "WARNING"])
+        if (k, v) in LENGTH_CORRUPTIONS:
+            assert f"{ckpt} is not an evacnet checkpoint" in caplog.text
+    assert {codes[c] for c in LENGTH_CORRUPTIONS} == {1}
+    assert set(codes.values()) <= {0, 1}
+    assert list(codes.values()).count(1) > len(codes) // 2
 
 
 def test_rank_features(trained, tmp_path):

@@ -101,6 +101,24 @@ def test_span_error_names_first_earliest_and_last_latest_line(csv_pair):
         load_csv(meta, recs)
 
 
+def test_detector_hours_cap_counts_every_meta_detector(csv_pair,
+                                                       monkeypatch):
+    # three detectors in the meta file, records for two over 10 hours: the
+    # arrays are sized for all three, so 30 detector-hours
+    meta, recs = csv_pair
+    write_meta(meta, ["det_a,I75,0.0,3,28.0,-82.0",
+                      "det_b,I75,2.5,3,28.1,-82.0",
+                      "det_c,I75,5.0,3,28.2,-82.0"])
+    write_records(recs, 10, lambda d, h: 100.0)
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 30)
+    load_csv(meta, recs)
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 29)
+    with pytest.raises(SchemaError, match="^3 detectors over the 10 hours of "
+                       "records from line 2 to line 21 make 30 "
+                       "detector-hours, more than 29$"):
+        load_csv(meta, recs)
+
+
 def test_header_only_records_is_short_span(csv_pair):
     meta, recs = csv_pair
     recs.write_text(REC_HEADER + "\n")

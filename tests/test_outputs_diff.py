@@ -42,9 +42,12 @@ def test_compare_is_byte_exact(tmp_path):
 def test_expected_files_cover_every_variant_and_command():
     files = outputs_diff.expected_files()
     assert len(files) == len(set(files))
-    # per scenario: 3 RL variants x 5 files, 3 others x 3 files
-    assert len(files) == len(outputs_diff.SCENARIOS) * (3 * 5 + 3 * 3)
+    # per scenario: 3 RL variants x 5 files, 3 others x 3 files, and
+    # ablate's table
+    assert len(files) == len(outputs_diff.SCENARIOS) * (3 * 5 + 3 * 3 + 1)
     assert "S1/rl_dmf/rank-features/ranking.csv" in files
+    assert "S1/ablate/ablation.csv" in files
+    assert "S2/ablate/ablation.csv" in files
     assert "S2/static_gcn_lstm/evaluate/metrics.csv" in files
     assert not any(f.startswith("S1/dmf_no_rl/") and f.endswith(
         "ranking.csv") for f in files)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -36,8 +38,10 @@ def test_build_state_mean_over_time():
 
 def test_build_state_length_and_empty():
     rng = np.random.default_rng(2)
-    ws = [random_window(rng, n=3, f_t=4, f_s=2, l=3, p=1)[0]
-          for _ in range(3)]
+    w, _ = random_window(rng, n=3, f_t=4, f_s=2, l=3, p=1)
+    # three windows over one table, as every batch of a dataset is
+    ws = [w, replace(w, det_indices=np.array([0, 2])),
+          replace(w, det_indices=np.array([1]))]
     assert build_state(ws, 4).shape == (6,)
     with pytest.raises(ValueError):
         build_state([], 4)

@@ -118,3 +118,15 @@ def test_invalid_scenario_rejected():
     with pytest.raises(ValueError):
         Scenario(name="bad", seed=0, order_hour=200,
                  landfall_hour=100).validate()
+
+
+def test_scenario_over_the_detector_hours_cap_rejected():
+    scen = Scenario(name="huge", seed=0, corridors=[("I75", 10 ** 7, 1.0)])
+    with pytest.raises(ValueError, match="10000000 detectors over 240 "
+                       "hours make 2400000000 detector-hours, more than "
+                       "2000000"):
+        scen.validate()
+    # the cap itself is accepted
+    Scenario(name="at-cap", seed=0, horizon_hours=250,
+             corridors=[("I75", dataio.MAX_DETECTOR_HOURS // 250, 1.0)]
+             ).validate()

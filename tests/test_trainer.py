@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from static_rows_reference import _static_rows
 from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
                      trainer)
 from evacnet.synth import Scenario
@@ -222,6 +223,20 @@ def test_ablate_isolates_failures(dataset, monkeypatch):
         "rl_dgl_traveltime"}
 
 
+def _forward_rows(windows, params, static_full):
+    """The (l, M, N, F) rows `dmf.forward` hands its GCN layer."""
+    seen = []
+    gcn_layer = dmf.gcn_layer
+
+    def recording(rows, weight):
+        seen.append(rows.copy())
+        return gcn_layer(rows, weight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmf, "gcn_layer", recording)
+        dmf.forward(windows, params, static_adj=static_full)
+    return seen[0]
+
+
 def test_static_variant_frozen_adjacency(dataset):
     full = trainer._static_distance_adj(dataset)
     n = len(dataset.data.detector_ids)
@@ -231,7 +246,7 @@ def test_static_variant_frozen_adjacency(dataset):
     # the block is a proper, non-leading sub-matrix of the frozen graph
     w = dataset.train_windows[0]
     sub = dataclasses.replace(w, det_indices=np.array([0, 2, 3]))
-    rows = trainer._static_rows(full, [w, sub])
+    rows = _static_rows(full, [w, sub])
     for window, got in zip([w, sub], rows):
         det = window.det_indices
         adj = graphs.gcn_normalize(full[np.ix_(det, det)])
@@ -240,6 +255,15 @@ def test_static_variant_frozen_adjacency(dataset):
         x = dataio.gather_inputs([window], ("identity",))[:, 0]
         assert got.shape == (w.l, len(det), dataset.f_t + dataset.f_s)
         np.testing.assert_array_equal(got, adj @ x)
+    # the forward's rows equal the reference's, alone and batched
+    params = dmf.DmfParameters.init(
+        dataset.f_t, dataset.f_s, 8, dataset.p, seed=3,
+        modalities=TrainConfig(variant="static_gcn_lstm").modalities())
+    for batch in ([w], [sub], [w, sub], [sub, w]):
+        got = _forward_rows(batch, params, full)
+        assert got.shape[1] == 1
+        np.testing.assert_array_equal(
+            got[:, 0], np.concatenate(_static_rows(full, batch), axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +280,7 @@ def _loss_and_grads(batch, params, mask, static_full):
     for t in params.tensors.values():
         t.zero_grad()
     predicted, _ = dmf.forward(batch, params, mask=mask,
-                               static_rows=trainer._static_rows(static_full,
-                                                                batch))
+                               static_adj=static_full)
     loss = dmf.mse_loss(predicted, batch)
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
@@ -305,9 +328,9 @@ def test_batch_loss_and_gradients_equal_mean_of_windows_s2(builtin,
 
 def test_batch_loss_and_gradients_equal_mean_of_windows_static(builtin):
     ds = builtin["S2"]
-    _assert_batch_is_mean_of_singles(ds, _ragged_s2_batch(ds), ("d",),
-                                     static_full=trainer._static_distance_adj(
-                                         ds))
+    _assert_batch_is_mean_of_singles(
+        ds, _ragged_s2_batch(ds), ("identity",),
+        static_full=trainer._static_distance_adj(ds))
 
 
 @pytest.mark.parametrize("variant", trainer.VARIANTS)
@@ -405,25 +428,29 @@ def test_evaluate_equals_one_window_chunks(builtin, name, variant,
 
 def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
     """The static-graph rows are made per chunk, as it runs, not for every
-    window up front: evaluate's memory does not grow with the windows."""
+    window up front: one forward pass, and so one static product, per
+    chunk, each given only that chunk's windows. Evaluate's memory does
+    not grow with the windows."""
     ds = builtin["S2"]
     cfg = TrainConfig(variant="static_gcn_lstm", hidden=16, seed=2)
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
                                     modalities=cfg.modalities(), seed=3)
     windows = ds.train_windows + ds.val_windows
+    static_full = trainer._static_distance_adj(ds)
     calls = []
-    static_rows = trainer._static_rows
+    forward = dmf.forward
 
-    def recording(static_full, chunk):
-        calls.append(chunk)
-        return static_rows(static_full, chunk)
+    def recording(chunk, params, mask=None, static_adj=None):
+        calls.append((chunk, static_adj))
+        return forward(chunk, params, mask=mask, static_adj=static_adj)
     monkeypatch.setattr(trainer, "EVAL_ROWS", 37)
-    monkeypatch.setattr(trainer, "_static_rows", recording)
-    trainer.evaluate(params, windows, ds, trainer._static_distance_adj(ds))
+    monkeypatch.setattr(dmf, "forward", recording)
+    trainer.evaluate(params, windows, ds, static_full)
     bounds = trainer._chunks(windows)
     assert len(bounds) > 1
     assert len(calls) == len(bounds)
-    for chunk, (start, stop) in zip(calls, bounds):
+    for (chunk, static_adj), (start, stop) in zip(calls, bounds):
+        assert static_adj is static_full
         assert len(chunk) == stop - start
         assert all(a is b for a, b in zip(chunk, windows[start:stop]))
 
