@@ -162,8 +162,6 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    import numpy as np
-
     from . import trainer
     out = _out_dir(args)
     ckpt = Path(args.checkpoint)
@@ -173,16 +171,11 @@ def cmd_evaluate(args):
         trainer.check_registry(payload, dataset)
     except ValueError as exc:
         raise UserError(str(exc))
+    try:
+        static_full = trainer.static_graph(payload, config, dataset)
+    except ValueError as exc:
+        raise UserError(f"checkpoint {ckpt} {exc}")
     windows = dataset.val_windows or dataset.train_windows
-    static_full = None
-    if config.variant == "static_gcn_lstm":
-        static_full = trainer._static_distance_adj(dataset)
-        saved = payload["static_adj_full"]
-        if not np.array_equal(saved, static_full):
-            raise UserError(
-                f"checkpoint {ckpt} was trained on a static graph of shape "
-                f"{np.shape(saved)} over other detectors than the corpus's "
-                f"{static_full.shape} graph")
     table = trainer.evaluate(params, windows, dataset, static_full)
     metrics_csv = out / "metrics.csv"
     trainer.write_metrics_csv(table, metrics_csv)

@@ -1,8 +1,10 @@
 """Detector CSV ingestion, feature engineering, normalization and
 sliding-window slicing.
 
-The records file is read once into columns (`RecordColumns`) and checked
-column by column; the meta file, about one row per detector, row by row.
+Both files are read once into columns and checked column by column by one
+rule (`_CheckedCsv`): the meta file becomes `Detectors`, arrays in
+ascending id order, and the records file `RecordColumns`. After the
+loader, a detector is an index into those arrays.
 
 Input schema (both files UTF-8, a leading byte order mark allowed, with a
 header row):
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime
@@ -82,6 +83,13 @@ MAX_FLOW = 1e6
 MIN_SPEED = 0.01
 # Largest milepost, miles: far beyond any highway's length.
 MAX_MILEPOST = 1e4
+# Largest magnitude of any other number the files carry, except lat and
+# lon, which nothing computes with: speed, lanes and the exogenous record
+# columns. A feature's standard deviation squares deviations of at most
+# 2e9 and sums at most MAX_DETECTOR_HOURS of them, 8e24, far below the
+# 1.8e308 where float64 overflows; unbounded, one value above about 1e154
+# made that standard deviation infinite.
+MAX_MAGNITUDE = 1e9
 
 
 class SchemaError(ValueError):
@@ -92,14 +100,14 @@ class ShortSpanError(ValueError):
     """The data span fewer hours than one window's l + p."""
 
 
-@dataclass(frozen=True)
-class DetectorMeta:
-    detector_id: str
-    highway: str
-    milepost: float
-    lanes: int
-    lat: float
-    lon: float
+@dataclass
+class Detectors:
+    """The meta file as arrays, one entry per detector in ascending id
+    order (Python's string order)."""
+    ids: list  # detector ids; only the records loader reads them
+    highway: np.ndarray  # (n,) str, one of HIGHWAYS
+    milepost: np.ndarray  # (n,) float
+    lanes: np.ndarray  # (n,) int
 
 
 @dataclass
@@ -117,7 +125,7 @@ NON_NEGATIVE_COLUMNS = frozenset(
 
 # Why a cell is unusable, 0 where it is usable (`_parse_column` and
 # `_parse_hours`).
-NOT_A_NUMBER, NOT_FINITE = 1, 2
+EMPTY, NOT_A_NUMBER, NOT_FINITE = 1, 2, 3
 NOT_A_TIMESTAMP, HAS_UTC_OFFSET = 1, 2
 
 
@@ -159,68 +167,103 @@ def _row_line(text, k):
     return reader.line_num + 1
 
 
-def _parse_float(value, column):
-    if value == "":
-        raise SchemaError(f"column {column} must not be empty")
-    try:
-        out = float(value)
-    except ValueError:
-        raise SchemaError(f"column {column} is not a number: "
-                          f"{value!r}") from None
-    if not math.isfinite(out):
-        raise SchemaError(f"column {column} is not finite")
-    return out
+class _CheckedCsv:
+    """A CSV whose header must be `columns`, as one list of cell texts per
+    column, and the checks made on it. Each check runs over whole columns
+    and keeps its first failing row; `raise_first` raises the earliest of
+    those rows, naming its line, and of the checks failing there the one
+    made first. The field count is checked first, and every later check
+    sees only the rows before the first one of another width."""
+
+    def __init__(self, path, columns, name):
+        widths, cells, self.line_of = _read_cells(path, columns, name)
+        self.columns = columns
+        self.failures = []  # (row, message) of each failed check's first row
+        width = np.array(widths, np.intp)
+        n_cols = len(columns)
+        self.check(width != n_cols,
+                   lambda k: f"expected {n_cols} fields, got {width[k]}")
+        self.n = self.failures[0][0] if self.failures else len(width)
+        self.text = [cells[j:self.n * n_cols:n_cols] for j in range(n_cols)]
+
+    def check(self, bad, message):
+        """Keep the first row where `bad` holds, and `message(row)`."""
+        if bad.any():
+            k = int(bad.argmax())
+            self.failures.append((k, message(k)))
+
+    def number(self, j, empty_ok):
+        """float() of each cell of column j, nan where it is empty, after
+        checking that each is a finite number, or empty where `empty_ok`."""
+        values, status = _parse_column(self.text[j])
+        if empty_ok:
+            status[status == EMPTY] = 0
+        name, text = self.columns[j], self.text[j]
+        self.check(status != 0, lambda k: f"column {name} " + (
+            "must not be empty" if status[k] == EMPTY
+            else f"is not a number: {text[k]!r}" if status[k] == NOT_A_NUMBER
+            else "is not finite"))
+        return values
+
+    def check_magnitude(self, values, j):
+        """Check that no value of column j exceeds MAX_MAGNITUDE in
+        magnitude."""
+        self.check(np.abs(values) > MAX_MAGNITUDE,
+                   lambda k: f"column {self.columns[j]} exceeds "
+                             f"{MAX_MAGNITUDE:.0e} in magnitude")
+
+    def raise_first(self):
+        if self.failures:
+            k, message = min(self.failures, key=lambda f: f[0])  # ties: order
+            raise SchemaError(f"line {self.line_of(k)}: {message}")
+
+
+def _repeated(keys):
+    """Whether each key of the list equals one before it."""
+    n = len(keys)
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), np.intp, n) \
+        != np.arange(n)
 
 
 def _load_meta(path):
-    metas = {}
-    seen_positions = set()
-    widths, cells, line_of = _read_cells(path, META_COLUMNS, "meta")
-    start = 0
-    for k, width in enumerate(widths):
-        row = cells[start:start + width]
-        start += width
-        try:
-            meta = _meta_row(row, metas, seen_positions)
-        except SchemaError as exc:
-            raise SchemaError(f"line {line_of(k)}: {exc}") from None
-        metas[meta.detector_id] = meta
-    return metas
-
-
-def _meta_row(row, metas, seen_positions):
-    """The DetectorMeta of one meta row, given the rows before it; a
-    SchemaError without the line for a bad one."""
-    if len(row) != len(META_COLUMNS):
-        raise SchemaError(f"expected {len(META_COLUMNS)} fields, got "
-                          f"{len(row)}")
-    det, highway = row[0], row[1]
-    if highway not in HIGHWAYS:
-        raise SchemaError(f"unknown highway {highway!r} (expected one of "
-                          f"{HIGHWAYS})")
-    milepost = _parse_float(row[2], "milepost")
-    lanes = _parse_float(row[3], "lanes")
-    if milepost < 0:
-        raise SchemaError("milepost must be >= 0")
-    if milepost > MAX_MILEPOST:
-        raise SchemaError(f"milepost must be <= {MAX_MILEPOST:.0f}")
-    if lanes < 1 or lanes != int(lanes):
-        raise SchemaError("lanes must be a positive integer")
-    if det in metas:
-        raise SchemaError(f"duplicate detector id {det}")
-    if (highway, milepost) in seen_positions:
-        raise SchemaError(f"duplicate (highway, milepost) = ({highway}, "
-                          f"{milepost})")
-    seen_positions.add((highway, milepost))
-    return DetectorMeta(det, highway, milepost, int(lanes),
-                        _parse_float(row[4], "lat"),
-                        _parse_float(row[5], "lon"))
+    """The meta file as `Detectors`. The checks, in this order within a
+    row: field count, highway, milepost (empty, not a number, not finite),
+    lanes (the same), milepost in [0, MAX_MILEPOST], lanes a positive
+    integer of at most MAX_MAGNITUDE, duplicate id, duplicate (highway,
+    milepost), then lat and lon."""
+    meta = _CheckedCsv(path, META_COLUMNS, "meta")
+    ids, highway = meta.text[0], meta.text[1]
+    meta.check(~np.fromiter(map(HIGHWAYS.__contains__, highway), bool, meta.n),
+               lambda k: f"unknown highway {highway[k]!r} (expected one of "
+                         f"{HIGHWAYS})")
+    milepost = meta.number(2, empty_ok=False)
+    lanes = meta.number(3, empty_ok=False)
+    meta.check(milepost < 0, lambda k: "milepost must be >= 0")
+    meta.check(milepost > MAX_MILEPOST,
+               lambda k: f"milepost must be <= {MAX_MILEPOST:.0f}")
+    meta.check((lanes < 1) | (lanes != np.floor(lanes)),
+               lambda k: "lanes must be a positive integer")
+    meta.check_magnitude(lanes, 3)
+    meta.check(_repeated(ids), lambda k: f"duplicate detector id {ids[k]}")
+    positions = list(zip(highway, milepost.tolist()))
+    meta.check(_repeated(positions),
+               lambda k: "duplicate (highway, milepost) = ({}, {})".format(
+                   *positions[k]))
+    meta.number(4, empty_ok=False)
+    meta.number(5, empty_ok=False)
+    meta.raise_first()
+    order = sorted(range(meta.n), key=ids.__getitem__)
+    return Detectors(ids=[ids[k] for k in order],
+                     highway=np.array([highway[k] for k in order], str),
+                     milepost=milepost[order],
+                     lanes=lanes[order].astype(np.int64))
 
 
 def _parse_column(texts):
     """(values, status) of one numeric column: float() of each text, nan
-    where it is empty; status 0 where the cell is usable, else
-    NOT_A_NUMBER or NOT_FINITE."""
+    where it is empty; status 0 where the cell is a finite number, else
+    EMPTY, NOT_A_NUMBER or NOT_FINITE."""
     n = len(texts)
     empty = bad = np.zeros(n, bool)
     try:
@@ -240,7 +283,8 @@ def _parse_column(texts):
                     values[k] = float(text)
                 except ValueError:
                     bad[k] = True
-    status = np.where(np.isfinite(values) | empty, 0, NOT_FINITE)
+    status = np.where(np.isfinite(values), 0, NOT_FINITE)
+    status[empty] = EMPTY
     status[bad] = NOT_A_NUMBER
     return values, status
 
@@ -267,29 +311,15 @@ def _parse_hours(texts):
 
 
 def _load_records(path, detector_ids):
-    """The records file as `RecordColumns`. Every check runs over whole
-    columns; when one fails, the error names the first failing line, and
-    of the checks failing there the one that comes first in this order:
-    field count, detector id, timestamp, UTC offset, duplicate, flow,
-    speed, the sign and bound of flow, the sign and lower bound of speed,
-    then each exogenous column. Only a file that passes them all has its
-    time span checked, then its detectors × hours."""
-    widths, cells, line_of = _read_cells(path, RECORD_COLUMNS, "records")
-    failures = []  # (row, message) of each failed check's first row
-
-    def check(bad, message):
-        if bad.any():
-            k = int(bad.argmax())
-            failures.append((k, message(k)))
-
-    width = np.array(widths, np.intp)
-    n_cols = len(RECORD_COLUMNS)
-    check(width != n_cols,
-          lambda k: f"expected {n_cols} fields, got {width[k]}")
-    # every later check sees only the rows before a bad field count
-    n = failures[0][0] if failures else len(width)
-    cols = [cells[k:n * n_cols:n_cols] for k in range(n_cols)]
-    del cells
+    """The records file as `RecordColumns`. The checks, in this order
+    within a row: field count, detector id, timestamp, UTC offset,
+    duplicate, flow, speed, the sign and bound of flow, the sign, lower
+    bound and MAX_MAGNITUDE of speed, then each exogenous column: a
+    number, its sign where it may not be negative, and MAX_MAGNITUDE. Only
+    a file that passes them all has its time span checked, then its
+    detectors × hours."""
+    records = _CheckedCsv(path, RECORD_COLUMNS, "records")
+    n, cols, check = records.n, records.text, records.check
 
     index = {d: k for k, d in enumerate(detector_ids)}
     detector = np.fromiter(map(index.get, cols[0], repeat(-1)), np.intp, n)
@@ -312,36 +342,26 @@ def _load_records(path, detector_ids):
                                   f"({cols[0][k]}, "
                                   f"{hour[k].item().isoformat()})")
 
-    numeric = RECORD_COLUMNS[2:]
-    values = np.empty((n, len(numeric)))
-    statuses = []
-    for j, column in enumerate(numeric):
-        values[:, j], cell_status = _parse_column(cols[j + 2])
-        statuses.append(cell_status)
-
-    def check_parsed(j):
-        check(statuses[j] != 0, lambda k: (
-            f"column {numeric[j]} is not a number: {cols[j + 2][k]!r}"
-            if statuses[j][k] == NOT_A_NUMBER
-            else f"column {numeric[j]} is not finite"))
-
-    check_parsed(0)
-    check_parsed(1)
-    check(values[:, 0] < 0, lambda k: "negative flow")
-    check(values[:, 0] > MAX_FLOW,
-          lambda k: f"flow above {MAX_FLOW:.0f} veh/h")
-    check(values[:, 1] < 0, lambda k: "negative speed")
-    check((values[:, 1] > 0) & (values[:, 1] < MIN_SPEED),
+    values = np.empty((n, len(RECORD_COLUMNS) - 2))
+    flow, speed = values[:, 0], values[:, 1]
+    flow[:] = records.number(2, empty_ok=True)
+    speed[:] = records.number(3, empty_ok=True)
+    check(flow < 0, lambda k: "negative flow")
+    check(flow > MAX_FLOW, lambda k: f"flow above {MAX_FLOW:.0f} veh/h")
+    check(speed < 0, lambda k: "negative speed")
+    check((speed > 0) & (speed < MIN_SPEED),
           lambda k: f"positive speed below {MIN_SPEED} mph")
-    for j in range(2, len(numeric)):
-        check_parsed(j)
-        if numeric[j] in NON_NEGATIVE_COLUMNS:
-            check(values[:, j] < 0,
-                  lambda k: f"column {numeric[j]} must be non-negative")
-    if failures:
-        k, message = min(failures, key=lambda f: f[0])  # ties: check order
-        raise SchemaError(f"line {line_of(k)}: {message}")
+    records.check_magnitude(speed, 3)
+    for j in range(4, len(RECORD_COLUMNS)):
+        column = values[:, j - 2]
+        column[:] = records.number(j, empty_ok=True)
+        if RECORD_COLUMNS[j] in NON_NEGATIVE_COLUMNS:
+            check(column < 0, lambda k: f"column {RECORD_COLUMNS[j]} must "
+                                        f"be non-negative")
+        records.check_magnitude(column, j)
+    records.raise_first()
 
+    line_of = records.line_of
     if n:
         first = int(hour.argmin())  # of the earliest hour, the first line
         last = n - 1 - int(hour[::-1].argmax())  # of the latest, the last
@@ -365,22 +385,22 @@ def _load_records(path, detector_ids):
 def load_csv(meta_path, records_path):
     """Parse and validate both CSVs.
 
-    Returns (metas, columns): detector_id -> DetectorMeta, and the records
-    as `RecordColumns` in file order, detectors indexed in sorted id
-    order. The meta file is read row by row; the records file is read
-    once and checked column by column.
+    Returns (detectors, columns): the meta file as `Detectors`, and the
+    records as `RecordColumns` in file order, each row's detector an index
+    into `detectors`. Both files are read once and checked column by
+    column (`_CheckedCsv`).
     """
-    metas = _load_meta(meta_path)
-    return metas, _load_records(records_path, sorted(metas))
+    detectors = _load_meta(meta_path)
+    return detectors, _load_records(records_path, detectors.ids)
 
 
 # ---- feature engineering ----
 
 @dataclass
 class EngineeredData:
-    """Dense per-(detector, hour) arrays over a common hourly timeline."""
-    detector_ids: list
-    metas: dict
+    """Dense per-(detector, hour) arrays over a common hourly timeline,
+    detectors in the order of `detectors`."""
+    detectors: Detectors
     timeline: list  # hourly datetimes
     temporal: np.ndarray  # (n_det, T, F_t), raw units, nan where unavailable
     spatial: np.ndarray  # (n_det, F_s)
@@ -391,12 +411,6 @@ class EngineeredData:
     @property
     def registry(self):
         return list(TEMPORAL_FEATURES) + list(SPATIAL_FEATURES)
-
-    def layout(self):
-        """(highway, milepost) arrays in detector order."""
-        metas = [self.metas[d] for d in self.detector_ids]
-        return (np.array([m.highway for m in metas]),
-                np.array([m.milepost for m in metas], dtype=float))
 
 
 def _interpolate_short_gaps(values, max_gap=MAX_INTERP_GAP):
@@ -430,24 +444,23 @@ def _moments(x, axis):
     return mean, np.sqrt(var)
 
 
-def engineer_features(columns, metas):
+def engineer_features(columns, detectors):
     """Derive the per-(detector, hour) temporal/spatial feature arrays
-    from the `RecordColumns` of `load_csv`.
+    from the `Detectors` and `RecordColumns` of `load_csv`.
 
     The record values are written into one (detector, hour, column) block
     in a single indexed assignment; exogenous columns carry their last
     value forward through gaps; the previous-day and previous-period (same
     hour, earlier days) flow statistics are grouped reductions over a
     (detector, day, hour of day) grid that starts at midnight of the first
-    day.
+    day. The highway one-hot and lanes columns come from `detectors`.
     """
     if not len(columns.hour):
         raise ShortSpanError("no records, so the data span 0 hours")
     t0 = columns.hour.min()
     n_hours = int((columns.hour.max() - t0).astype(np.int64)) + 1
     hours = t0 + np.arange(n_hours)
-    detector_ids = sorted(metas)
-    n_det = len(detector_ids)
+    n_det = len(detectors.ids)
     exog_cols = RECORD_COLUMNS[4:]
     values = np.full((n_det, n_hours, 2 + len(exog_cols)), np.nan)
     values[columns.detector, (columns.hour - t0).astype(np.intp)] = (
@@ -497,9 +510,8 @@ def engineer_features(columns, metas):
 
     spatial = np.zeros((n_det, len(SPATIAL_FEATURES)))
     scol = {name: k for k, name in enumerate(SPATIAL_FEATURES)}
-    for i, det in enumerate(detector_ids):
-        spatial[i, scol[f"hw_{metas[det].highway}"]] = 1.0
-        spatial[i, scol["lanes"]] = metas[det].lanes
+    spatial[:, :len(HIGHWAYS)] = detectors.highway[:, None] == HIGHWAYS
+    spatial[:, scol["lanes"]] = detectors.lanes
     for name in ("dist_evac_zone_mi", "dist_landfall_mi"):
         dist = exog[:, :, exog_cols.index(name)]
         first = np.isnan(dist).argmin(axis=1)  # first hour with a value
@@ -507,9 +519,8 @@ def engineer_features(columns, metas):
             dist[np.arange(n_det), first], nan=0.0)
 
     active = (~np.isnan(flow)) & (~np.isnan(speed)) & stats_ok
-    return EngineeredData(detector_ids=detector_ids, metas=metas,
-                          timeline=hours.tolist(), temporal=temporal,
-                          spatial=spatial, active=active,
+    return EngineeredData(detectors=detectors, timeline=hours.tolist(),
+                          temporal=temporal, spatial=spatial, active=active,
                           flow=flow, speed=speed)
 
 
@@ -666,9 +677,10 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     A detector is predicted in a window only if active at every one of
     the l+p hours; the other detectors active at an input hour are its
     step extras, so transient neighbors contribute context. Each hour a
-    window covers gets one snapshot over every detector active then, in
-    ascending detector order; its products Ã·rows are written into
-    `table` (see `input_table`) and the snapshot is dropped.
+    window covers gets one snapshot over every detector active then, built
+    from their highways, mileposts and speeds in detector order; its
+    products Ã·rows are written into `table` (see `input_table`) and the
+    snapshot is dropped.
     """
     if l < 1 or p < 1:
         raise ValueError("l and p must be >= 1")
@@ -691,12 +703,11 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
             extra_temporal=[np.flatnonzero(e) for e in extras.T],
             table=table))
 
-    ids = np.array(data.detector_ids)
-    highway, milepost = data.layout()
+    det = data.detectors
     for t in sorted({w.anchor_index + s for w in windows for s in range(l)}):
         act = np.flatnonzero(data.active[:, t])
-        snap = graphs.build_snapshot(ids[act].tolist(), highway[act],
-                                     milepost[act], data.speed[act, t])
+        snap = graphs.build_snapshot(det.highway[act], det.milepost[act],
+                                     data.speed[act, t])
         for g, rows in graphs.propagate(snap, table[t, 0, act]).items():
             table[t, INPUT_MODALITIES.index(g), act] = rows
     return windows
@@ -727,8 +738,8 @@ class Dataset:
 
 
 def prepare(meta_path, records_path, l=6, p=6, train_frac=0.9):
-    metas, columns = load_csv(meta_path, records_path)
-    data = engineer_features(columns, metas)
+    detectors, columns = load_csv(meta_path, records_path)
+    data = engineer_features(columns, detectors)
     train_end, norm, target_norm = split_and_fit(data, train_frac)
     table = input_table(data, norm)
     train = make_windows(data, table, target_norm, l, p, 0, train_end)

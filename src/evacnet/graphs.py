@@ -23,8 +23,8 @@ V_MIN = 5.0
 
 @dataclass
 class GraphSnapshot:
-    """Active node set at one hour plus both weighted adjacencies."""
-    node_ids: list  # detector ids, ordered
+    """Both weighted adjacencies over one hour's active detectors, in the
+    order `build_snapshot` was given them."""
     adj_d: np.ndarray  # scaled weights, symmetric, zero diagonal
     adj_tt: np.ndarray
     norm_d: np.ndarray = field(default=None)  # D^-1/2 (A+I) D^-1/2
@@ -81,26 +81,26 @@ def gcn_normalize(adj):
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def build_snapshot(node_ids, highway, milepost, speed):
+def build_snapshot(highway, milepost, speed):
     """Build both modality adjacencies over the given active detectors:
-    their ids, and arrays of their highways, mileposts and speeds (mph)
-    at this hour, in the same order."""
-    n = len(node_ids)
+    arrays of their highways, mileposts and speeds (mph) at this hour, in
+    the same order."""
+    n = len(milepost)
     i, j, miles, hours = chain_edges(highway, milepost, speed)
     adj_d = np.zeros((n, n))
     adj_tt = np.zeros((n, n))
     adj_d[i, j] = adj_d[j, i] = scale_weights(miles)
     adj_tt[i, j] = adj_tt[j, i] = scale_weights(hours)
-    return GraphSnapshot(node_ids=list(node_ids), adj_d=adj_d, adj_tt=adj_tt)
+    return GraphSnapshot(adj_d=adj_d, adj_tt=adj_tt)
 
 
 def propagate(snapshot, x):
     """Ã·x for both modalities: {"d": norm_d @ x, "tt": norm_tt @ x}.
 
-    `x` holds one row per snapshot node, in `node_ids` order. A feature
+    `x` holds one row per snapshot node, in the snapshot's order. A feature
     mask scales columns, so it commutes with this product and can be
     applied afterwards.
     """
-    if x.shape[0] != len(snapshot.node_ids):
+    if x.shape[0] != snapshot.adj_d.shape[0]:
         raise ValueError("feature rows disagree with the snapshot's nodes")
     return {"d": snapshot.norm_d @ x, "tt": snapshot.norm_tt @ x}

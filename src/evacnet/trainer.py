@@ -122,10 +122,25 @@ class TrainResult:
 
 def _static_distance_adj(dataset):
     """Frozen distance adjacency over the union of all detectors."""
-    data = dataset.data
-    highway, milepost = data.layout()
-    return graphs.build_snapshot(data.detector_ids, highway, milepost,
-                                 np.full(len(milepost), graphs.V_MIN)).adj_d
+    det = dataset.data.detectors
+    speed = np.full(len(det.milepost), graphs.V_MIN)
+    return graphs.build_snapshot(det.highway, det.milepost, speed).adj_d
+
+
+def static_graph(payload, config, dataset):
+    """The frozen graph a checkpoint's model reads on `dataset`: None
+    unless its variant is `static_gcn_lstm`, else the distance graph over
+    the corpus's detectors, which must equal the one it was trained on
+    (ValueError)."""
+    if config.variant != "static_gcn_lstm":
+        return None
+    graph = _static_distance_adj(dataset)
+    saved = payload["static_adj_full"]
+    if not np.array_equal(saved, graph):
+        raise ValueError(
+            f"was trained on a static graph of shape {np.shape(saved)} over "
+            f"other detectors than the corpus's {graph.shape} graph")
+    return graph
 
 
 def train(config, dataset, log_fn=None):

@@ -1,8 +1,9 @@
 """Reference oracle for `dataio.engineer_features`: the per-(detector,
 hour) loop implementation it replaced, kept verbatim so the array version
-can be checked against it. Only the imports differ. It reads record-like
-rows; `as_records` makes them from the columns `dataio.load_csv`
-returns."""
+can be checked against it. Only the imports and the result type (a
+SimpleNamespace of the fields it had) differ. It reads record-like rows
+and per-detector metas; `as_records` and `as_metas` make them from the
+`RecordColumns` and `Detectors` that `dataio.load_csv` returns."""
 
 import math
 from datetime import timedelta
@@ -12,14 +13,24 @@ import numpy as np
 
 from evacnet.dataio import (EVAC_TEMPORAL_COLUMNS, INCIDENT_COLUMNS,
                             MAX_INTERP_GAP, RECORD_COLUMNS, SPATIAL_FEATURES,
-                            TEMPORAL_FEATURES, EngineeredData)
+                            TEMPORAL_FEATURES)
 
 
-def as_records(columns, metas):
+def as_metas(detectors):
+    """detector_id -> its highway, milepost and lanes, of `detectors`
+    (`dataio.Detectors`)."""
+    return {det: SimpleNamespace(detector_id=det, highway=str(highway),
+                                 milepost=float(milepost), lanes=int(lanes))
+            for det, highway, milepost, lanes in zip(
+                detectors.ids, detectors.highway, detectors.milepost,
+                detectors.lanes)}
+
+
+def as_records(columns, detectors):
     """One row per record of `columns` (`dataio.RecordColumns`), in file
     order: detector_id, timestamp (a datetime), flow, speed and an exog
     dict of the other columns, None where a value is missing."""
-    detector_ids = sorted(metas)
+    detector_ids = detectors.ids
     rows = []
     for det, hour, values in zip(columns.detector, columns.hour.tolist(),
                                  columns.values.tolist()):
@@ -144,7 +155,7 @@ def engineer_features(records, metas):
             spatial[i, scol[name]] = values[0] if values.size else 0.0
 
     active = (~np.isnan(flow)) & (~np.isnan(speed)) & stats_ok
-    return EngineeredData(detector_ids=detector_ids, metas=metas,
-                          timeline=timeline, temporal=temporal,
-                          spatial=spatial, active=active,
-                          flow=flow, speed=speed)
+    return SimpleNamespace(detector_ids=detector_ids, metas=metas,
+                           timeline=timeline, temporal=temporal,
+                           spatial=spatial, active=active,
+                           flow=flow, speed=speed)

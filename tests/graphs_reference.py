@@ -2,7 +2,7 @@
 `build_edges`, `travel_time` and `build_snapshot` that `graphs.chain_edges`
 and the array `graphs.build_snapshot` replaced, kept so that the array code
 can be checked to build the same snapshots bit for bit. Only the imports
-differ."""
+and the snapshot, which no longer holds the detector ids, differ."""
 
 import numpy as np
 
@@ -67,5 +67,4 @@ def build_snapshot(active_metas, speeds):
         adj_d[i, j] = adj_d[j, i] = scaled_d[k]
         adj_tt[i, j] = adj_tt[j, i] = scaled_tt[k]
 
-    return GraphSnapshot(node_ids=[m.detector_id for m in active_metas],
-                         adj_d=adj_d, adj_tt=adj_tt)
+    return GraphSnapshot(adj_d=adj_d, adj_tt=adj_tt)

@@ -52,8 +52,8 @@ def csv_pair(tmp_path):
 def test_load_well_formed(csv_pair):
     meta, recs = csv_pair
     write_records(recs, 48, lambda d, h: 100.0)
-    metas, columns = load_csv(meta, recs)
-    assert set(metas) == {"det_a", "det_b"}
+    detectors, columns = load_csv(meta, recs)
+    assert detectors.ids == ["det_a", "det_b"]
     assert columns.values.shape == (96, len(dataio.RECORD_COLUMNS) - 2)
     # file order: det_a's 48 hours, then det_b's
     np.testing.assert_array_equal(columns.detector, np.repeat([0, 1], 48))
@@ -66,10 +66,9 @@ def test_values_are_float_of_each_cell(tmp_path):
     """Each loaded value is float() of its cell, nan where the cell is
     empty, in file order (S2 has empty flow and speed cells)."""
     meta, recs, _ = synth.generate(synth.builtin_scenarios()["S2"], tmp_path)
-    metas, columns = load_csv(meta, recs)
+    detectors, columns = load_csv(meta, recs)
     rows = [line.split(",") for line in recs.read_text().splitlines()[1:]]
-    detector_ids = sorted(metas)
-    assert [detector_ids[k] for k in columns.detector] == [r[0] for r in rows]
+    assert [detectors.ids[k] for k in columns.detector] == [r[0] for r in rows]
     assert columns.hour.tolist() == [datetime.fromisoformat(r[1])
                                      for r in rows]
     expected = np.array([[float(v) if v else np.nan for v in r[2:]]
@@ -200,7 +199,7 @@ def test_prev_day_stats_constant_flow(csv_pair):
     write_records(recs, 72, lambda d, h: 100.0)
     data = engineer_features(*reversed(load_csv(meta, recs)))
     col = {n: k for k, n in enumerate(dataio.TEMPORAL_FEATURES)}
-    i = data.detector_ids.index("det_a")
+    i = data.detectors.ids.index("det_a")
     assert data.temporal[i, 30, col["prev_day_mean"]] == pytest.approx(100.0)
     assert data.temporal[i, 30, col["prev_day_std"]] == pytest.approx(0.0)
     assert data.temporal[i, 60, col["prev_period_mean"]] == pytest.approx(100.0)
@@ -211,7 +210,7 @@ def test_prev_day_mean_alternating(csv_pair):
     write_records(recs, 48, lambda d, h: 50.0 if h % 2 == 0 else 150.0)
     data = engineer_features(*reversed(load_csv(meta, recs)))
     col = {n: k for k, n in enumerate(dataio.TEMPORAL_FEATURES)}
-    i = data.detector_ids.index("det_a")
+    i = data.detectors.ids.index("det_a")
     assert data.temporal[i, 30, col["prev_day_mean"]] == pytest.approx(100.0)
 
 
@@ -230,7 +229,7 @@ def test_short_gap_interpolated_long_gap_not(csv_pair):
     write_records(recs, 96,
                   lambda d, h: None if h in gap_2 | gap_4 else 100.0 + h)
     data = engineer_features(*reversed(load_csv(meta, recs)))
-    i = data.detector_ids.index("det_a")
+    i = data.detectors.ids.index("det_a")
     # linear fill between flow[29]=129 and flow[32]=132
     np.testing.assert_allclose(data.flow[i, 30], 130.0)
     np.testing.assert_allclose(data.flow[i, 31], 131.0)
@@ -371,7 +370,7 @@ def test_dark_detector_excluded_from_window(tmp_path):
         lambda d, h: None if (d == "det_b" and h in dark) else 100.0 + h % 24)
     windows = make_windows(data, table, tnorm, l=6, p=6)
     by_anchor = {w.anchor_index: w for w in windows}
-    det_b = data.detector_ids.index("det_b")
+    det_b = data.detectors.ids.index("det_b")
     assert det_b not in by_anchor[48].det_indices
     assert det_b in by_anchor[60].det_indices
     # det_b still appears as a step extra where it is active: hours 48
@@ -426,16 +425,16 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
     windows = [w for w in ds.train_windows + ds.val_windows
                if any(len(e) for e in w.extra_temporal)]
     assert windows
-    highway, milepost = data.layout()
+    det = data.detectors
     for w in windows:
         pred = w.det_indices
         for step in range(ds.l):
             t = w.anchor_index + step
             order = list(pred) + [i for i in np.flatnonzero(data.active[:, t])
                                   if i not in set(pred)]
-            snap = graphs.build_snapshot(
-                [data.detector_ids[i] for i in order], highway[order],
-                milepost[order], data.speed[order, t])
+            snap = graphs.build_snapshot(det.highway[order],
+                                         det.milepost[order],
+                                         data.speed[order, t])
             raw = np.nan_to_num(ds.norm.transform(np.concatenate(
                 [data.temporal[order, t], data.spatial[order]], axis=1)))
             np.testing.assert_array_equal(
@@ -457,8 +456,8 @@ def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
     real = graphs.build_snapshot
 
     def counting(*args):
-        built.append(real(*args))
-        return built[-1]
+        built.append(args)
+        return real(*args)
 
     monkeypatch.setattr(graphs, "build_snapshot", counting)
     table = input_table(data, norm)
@@ -467,9 +466,8 @@ def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
                       for step in range(6)})
     # one graph per covered hour, over the detectors active then, and no
     # graph product at any other hour
-    assert [s.node_ids for s in built] == [
-        [data.detector_ids[i] for i in np.flatnonzero(data.active[:, t])]
-        for t in covered]
+    assert [milepost.tolist() for _, milepost, _ in built] == [
+        data.detectors.milepost[data.active[:, t]].tolist() for t in covered]
     assert len(covered) < 6 * len(windows)
     np.testing.assert_array_equal(
         np.flatnonzero(table[:, 1:].any(axis=(1, 2, 3))), covered)
@@ -536,8 +534,8 @@ def _set_field(line, column, value):
 
 
 MUTATIONS = ("text", "empty", "nonfinite", "negative", "huge", "slow",
-             "field_count", "duplicate", "offset", "far_year", "crlf", "bom",
-             "truncated")
+             "vast", "field_count", "duplicate", "offset", "far_year", "crlf",
+             "bom", "truncated")
 
 
 @st.composite
@@ -568,6 +566,10 @@ def mutations(draw, kind, lines):
     elif kind == "slow":  # a positive speed below MIN_SPEED
         lines[i] = _set_field(line, 3, draw(st.sampled_from(
             ["1e-308", "5e-324", "0.0099"])))
+    elif kind == "vast":  # a speed or exogenous value above MAX_MAGNITUDE
+        lines[i] = _set_field(line, draw(st.sampled_from(NUMERIC[1:])),
+                              draw(st.sampled_from(["1e200", "-1e200",
+                                                    "1e10", "-2e9"])))
     elif kind == "field_count":
         fields = line.split(",")
         column = draw(st.integers(0, len(fields) - 1))
@@ -676,6 +678,36 @@ def test_huge_milepost_is_named_not_trained_on(s1_corpus, caplog):
         in caplog.text
 
 
+def test_huge_lanes_is_named_not_trained_on(s1_corpus, caplog):
+    """Lanes of 1e300 overflowed the lanes feature's standard deviation:
+    `train` warned and exited 0, having trained on that feature divided by
+    an infinite scale."""
+    work, meta, lines, config = s1_corpus
+    meta_lines = meta.read_text().splitlines()
+    meta_lines[1] = _set_field(meta_lines[1], 3, "1e300")
+    assert _train_exit_code(work, meta_lines, lines, config) == 1
+    assert f"line 2: column lanes exceeds {dataio.MAX_MAGNITUDE:.0e} in " \
+           f"magnitude" in caplog.text
+
+
+@pytest.mark.parametrize("line_no, column", [
+    (102, "speed"), (102, "cum_pop_under_orders"), (2, "dist_landfall_mi")])
+def test_huge_record_value_is_named_not_trained_on(s1_corpus, caplog,
+                                                   line_no, column):
+    """A value of 1e200 overflowed its feature's standard deviation, a
+    temporal one (speed, cum_pop_under_orders) or the spatial one a
+    detector's first dist_landfall_mi fills: `train` warned and exited
+    0."""
+    work, meta, lines, config = s1_corpus
+    lines = list(lines)
+    k = dataio.RECORD_COLUMNS.index(column)
+    lines[line_no - 1] = _set_field(lines[line_no - 1], k, "1e200")
+    assert _train_exit_code(work, meta.read_text().splitlines(), lines,
+                            config) == 1
+    assert f"line {line_no}: column {column} exceeds " \
+           f"{dataio.MAX_MAGNITUDE:.0e} in magnitude" in caplog.text
+
+
 def test_bounds_themselves_load(csv_pair):
     meta, recs = csv_pair
     write_meta(meta, ["det_a,I75,0.0,3,28.0,-82.0",
@@ -684,21 +716,36 @@ def test_bounds_themselves_load(csv_pair):
                        speed=dataio.MIN_SPEED if h else 0.0)
             for d in ("det_a", "det_b") for h in range(2)]
     recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
-    metas, columns = load_csv(meta, recs)
-    assert metas["det_b"].milepost == dataio.MAX_MILEPOST
+    detectors, columns = load_csv(meta, recs)
+    assert detectors.milepost.tolist() == [0.0, dataio.MAX_MILEPOST]
     assert sorted(set(columns.values[:, 1])) == [0.0, dataio.MIN_SPEED]
+
+
+def test_magnitude_bound_itself_loads(csv_pair):
+    meta, recs = csv_pair
+    write_meta(meta, ["det_a,I75,0.0,1000000000,28.0,-82.0",
+                      "det_b,I75,2.5,3,28.1,-82.0"])
+    k = dataio.RECORD_COLUMNS.index("hrs_before_landfall")
+    rows = [_set_field(record_row(d, T0, 100.0, speed=dataio.MAX_MAGNITUDE),
+                       k, str(-dataio.MAX_MAGNITUDE))
+            for d in ("det_a", "det_b")]
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    detectors, columns = load_csv(meta, recs)
+    assert detectors.lanes.tolist() == [10**9, 3]
+    assert (columns.values[:, 1] == dataio.MAX_MAGNITUDE).all()
+    assert (columns.values[:, k - 2] == -dataio.MAX_MAGNITUDE).all()
 
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
-    """Two detectors' 30 hours: the meta file, the loaded metas and the
+    """Two detectors' 30 hours: the meta file, the loaded detectors and the
     records lines."""
     work = tmp_path_factory.mktemp("small")
     meta, recs = work / "meta.csv", work / "records.csv"
     write_meta(meta)
     write_records(recs, 30, lambda d, h: 100.0 + h)
-    metas, _ = load_csv(meta, recs)
-    return work, meta, metas, recs.read_text().splitlines()
+    detectors, _ = load_csv(meta, recs)
+    return work, meta, detectors, recs.read_text().splitlines()
 
 
 @settings(max_examples=150, deadline=None)
@@ -707,7 +754,7 @@ def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
     """With up to three malformed lines, the columnar loader raises the
     row-wise loader's SchemaError, message for message, or reads the same
     records."""
-    work, meta, metas, lines = small_corpus
+    work, meta, detectors, lines = small_corpus
     final_newline = True
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
                                    max_size=3)):
@@ -717,16 +764,101 @@ def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
     recs.write_text("\n".join(lines) + ("\n" if final_newline else ""),
                     encoding="utf-8", newline="")
     try:
-        expected = loader_reference.load_records(recs, metas)
+        expected = loader_reference.load_records(recs, set(detectors.ids))
     except SchemaError as exc:
         with pytest.raises(SchemaError) as got:
             load_csv(meta, recs)
         assert str(got.value) == str(exc)
         return
     _, columns = load_csv(meta, recs)
-    records = as_records(columns, metas)
+    records = as_records(columns, detectors)
     assert sorted(records, key=lambda r: (r.detector_id, r.timestamp)) == \
         expected
+
+
+@pytest.fixture(scope="module")
+def s2_meta(tmp_path_factory):
+    """The built-in S2 corpus's meta lines, whose ids are not in file order
+    (the I75 rows come first), and a records file with no rows."""
+    work = tmp_path_factory.mktemp("meta")
+    meta, _, _ = synth.generate(synth.builtin_scenarios()["S2"],
+                                work / "corpus")
+    recs = work / "records.csv"
+    recs.write_text(REC_HEADER + "\n")
+    return work, meta.read_text().splitlines(), recs
+
+
+META_MUTATIONS = ("field_count", "repeated_id", "repeated_position", "empty",
+                  "text", "nonfinite", "range", "highway")
+
+
+@st.composite
+def meta_mutations(draw, lines):
+    """`lines`, a valid meta file's header and rows, after one change to
+    one row."""
+    lines = list(lines)
+    i = draw(st.integers(1, len(lines) - 1))
+    other = lines[draw(st.integers(1, len(lines) - 1))]
+    line, kind = lines[i], draw(st.sampled_from(META_MUTATIONS))
+    if kind == "field_count":
+        fields = line.split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        if draw(st.booleans()):
+            fields.pop(column)
+        else:
+            fields.insert(column, "0")
+        lines[i] = ",".join(fields)
+    elif kind == "repeated_id":
+        lines[i] = _set_field(line, 0, _field(other, 0))
+    elif kind == "repeated_position":  # the milepost maybe spelled longer
+        milepost = _field(other, 2) + draw(st.sampled_from(["", "0"]))
+        lines[i] = _set_field(_set_field(line, 1, _field(other, 1)), 2,
+                              milepost)
+    elif kind == "empty":
+        lines[i] = _set_field(line, draw(st.integers(0, 5)), "")
+    elif kind == "text":
+        text = draw(st.text(alphabet="abcxyz.-_ ", min_size=1, max_size=5))
+        lines[i] = _set_field(line, draw(st.integers(2, 5)), text)
+    elif kind == "nonfinite":
+        lines[i] = _set_field(line, draw(st.integers(2, 5)), draw(
+            st.sampled_from(["nan", "inf", "-inf", "Infinity"])))
+    elif kind == "range":
+        column, value = draw(st.sampled_from(
+            [(2, v) for v in ("-1", "-0", "-0.0", "1e4", "10000.5", "1e308")]
+            + [(3, v) for v in ("0", "-1", "2.5", "1e9", "1e10", "1e300")]
+            + [(k, v) for k in (4, 5) for v in ("1e300", "-1e300")]))
+        lines[i] = _set_field(line, column, value)
+    elif kind == "highway":
+        lines[i] = _set_field(line, 1, draw(st.sampled_from(
+            ["I99", "i75", "I75 ", "I4\x00", *dataio.HIGHWAYS])))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_same_meta_error_or_detectors_as_row_wise_loader(s2_meta, data):
+    """With one to three changed cells or rows, the columnar meta loader
+    raises the row-wise loader's SchemaError, message for message, or
+    reads the same detectors, in ascending id order."""
+    work, lines, recs = s2_meta
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = data.draw(meta_mutations(lines))
+    meta = work / "mutated.csv"
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        expected = loader_reference.load_meta(meta)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            load_csv(meta, recs)
+        assert str(got.value) == str(exc)
+        return
+    detectors, _ = load_csv(meta, recs)
+    assert detectors.ids == sorted(expected)
+    rows = [expected[d] for d in detectors.ids]
+    assert detectors.highway.tolist() == [m.highway for m in rows]
+    assert detectors.milepost.tobytes() == np.array(
+        [m.milepost for m in rows]).tobytes()
+    assert detectors.lanes.tolist() == [m.lanes for m in rows]
 
 
 def test_byte_order_mark_is_ignored(s1_corpus, tmp_path):
@@ -736,9 +868,13 @@ def test_byte_order_mark_is_ignored(s1_corpus, tmp_path):
     for path in (meta, records):
         (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf"
                                            + path.read_bytes())
-    plain_metas, plain = load_csv(meta, records)
-    metas, columns = load_csv(tmp_path / meta.name, tmp_path / records.name)
-    assert metas == plain_metas
+    plain_detectors, plain = load_csv(meta, records)
+    detectors, columns = load_csv(tmp_path / meta.name,
+                                  tmp_path / records.name)
+    assert detectors.ids == plain_detectors.ids
+    for field in ("highway", "milepost", "lanes"):
+        np.testing.assert_array_equal(getattr(detectors, field),
+                                      getattr(plain_detectors, field))
     for field in ("detector", "hour", "values"):
         np.testing.assert_array_equal(getattr(columns, field),
                                       getattr(plain, field))

@@ -431,7 +431,6 @@ def test_node_permutation_equivariance():
     perm = rng.permutation(5)
     w2 = replace(w, table=w.table[:, :, perm])
     repropagate(w2.table, [graphs.GraphSnapshot(
-        node_ids=s.node_ids,
         adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
         for s in snapshots])
     y1, _ = dmf.forward([w2], params)

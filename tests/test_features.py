@@ -1,5 +1,6 @@
 """`engineer_features` against the loop implementation it replaced
-(`features_reference.py`, fed through its `as_records` adapter): the same
+(`features_reference.py`, fed through its `as_records` and `as_metas`
+adapters): the same
 arrays on the built-in scenarios, on a corridors100-sized corpus and on
 random record sets."""
 
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacnet import dataio, synth
-from evacnet.dataio import DetectorMeta, RecordColumns, engineer_features
+from evacnet.dataio import Detectors, RecordColumns, engineer_features
 
-from features_reference import as_records
+from features_reference import as_metas, as_records
 from features_reference import engineer_features as reference_features
 
 # the benchmark's corridors100 workload (perfbench/workloads.py), seed 1
@@ -25,10 +26,11 @@ CORRIDORS100 = synth.Scenario(
     incident_rate_per_hour=0.01, outage_rate_per_hour=0.003)
 
 
-def assert_matches_reference(columns, metas):
-    new = engineer_features(columns, metas)
-    ref = reference_features(as_records(columns, metas), metas)
-    assert new.detector_ids == ref.detector_ids
+def assert_matches_reference(columns, detectors):
+    new = engineer_features(columns, detectors)
+    ref = reference_features(as_records(columns, detectors),
+                             as_metas(detectors))
+    assert new.detectors.ids == ref.detector_ids
     assert new.timeline == ref.timeline
     np.testing.assert_array_equal(new.active, ref.active)
     for name in ("temporal", "spatial", "flow", "speed"):
@@ -43,8 +45,8 @@ def test_matches_reference_on_scenarios(name, tmp_path):
     scenario = (CORRIDORS100 if name == "corridors100"
                 else synth.builtin_scenarios()[name])
     meta, recs, _ = synth.generate(scenario, tmp_path)
-    metas, columns = dataio.load_csv(meta, recs)
-    data = assert_matches_reference(columns, metas)
+    detectors, columns = dataio.load_csv(meta, recs)
+    data = assert_matches_reference(columns, detectors)
     assert data.active.any()
 
 
@@ -60,10 +62,11 @@ def test_bit_identical_to_reference_on_scenarios(name, tmp_path):
     bit, and so does the timeline, except for the four statistics columns,
     which agree to 1e-12 (`test_matches_reference_on_scenarios`)."""
     meta, recs, _ = synth.generate(synth.builtin_scenarios()[name], tmp_path)
-    metas, columns = dataio.load_csv(meta, recs)
-    new = engineer_features(columns, metas)
-    ref = reference_features(as_records(columns, metas), metas)
-    assert new.detector_ids == ref.detector_ids
+    detectors, columns = dataio.load_csv(meta, recs)
+    new = engineer_features(columns, detectors)
+    ref = reference_features(as_records(columns, detectors),
+                             as_metas(detectors))
+    assert new.detectors.ids == ref.detector_ids
     assert new.timeline == ref.timeline
     exact = np.setdiff1d(np.arange(len(dataio.TEMPORAL_FEATURES)),
                          STATISTICS)
@@ -89,8 +92,10 @@ def corpora(draw):
     exog_missing_rate = draw(st.sampled_from([0.0, 0.1, 0.6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    metas = {f"d{k}": DetectorMeta(f"d{k}", dataio.HIGHWAYS[k], 2.0 * k, 1 + k,
-                                   28.0, -82.0) for k in range(n_det)}
+    detectors = Detectors(ids=[f"d{k}" for k in range(n_det)],
+                          highway=np.array(dataio.HIGHWAYS[:n_det]),
+                          milepost=2.0 * np.arange(n_det),
+                          lanes=1 + np.arange(n_det))
     t0 = np.datetime64(datetime(2024, 10, 5, start_hour), "h")  # a Saturday
     n_exog = len(dataio.RECORD_COLUMNS) - 4
     detector, hour, values = [], [], []
@@ -111,14 +116,14 @@ def corpora(draw):
     order = rng.permutation(len(hour))
     return RecordColumns(detector=np.array(detector, np.intp)[order],
                          hour=t0 + np.array(hour)[order],
-                         values=np.array(values)[order]), metas
+                         values=np.array(values)[order]), detectors
 
 
 @settings(max_examples=150, deadline=None)
 @given(corpora())
 def test_matches_reference_on_random_records(corpus):
-    columns, metas = corpus
-    data = assert_matches_reference(columns, metas)
+    columns, detectors = corpus
+    data = assert_matches_reference(columns, detectors)
     days = {ts.date() for ts in data.timeline}
     if len(days) == 1:  # no earlier day, so no statistics and no target
         assert not data.active.any()

@@ -129,8 +129,7 @@ def test_gcn_normalize_regular_graph_row_sums():
 
 def test_snapshot_symmetry_and_uniform_speed_equivalence():
     mp = np.array([0.0, 2.0, 5.0, 6.0])
-    snap = graphs.build_snapshot(["a", "b", "c", "d"], np.array(["I75"] * 4),
-                                 mp, np.full(4, 60.0))
+    snap = graphs.build_snapshot(np.array(["I75"] * 4), mp, np.full(4, 60.0))
     np.testing.assert_allclose(snap.adj_d, snap.adj_d.T, atol=1e-12)
     np.testing.assert_allclose(snap.adj_tt, snap.adj_tt.T, atol=1e-12)
     np.testing.assert_allclose(snap.norm_d, snap.norm_d.T, atol=1e-12)
@@ -166,15 +165,13 @@ def detector_hours(draw):
 @settings(max_examples=200, deadline=None)
 @given(detector_hours())
 def test_build_snapshot_equals_reference(dets):
-    ids = [d for d, _, _, _ in dets]
     snap = graphs.build_snapshot(
-        ids, np.array([hw for _, hw, _, _ in dets]),
+        np.array([hw for _, hw, _, _ in dets]),
         np.array([mp for _, _, mp, _ in dets], dtype=float),
         np.array([v for _, _, _, v in dets], dtype=float))
     ref = graphs_reference.build_snapshot(
         [SimpleNamespace(detector_id=d, highway=hw, milepost=mp)
          for d, hw, mp, _ in dets], {d: v for d, _, _, v in dets})
-    assert snap.node_ids == ref.node_ids
     for name in ("adj_d", "adj_tt", "norm_d", "norm_tt"):
         a, b = getattr(snap, name), getattr(ref, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

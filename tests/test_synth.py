@@ -9,8 +9,8 @@ from features_reference import as_records
 
 def load_records(meta, records):
     """The loaded records as rows, in file order."""
-    metas, columns = dataio.load_csv(meta, records)
-    return as_records(columns, metas)
+    detectors, columns = dataio.load_csv(meta, records)
+    return as_records(columns, detectors)
 
 
 def test_builtin_names_and_seeds_frozen():
@@ -38,8 +38,8 @@ def test_same_seed_byte_identical(tmp_path):
 def test_generated_files_pass_ingestion(tmp_path):
     for name, scen in builtin_scenarios().items():
         meta, records, _ = generate(scen, tmp_path / name)
-        metas, recs = dataio.load_csv(meta, records)
-        assert len(metas) >= 6
+        detectors, recs = dataio.load_csv(meta, records)
+        assert len(detectors.ids) >= 6
 
 
 def test_flow_and_speed_bounds(tmp_path):
