@@ -11,11 +11,12 @@ and removed afterwards. On each tree, with that tree's own `src`, it runs
 model variant `evacnet train` (EPOCHS epochs) and `evacnet evaluate` on
 the checkpoint it wrote, for each RL variant `evacnet rank-features`, and
 then `evacnet ablate` (EPOCHS epochs per ablation variant). It then
-compares train's `model.ckpt`, `metrics.csv` and `ranking.csv`,
-evaluate's `metrics.csv`, rank-features' `ranking.csv` and ablate's
-`ablation.csv` byte for byte, prints one line per file and exits 0 when
-every file is identical, 1 otherwise. BLAS runs on one thread
-(`EVACNET_THREADS=1`) unless the environment sets it.
+compares generate's `meta.csv` and `records.csv`, train's `model.ckpt`,
+`metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
+rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
+(so a moved corpus is told from a moved model), prints one line per
+file and exits 0 when every file is identical, 1 otherwise. BLAS runs
+on one thread (`EVACNET_THREADS=1`) unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from evacnet.trainer import VARIANTS, TrainConfig  # noqa: E402
 
 SCENARIOS = ("S1", "S2")
 EPOCHS = 3
+CORPUS = ("meta.csv", "records.csv")  # generate's compared files
 # command -> the files of its output directory that are compared
 COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
             "evaluate": ("metrics.csv",),
@@ -95,6 +97,7 @@ def expected_files():
     """The compared files' paths relative to a tree's output directory."""
     files = []
     for scenario in SCENARIOS:
+        files += [f"{scenario}/data/{name}" for name in CORPUS]
         for variant in VARIANTS:
             rl = TrainConfig(variant=variant).uses_rl()
             # only an RL variant writes a ranking

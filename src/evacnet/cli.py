@@ -92,6 +92,17 @@ def _prepare_dataset(data_dir, l, p):
         raise UserError(f"invalid input data: {exc}")
 
 
+def _require_windows(data_dir, dataset, windows, split):
+    """UserError when `windows` is empty: no detector of the corpus is
+    active (flow, speed and previous-day statistics) over l + p
+    consecutive hours of `split`."""
+    if not windows:
+        raise UserError(
+            f"invalid input data: {data_dir} yields no window: no detector "
+            f"is active over l + p = {dataset.l + dataset.p} consecutive "
+            f"hours of {split}")
+
+
 def _load_checkpoint(path):
     from . import trainer
     try:
@@ -131,6 +142,8 @@ def cmd_train(args):
     out = _out_dir(args)
     config = _load_train_config(args)
     dataset = _prepare_dataset(args.data, config.l, config.p)
+    _require_windows(args.data, dataset, dataset.train_windows,
+                     "the training split")
     log.info("training %s on %d train / %d val windows", config.variant,
              len(dataset.train_windows), len(dataset.val_windows))
     result = trainer.train(
@@ -167,6 +180,8 @@ def cmd_evaluate(args):
     ckpt = Path(args.checkpoint)
     payload, config, params = _load_checkpoint(ckpt)
     dataset = _prepare_dataset(args.data, config.l, config.p)
+    windows = dataset.val_windows or dataset.train_windows
+    _require_windows(args.data, dataset, windows, "either split")
     try:
         trainer.check_registry(payload, dataset)
     except ValueError as exc:
@@ -175,7 +190,6 @@ def cmd_evaluate(args):
         static_full = trainer.static_graph(payload, config, dataset)
     except ValueError as exc:
         raise UserError(f"checkpoint {ckpt} {exc}")
-    windows = dataset.val_windows or dataset.train_windows
     table = trainer.evaluate(params, windows, dataset, static_full)
     metrics_csv = out / "metrics.csv"
     trainer.write_metrics_csv(table, metrics_csv)
@@ -192,6 +206,8 @@ def cmd_ablate(args):
     out = _out_dir(args)
     config = _load_train_config(args)
     dataset = _prepare_dataset(args.data, config.l, config.p)
+    _require_windows(args.data, dataset, dataset.train_windows,
+                     "the training split")
     tables, failures = trainer.ablate(
         config, dataset,
         log_fn=lambda e: log.debug("epoch %d loss %.6f", e.epoch,

@@ -526,89 +526,72 @@ def engineer_features(columns, detectors):
 
 # ---- normalization ----
 
+TRAIN_FRAC = 0.9  # the leading share of hours that fits the statistics
+
+
 @dataclass
 class Normalizer:
-    """Per-feature affine transform fitted on the training split only.
+    """Affine statistics fitted on the training split, one entry per
+    group: per feature for the model inputs, per detector for flows.
 
-    transform(x) = (x - shift) / scale; binary features pass through and
-    every other feature is z-scored.
+    transform(x) = (x - shift) / scale along x's last axis, or, given
+    `rows`, row k of x by entry rows[k].
     """
-    names: list
     shift: np.ndarray
     scale: np.ndarray
 
     @classmethod
-    def fit(cls, names, values_per_feature):
-        """values_per_feature: list of 1-d arrays of training values."""
-        shift = np.zeros(len(names))
-        scale = np.ones(len(names))
-        for k, (name, vals) in enumerate(zip(names, values_per_feature)):
+    def fit(cls, groups, skip=()):
+        """Each group's mean and population std over its non-nan values;
+        a group indexed in `skip` or without values keeps 0 and 1, and a
+        zero std gives scale 1."""
+        shift = np.zeros(len(groups))
+        scale = np.ones(len(groups))
+        for k, vals in enumerate(groups):
             vals = np.asarray(vals, dtype=float)
             vals = vals[~np.isnan(vals)]
-            if name in BINARY_FEATURES or vals.size == 0:
+            if k in skip or vals.size == 0:
                 continue
             shift[k] = vals.mean()
             s = vals.std()
             scale[k] = s if s > 0 else 1.0
-        return cls(list(names), shift, scale)
+        return cls(shift, scale)
 
-    def transform(self, x):
-        return (x - self.shift) / self.scale
+    def _at(self, rows):
+        if rows is None:
+            return self.shift, self.scale
+        return self.shift[rows][:, None], self.scale[rows][:, None]
 
-    def inverse(self, x):
-        return x * self.scale + self.shift
+    def transform(self, x, rows=None):
+        shift, scale = self._at(rows)
+        return (x - shift) / scale
 
-
-@dataclass
-class TargetNormalizer:
-    """Per-detector z-score of flow, from training-split statistics."""
-    mean: np.ndarray  # (n_det,)
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, flow, active, train_end):
-        n_det = flow.shape[0]
-        mean = np.zeros(n_det)
-        std = np.ones(n_det)
-        for i in range(n_det):
-            vals = flow[i, :train_end][active[i, :train_end]]
-            if vals.size:
-                mean[i] = vals.mean()
-                s = vals.std()
-                std[i] = s if s > 0 else 1.0
-        return cls(mean, std)
-
-    def transform(self, det_indices, values):
-        det_indices = np.asarray(det_indices)
-        return ((values - self.mean[det_indices][:, None])
-                / self.std[det_indices][:, None])
-
-    def inverse(self, det_indices, values):
-        det_indices = np.asarray(det_indices)
-        return (values * self.std[det_indices][:, None]
-                + self.mean[det_indices][:, None])
+    def inverse(self, x, rows=None):
+        shift, scale = self._at(rows)
+        return x * scale + shift
 
 
-def split_and_fit(data, train_frac=0.9):
-    """Chronological split; fit feature and target normalizers on train.
-
-    Returns (train_end, Normalizer, TargetNormalizer) where hours
-    [0, train_end) are training and [train_end, T) validation.
+def split_and_fit(data):
+    """Chronological split at TRAIN_FRAC of the hours; returns (train_end,
+    features, flows), hours [0, train_end) training and the rest
+    validation. `features` is fitted per registry feature over the active
+    training hours, binary features passed through; `flows` per detector
+    over its active training hours.
     """
     n_hours = len(data.timeline)
-    train_end = int(n_hours * train_frac)
+    train_end = int(n_hours * TRAIN_FRAC)
     if train_end < 1 or train_end >= n_hours:
         raise ShortSpanError(f"a split of {n_hours} hours produces an empty "
                              f"train or validation set")
-
     mask = data.active[:, :train_end]
-    f_t = len(TEMPORAL_FEATURES)
-    temporal_vals = [data.temporal[:, :train_end, k][mask]
-                     for k in range(f_t)]
-    spatial_vals = [data.spatial[:, k] for k in range(len(SPATIAL_FEATURES))]
-    norm = Normalizer.fit(data.registry, temporal_vals + spatial_vals)
-    target_norm = TargetNormalizer.fit(data.flow, data.active, train_end)
-    return train_end, norm, target_norm
+    features = Normalizer.fit(
+        [data.temporal[:, :train_end, k][mask]
+         for k in range(len(TEMPORAL_FEATURES))] + list(data.spatial.T),
+        skip={k for k, name in enumerate(data.registry)
+              if name in BINARY_FEATURES})
+    flows = Normalizer.fit([f[m] for f, m in zip(data.flow[:, :train_end],
+                                                 mask)])
+    return train_end, features, flows
 
 
 # ---- windowing ----
@@ -699,7 +682,7 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
         raw = data.flow[pred, a + l:a + l + p]
         windows.append(WindowSample(
             anchor_index=a, l=l, det_indices=pred,
-            targets=target_norm.transform(pred, raw), targets_raw=raw,
+            targets=target_norm.transform(raw, pred), targets_raw=raw,
             extra_temporal=[np.flatnonzero(e) for e in extras.T],
             table=table))
 
@@ -717,8 +700,8 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
 class Dataset:
     """Everything the trainer needs, built once from the two CSVs."""
     data: EngineeredData
-    norm: Normalizer
-    target_norm: TargetNormalizer
+    norm: Normalizer  # per feature
+    target_norm: Normalizer  # per detector, of flow
     train_windows: list
     val_windows: list
     l: int
@@ -737,10 +720,10 @@ class Dataset:
         return len(SPATIAL_FEATURES)
 
 
-def prepare(meta_path, records_path, l=6, p=6, train_frac=0.9):
+def prepare(meta_path, records_path, l=6, p=6):
     detectors, columns = load_csv(meta_path, records_path)
     data = engineer_features(columns, detectors)
-    train_end, norm, target_norm = split_and_fit(data, train_frac)
+    train_end, norm, target_norm = split_and_fit(data)
     table = input_table(data, norm)
     train = make_windows(data, table, target_norm, l, p, 0, train_end)
     if len(data.timeline) - train_end >= l + p:

@@ -17,7 +17,8 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import graphs
-from .dataio import HIGHWAYS, MAX_DETECTOR_HOURS, MAX_SPAN_HOURS
+from .dataio import (HIGHWAYS, MAX_DETECTOR_HOURS, MAX_MAGNITUDE,
+                     MAX_SPAN_HOURS)
 from .fieldtypes import is_a
 
 FREE_FLOW_MPH = 70.0
@@ -67,6 +68,19 @@ class Scenario:
             raise ValueError("multipliers and base flow must be positive")
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:
             raise ValueError("need order_hour < landfall_hour <= horizon")
+        # values the generator divides by, or that would write a corpus
+        # the loader rejects (lanes in meta.csv, a negative population)
+        for name in ("noise_std", "population_total",
+                     "incident_mean_duration_hours",
+                     "outage_mean_duration_hours"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.surge_spatial_decay_miles <= 0:
+            raise ValueError("surge_spatial_decay_miles must be > 0")
+        if not 0 <= self.incident_capacity_drop < 1:
+            raise ValueError("incident_capacity_drop must be in [0, 1)")
+        if not 1 <= self.lanes <= MAX_MAGNITUDE:
+            raise ValueError(f"lanes must be in [1, {MAX_MAGNITUDE:.0e}]")
         try:
             offset = datetime.fromisoformat(self.start).tzinfo
         except ValueError:
@@ -75,6 +89,8 @@ class Scenario:
         if offset is not None:  # load_csv rejects offset timestamps
             raise ValueError(f"start must be a local clock time without a "
                              f"UTC offset, got {self.start!r}")
+        if not self.corridors:
+            raise ValueError("corridors must hold at least one corridor")
         for highway, n, spacing in self.corridors:
             if highway not in HIGHWAYS or n < 1 or spacing <= 0:
                 raise ValueError(f"corridors: {(highway, n, spacing)} needs a "
@@ -291,7 +307,9 @@ def generate(scenario, out_dir):
         "hours": hours,
         "surge_mean_flow": float(
             flow[:, scenario.order_hour:scenario.landfall_hour].mean()),
-        "nonevac_mean_flow": float(flow[:, :scenario.order_hour].mean()),
+        # null when the order comes at hour 0
+        "nonevac_mean_flow": (float(flow[:, :scenario.order_hour].mean())
+                              if scenario.order_hour else None),
         "n_outage_hours": int(out.sum()),
         "fusion_signal_fraction": fusion_signal_fraction(
             dets, speed, scenario) if scenario.congestion_waves else 0.0,
@@ -340,9 +358,7 @@ def load_scenario_file(path):
                 and all(map(is_a, r, row)) for r in value)):
             raise ValueError(f"{f.name} must be a list of "
                              f"[{', '.join(row)}] rows, got {value!r}")
-    body["corridors"] = [tuple(c) for c in body.get("corridors", [])] or None
-    if body["corridors"] is None:
-        del body["corridors"]
-    body["forced_outages"] = [tuple(o)
-                              for o in body.get("forced_outages", [])]
+    for name in _ROW_TYPES:
+        if name in body:
+            body[name] = [tuple(row) for row in body[name]]
     return Scenario(**body)

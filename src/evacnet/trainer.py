@@ -288,8 +288,8 @@ def evaluate(params, windows, dataset, static_full=None):
                               static_adj=static_full)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
-        np.concatenate([w.det_indices for w in windows]),
-        np.concatenate(predicted))
+        np.concatenate(predicted),
+        np.concatenate([w.det_indices for w in windows]))
     actual = np.concatenate([w.targets_raw for w in windows])
     table = {h + 1: metrics.compute(actual[:, h], predicted[:, h])
              for h in range(params.horizon)}

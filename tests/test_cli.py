@@ -108,6 +108,56 @@ def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
     assert not (tmp_path / "records.csv").exists()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"noise_std": -1.0}, "noise_std"),
+    ({"incident_rate_per_hour": 0.05, "incident_mean_duration_hours": -1.0},
+     "incident_mean_duration_hours"),
+    ({"outage_rate_per_hour": 0.05, "outage_mean_duration_hours": -1.0},
+     "outage_mean_duration_hours"),
+    ({"surge_spatial_decay_miles": 0.0}, "surge_spatial_decay_miles"),
+    # these wrote a corpus that the loader rejects
+    ({"surge_spatial_decay_miles": -5.0}, "surge_spatial_decay_miles"),
+    ({"population_total": -5.0}, "population_total"),
+    ({"lanes": 0}, "lanes"),
+    ({"lanes": 2_000_000_000}, "lanes"),
+    ({"incident_rate_per_hour": 0.05, "incident_capacity_drop": 1.0},
+     "incident_capacity_drop"),
+    ({"incident_capacity_drop": -0.5}, "incident_capacity_drop"),
+    # an empty list, not the default corridor
+    ({"corridors": []}, "corridors"),
+], ids=["noise_std", "incident_duration", "outage_duration", "decay-zero",
+        "decay-negative", "population", "lanes-zero", "lanes-huge",
+        "capacity_drop-one", "capacity_drop-negative", "corridors-empty"])
+def test_generate_unusable_scenario_value_names_it(fields, name, tmp_path,
+                                                   caplog):
+    scen_file = tmp_path / "bad.json"
+    scen_file.write_text(json.dumps({**asdict(TINY), **fields}),
+                         encoding="utf-8")
+    assert cli.main(["generate", "--scenario", str(scen_file),
+                     "--out", str(tmp_path)]) == 1
+    message = caplog.records[-1].getMessage()
+    assert "invalid scenario" in message
+    assert name in message
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_generate_order_at_hour_zero_writes_json(tmp_path):
+    # no hour precedes the order, so its mean flow is null, not NaN
+    scen_file = tmp_path / "early.json"
+    scen_file.write_text(json.dumps(asdict(replace(TINY, order_hour=0))),
+                         encoding="utf-8")
+    assert cli.main(["generate", "--scenario", str(scen_file),
+                     "--out", str(tmp_path)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"manifest.json holds {constant}")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=reject)
+    assert manifest["notes"]["nonevac_mean_flow"] is None
+    assert manifest["notes"]["surge_mean_flow"] > 0
+
+
 def test_generate_seed_override(tmp_path):
     assert cli.main(["generate", "--scenario", "S1", "--seed", "55",
                      "--out", str(tmp_path)]) == 0
@@ -255,6 +305,45 @@ def test_train_data_shorter_than_window_is_user_error(corpus, tmp_path,
     assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
     assert "shorter than l + p = 506" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def s1_cut(tmp_path_factory):
+    """An S1 checkpoint (1 epoch) and S1's first 30 hours. The cut loads,
+    but day 0 has no previous-day statistics, so no detector is active
+    over l + p = 12 hours before the split at hour 27, and the 3
+    validation hours are too few for a window."""
+    full = tmp_path_factory.mktemp("s1")
+    assert cli.main(["generate", "--scenario", "S1", "--out",
+                     str(full / "data")]) == 0
+    cfg = full / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    assert cli.main(["train", "--data", str(full / "data"), "--config",
+                     str(cfg), "--out", str(full / "train"),
+                     "--log-level", "WARNING"]) == 0
+    cut = full / "cut"
+    cut.mkdir()
+    (cut / "meta.csv").write_bytes((full / "data" / "meta.csv").read_bytes())
+    header, *lines = (full / "data" / "records.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    keep = [ln for ln in lines if ln.split(",")[1] < "2024-10-02T06:00:00"]
+    assert len(keep) == 180
+    (cut / "records.csv").write_text(header + "".join(keep),
+                                     encoding="utf-8")
+    return cfg, full / "train" / "model.ckpt", cut
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
+def test_corpus_without_windows_is_user_error(command, s1_cut, tmp_path,
+                                              caplog):
+    cfg, ckpt, cut = s1_cut
+    source = (["--checkpoint", str(ckpt)] if command == "evaluate"
+              else ["--config", str(cfg)])
+    assert cli.main([command, *source, "--data", str(cut),
+                     "--out", str(tmp_path)]) == 1
+    message = caplog.records[-1].getMessage()
+    assert f"{cut} yields no window" in message
+    assert "l + p = 12" in message
 
 
 def test_evaluate_checkpoint(corpus, trained, tmp_path):

@@ -1,16 +1,19 @@
 import re
 from datetime import datetime, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evacnet import dataio, graphs, rlagent, synth
 from evacnet.dataio import (INPUT_MODALITIES, SchemaError, engineer_features,
                             input_table, load_csv, make_windows, split_and_fit)
 
 import loader_reference
+import normalizer_reference
 from features_reference import as_records
 
 T0 = datetime(2024, 10, 1, 0)
@@ -332,6 +335,67 @@ def test_normalize_round_trip(csv_pair):
     np.testing.assert_allclose(norm.inverse(norm.transform(x)), x, atol=1e-9)
 
 
+# a few repeated values make constant groups; fill makes whole runs
+cells = st.one_of(st.sampled_from([np.nan, 0.0, 1.0, -2.5, 7e5]),
+                  st.floats(-1e6, 1e6))
+fills = st.sampled_from([np.nan, 0.0, 1.0])
+
+
+@st.composite
+def fit_inputs(draw):
+    """A stand-in for `EngineeredData`: feature blocks with nan cells and
+    runs of one value, the binary columns among them, and per-detector
+    flows over drawn active hours (non-nan where active, as the loader
+    guarantees), so groups come out empty, constant or single-valued."""
+    n_det, n_hours = draw(st.integers(1, 4)), draw(st.integers(2, 14))
+    f_t, f_s = len(dataio.TEMPORAL_FEATURES), len(dataio.SPATIAL_FEATURES)
+    active = draw(arrays(bool, (n_det, n_hours), elements=st.booleans()))
+    flow = draw(arrays(float, (n_det, n_hours), elements=st.one_of(
+        st.sampled_from([0.0, 250.0]), st.floats(0, dataio.MAX_FLOW)),
+        fill=st.just(250.0)))
+    return SimpleNamespace(
+        timeline=[None] * n_hours, active=active,
+        temporal=draw(arrays(float, (n_det, n_hours, f_t), elements=cells,
+                             fill=fills)),
+        spatial=draw(arrays(float, (n_det, f_s), elements=cells,
+                            fill=fills)),
+        flow=np.where(active, flow, np.nan),
+        registry=list(dataio.TEMPORAL_FEATURES + dataio.SPATIAL_FEATURES))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=fit_inputs(), rows=st.data())
+def test_normalizer_matches_the_two_class_oracle(data, rows):
+    """One `Normalizer` per features and per detector fits, transforms
+    and inverts bit for bit as the per-feature and per-detector classes
+    it replaced did."""
+    train_end, features, flows = split_and_fit(data)
+    ref_end, ref, ref_flows = normalizer_reference.split_and_fit(data)
+    assert train_end == ref_end
+    assert same_bits(features.shift, ref.shift)
+    assert same_bits(features.scale, ref.scale)
+    assert same_bits(flows.shift, ref_flows.mean)
+    assert same_bits(flows.scale, ref_flows.std)
+    x = np.concatenate([data.temporal, np.broadcast_to(
+        data.spatial[:, None], (*data.temporal.shape[:2],
+                                data.spatial.shape[1]))], axis=2)
+    dets = np.array(rows.draw(st.lists(
+        st.integers(0, len(data.flow) - 1), min_size=1, max_size=6)))
+    y = rows.draw(arrays(float, (len(dets), 3), elements=cells))
+    with np.errstate(all="ignore"):  # a tiny std may overflow; both alike
+        assert same_bits(features.transform(x), ref.transform(x))
+        assert same_bits(features.inverse(x), ref.inverse(x))
+        assert same_bits(flows.transform(y, dets),
+                         ref_flows.transform(dets, y))
+        assert same_bits(flows.inverse(y, dets), ref_flows.inverse(dets, y))
+
+
 def window_fixture(tmp_path, hours, flow_fn, l=6, p=6):
     meta = tmp_path / "m.csv"
     recs = tmp_path / "r.csv"
@@ -492,7 +556,7 @@ def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
         a = w.anchor_index
         assert ds.data.active[w.det_indices, a:a + ds.l + ds.p].all()
         np.testing.assert_allclose(
-            ds.target_norm.inverse(w.det_indices, w.targets), w.targets_raw,
+            ds.target_norm.inverse(w.targets, w.det_indices), w.targets_raw,
             rtol=1e-12, atol=0)
         rows = dataio.gather_inputs([w], INPUT_MODALITIES)
         for step in range(ds.l):

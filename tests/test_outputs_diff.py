@@ -42,9 +42,11 @@ def test_compare_is_byte_exact(tmp_path):
 def test_expected_files_cover_every_variant_and_command():
     files = outputs_diff.expected_files()
     assert len(files) == len(set(files))
-    # per scenario: 3 RL variants x 5 files, 3 others x 3 files, and
-    # ablate's table
-    assert len(files) == len(outputs_diff.SCENARIOS) * (3 * 5 + 3 * 3 + 1)
+    # per scenario: the corpus's 2 files, 3 RL variants x 5 files, 3
+    # others x 3 files, and ablate's table
+    assert len(files) == len(outputs_diff.SCENARIOS) * (2 + 3 * 5 + 3 * 3 + 1)
+    assert "S1/data/meta.csv" in files
+    assert "S2/data/records.csv" in files
     assert "S1/rl_dmf/rank-features/ranking.csv" in files
     assert "S1/ablate/ablation.csv" in files
     assert "S2/ablate/ablation.csv" in files
