@@ -15,7 +15,10 @@ compares generate's `meta.csv` and `records.csv`, train's `model.ckpt`,
 `metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
 rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
 (so a moved corpus is told from a moved model), prints one line per
-file and exits 0 when every file is identical, 1 otherwise. BLAS runs
+file and exits 0 when every file is identical, 1 otherwise. For a
+`metrics.csv`, `ablation.csv` or `ranking.csv` that differs, the line
+also says how far it moved: the largest relative difference over the
+numeric fields the two files hold at the same row and column. BLAS runs
 on one thread (`EVACNET_THREADS=1`) unless the environment sets it.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +45,8 @@ CORPUS = ("meta.csv", "records.csv")  # generate's compared files
 COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
             "evaluate": ("metrics.csv",),
             "rank-features": ("ranking.csv",)}
+# the tables whose numeric fields a differing file is measured on
+MEASURED = ("metrics.csv", "ablation.csv", "ranking.csv")
 
 
 def git(*args):
@@ -124,6 +130,50 @@ def compare(parent, change, files):
     return rows
 
 
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def largest_rel_diff(parent, change):
+    """The largest |c - p| / max(|p|, |c|) over the fields of the two CSV
+    files that are numbers in both, row by row and column by column: 0 for
+    equal numbers (nan included), inf where one side is nan. None when the
+    files differ in their number of rows or a row in its number of
+    fields."""
+    rows = [path.read_text(encoding="utf-8").splitlines()
+            for path in (parent, change)]
+    if len(rows[0]) != len(rows[1]):
+        return None
+    largest = 0.0
+    for p_row, c_row in zip(*rows):
+        p_fields, c_fields = p_row.split(","), c_row.split(",")
+        if len(p_fields) != len(c_fields):
+            return None
+        for p, c in zip(map(_number, p_fields), map(_number, c_fields)):
+            if p is None or c is None or p == c or (p != p and c != c):
+                continue
+            diff = abs(c - p) / max(abs(p), abs(c))
+            largest = max(largest, diff if diff == diff else math.inf)
+    return largest
+
+
+def describe(parent, change, rows):
+    """One line per (file, verdict) row of `compare`; a differing table of
+    MEASURED also gets its largest relative difference."""
+    lines = []
+    for rel, verdict in rows:
+        line = f"{rel}: {verdict}"
+        if verdict == "differs" and Path(rel).name in MEASURED:
+            diff = largest_rel_diff(parent / rel, change / rel)
+            line += (", rows or columns do not line up" if diff is None
+                     else f", largest relative difference {diff:.3g}")
+        lines.append(line)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -141,8 +191,8 @@ def main(argv=None):
         run_tree(ROOT, tmp / "out-change")
         rows = compare(tmp / "out-parent", tmp / "out-change",
                        expected_files())
-    for rel, verdict in rows:
-        print(f"{rel}: {verdict}")
+        lines = describe(tmp / "out-parent", tmp / "out-change", rows)
+    print("\n".join(lines))
     same = sum(verdict == "identical" for _, verdict in rows)
     print(f"{same} of {len(rows)} files identical (parent {commit[:12]} "
           f"against the working tree)")

@@ -71,7 +71,7 @@ MAX_INTERP_GAP = 2
 MAX_SPAN_HOURS = 366 * 24
 # Most detectors (of the meta file) × timeline hours. The feature arrays
 # and the input table are sized from them; the table takes 3 modalities ×
-# 32 float64 features = 768 B per detector-hour, 1.5 GB at the cap.
+# 32 float32 features = 384 B per detector-hour, 0.77 GB at the cap.
 # corridors100 is 100 × 336 = 33,600.
 MAX_DETECTOR_HOURS = 2_000_000
 # Largest flow a record may carry, veh/h: far above any detector's
@@ -602,11 +602,12 @@ INPUT_MODALITIES = ("identity", "d", "tt")
 
 
 def input_table(data, norm):
-    """(T, 3, n_det, F) model inputs per hour and detector, shared by every
-    window over `data`: modality "identity" holds the normalized rows
-    [temporal_t ‖ spatial], filled here; "d" and "tt" hold Ã·rows over the
-    detectors active at that hour, which `make_windows` fills for the hours
-    its windows cover and which stay zero everywhere else.
+    """(T, 3, n_det, F) float32 model inputs per hour and detector, shared
+    by every window over `data`: modality "identity" holds the normalized
+    rows [temporal_t ‖ spatial], computed in float64 and rounded here; "d"
+    and "tt" hold Ã·rows over the detectors active at that hour, which
+    `make_windows` fills for the hours its windows cover and which stay
+    zero everywhere else.
     """
     # inactive slots can carry nan (missing history/exogenous columns); they
     # only enter the model as neighbors, and zero is the neutral fill
@@ -617,7 +618,8 @@ def input_table(data, norm):
                                          data.spatial.shape[1]))], axis=2)),
         nan=0.0)
     n_det, n_hours, n_features = rows.shape
-    table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det, n_features))
+    table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det, n_features),
+                     np.float32)
     table[:, 0] = rows.transpose(1, 0, 2)
     return table
 
@@ -662,8 +664,8 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     step extras, so transient neighbors contribute context. Each hour a
     window covers gets one snapshot over every detector active then, built
     from their highways, mileposts and speeds in detector order; its
-    products Ã·rows are written into `table` (see `input_table`) and the
-    snapshot is dropped.
+    products Ã·rows, in float64 over the table's rows, are rounded into
+    `table` (see `input_table`) and the snapshot is dropped.
     """
     if l < 1 or p < 1:
         raise ValueError("l and p must be >= 1")

@@ -20,7 +20,7 @@ class DmfParameters:
     With M modalities: W_gcn (M, F, H), w_att (M, H) when M > 1, and the
     LSTM's W_lstm, U_lstm (H, 4H) and b_lstm (4H,), gates f, i, c, o.
     Their data are consecutive views, in key order, of the one contiguous
-    vector `flat` (`numcore.flatten`)."""
+    float32 vector `flat` (`numcore.flatten`)."""
     f_t: int
     f_s: int
     hidden: int
@@ -49,7 +49,8 @@ class DmfParameters:
         t["b_lstm"] = np.zeros(4 * hidden)
         t["W_out"] = uniform(hidden, horizon)
         t["b_out"] = np.zeros(horizon)
-        flat, views = nc.flatten(t.values())
+        # drawn in float64, as always, and rounded once
+        flat, views = nc.flatten(a.astype(np.float32) for a in t.values())
         tensors = {k: Tensor(v, requires_grad=True) for k, v in zip(t, views)}
         return cls(f_t=f_t, f_s=f_s, hidden=hidden, horizon=horizon,
                    modalities=tuple(modalities), tensors=tensors, flat=flat)
@@ -148,13 +149,14 @@ def lstm_step(x, params):
     a column-block layout in the same order and the backward's products
     are the same; with H = 32 the forward's per-gate products also round
     as the (H, 4H) ones do, so h, c and the gradients equal a column-block
-    LSTM's bit for bit."""
+    LSTM's bit for bit. The buffers take the input's dtype."""
     t = params.tensors
     w, u, b = t["W_lstm"], t["U_lstm"], t["b_lstm"]
     hid = params.hidden
     l = x.shape[0]
     xs = x.data.reshape(-1, hid)
     n = xs.shape[0] // l
+    dtype = xs.dtype
 
     def by_gate(a):
         """(H, 4H) → (4, H, H) view: gate j's columns at [j]."""
@@ -171,10 +173,11 @@ def lstm_step(x, params):
     # would only raise malloc's thresholds for the training step.
     sizes = (4 * l, l + 1, l + 1, l, 4)
     if any(p.requires_grad for p in (x, w, u, b)):
-        pre, hs, cs, tanh_c, hu = (np.empty((k, n, hid)) for k in sizes)
+        pre, hs, cs, tanh_c, hu = (np.empty((k, n, hid), dtype)
+                                   for k in sizes)
     else:
-        pre, hs, cs, tanh_c, hu = np.split(np.empty((sum(sizes), n, hid)),
-                                           np.cumsum(sizes[:-1]))
+        pre, hs, cs, tanh_c, hu = np.split(
+            np.empty((sum(sizes), n, hid), dtype), np.cumsum(sizes[:-1]))
     np.matmul(xs, by_gate(w.data), out=pre.reshape(4, l * n, hid))
     pre = pre.reshape(4, l, n, hid)
     bias = b.data.reshape(4, 1, hid)
@@ -198,11 +201,12 @@ def lstm_step(x, params):
             np.multiply(o, tanh_c[k], out=hs[k + 1])
 
     def bwd(g):
-        d_gates = np.empty((4, n, hid))  # one hour's d_pre, gate-major
-        d_pre = np.empty((l, n, 4 * hid))  # every hour's, hour-major
-        dc = np.zeros((n, hid))
-        dh, dh_next = g, np.empty((n, hid))
-        s, s2 = np.empty((2, n, hid))
+        # one hour's d_pre, gate-major, and every hour's, hour-major
+        d_gates = np.empty((4, n, hid), dtype)
+        d_pre = np.empty((l, n, 4 * hid), dtype)
+        dc = np.zeros((n, hid), dtype)
+        dh, dh_next = g, np.empty((n, hid), dtype)
+        s, s2 = np.empty((2, n, hid), dtype)
 
         def dsig(a):
             """σ' = a·(1 - a) of a gate a = σ(·), into s2."""
@@ -244,10 +248,31 @@ def predict_head(h, params):
 
     def bwd(g):
         return g @ w.data.T, h.data.T @ g, g.sum(axis=0)
-    return Tensor.node(h.data @ w.data + b.data, (h, w, b), bwd)
+    # a stack of one-row products, not one (n, H) product, whose float32
+    # rounding BLAS picks by the row count: every row is the same call, so
+    # a window's prediction does not depend on its batch. Each output sums
+    # its H terms in float64 and is rounded once.
+    out = np.matmul(h.data[:, None, :].astype(np.float64), w.data)[:, 0]
+    return Tensor.node(out.astype(h.data.dtype) + b.data, (h, w, b), bwd)
 
 
-def forward(windows, params, mask=None, static_adj=None):
+def frozen_blocks(static_adj, windows):
+    """The static-graph baseline's normalized blocks of the frozen graph
+    `static_adj` over every detector: one per distinct predicted detector
+    set of `windows`, keyed by `det_indices.tobytes()`, in the dtype of
+    the windows' input table."""
+    dtype = windows[0].table.dtype
+    blocks = {}
+    for w in windows:
+        key = w.det_indices.tobytes()
+        if key not in blocks:
+            det = w.det_indices
+            blocks[key] = graphs.gcn_normalize(
+                static_adj[np.ix_(det, det)]).astype(dtype)
+    return blocks
+
+
+def forward(windows, params, mask=None, static_blocks=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
     A window's inputs at each of its l hours are rows of the data's shared
@@ -256,20 +281,21 @@ def forward(windows, params, mask=None, static_adj=None):
     hour from that hour's snapshot when the data were prepared, or the
     unpropagated rows for the "identity" modality. The batch's rows are
     read as one (l, M, N, F) array with one fancy index
-    (`dataio.gather_inputs`). `static_adj` (static-graph baseline, over
-    the "identity" rows) is the frozen graph over every detector; each
-    window's rows are multiplied by its normalized block of it. A GCN acts
-    on a disjoint union block by block, so stacking the windows' rows
-    equals running them one at a time. GCN, attention and input projection
-    do not depend on the recurrence, so each runs over all l hours at once:
-    the batch is one `gcn_layer` node over every hour and modality, one
-    `attention_fuse` node (skipped with a single modality) and one
-    `lstm_step` node, whose loop over the hours holds only h·U, then the
-    head. The output has one row per predicted node of the batch, in window
-    order. `mask` is the RL agent's (F,) 0/1 feature mask; it scales
-    columns, so it applies to the propagated rows. None means all features
-    active. Returns the predictions and the attention weights α, an
-    (l, N, M) array, or None with a single modality.
+    (`dataio.gather_inputs`). `static_blocks` (static-graph baseline,
+    over the "identity" rows) maps each window's detector set to its
+    normalized block of the frozen graph (`frozen_blocks`), by which its
+    rows are multiplied. A GCN acts on a disjoint union block by block,
+    so stacking the windows' rows equals running them one at a time. GCN,
+    attention and input projection do not depend on the recurrence, so
+    each runs over all l hours at once: the batch is one `gcn_layer` node
+    over every hour and modality, one `attention_fuse` node (skipped with
+    a single modality) and one `lstm_step` node, whose loop over the hours
+    holds only h·U, then the head. The output has one row per predicted
+    node of the batch, in window order. `mask` is the RL agent's (F,) 0/1
+    feature mask; it scales columns, so it applies to the propagated rows.
+    None means all features active. Returns the predictions and the
+    attention weights α, an (l, N, M) array, or None with a single
+    modality.
     """
     if not windows:
         raise ValueError("empty batch of windows")
@@ -283,12 +309,12 @@ def forward(windows, params, mask=None, static_adj=None):
     rows = gather_inputs(windows, params.modalities)
     if rows.shape[-1] != params.f_t + params.f_s:
         raise ValueError("feature registry does not match parameters")
-    if static_adj is not None:
+    if static_blocks is not None:
         start = 0
         for w in windows:
-            det, stop = w.det_indices, start + len(w.det_indices)
-            block = graphs.gcn_normalize(static_adj[np.ix_(det, det)])
-            rows[:, :, start:stop] = block @ rows[:, :, start:stop]
+            stop = start + len(w.det_indices)
+            rows[:, :, start:stop] = (static_blocks[w.det_indices.tobytes()]
+                                      @ rows[:, :, start:stop])
             start = stop
     if mask is not None:
         rows *= mask  # a fresh array here, so scaled in place
@@ -305,7 +331,8 @@ def mse_loss(predicted, windows):
     """Mean over windows of each window's mean squared error over nodes and
     horizons (normalized units): a squared error of window k weighs
     1/(B·n_k·p), with B windows and n_k predicted nodes in window k. One
-    node over `predicted`."""
+    node over `predicted`. The error and the loss are float64, against
+    the float64 targets; the gradient takes the prediction's dtype."""
     targets = np.concatenate([w.targets for w in windows])
     counts = [w.targets.shape[0] for w in windows]
     weights = np.repeat([1.0 / (len(windows) * k * targets.shape[1])
@@ -314,5 +341,5 @@ def mse_loss(predicted, windows):
 
     def bwd(g):
         d = g * (weights * diff)
-        return (d + d,)
+        return ((d + d).astype(predicted.data.dtype, copy=False),)
     return Tensor.node((diff * diff * weights).sum(), (predicted,), bwd)

@@ -7,7 +7,10 @@ passes (node counts in the traffic graph do). The forecaster's ops (its
 cells, head and loss in `dmf`) are defined where they are used and join
 the graph through `Tensor.node`, each with its own hand-written
 backward. The only generic ops left are `*` and `sum`, for tests that
-weight an op's output into a scalar. Everything is float64.
+weight an op's output into a scalar. An op computes in the dtype of its
+inputs: the forecaster runs in float32, and the same ops given float64
+arrays run in float64 end to end. Data that are not floating point
+become float64.
 
 A model's parameters are views of one contiguous vector (`flatten`).
 `Adam` knows only that vector: `step` takes the model's gradient as one
@@ -22,7 +25,9 @@ import numpy as np
 
 
 def _as_array(x):
-    return np.asarray(x, dtype=np.float64)
+    """`x` as an array of its own floating dtype, or else of float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
 
 
 def _unbroadcast(grad, shape):
@@ -155,9 +160,11 @@ def softmax(x, axis=-1):
 # ---- flat parameters and optimization ----
 
 def flatten(arrays):
-    """Copy the arrays' values, in order, into one new contiguous float64
-    vector. Returns the vector and one view of it per array, shaped like
-    that array; writing into the vector writes the views and back."""
+    """Copy the arrays' values, in order, into one new contiguous vector of
+    their common dtype (float64 for arrays that are not floating point):
+    float32 arrays give a float32 vector. Returns the vector and one view
+    of it per array, shaped like that array; writing into the vector
+    writes the views and back."""
     arrays = [_as_array(a) for a in arrays]
     flat = np.concatenate([a.ravel() for a in arrays])
     return flat, views(flat, [a.shape for a in arrays])

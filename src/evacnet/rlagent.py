@@ -44,10 +44,10 @@ def build_state(windows, f_t):
     """State vector: batch/time mean of the windows' temporal features (the
     first f_t input columns), batch mean of their spatial features at the
     first input hour, concatenated. The batch's unpropagated rows are read
-    with one `gather_inputs`."""
+    with one `gather_inputs` and averaged in float64, the agent's dtype."""
     if not windows:
         raise ValueError("empty batch")
-    rows = gather_inputs(windows, ("identity",))[:, 0]  # (l, N, F)
+    rows = gather_inputs(windows, ("identity",))[:, 0].astype(np.float64)
     # node-major (node, hour) rows: the mean's summation order sets its
     # last bits
     temp = rows[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)

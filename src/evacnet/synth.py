@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graphs
 from .dataio import (HIGHWAYS, MAX_DETECTOR_HOURS, MAX_MAGNITUDE,
-                     MAX_SPAN_HOURS)
+                     MAX_MILEPOST, MAX_SPAN_HOURS)
 from .fieldtypes import is_a
 
 FREE_FLOW_MPH = 70.0
@@ -70,11 +70,14 @@ class Scenario:
             raise ValueError("need order_hour < landfall_hour <= horizon")
         # values the generator divides by, or that would write a corpus
         # the loader rejects (lanes in meta.csv, a negative population)
-        for name in ("noise_std", "population_total",
-                     "incident_mean_duration_hours",
+        for name in ("noise_std", "incident_mean_duration_hours",
                      "outage_mean_duration_hours"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # the largest cum_pop_under_orders written
+        if not 0 <= self.population_total <= MAX_MAGNITUDE:
+            raise ValueError(f"population_total must be in [0, "
+                             f"{MAX_MAGNITUDE:.0e}]")
         if self.surge_spatial_decay_miles <= 0:
             raise ValueError("surge_spatial_decay_miles must be > 0")
         if not 0 <= self.incident_capacity_drop < 1:
@@ -105,6 +108,12 @@ class Scenario:
                              f"{self.horizon_hours} hours make "
                              f"{n_det * self.horizon_hours} detector-hours, "
                              f"more than {MAX_DETECTOR_HOURS}")
+        # laid out only now that the detector count is bounded
+        for highway, n, spacing in self.corridors:
+            last = _mileposts(n, spacing)[-1]
+            if last > MAX_MILEPOST:
+                raise ValueError(f"corridors: {highway}'s last milepost "
+                                 f"{last!r} exceeds {MAX_MILEPOST:.0f}")
         for i, start, length in self.forced_outages:
             if not (0 <= i < n_det and start >= 0 and length >= 1):
                 raise ValueError(f"forced_outages: {(i, start, length)} needs "
@@ -144,15 +153,22 @@ class _Detector:
     dist_evac_zone: float
 
 
+def _mileposts(n, spacing):
+    """A corridor's n mileposts, from 0. Uneven spacing keeps chain-edge
+    distances distinct, so edge orderings between the two modalities can
+    differ."""
+    mileposts, milepost = [], 0.0
+    for k in range(n):
+        if k:
+            milepost += spacing * (1.0 + 0.25 * (k % 3))
+        mileposts.append(milepost)
+    return mileposts
+
+
 def _layout(scenario):
     dets = []
     for c_idx, (highway, n, spacing) in enumerate(scenario.corridors):
-        milepost = 0.0
-        for k in range(n):
-            if k:
-                # uneven spacing keeps chain-edge distances distinct, so
-                # edge orderings between the two modalities can differ
-                milepost += spacing * (1.0 + 0.25 * (k % 3))
+        for k, milepost in enumerate(_mileposts(n, spacing)):
             dets.append(_Detector(
                 detector_id=f"{highway}_{k:03d}", highway=highway,
                 milepost=milepost, lanes=scenario.lanes,

@@ -16,7 +16,7 @@ import numpy as np
 from . import dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
                      "mask_counts", "static_adj_full")
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
@@ -157,8 +157,10 @@ def train(config, dataset, log_fn=None):
                                     config.p, modalities=config.modalities(),
                                     seed=config.seed + 1)
     optimizer = nc.Adam(params.flat, lr=config.lr)
-    static_full = (_static_distance_adj(dataset)
-                   if config.variant == "static_gcn_lstm" else None)
+    static_full = blocks = None
+    if config.variant == "static_gcn_lstm":
+        static_full = _static_distance_adj(dataset)
+        blocks = dmf.frozen_blocks(static_full, dataset.train_windows)
 
     agent = None
     if config.uses_rl():
@@ -199,7 +201,7 @@ def train(config, dataset, log_fn=None):
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
             predicted, _ = dmf.forward(batch, params, mask=mask,
-                                       static_adj=static_full)
+                                       static_blocks=blocks)
             loss = dmf.mse_loss(predicted, batch)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -276,16 +278,19 @@ def evaluate(params, windows, dataset, static_full=None):
     windows holding at most EVAL_ROWS predicted-node rows (a larger window
     alone), each chunk's inputs gathered from the input table with one
     index and its static-graph rows made for it alone, so memory does not
-    grow with the number of windows."""
+    grow with the number of windows. The static graph's normalized blocks
+    are made once, one per distinct detector set."""
     if not windows:
         raise ValueError("no windows to evaluate")
     # constant Tensors over the same arrays: the forward records no graph
     params = replace(params, tensors={k: nc.Tensor(v.data)
                                       for k, v in params.tensors.items()})
+    blocks = (None if static_full is None
+              else dmf.frozen_blocks(static_full, windows))
     predicted = []
     for start, stop in _chunks(windows):
         yhat, _ = dmf.forward(windows[start:stop], params,
-                              static_adj=static_full)
+                              static_blocks=blocks)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
         np.concatenate(predicted),
@@ -420,6 +425,8 @@ def load_checkpoint(path):
             "registry", f"a list of f_t + f_s = {n} feature names")
     saved, counts = payload["params"], payload["mask_counts"]
     require(_is_array(saved, "f", 1), "params", "a float vector")
+    # a float64 vector is another precision's model: not rounded silently
+    require(saved.dtype == np.float32, "params", "a float32 vector")
     require(counts is None or _is_array(counts, "i", 1) and len(counts) == n,
             "mask_counts", f"None or {n} integer counts")
     require(payload["static_adj_full"] is None

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_window, repropagate
+from float64_params import float64_params
 from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
                      trainer)
 from evacnet.dataio import INPUT_MODALITIES
@@ -64,7 +65,7 @@ def test_c01_gradient_correctness():
         rng = np.random.default_rng(0)
         w, _ = random_window(rng, n=5, f_t=6, f_s=3, l=3, p=2,
                              extras_per_step=1)
-        params = dmf.DmfParameters.init(6, 3, 8, 2, seed=1)
+        params = float64_params(dmf.DmfParameters.init(6, 3, 8, 2, seed=1))
 
         def f():
             y, _ = dmf.forward([w], params)

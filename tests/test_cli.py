@@ -108,6 +108,11 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     ("incident_capacity_drop", 1.0),
     ("incident_capacity_drop", -0.5),
     ("corridors", []),  # not the default corridor
+    # a corpus the loader rejects: cum_pop_under_orders above MAX_MAGNITUDE
+    # and a last milepost above MAX_MILEPOST
+    pytest.param("population_total", 2e9, id="population-above-magnitude"),
+    pytest.param("corridors", [["I75", 4, 5000.0]],
+                 id="corridors-last-milepost-above-max"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):
@@ -402,6 +407,22 @@ def test_other_checkpoint_version_is_user_error(command, corpus, trained,
     assert f"version {trainer.CHECKPOINT_VERSION}" in caplog.text
 
 
+def test_float64_version_3_checkpoint_is_user_error(corpus, trained,
+                                                    tmp_path, caplog):
+    # a checkpoint of the float64 model, as version 3 wrote it
+    with open(trained / "model.ckpt", "rb") as fh:
+        flat = pickle.load(fh)["params"]
+    assert flat.dtype == np.float32
+    ckpt = tmp_path / "v3.ckpt"
+    _rewrite_checkpoint(trained, ckpt, version=3,
+                        params=flat.astype(np.float64))
+    assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
+                     str(corpus), "--out", str(tmp_path)]) == 1
+    assert (f"{ckpt}: checkpoint version 3, expected version "
+            f"{trainer.CHECKPOINT_VERSION}") in caplog.text
+    assert trainer.CHECKPOINT_VERSION == 4
+
+
 def test_checkpoint_parameter_of_another_shape_is_user_error(corpus, trained,
                                                              tmp_path,
                                                              caplog):
@@ -476,10 +497,13 @@ def _setting(key, value):
      "checkpoint field mask_counts is not None or"),
     (_setting("static_adj_full", [[0.0]]),
      "checkpoint field static_adj_full is not None or a float matrix"),
+    # another precision's model is refused, not rounded
+    (_setting("params", lambda v: v.astype(np.float64)),
+     "checkpoint field params is not a float32 vector"),
 ], ids=["config-unknown-key", "config-list", "config-rejected-value",
         "params-missing", "mask-counts-missing", "params-list",
         "params-int", "f-s-text", "registry-short", "mask-counts-short",
-        "static-list"])
+        "static-list", "params-float64"])
 def test_malformed_checkpoint_field_is_user_error(command, edit, message,
                                                   corpus, trained, tmp_path,
                                                   caplog):

@@ -441,12 +441,20 @@ def test_dark_detector_excluded_from_window(tmp_path):
     # and 49 of the window's input hours 48-53
     w = by_anchor[48]
     assert [list(e) for e in w.extra_temporal] == [[det_b]] * 2 + [[]] * 4
-    # so those hours' graphs join det_a to det_b, and the later ones hold
-    # det_a alone, whose product with its own row is that row
+    # so those hours' graphs join det_a to det_b: det_a's rows are its row
+    # of the two-node graph's product, rounded to the table's float32; the
+    # later hours hold det_a alone, whose product with its own row is that
+    # row
     rows = dataio.gather_inputs([w], ("identity",))[:, 0, 0]
+    det = data.detectors
+    pair = [det.ids.index("det_a"), det_b]
+    joined = [graphs.build_snapshot(det.highway[pair], det.milepost[pair],
+                                    data.speed[pair, t]) for t in (48, 49)]
     for g in ("d", "tt"):
         prop = dataio.gather_inputs([w], (g,))[:, 0, 0]
-        assert not (prop[:2] == rows[:2]).all(axis=1).any()
+        np.testing.assert_array_equal(prop[:2], [
+            (getattr(s, f"norm_{g}") @ table[t, 0, pair])[0]
+            .astype(np.float32) for s, t in zip(joined, (48, 49))])
         np.testing.assert_array_equal(prop[2:], rows[2:])
         k = INPUT_MODALITIES.index(g)
         assert table[48:50, k, det_b].any(axis=1).all()
@@ -499,15 +507,18 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
             snap = graphs.build_snapshot(det.highway[order],
                                          det.milepost[order],
                                          data.speed[order, t])
+            # the table's float32 rows, and their products in float64
+            # rounded to float32
             raw = np.nan_to_num(ds.norm.transform(np.concatenate(
-                [data.temporal[order, t], data.spatial[order]], axis=1)))
+                [data.temporal[order, t], data.spatial[order]],
+                axis=1))).astype(np.float32)
             np.testing.assert_array_equal(
                 dataio.gather_inputs([w], ("identity",))[step, 0],
                 raw[:len(pred)])
             for g, norm_adj in (("d", snap.norm_d), ("tt", snap.norm_tt)):
                 np.testing.assert_allclose(
                     dataio.gather_inputs([w], (g,))[step, 0] * m,
-                    (norm_adj @ (raw * m))[:len(pred)],
+                    (norm_adj @ (raw * m)).astype(np.float32)[:len(pred)],
                     rtol=1e-12, atol=1e-12)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_window, repropagate
+from float64_params import float64_params
 from lstm_reference import lstm_step as column_block_lstm
 from evacnet import dmf, graphs, numcore as nc, rlagent
 from evacnet.dataio import INPUT_MODALITIES
@@ -81,15 +82,21 @@ def test_stacked_init_equals_per_modality_per_gate_draws():
         u_gates.append(uniform(hidden, hidden))
     w_out = uniform(hidden, horizon)
     t = params.tensors
+    assert params.flat.dtype == np.float32
+
+    def f32(a):  # the float64 draw, rounded once
+        return a.astype(np.float32)
     for k in range(2):
-        np.testing.assert_array_equal(t["W_gcn"].data[k], gcn[k])
-        np.testing.assert_array_equal(t["w_att"].data[k], att[k])
+        np.testing.assert_array_equal(t["W_gcn"].data[k], f32(gcn[k]))
+        np.testing.assert_array_equal(t["w_att"].data[k], f32(att[k]))
     for k in range(4):
         cols = slice(k * hidden, (k + 1) * hidden)
-        np.testing.assert_array_equal(t["W_lstm"].data[:, cols], w_gates[k])
-        np.testing.assert_array_equal(t["U_lstm"].data[:, cols], u_gates[k])
+        np.testing.assert_array_equal(t["W_lstm"].data[:, cols],
+                                      f32(w_gates[k]))
+        np.testing.assert_array_equal(t["U_lstm"].data[:, cols],
+                                      f32(u_gates[k]))
     np.testing.assert_array_equal(t["b_lstm"].data, np.zeros(4 * hidden))
-    np.testing.assert_array_equal(t["W_out"].data, w_out)
+    np.testing.assert_array_equal(t["W_out"].data, f32(w_out))
     np.testing.assert_array_equal(t["b_out"].data, np.zeros(horizon))
 
 
@@ -301,7 +308,8 @@ def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
         w_att = Tensor(rng.normal(size=(n_mod, hidden)), requires_grad=True)
         run, params = (lambda: dmf.attention_fuse(z, w_att)[0]), [z, w_att]
     elif op == "predict_head":
-        head = dmf.DmfParameters.init(hidden, 0, hidden, 2, seed=l)
+        head = float64_params(dmf.DmfParameters.init(hidden, 0, hidden, 2,
+                                                     seed=l))
         head.tensors["b_out"].data = rng.normal(size=2)
         h = Tensor(rng.normal(size=(n, hidden)), requires_grad=True)
         run, params = (lambda: dmf.predict_head(h, head)), [h] + [
@@ -314,7 +322,8 @@ def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
                    requires_grad=True)
         run, params = (lambda: dmf.mse_loss(y, windows)), [y]
     else:
-        lstm = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
+        lstm = float64_params(dmf.DmfParameters.init(hidden, 0, hidden, 1,
+                                                     seed=l))
         lstm.tensors["b_lstm"].data = rng.normal(size=4 * hidden)
         # a single modality's GCN output keeps its modality axis
         shape = (l, n, hidden) if n_mod > 1 else (l, 1, n, hidden)
@@ -469,7 +478,7 @@ def test_forward_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
     w, _ = random_window(rng, n=5, f_t=3, f_s=2, l=3, p=2,
                          extras_per_step=1)
-    params = params_for(w, 3, hidden=4, seed=7)
+    params = float64_params(params_for(w, 3, hidden=4, seed=7))
 
     def f():
         y, _ = dmf.forward([w], params)

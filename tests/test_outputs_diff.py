@@ -53,3 +53,40 @@ def test_expected_files_cover_every_variant_and_command():
     assert "S2/static_gcn_lstm/evaluate/metrics.csv" in files
     assert not any(f.startswith("S1/dmf_no_rl/") and f.endswith(
         "ranking.csv") for f in files)
+
+
+def test_largest_rel_diff_over_numeric_fields(tmp_path):
+    parent, change = tmp_path / "p.csv", tmp_path / "c.csv"
+    parent.write_text("horizon,RMSE,R2\n1,200.0,0.5\noverall,100.0,\n")
+    change.write_text("horizon,RMSE,R2\n1,200.0,0.5\noverall,99.0,\n")
+    # text and empty fields are skipped; 1 / 100 is the only difference
+    assert outputs_diff.largest_rel_diff(parent, change) == 0.01
+    change.write_text("horizon,RMSE,R2\n1,200.0,nan\noverall,100.0,\n")
+    parent.write_text("horizon,RMSE,R2\n1,200.0,nan\noverall,100.0,\n")
+    assert outputs_diff.largest_rel_diff(parent, change) == 0.0
+    change.write_text("horizon,RMSE,R2\n1,nan,0.5\noverall,100.0,\n")
+    assert outputs_diff.largest_rel_diff(parent, change) == float("inf")
+    change.write_text("horizon,RMSE,R2\n1,200.0,0.5\n")
+    assert outputs_diff.largest_rel_diff(parent, change) is None
+    change.write_text("horizon,RMSE\n1,200.0\noverall,100.0\n")
+    assert outputs_diff.largest_rel_diff(parent, change) is None
+
+
+def test_describe_measures_only_differing_tables(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, {"a/metrics.csv": b"RMSE\n4.0\n",
+                    "a/ranking.csv": b"rank,count\n1,3\n",
+                    "a/model.ckpt": b"\x00", "a/ablation.csv": b"x\n1\n",
+                    "b/metrics.csv": b"RMSE\n1.0\n"})
+    _write(change, {"a/metrics.csv": b"RMSE\n5.0\n",
+                    "a/ranking.csv": b"rank,count\n1,3\n2,1\n",
+                    "a/model.ckpt": b"\x01", "a/ablation.csv": b"x\n1\n"})
+    files = ["a/metrics.csv", "a/ranking.csv", "a/model.ckpt",
+             "a/ablation.csv", "b/metrics.csv"]
+    rows = outputs_diff.compare(parent, change, files)
+    assert outputs_diff.describe(parent, change, rows) == [
+        "a/metrics.csv: differs, largest relative difference 0.2",
+        "a/ranking.csv: differs, rows or columns do not line up",
+        "a/model.ckpt: differs",
+        "a/ablation.csv: identical",
+        "b/metrics.csv: missing in change"]

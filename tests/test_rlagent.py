@@ -49,8 +49,9 @@ def test_build_state_length_and_empty():
 
 def build_state_reference(windows, f_t):
     """The state from each window's full (l, n, F) input rows, copied
-    node-major: the gather `build_state` replaced."""
-    rows = [dataio.gather_inputs([w], ("identity",))[:, 0]
+    node-major: the gather `build_state` replaced, over the float32 rows
+    read as float64."""
+    rows = [dataio.gather_inputs([w], ("identity",))[:, 0].astype(np.float64)
             for w in windows]
     temp = np.concatenate([r[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)
                            for r in rows], axis=0)

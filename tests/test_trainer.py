@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from float64_params import float64_params, float64_windows
 from static_rows_reference import _static_rows
 from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
                      trainer)
@@ -224,7 +225,8 @@ def test_ablate_isolates_failures(dataset, monkeypatch):
 
 
 def _forward_rows(windows, params, static_full):
-    """The (l, M, N, F) rows `dmf.forward` hands its GCN layer."""
+    """The (l, M, N, F) rows `dmf.forward` hands its GCN layer, given the
+    frozen graph's blocks over `windows`."""
     seen = []
     gcn_layer = dmf.gcn_layer
 
@@ -233,7 +235,8 @@ def _forward_rows(windows, params, static_full):
         return gcn_layer(rows, weight)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmf, "gcn_layer", recording)
-        dmf.forward(windows, params, static_adj=static_full)
+        dmf.forward(windows, params,
+                    static_blocks=dmf.frozen_blocks(static_full, windows))
     return seen[0]
 
 
@@ -255,15 +258,24 @@ def test_static_variant_frozen_adjacency(dataset):
         x = dataio.gather_inputs([window], ("identity",))[:, 0]
         assert got.shape == (w.l, len(det), dataset.f_t + dataset.f_s)
         np.testing.assert_array_equal(got, adj @ x)
-    # the forward's rows equal the reference's, alone and batched
+    # the forward's rows equal the reference's with its block rounded to
+    # the float32 rows' dtype, alone and batched
     params = dmf.DmfParameters.init(
         dataset.f_t, dataset.f_s, 8, dataset.p, seed=3,
         modalities=TrainConfig(variant="static_gcn_lstm").modalities())
+    assert w.table.dtype == np.float32
     for batch in ([w], [sub], [w, sub], [sub, w]):
         got = _forward_rows(batch, params, full)
-        assert got.shape[1] == 1
-        np.testing.assert_array_equal(
-            got[:, 0], np.concatenate(_static_rows(full, batch), axis=1))
+        assert got.shape[1] == 1 and got.dtype == np.float32
+        np.testing.assert_array_equal(got[:, 0], np.concatenate(
+            [graphs.gcn_normalize(full[np.ix_(v.det_indices,
+                                             v.det_indices)])
+             .astype(np.float32)
+             @ dataio.gather_inputs([v], ("identity",))[:, 0]
+             for v in batch], axis=1))
+        np.testing.assert_allclose(
+            got[:, 0], np.concatenate(_static_rows(full, batch), axis=1),
+            rtol=1e-5, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -276,11 +288,11 @@ def builtin(tmp_path_factory):
     return {name: prepare(name) for name in ("S1", "S2")}
 
 
-def _loss_and_grads(batch, params, mask, static_full):
+def _loss_and_grads(batch, params, mask, blocks):
     for t in params.tensors.values():
         t.zero_grad()
     predicted, _ = dmf.forward(batch, params, mask=mask,
-                               static_adj=static_full)
+                               static_blocks=blocks)
     loss = dmf.mse_loss(predicted, batch)
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
@@ -288,11 +300,14 @@ def _loss_and_grads(batch, params, mask, static_full):
 
 def _assert_batch_is_mean_of_singles(ds, batch, modalities, mask=None,
                                      static_full=None):
-    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p,
-                                    modalities=modalities, seed=3)
-    loss, grads = _loss_and_grads(batch, params, mask, static_full)
-    singles = [_loss_and_grads([w], params, mask, static_full)
-               for w in batch]
+    # in float64, where the sums hold to 1e-12
+    params = float64_params(dmf.DmfParameters.init(
+        ds.f_t, ds.f_s, 16, ds.p, modalities=modalities, seed=3))
+    batch = float64_windows(batch)
+    blocks = (None if static_full is None
+              else dmf.frozen_blocks(static_full, batch))
+    loss, grads = _loss_and_grads(batch, params, mask, blocks)
+    singles = [_loss_and_grads([w], params, mask, blocks) for w in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
     for name, grad in grads.items():
         ref = np.mean([s[1][name] for s in singles], axis=0)
@@ -430,7 +445,9 @@ def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
     """The static-graph rows are made per chunk, as it runs, not for every
     window up front: one forward pass, and so one static product, per
     chunk, each given only that chunk's windows. Evaluate's memory does
-    not grow with the windows."""
+    not grow with the windows. The frozen graph's normalized blocks are
+    made once, one per distinct detector set, and every chunk reads
+    them."""
     ds = builtin["S2"]
     cfg = TrainConfig(variant="static_gcn_lstm", hidden=16, seed=2)
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
@@ -440,17 +457,20 @@ def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
     calls = []
     forward = dmf.forward
 
-    def recording(chunk, params, mask=None, static_adj=None):
-        calls.append((chunk, static_adj))
-        return forward(chunk, params, mask=mask, static_adj=static_adj)
+    def recording(chunk, params, mask=None, static_blocks=None):
+        calls.append((chunk, static_blocks))
+        return forward(chunk, params, mask=mask, static_blocks=static_blocks)
     monkeypatch.setattr(trainer, "EVAL_ROWS", 37)
     monkeypatch.setattr(dmf, "forward", recording)
     trainer.evaluate(params, windows, ds, static_full)
     bounds = trainer._chunks(windows)
     assert len(bounds) > 1
     assert len(calls) == len(bounds)
-    for (chunk, static_adj), (start, stop) in zip(calls, bounds):
-        assert static_adj is static_full
+    blocks = calls[0][1]
+    assert blocks.keys() == {w.det_indices.tobytes() for w in windows}
+    assert len(blocks) < len(windows)
+    for (chunk, static_blocks), (start, stop) in zip(calls, bounds):
+        assert static_blocks is blocks
         assert len(chunk) == stop - start
         assert all(a is b for a, b in zip(chunk, windows[start:stop]))
 
@@ -499,3 +519,68 @@ def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
             np.testing.assert_array_equal(
                 alphas, np.concatenate([a for _, a in alone[k:k + size]],
                                        axis=1))
+
+
+def test_forecaster_runs_in_float32_and_the_agent_in_float64(dataset,
+                                                             monkeypatch):
+    seen = []
+    mse_loss = dmf.mse_loss
+
+    def recording(predicted, windows):
+        loss = mse_loss(predicted, windows)
+        seen.append((predicted.data.dtype, loss.data.dtype))
+        return loss
+    monkeypatch.setattr(dmf, "mse_loss", recording)
+    result = trainer.train(tiny_config(variant="rl_dmf", epochs=2), dataset)
+    assert dataset.train_windows[0].table.dtype == np.float32
+    assert result.params.flat.dtype == np.float32
+    assert all(t.data.dtype == np.float32
+               for t in result.params.tensors.values())
+    agent = result.agent
+    assert agent.online.flat.dtype == agent.target.flat.dtype == np.float64
+    assert agent.buffer.states.dtype == np.float64
+    assert seen and set(seen) == {(np.dtype(np.float32),
+                                   np.dtype(np.float64))}
+
+
+def test_float32_batch_loss_and_gradient_match_float64(builtin):
+    # one S1 batch from the same (float32-rounded) parameters and inputs,
+    # computed in float32 and in float64: the float64 loss agrees to about
+    # one float32 epsilon (1.2e-7) of itself, and each gradient entry to
+    # about 100 epsilons of the largest entry (four S1 batches read 1e-9
+    # and 1.4e-7)
+    ds = builtin["S1"]
+    batch = ds.train_windows[40:48]
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 32, ds.p, seed=3)
+    mask = rlagent.apply_mask(2, ds.f_t, ds.f_s)
+    runs = []
+    for p, windows in ((params, batch),
+                       (float64_params(params), float64_windows(batch))):
+        predicted, _ = dmf.forward(windows, p, mask=mask)
+        loss = dmf.mse_loss(predicted, windows)
+        loss.backward()
+        runs.append((loss.item(), p.grad()))
+    (loss32, grad32), (loss64, grad64) = runs
+    assert grad32.dtype == np.float32 and grad64.dtype == np.float64
+    assert abs(loss32 - loss64) <= 1e-7 * loss64
+    assert np.abs(grad32 - grad64).max() <= 1e-5 * np.abs(grad64).max()
+
+
+def test_static_blocks_normalized_once_per_detector_set(dataset,
+                                                        monkeypatch):
+    calls = []
+    normalize = graphs.gcn_normalize
+
+    def counting(adj):
+        calls.append(adj.shape)
+        return normalize(adj)
+    monkeypatch.setattr(graphs, "gcn_normalize", counting)
+    trainer.train(tiny_config(variant="static_gcn_lstm", epochs=2), dataset)
+
+    def sets(windows):
+        return len({w.det_indices.tobytes() for w in windows})
+    # the frozen graph's own snapshot normalizes both modalities once;
+    # then one block per training set, and one per validation set at
+    # each epoch's evaluate
+    assert len(calls) == 2 + sets(dataset.train_windows) \
+        + 2 * sets(dataset.val_windows)
