@@ -1,9 +1,10 @@
 """Detector CSV ingestion, feature engineering, normalization and
 sliding-window slicing.
 
-Both files are read once into columns and checked column by column by one
-rule (`_CheckedCsv`): the meta file becomes `Detectors`, arrays in
-ascending id order, and the records file `RecordColumns`. After the
+Both files are read through a stream into columns and checked column by
+column by one rule (`_CheckedCsv`): the meta file at once, as
+`Detectors`, arrays in ascending id order, and the records file
+BLOCK_ROWS rows at a time, as `RecordColumns`. After the
 loader, a detector is an index into those arrays.
 
 Input schema (both files UTF-8, a leading byte order mark allowed, with a
@@ -20,14 +21,13 @@ Empty record fields mean missing.
 
 from __future__ import annotations
 
+import codecs
 import csv
-import io
 import operator
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import islice, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -72,8 +72,17 @@ MAX_SPAN_HOURS = 366 * 24
 # Most detectors (of the meta file) × timeline hours. The feature arrays
 # and the input table are sized from them; the table takes 3 modalities ×
 # 32 float32 features = 384 B per detector-hour, 0.77 GB at the cap.
-# corridors100 is 100 × 336 = 33,600.
+# corridors100 is 100 × 336 = 33,600. It also bounds the records loader:
+# more rows than the cap must repeat a key or exceed it, so the loader
+# reads at most MAX_DETECTOR_HOURS + 1 rows and keeps 152 B per row (its
+# detector, hour and 17 float64 values), 0.3 GB at the cap.
 MAX_DETECTOR_HOURS = 2_000_000
+# Data rows of the records file parsed and checked at a time: their cell
+# texts, one Python string each, are all the loader holds besides the
+# parsed arrays of the rows before them.
+BLOCK_ROWS = 4096
+# Bytes of a CSV file decoded at a time by the UTF-8 check before parsing.
+UTF8_CHUNK = 1 << 16
 # Largest flow a record may carry, veh/h: far above any detector's
 # capacity, and far below the flows whose feature statistics overflow.
 MAX_FLOW = 1e6
@@ -129,68 +138,142 @@ EMPTY, NOT_A_NUMBER, NOT_FINITE = 1, 2, 3
 NOT_A_TIMESTAMP, HAS_UTC_OFFSET = 1, 2
 
 
+def _check_utf8(path):
+    """Raise a SchemaError naming the line of the first byte of the file
+    that is not UTF-8, decoding it UTF8_CHUNK bytes at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines = 0  # newlines before the chunk
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(UTF8_CHUNK)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the chunk after the pending bytes of a
+                # character that the chunk boundary split: no newline
+                data = exc.object
+                line_no = lines + data.count(b"\n", 0, exc.start) + 1
+                raise SchemaError(f"line {line_no}: byte "
+                                  f"0x{data[exc.start]:02x} is not UTF-8"
+                                  ) from None
+            if not chunk:
+                return
+            lines += chunk.count(b"\n")
+
+
+def _cell_blocks(path, columns, name, rows=None, limit=None):
+    """Yield (widths, cells, error) for each block of up to `rows` rows
+    (all of them if None) of the first `limit` rows (all if None) after
+    the header of a CSV whose header must be `columns`: the field count of
+    each row, the fields of those rows in one list, and None, or (message,
+    line) of a csv module error (a field over its size limit) met in the
+    row after them, which ends the file. The first block is yielded even
+    without rows. The file is checked to be UTF-8 before it is parsed, and
+    one leading byte order mark is dropped."""
+    _check_utf8(path)
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        if header != list(columns):
+            raise SchemaError(f"{name} header mismatch: expected "
+                              + ",".join(columns))
+        read = 0
+        while True:
+            take = rows if limit is None else min(rows or limit,
+                                                  limit - read)
+            widths, cells, error = [], [], None
+            try:
+                for row in islice(reader, take):  # rows die at once
+                    widths.append(len(row))
+                    cells += row
+            except csv.Error as exc:
+                error = (str(exc), reader.line_num)
+            if widths or error or not read:
+                yield widths, cells, error
+            read += len(widths)
+            if error or take is None or len(widths) < take or read == limit:
+                return
+
+
 def _read_cells(path, columns, name):
     """(widths, cells, line_of) of a CSV whose header must be `columns`: the
     field count of each row after the header, the fields of all those rows
     in one list, and `line_of(k)`, the file line on which row k starts.
-    One leading byte order mark is dropped. Undecodable bytes and fields
-    over the csv module's size limit are schema errors that name their
-    line."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise SchemaError(f"line {line_no}: byte 0x{raw[exc.start]:02x} is "
-                          f"not UTF-8") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    widths, cells = [], []
-    try:
-        if next(reader, None) != list(columns):
-            raise SchemaError(f"{name} header mismatch: expected "
-                              + ",".join(columns))
-        for row in reader:  # rows die at once: no garbage collection runs
-            widths.append(len(row))
-            cells += row
-    except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    return widths, cells, partial(_row_line, text)
+    Undecodable bytes and fields over the csv module's size limit are
+    schema errors that name their line."""
+    (widths, cells, error), = _cell_blocks(path, columns, name)
+    if error:
+        raise SchemaError("line {1}: {0}".format(*error))
+    return widths, cells, partial(_row_line, path)
 
 
-def _row_line(text, k):
+def _row_line(path, k):
     """The file line on which row k after the header starts. A quoted cell
-    can span lines, so row k need not be line k + 2; the text is read again
+    can span lines, so row k need not be line k + 2; the file is read again
     to find it, which only error messages do."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for _ in islice(reader, k + 1):  # the header and rows 0 .. k - 1
-        pass
-    return reader.line_num + 1
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, k + 1):  # the header and rows 0 .. k - 1
+            pass
+        return reader.line_num + 1
 
 
 class _CheckedCsv:
-    """A CSV whose header must be `columns`, as one list of cell texts per
-    column, and the checks made on it. Each check runs over whole columns
-    and keeps its first failing row; `raise_first` raises the earliest of
-    those rows, naming its line, and of the checks failing there the one
-    made first. The field count is checked first, and every later check
-    sees only the rows before the first one of another width."""
+    """A block of rows of a CSV whose header is `columns`, as one list of
+    cell texts per column, and the checks made on it. Rows are numbered
+    from the first after the header, so the block's first row is row
+    `offset`. Each check keeps its first failing row and its position in
+    the order of checks; `raise_first` raises the earliest of those rows,
+    naming its line, and of the checks failing there the one made first.
+    The field count is checked first, and every later check sees only the
+    rows before the first one of another width (`n` rows)."""
 
-    def __init__(self, path, columns, name):
-        widths, cells, self.line_of = _read_cells(path, columns, name)
-        self.columns = columns
-        self.failures = []  # (row, message) of each failed check's first row
+    def __init__(self, columns, widths, cells, offset, line_of):
+        self.columns, self.offset, self.line_of = columns, offset, line_of
+        self.failures = []  # (row, position, message, line or None)
+        self.checks = 0  # checks made so far: the position of the next
+        self.deferred = None  # the position `defer` keeps
         width = np.array(widths, np.intp)
         n_cols = len(columns)
         self.check(width != n_cols,
                    lambda k: f"expected {n_cols} fields, got {width[k]}")
-        self.n = self.failures[0][0] if self.failures else len(width)
+        self.n = self.failures[0][0] - offset if self.failures \
+            else len(width)
         self.text = [cells[j:self.n * n_cols:n_cols] for j in range(n_cols)]
 
+    @classmethod
+    def blocks(cls, path, columns, name, rows=None, limit=None):
+        """Yield the file as blocks of up to `rows` rows of its first
+        `limit` rows (see `_cell_blocks`). A csv module error is a failure
+        of the row it is met in, made before any check of it."""
+        line_of, offset = partial(_row_line, path), 0
+        for widths, cells, error in _cell_blocks(path, columns, name, rows,
+                                                 limit):
+            block = cls(columns, widths, cells, offset, line_of)
+            offset += len(widths)
+            del widths, cells
+            if error:
+                message, line = error
+                block.failures.append((offset, -1, message, line))
+            yield block
+
     def check(self, bad, message):
-        """Keep the first row where `bad` holds, and `message(row)`."""
+        """Keep the first row where `bad` holds, and `message(k)`, k that
+        row's index in the block."""
         if bad.any():
             k = int(bad.argmax())
-            self.failures.append((k, message(k)))
+            self.failures.append((self.offset + k, self.checks, message(k),
+                                  None))
+        self.checks += 1
+
+    def defer(self):
+        """Keep this position in `deferred`, for a check that the caller
+        makes once more rows than the block's are read."""
+        self.deferred = self.checks
+        self.checks += 1
 
     def number(self, j, empty_ok):
         """float() of each cell of column j, nan where it is empty, after
@@ -214,8 +297,8 @@ class _CheckedCsv:
 
     def raise_first(self):
         if self.failures:
-            k, message = min(self.failures, key=lambda f: f[0])  # ties: order
-            raise SchemaError(f"line {self.line_of(k)}: {message}")
+            k, _, message, line = min(self.failures, key=lambda f: f[:2])
+            raise SchemaError(f"line {line or self.line_of(k)}: {message}")
 
 
 def _repeated(keys):
@@ -232,7 +315,7 @@ def _load_meta(path):
     lanes (the same), milepost in [0, MAX_MILEPOST], lanes a positive
     integer of at most MAX_MAGNITUDE, duplicate id, duplicate (highway,
     milepost), then lat and lon."""
-    meta = _CheckedCsv(path, META_COLUMNS, "meta")
+    (meta,) = _CheckedCsv.blocks(path, META_COLUMNS, "meta")
     ids, highway = meta.text[0], meta.text[1]
     meta.check(~np.fromiter(map(HIGHWAYS.__contains__, highway), bool, meta.n),
                lambda k: f"unknown highway {highway[k]!r} (expected one of "
@@ -310,18 +393,17 @@ def _parse_hours(texts):
     return hour[which], status[which]
 
 
-def _load_records(path, detector_ids):
-    """The records file as `RecordColumns`. The checks, in this order
-    within a row: field count, detector id, timestamp, UTC offset,
-    duplicate, flow, speed, the sign and bound of flow, the sign, lower
-    bound and MAX_MAGNITUDE of speed, then each exogenous column: a
-    number, its sign where it may not be negative, and MAX_MAGNITUDE. Only
-    a file that passes them all has its time span checked, then its
-    detectors × hours."""
-    records = _CheckedCsv(path, RECORD_COLUMNS, "records")
+def _record_block(records, index):
+    """(detector, hour, values) of the rows of a records block that pass
+    its field count, and the checks of those rows, in this order: the
+    detector id, timestamp, UTC offset, duplicate (made by the caller
+    over every row read, at the position `defer` keeps), flow,
+    speed, the sign and bound of flow, the sign, lower bound and
+    MAX_MAGNITUDE of speed, then each exogenous column: a number, its sign
+    where it may not be negative, and MAX_MAGNITUDE. A row that is not a
+    key (an unknown detector or a bad timestamp) has detector -1 or hour
+    NaT."""
     n, cols, check = records.n, records.text, records.check
-
-    index = {d: k for k, d in enumerate(detector_ids)}
     detector = np.fromiter(map(index.get, cols[0], repeat(-1)), np.intp, n)
     check(detector < 0, lambda k: f"unknown detector id {cols[0][k]}")
     hour, status = _parse_hours(cols[1])
@@ -330,17 +412,8 @@ def _load_records(path, detector_ids):
     check(status == HAS_UTC_OFFSET,
           lambda k: f"timestamp {cols[1][k]!r} carries a UTC offset; "
                     f"timestamps are local clock hours without one")
-    keyed = np.flatnonzero((detector >= 0) & (status == 0))
-    if keyed.size:
-        offset = (hour[keyed] - hour[keyed].min()).astype(np.int64)
-        _, first = np.unique(detector[keyed] * (offset.max() + 1) + offset,
-                             return_index=True)
-        repeated = np.zeros(n, bool)
-        repeated[keyed] = True
-        repeated[keyed[first]] = False
-        check(repeated, lambda k: f"duplicate (detector, timestamp) = "
-                                  f"({cols[0][k]}, "
-                                  f"{hour[k].item().isoformat()})")
+    hour[status != 0] = np.datetime64("NaT")
+    records.defer()  # the duplicate check
 
     values = np.empty((n, len(RECORD_COLUMNS) - 2))
     flow, speed = values[:, 0], values[:, 1]
@@ -359,6 +432,46 @@ def _load_records(path, detector_ids):
             check(column < 0, lambda k: f"column {RECORD_COLUMNS[j]} must "
                                         f"be non-negative")
         records.check_magnitude(column, j)
+    return detector, hour, values
+
+
+def _load_records(path, detector_ids):
+    """The records file as `RecordColumns`, read and checked BLOCK_ROWS
+    rows at a time (`_record_block`), reading no further than the first
+    block with a failing row. The duplicate check then runs over every row
+    read, so the earliest failing row wins, and of the checks failing
+    there the one made first. Only rows that pass them all have their time
+    span checked, then their detectors × hours.
+
+    Reading also stops after MAX_DETECTOR_HOURS + 1 rows: that many rows
+    fail a check, repeat a (detector, timestamp) or make more
+    detector-hours than the cap, so the error names lines among them and
+    the rest of the file is not read."""
+    index = {d: k for k, d in enumerate(detector_ids)}
+    parts = ([], [], [])  # detector, hour and values of each block read
+    for records in _CheckedCsv.blocks(path, RECORD_COLUMNS, "records",
+                                      BLOCK_ROWS, MAX_DETECTOR_HOURS + 1):
+        for part, array in zip(parts, _record_block(records, index)):
+            part.append(array)
+        if records.failures:
+            break
+        records.text = None  # its cells die before the next block is read
+    detector, hour, values = map(np.concatenate, parts)
+    n = len(detector)
+
+    keyed = np.flatnonzero((detector >= 0) & ~np.isnat(hour))
+    if keyed.size:
+        offset = (hour[keyed] - hour[keyed].min()).astype(np.int64)
+        _, first = np.unique(detector[keyed] * (offset.max() + 1) + offset,
+                             return_index=True)
+        repeated = np.ones(keyed.size, bool)
+        repeated[first] = False
+        if repeated.any():
+            k = int(keyed[repeated.argmax()])
+            records.failures.append((k, records.deferred, (
+                f"duplicate (detector, timestamp) = "
+                f"({detector_ids[detector[k]]}, "
+                f"{hour[k].item().isoformat()})"), None))
     records.raise_first()
 
     line_of = records.line_of
@@ -388,7 +501,7 @@ def load_csv(meta_path, records_path):
     Returns (detectors, columns): the meta file as `Detectors`, and the
     records as `RecordColumns` in file order, each row's detector an index
     into `detectors`. Both files are read once and checked column by
-    column (`_CheckedCsv`).
+    column (`_CheckedCsv`), the records BLOCK_ROWS rows at a time.
     """
     detectors = _load_meta(meta_path)
     return detectors, _load_records(records_path, detectors.ids)
@@ -468,10 +581,13 @@ def engineer_features(columns, detectors):
     flow = _interpolate_short_gaps(values[:, :, 0].copy())
     speed = _interpolate_short_gaps(values[:, :, 1].copy())
     # exogenous context carries forward through short detector gaps: each
-    # hour takes the value at the last hour with one (nan before the first)
-    exog = values[:, :, 2:]
-    last = np.where(np.isnan(exog), 0, np.arange(n_hours)[:, None])
-    exog = np.take_along_axis(exog, np.maximum.accumulate(last, axis=1), 1)
+    # hour takes the value at the last hour with one (nan before the
+    # first), one column at a time in place
+    for j in range(2, values.shape[2]):
+        column = values[:, :, j]
+        last = np.where(np.isnan(column), 0, np.arange(n_hours))
+        np.maximum.accumulate(last, axis=1, out=last)
+        column[:] = np.take_along_axis(column, last, 1)
 
     days = hours.astype("datetime64[D]")
     hour_of_day = (hours - days).astype(int)
@@ -482,9 +598,8 @@ def engineer_features(columns, detectors):
     tod = col["tod_night"]  # then morning, noon, evening: 6 hours each
     temporal[:, :, tod:tod + 4] = hour_of_day[:, None] // 6 == np.arange(4)
     temporal[:, :, col["weekday"]] = np.is_busday(days)
-    passthrough = (*INCIDENT_COLUMNS, *EVAC_TEMPORAL_COLUMNS)
-    temporal[:, :, [col[name] for name in passthrough]] = exog[
-        :, :, [exog_cols.index(name) for name in passthrough]]
+    for name in (*INCIDENT_COLUMNS, *EVAC_TEMPORAL_COLUMNS):
+        temporal[:, :, col[name]] = values[:, :, 2 + exog_cols.index(name)]
 
     # previous-day and previous-period (same hour, earlier days) statistics
     # over flow laid out as (detector, day, hour of day), nan-padded
@@ -513,7 +628,7 @@ def engineer_features(columns, detectors):
     spatial[:, :len(HIGHWAYS)] = detectors.highway[:, None] == HIGHWAYS
     spatial[:, scol["lanes"]] = detectors.lanes
     for name in ("dist_evac_zone_mi", "dist_landfall_mi"):
-        dist = exog[:, :, exog_cols.index(name)]
+        dist = values[:, :, 2 + exog_cols.index(name)]
         first = np.isnan(dist).argmin(axis=1)  # first hour with a value
         spatial[:, scol[name]] = np.nan_to_num(
             dist[np.arange(n_det), first], nan=0.0)
@@ -607,20 +722,24 @@ def input_table(data, norm):
     rows [temporal_t ‖ spatial], computed in float64 and rounded here; "d"
     and "tt" hold Ã·rows over the detectors active at that hour, which
     `make_windows` fills for the hours its windows cover and which stay
-    zero everywhere else.
+    zero everywhere else. The rows are made BLOCK_ROWS detector-hours at a
+    time, so no whole-table float64 copy exists.
     """
-    # inactive slots can carry nan (missing history/exogenous columns); they
-    # only enter the model as neighbors, and zero is the neutral fill
-    rows = np.nan_to_num(norm.transform(
-        np.concatenate([data.temporal,
-                        np.broadcast_to(data.spatial[:, None, :],
-                                        (*data.temporal.shape[:2],
-                                         data.spatial.shape[1]))], axis=2)),
-        nan=0.0)
-    n_det, n_hours, n_features = rows.shape
-    table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det, n_features),
-                     np.float32)
-    table[:, 0] = rows.transpose(1, 0, 2)
+    n_det, n_hours, f_t = data.temporal.shape
+    table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det,
+                      f_t + data.spatial.shape[1]), np.float32)
+    step = max(1, BLOCK_ROWS // n_det)  # hours per block of rows
+    for h in range(0, n_hours, step):
+        rows = np.empty((n_det, min(step, n_hours - h), table.shape[3]))
+        rows[:, :, :f_t] = data.temporal[:, h:h + step]
+        rows[:, :, f_t:] = data.spatial[:, None, :]
+        rows -= norm.shift
+        rows /= norm.scale
+        # inactive slots can carry nan (missing history/exogenous
+        # columns); they only enter the model as neighbors, and zero is
+        # the neutral fill
+        np.nan_to_num(rows, copy=False, nan=0.0)
+        table[h:h + step, 0] = rows.transpose(1, 0, 2)
     return table
 
 
@@ -725,6 +844,7 @@ class Dataset:
 def prepare(meta_path, records_path, l=6, p=6):
     detectors, columns = load_csv(meta_path, records_path)
     data = engineer_features(columns, detectors)
+    del columns  # 152 B per record, and nothing below reads them
     train_end, norm, target_norm = split_and_fit(data)
     table = input_table(data, norm)
     train = make_windows(data, table, target_norm, l, p, 0, train_end)

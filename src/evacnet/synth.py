@@ -60,6 +60,12 @@ class Scenario:
     wave_strength: float = 0.9
 
     def validate(self):
+        # nan and inf pass the comparisons below, or reach no bound at all
+        # where a feature is off, and write a corpus without meaning
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         # 60 hours for the feature history; the data path's timeline cap
         if not 60 <= self.horizon_hours <= MAX_SPAN_HOURS:
             raise ValueError(f"horizon_hours must be in [60, "
@@ -95,7 +101,7 @@ class Scenario:
         if not self.corridors:
             raise ValueError("corridors must hold at least one corridor")
         for highway, n, spacing in self.corridors:
-            if highway not in HIGHWAYS or n < 1 or spacing <= 0:
+            if highway not in HIGHWAYS or n < 1 or not spacing > 0:  # nan
                 raise ValueError(f"corridors: {(highway, n, spacing)} needs a "
                                  f"highway in {HIGHWAYS}, n >= 1, spacing > 0")
         highways = [highway for highway, _, _ in self.corridors]

@@ -21,9 +21,11 @@ CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
                      "mask_counts", "static_adj_full")
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
 # the fixed cost of each op over more rows, but a pass builds no autograd
-# graph, so its memory is the chunk's live activations, about 16 KB per
-# row with 32 hidden units, and that adds to peak memory.
-EVAL_ROWS = 256
+# graph, so its memory is the chunk's live activations, about 9 KB per row
+# in float32 with 32 hidden units, 6 input hours and two graphs (4.5 MB at
+# 512 rows), and that adds to peak memory. On corridors100, 512 rows hold
+# about 5 windows of 97 predicted detectors.
+EVAL_ROWS = 512
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")

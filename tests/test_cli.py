@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -113,6 +114,16 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     pytest.param("population_total", 2e9, id="population-above-magnitude"),
     pytest.param("corridors", [["I75", 4, 5000.0]],
                  id="corridors-last-milepost-above-max"),
+    # nan and inf passed every bound, or none applied to them
+    *(pytest.param(field, value, id=f"{field}-{value}")
+      for field in ("base_flow", "diurnal_amplitude", "noise_std",
+                    "surge_peak_multiplier", "surge_spatial_decay_miles",
+                    "landfall_milepost", "incident_rate_per_hour",
+                    "incident_mean_duration_hours", "outage_rate_per_hour",
+                    "outage_mean_duration_hours", "wave_speed_det_per_hour",
+                    "wave_strength")
+      for value in (math.nan, math.inf)),
+    pytest.param("corridors", [["I75", 4, math.nan]], id="corridors-nan"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
@@ -829,6 +830,21 @@ def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
     """With up to three malformed lines, the columnar loader raises the
     row-wise loader's SchemaError, message for message, or reads the same
     records."""
+    _same_error_or_values_as_row_wise_loader(small_corpus, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_same_error_or_values_as_row_wise_loader_in_blocks_of_3(
+        small_corpus, data):
+    """The same, reading the records 3 rows at a time, so that a failing
+    row, a duplicate and the row it repeats fall in different blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "BLOCK_ROWS", 3)
+        _same_error_or_values_as_row_wise_loader(small_corpus, data)
+
+
+def _same_error_or_values_as_row_wise_loader(small_corpus, data):
     work, meta, detectors, lines = small_corpus
     final_newline = True
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
@@ -849,6 +865,102 @@ def test_same_error_or_values_as_row_wise_loader(small_corpus, data):
     records = as_records(columns, detectors)
     assert sorted(records, key=lambda r: (r.detector_id, r.timestamp)) == \
         expected
+
+
+def test_csv_error_is_a_failure_of_its_row(csv_pair):
+    """A field over the csv module's size limit fails its own row, so an
+    earlier failing row wins, as it does row by row; the whole text used
+    to be read, and the limit's error raised, first."""
+    meta, recs = csv_pair
+    rows = [record_row("det_a", T0 + timedelta(hours=h), 100.0)
+            for h in range(4)]
+    rows[3] = rows[3].replace(",60.0,", ',"' + "9" * 200_000 + '",', 1)
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^line 5: field larger than "
+                                          r"field limit"):
+        load_csv(meta, recs)
+    rows[1] = record_row("det_a", T0 + timedelta(hours=1), -5.0)
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^line 3: negative flow$"):
+        load_csv(meta, recs)
+
+
+def test_reading_stops_after_one_row_more_than_the_cap(csv_pair,
+                                                       monkeypatch):
+    """30 rows already make 32 detector-hours, more than a cap of 29: the
+    loader reads no further, so the negative flow on the file's last line
+    is not reached."""
+    meta, recs = csv_pair
+    rows = [record_row(d, T0 + timedelta(hours=h), 100.0)
+            for d in ("det_a", "det_b") for h in range(16)]
+    rows[-1] = record_row("det_b", T0 + timedelta(hours=15), -5.0)
+    recs.write_text(REC_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match="^line 33: negative flow$"):
+        load_csv(meta, recs)
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 29)
+    with pytest.raises(SchemaError, match="^2 detectors over the 16 hours of "
+                       "records from line 2 to line 17 make 32 "
+                       "detector-hours, more than 29$"):
+        load_csv(meta, recs)
+
+
+# load_csv's tracemalloc peak may be at most this multiple of the records
+# file's size. It keeps 152 bytes per row parsed, about 1.5 times a
+# generated file, beside one block's cell texts; reading the whole text
+# into cells first took about 14 times.
+LOADER_MEMORY_FACTOR = 5
+
+
+@pytest.fixture(scope="module")
+def large_records(tmp_path_factory):
+    """A generated corpus of 40 detectors over 480 hours, 19,200 records
+    (2 MB)."""
+    scenario = synth.Scenario(
+        name="large", seed=5, horizon_hours=480,
+        corridors=[("I75", 40, 1.0)], noise_std=20.0,
+        incident_rate_per_hour=0.01, outage_rate_per_hour=0.003)
+    meta, records, _ = synth.generate(scenario,
+                                      tmp_path_factory.mktemp("large"))
+    return meta, records
+
+
+def _load_peak(meta, records):
+    """(load_csv's result or SchemaError, its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = load_csv(meta, records)
+        except SchemaError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loader_memory_is_a_small_multiple_of_the_file(large_records):
+    meta, records = large_records
+    (_, columns), peak = _load_peak(meta, records)
+    assert len(columns.hour) == 40 * 480
+    assert peak < LOADER_MEMORY_FACTOR * records.stat().st_size
+
+
+def test_many_duplicate_rows_are_rejected_within_the_bound(
+        large_records, tmp_path, monkeypatch):
+    """50,000 copies of one row under a cap of 1000 detector-hours: the
+    first copy is named, and reading stops after 1001 rows, where it
+    used to read them all before any check. Reading them all in blocks
+    would hold about 3 times the file, not under half of it."""
+    meta, records = large_records
+    header, row = records.read_text(encoding="utf-8").splitlines()[:2]
+    copies = tmp_path / "records.csv"
+    copies.write_text("\n".join([header] + [row] * 50_000) + "\n",
+                      encoding="utf-8")
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 1000)
+    error, peak = _load_peak(meta, copies)
+    assert isinstance(error, SchemaError)
+    assert str(error).startswith("line 3: duplicate (detector, timestamp)")
+    assert peak < LOADER_MEMORY_FACTOR * copies.stat().st_size
+    assert peak < copies.stat().st_size / 2
 
 
 @pytest.fixture(scope="module")
