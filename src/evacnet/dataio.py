@@ -254,7 +254,7 @@ class _CheckedCsv:
                                                  limit):
             block = cls(columns, widths, cells, offset, line_of)
             offset += len(widths)
-            del widths, cells
+            del widths, cells  # or they hold the cells during the next read
             if error:
                 message, line = error
                 block.failures.append((offset, -1, message, line))
