@@ -25,10 +25,10 @@ more than the parent's Q3 - Q1), and `within_bound`, whether the change's
 median is worse than the parent's by at most the metric's `bound`, a
 share of the parent's median; and, for `val_rmse` and `rmse`, whether
 every change run equals every parent run and the largest relative
-difference between a change run and a parent run. Each run's position
-in its pair, first or second, is recorded, and the change's wins are
-also counted by the position the change ran in: a machine that favours
-the run made first shows as wins in one position only. A run
+difference between a change run and a parent run. The change's wins
+are also counted by the position the change ran in, first or second in
+its pair: a machine that favours the run made first shows as wins in one
+position only. A run
 that exits non-zero (a failed check or operation) stops the series with
 exit code 1 and writes no file.
 """
@@ -100,28 +100,25 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(parent, change, better, bound, change_first=None):
+def compare(parent, change, better, bound):
     """The change's samples against the parent's, pair by pair, in the
     direction `better` ("higher" or "lower"), with the verdicts
-    `claim_met` and `within_bound` (see the module docstring). Given
-    whether the change ran first in each pair, the wins are also counted
-    in the pairs where the change ran first and where it ran second."""
+    `claim_met` and `within_bound` (see the module docstring). The wins
+    are also counted where the change ran first, in even pairs k (from
+    1) as `series` orders them, and where it ran second."""
     sign = -1 if better == "lower" else 1
     ps, cs = summary(parent), summary(change)
     won = [sign * (c - p) > 0 for p, c in zip(parent, change)]
     wins = sum(won)
     gain = sign * (cs["median"] - ps["median"])
     iqr = ps["q3"] - ps["q1"]
-    by_position = {} if change_first is None else {"wins_by_position": {
-        position: {"wins": sum(w for w, f in zip(won, change_first)
-                               if f == first),
-                   "pairs": sum(f == first for f in change_first)}
-        for position, first in (("change_first", True),
-                                ("change_second", False))}}
     return {
         "better": better,
         "wins": wins,
-        **by_position,
+        "wins_by_position": {
+            position: {"wins": sum(w), "pairs": len(w)}
+            for position, w in (("change_first", won[1::2]),
+                                ("change_second", won[::2]))},
         "median_delta": cs["median"] - ps["median"],
         "parent_iqr": iqr,
         "claim_met": 10 * wins >= 9 * len(parent) and gain > iqr,
@@ -151,7 +148,6 @@ def series(parent_dir, args, metrics):
 
     out = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
            "order": "odd pairs run the parent first, even pairs the change"}
-    change_first = [k % 2 == 0 for k in range(1, args.pairs + 1)]
     for side, checkout in sides.items():
         commit, dirty = revision(checkout)
         samples = {m: [r["metrics"][m]["value"] for r, _ in runs[side]]
@@ -162,8 +158,6 @@ def series(parent_dir, args, metrics):
             "source_sha256": sorted({d.get("source_sha256")
                                      for _, d in runs[side]}, key=str),
             "seed": args.seed,
-            "positions": ["first" if f == (side == "change") else "second"
-                          for f in change_first],
             "samples": samples,
             "summary": {m: summary(v) for m, v in samples.items()},
             "ops_failed": [r["failed"] for r, _ in runs[side]],
@@ -176,7 +170,7 @@ def series(parent_dir, args, metrics):
         for name in DETAILS}
     out["change_vs_parent"] = {
         m: compare(out["parent"]["samples"][m], out["change"]["samples"][m],
-                   metric["better"], metric["bound"], change_first)
+                   metric["better"], metric["bound"])
         for m, metric in metrics.items()}
     return out
 

@@ -75,7 +75,8 @@ MAX_SPAN_HOURS = 366 * 24
 # corridors100 is 100 × 336 = 33,600. It also bounds the records loader:
 # more rows than the cap must repeat a key or exceed it, so the loader
 # reads at most MAX_DETECTOR_HOURS + 1 rows and keeps 152 B per row (its
-# detector, hour and 17 float64 values), 0.3 GB at the cap.
+# detector, hour and 17 float64 values); joining the blocks' arrays
+# briefly holds them twice, 304 B per row, 0.6 GB at the cap.
 MAX_DETECTOR_HOURS = 2_000_000
 # Data rows of the records file parsed and checked at a time: their cell
 # texts, one Python string each, are all the loader holds besides the
@@ -167,9 +168,10 @@ def _cell_blocks(path, columns, name, rows=None, limit=None):
     the header of a CSV whose header must be `columns`: the field count of
     each row, the fields of those rows in one list, and None, or (message,
     line) of a csv module error (a field over its size limit) met in the
-    row after them, which ends the file. The first block is yielded even
-    without rows. The file is checked to be UTF-8 before it is parsed, and
-    one leading byte order mark is dropped."""
+    row after them, which ends the file. The last block is the first that
+    is short or meets an error, and may be empty. The file is checked to
+    be UTF-8 before it is parsed, and one leading byte order mark is
+    dropped."""
     _check_utf8(path)
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -180,21 +182,17 @@ def _cell_blocks(path, columns, name, rows=None, limit=None):
         if header != list(columns):
             raise SchemaError(f"{name} header mismatch: expected "
                               + ",".join(columns))
-        read = 0
+        data = islice(reader, limit)
         while True:
-            take = rows if limit is None else min(rows or limit,
-                                                  limit - read)
             widths, cells, error = [], [], None
             try:
-                for row in islice(reader, take):  # rows die at once
+                for row in islice(data, rows):  # rows die at once
                     widths.append(len(row))
                     cells += row
             except csv.Error as exc:
                 error = (str(exc), reader.line_num)
-            if widths or error or not read:
-                yield widths, cells, error
-            read += len(widths)
-            if error or take is None or len(widths) < take or read == limit:
+            yield widths, cells, error
+            if error or rows is None or len(widths) < rows:
                 return
 
 
@@ -457,6 +455,7 @@ def _load_records(path, detector_ids):
             break
         records.text = None  # its cells die before the next block is read
     detector, hour, values = map(np.concatenate, parts)
+    del parts  # the blocks' arrays, or they outlive the duplicate check
     n = len(detector)
 
     keyed = np.flatnonzero((detector >= 0) & ~np.isnat(hour))
@@ -500,8 +499,11 @@ def load_csv(meta_path, records_path):
 
     Returns (detectors, columns): the meta file as `Detectors`, and the
     records as `RecordColumns` in file order, each row's detector an index
-    into `detectors`. Both files are read once and checked column by
-    column (`_CheckedCsv`), the records BLOCK_ROWS rows at a time.
+    into `detectors`. Each file is decoded once, UTF8_CHUNK bytes at a
+    time, to find a byte that is not UTF-8, then parsed once and checked
+    column by column (`_CheckedCsv`), the records BLOCK_ROWS rows at a
+    time. An error naming a row's line reads the file once more to find
+    it.
     """
     detectors = _load_meta(meta_path)
     return detectors, _load_records(records_path, detectors.ids)

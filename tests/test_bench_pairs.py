@@ -91,16 +91,14 @@ def test_compare_within_bound_at_the_bound():
 
 
 def test_compare_counts_wins_by_the_position_the_change_ran_in():
-    # the change wins the five pairs it ran first in, and one of the five
-    # it ran second in: a gain that shows in one position only
-    change_first = [k % 2 == 0 for k in range(1, 11)]
-    change = [p + 5.0 if first else p - 1.0
-              for p, first in zip(PARENT, change_first)]
+    # the change runs first in the even pairs k = 2, 4, ..., 10; it wins
+    # those five, and one of the five it ran second in: a gain that shows
+    # in one position only
+    change = [p + 5.0 if k % 2 == 0 else p - 1.0
+              for k, p in enumerate(PARENT, 1)]
     change[0] = PARENT[0] + 1.0
-    row = bench_pairs.compare(PARENT, change, "higher", 0.25, change_first)
+    row = bench_pairs.compare(PARENT, change, "higher", 0.25)
     assert row["wins"] == 6
     assert row["wins_by_position"] == {
         "change_first": {"wins": 5, "pairs": 5},
         "change_second": {"wins": 1, "pairs": 5}}
-    assert "wins_by_position" not in bench_pairs.compare(
-        PARENT, change, "higher", 0.25)
