@@ -446,16 +446,15 @@ def _load_records(path, detector_ids):
     detector-hours than the cap, so the error names lines among them and
     the rest of the file is not read."""
     index = {d: k for k, d in enumerate(detector_ids)}
-    parts = ([], [], [])  # detector, hour and values of each block read
+    blocks = []  # (detector, hour, values) of each block read
     for records in _CheckedCsv.blocks(path, RECORD_COLUMNS, "records",
                                       BLOCK_ROWS, MAX_DETECTOR_HOURS + 1):
-        for part, array in zip(parts, _record_block(records, index)):
-            part.append(array)
+        blocks.append(_record_block(records, index))
         if records.failures:
             break
         records.text = None  # its cells die before the next block is read
-    detector, hour, values = map(np.concatenate, parts)
-    del parts  # the blocks' arrays, or they outlive the duplicate check
+    detector, hour, values = map(np.concatenate, zip(*blocks))
+    del blocks  # or the blocks' arrays outlive the duplicate check
     n = len(detector)
 
     keyed = np.flatnonzero((detector >= 0) & ~np.isnat(hour))

@@ -906,8 +906,9 @@ def test_reading_stops_after_one_row_more_than_the_cap(csv_pair,
 
 # load_csv's tracemalloc peak may be at most this multiple of the records
 # file's size. It keeps 152 bytes per row parsed, about 1.5 times a
-# generated file, beside one block's cell texts; reading the whole text
-# into cells first took about 14 times.
+# generated file, and twice that while it joins the blocks' arrays,
+# beside one block's cell texts; reading the whole text into cells first
+# took about 14 times.
 LOADER_MEMORY_FACTOR = 5
 
 
@@ -942,6 +943,17 @@ def test_loader_memory_is_a_small_multiple_of_the_file(large_records):
     (_, columns), peak = _load_peak(meta, records)
     assert len(columns.hour) == 40 * 480
     assert peak < LOADER_MEMORY_FACTOR * records.stat().st_size
+
+
+def test_loader_peak_is_two_copies_of_its_arrays(large_records,
+                                                  monkeypatch):
+    """In blocks small enough that one block's cell texts count for little,
+    the loader peaks while it joins the blocks' arrays: 2 x 152 bytes per
+    row (see MAX_DETECTOR_HOURS), within 5 %."""
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 256)
+    meta, records = large_records
+    (_, columns), peak = _load_peak(meta, records)
+    assert peak < 1.05 * 2 * 152 * len(columns.hour)
 
 
 def test_many_duplicate_rows_are_rejected_within_the_bound(
