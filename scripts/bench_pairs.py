@@ -28,9 +28,8 @@ every change run equals every parent run and the largest relative
 difference between a change run and a parent run. The change's wins
 are also counted by the position the change ran in, first or second in
 its pair: a machine that favours the run made first shows as wins in one
-position only. A run
-that exits non-zero (a failed check or operation) stops the series with
-exit code 1 and writes no file.
+position only. A run that exits non-zero (a failed check or operation)
+stops the series with exit code 1 and writes no file.
 """
 
 from __future__ import annotations
