@@ -10,7 +10,10 @@ and removed afterwards. On each tree, with that tree's own `src`, it runs
 `evacnet generate` for each built-in scenario of SCENARIOS, then for each
 model variant `evacnet train` (EPOCHS epochs) and `evacnet evaluate` on
 the checkpoint it wrote, for each RL variant `evacnet rank-features`, and
-then `evacnet ablate` (EPOCHS epochs per ablation variant). It then
+then `evacnet ablate` (EPOCHS epochs per ablation variant). It also
+generates, and runs nothing on, the built-in scenarios of CORPUS_ONLY and
+the scenario of each benchmark workload (as the tree's
+`perfbench/workloads.py` builds it) at each of BENCH_SEEDS. It then
 compares generate's `meta.csv` and `records.csv`, train's `model.ckpt`,
 `metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
 rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
@@ -34,11 +37,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from evacnet.trainer import VARIANTS, TrainConfig  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SCENARIOS = ("S1", "S2")
+CORPUS_ONLY = ("S3",)  # built-in scenarios that are only generated
+BENCH_SEEDS = (1, 2)  # the benchmark workloads' seeds that are generated
 EPOCHS = 3
 CORPUS = ("meta.csv", "records.csv")  # generate's compared files
 # command -> the files of its output directory that are compared
@@ -54,17 +60,35 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def evacnet(tree, *args):
-    """One `evacnet` command run with `tree`'s sources; RuntimeError when
-    it exits non-zero."""
+# Run in a tree: each benchmark workload's scenario at each seed after
+# argv[1], as JSON, to argv[1]/<workload>-seed<seed>.json.
+WRITE_BENCH_SCENARIOS = """
+import json, sys
+from dataclasses import asdict
+from perfbench.workloads import WORKLOADS
+for w in WORKLOADS.values():
+    for seed in sys.argv[2:]:
+        with open(f"{sys.argv[1]}/{w.name}-seed{seed}.json", "w") as fh:
+            json.dump(asdict(w.scenario(int(seed))), fh)
+"""
+
+
+def python(tree, name, *args):
+    """`python *args` run in `tree` with its sources; RuntimeError, naming
+    the run `name`, when it exits non-zero."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.setdefault("EVACNET_THREADS", "1")
-    out = subprocess.run([sys.executable, "-m", "evacnet.cli", *args,
-                          "--log-level", "WARNING"], cwd=tree, env=env,
+    out = subprocess.run([sys.executable, *args], cwd=tree, env=env,
                          capture_output=True, text=True)
     if out.returncode:
-        raise RuntimeError(f"{tree}: evacnet {' '.join(args)}: exit "
-                           f"{out.returncode}\n{out.stderr[-2000:]}")
+        raise RuntimeError(f"{tree}: {name}: exit {out.returncode}\n"
+                           f"{out.stderr[-2000:]}")
+
+
+def evacnet(tree, *args):
+    """One `evacnet` command run with `tree`'s sources."""
+    python(tree, f"evacnet {' '.join(args)}", "-m", "evacnet.cli", *args,
+           "--log-level", "WARNING")
 
 
 def write_config(base, **fields):
@@ -77,8 +101,8 @@ def write_config(base, **fields):
 
 def run_tree(tree, out):
     """Every command of the comparison on `tree`, into `out`: one
-    directory per scenario, variant and command, and one per scenario for
-    ablate."""
+    directory per scenario, variant and command, one per scenario for
+    ablate, and one per corpus that is only generated."""
     for scenario in SCENARIOS:
         data = out / scenario / "data"
         evacnet(tree, "generate", "--scenario", scenario, "--out", str(data))
@@ -97,6 +121,16 @@ def run_tree(tree, out):
         config = write_config(base, epochs=EPOCHS)
         evacnet(tree, "ablate", "--data", str(data), "--config", str(config),
                 "--out", str(base))
+    for scenario in CORPUS_ONLY:
+        evacnet(tree, "generate", "--scenario", scenario, "--out",
+                str(out / scenario / "data"))
+    bench = out / "bench"
+    bench.mkdir()
+    python(tree, "perfbench/workloads.py scenarios", "-c",
+           WRITE_BENCH_SCENARIOS, str(bench), *map(str, BENCH_SEEDS))
+    for path in sorted(bench.glob("*.json")):
+        evacnet(tree, "generate", "--scenario", str(path), "--out",
+                str(bench / path.stem))
 
 
 def expected_files():
@@ -111,6 +145,10 @@ def expected_files():
                       for command, names in COMPARED.items()
                       for name in names if rl or name != "ranking.csv"]
         files.append(f"{scenario}/ablate/ablation.csv")
+    files += [f"{scenario}/data/{name}" for scenario in CORPUS_ONLY
+              for name in CORPUS]
+    files += [f"bench/{workload}-seed{seed}/{name}" for workload in WORKLOADS
+              for seed in BENCH_SEEDS for name in CORPUS]
     return files
 
 

@@ -50,6 +50,8 @@ TEMPORAL_FEATURES = (
     + INCIDENT_COLUMNS + EVAC_TEMPORAL_COLUMNS)
 SPATIAL_FEATURES = tuple(f"hw_{h}" for h in HIGHWAYS) + (
     "lanes", "dist_evac_zone_mi", "dist_landfall_mi")
+# The feature registry: the columns of a model input row, in order.
+REGISTRY = TEMPORAL_FEATURES + SPATIAL_FEATURES
 
 BINARY_FEATURES = frozenset(
     {"tod_night", "tod_morning", "tod_noon", "tod_evening", "weekday",
@@ -72,11 +74,12 @@ MAX_SPAN_HOURS = 366 * 24
 # Most detectors (of the meta file) × timeline hours. The feature arrays
 # and the input table are sized from them; the table takes 3 modalities ×
 # 32 float32 features = 384 B per detector-hour, 0.77 GB at the cap.
-# corridors100 is 100 × 336 = 33,600. It also bounds the records loader:
-# more rows than the cap must repeat a key or exceed it, so the loader
-# reads at most MAX_DETECTOR_HOURS + 1 rows and keeps 152 B per row (its
-# detector, hour and 17 float64 values); joining the blocks' arrays
-# briefly holds them twice, 304 B per row, 0.6 GB at the cap.
+# corridors100 is 100 × 336 = 33,600. It also bounds both loaders: each
+# reads at most MAX_DETECTOR_HOURS + 1 rows, since more detectors, or more
+# records that repeat no key, make more detector-hours than the cap. The
+# records loader keeps 152 B per row (its detector, hour and 17 float64
+# values); joining the blocks' arrays briefly holds them twice, 304 B per
+# row, 0.6 GB at the cap.
 MAX_DETECTOR_HOURS = 2_000_000
 # Data rows of the records file parsed and checked at a time: their cell
 # texts, one Python string each, are all the loader holds besides the
@@ -308,12 +311,18 @@ def _repeated(keys):
 
 
 def _load_meta(path):
-    """The meta file as `Detectors`. The checks, in this order within a
-    row: field count, highway, milepost (empty, not a number, not finite),
-    lanes (the same), milepost in [0, MAX_MILEPOST], lanes a positive
-    integer of at most MAX_MAGNITUDE, duplicate id, duplicate (highway,
-    milepost), then lat and lon."""
-    (meta,) = _CheckedCsv.blocks(path, META_COLUMNS, "meta")
+    """The meta file as `Detectors`, of at most MAX_DETECTOR_HOURS + 1 rows
+    read. The checks, in this order within a row: field count, a row past
+    MAX_DETECTOR_HOURS, highway, milepost (empty, not a number, not
+    finite), lanes (the same), milepost in [0, MAX_MILEPOST], lanes a
+    positive integer of at most MAX_MAGNITUDE, duplicate id, duplicate
+    (highway, milepost), then lat and lon."""
+    (meta,) = _CheckedCsv.blocks(path, META_COLUMNS, "meta",
+                                 limit=MAX_DETECTOR_HOURS + 1)
+    # every detector is sized for at least one hour
+    meta.check(np.arange(meta.n) >= MAX_DETECTOR_HOURS,
+               lambda k: f"more than {MAX_DETECTOR_HOURS} detectors make "
+                         f"more detector-hours than that")
     ids, highway = meta.text[0], meta.text[1]
     meta.check(~np.fromiter(map(HIGHWAYS.__contains__, highway), bool, meta.n),
                lambda k: f"unknown highway {highway[k]!r} (expected one of "
@@ -522,10 +531,6 @@ class EngineeredData:
     flow: np.ndarray  # (n_det, T) raw flow, nan where missing
     speed: np.ndarray  # (n_det, T)
 
-    @property
-    def registry(self):
-        return list(TEMPORAL_FEATURES) + list(SPATIAL_FEATURES)
-
 
 def _interpolate_short_gaps(values, max_gap=MAX_INTERP_GAP):
     """Fill nan runs of length <= max_gap flanked by data along the last
@@ -703,8 +708,7 @@ def split_and_fit(data):
     features = Normalizer.fit(
         [data.temporal[:, :train_end, k][mask]
          for k in range(len(TEMPORAL_FEATURES))] + list(data.spatial.T),
-        skip={k for k, name in enumerate(data.registry)
-              if name in BINARY_FEATURES})
+        skip={k for k, name in enumerate(REGISTRY) if name in BINARY_FEATURES})
     flows = Normalizer.fit([f[m] for f, m in zip(data.flow[:, :train_end],
                                                  mask)])
     return train_end, features, flows
@@ -820,8 +824,9 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
 
 @dataclass
 class Dataset:
-    """Everything the trainer needs, built once from the two CSVs."""
-    data: EngineeredData
+    """Everything the trainer reads, built once from the two CSVs; the
+    arrays of `engineer_features` die when `prepare` returns."""
+    detectors: Detectors
     norm: Normalizer  # per feature
     target_norm: Normalizer  # per detector, of flow
     train_windows: list
@@ -831,7 +836,7 @@ class Dataset:
 
     @property
     def registry(self):
-        return self.data.registry
+        return list(REGISTRY)
 
     @property
     def f_t(self):
@@ -854,5 +859,5 @@ def prepare(meta_path, records_path, l=6, p=6):
                            train_end, len(data.timeline))
     else:
         val = []
-    return Dataset(data=data, norm=norm, target_norm=target_norm,
+    return Dataset(detectors=detectors, norm=norm, target_norm=target_norm,
                    train_windows=train, val_windows=val, l=l, p=p)

@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import graphs
-from .dataio import (HIGHWAYS, MAX_DETECTOR_HOURS, MAX_MAGNITUDE,
+from .dataio import (HIGHWAYS, MAX_DETECTOR_HOURS, MAX_FLOW, MAX_MAGNITUDE,
                      MAX_MILEPOST, MAX_SPAN_HOURS)
 from .fieldtypes import is_a
 
@@ -66,12 +66,15 @@ class Scenario:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # 60 hours for the feature history; the data path's timeline cap
         if not 60 <= self.horizon_hours <= MAX_SPAN_HOURS:
             raise ValueError(f"horizon_hours must be in [60, "
                              f"{MAX_SPAN_HOURS}]")
-        if self.surge_peak_multiplier <= 0 or self.base_flow <= 0:
-            raise ValueError("multipliers and base flow must be positive")
+        for name in ("base_flow", "surge_peak_multiplier"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:
             raise ValueError("need order_hour < landfall_hour <= horizon")
         # values the generator divides by, or that would write a corpus
@@ -80,6 +83,23 @@ class Scenario:
                      "outage_mean_duration_hours"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # the largest flow written: the diurnal peak times the surge peak,
+        # plus 10 noise standard deviations, which one normal draw exceeds
+        # with probability 7.6e-24
+        flow = (self.base_flow * (1 + abs(self.diurnal_amplitude))
+                * max(1.0, self.surge_peak_multiplier) + 10 * self.noise_std)
+        if flow > MAX_FLOW:
+            raise ValueError(f"base_flow * (1 + |diurnal_amplitude|) * "
+                             f"max(1, surge_peak_multiplier) + 10 * "
+                             f"noise_std = {flow:.4g} exceeds the largest "
+                             f"flow a record may carry, {MAX_FLOW:.0f} veh/h")
+        # durations are drawn about these means; a mean past the longest
+        # timeline writes incident minutes above MAX_MAGNITUDE, or
+        # overflows the conversion of a drawn duration to hours
+        for name in ("incident_mean_duration_hours",
+                     "outage_mean_duration_hours"):
+            if getattr(self, name) > MAX_SPAN_HOURS:
+                raise ValueError(f"{name} must be <= {MAX_SPAN_HOURS}")
         # the largest cum_pop_under_orders written
         if not 0 <= self.population_total <= MAX_MAGNITUDE:
             raise ValueError(f"population_total must be in [0, "
@@ -91,13 +111,16 @@ class Scenario:
         if not 1 <= self.lanes <= MAX_MAGNITUDE:
             raise ValueError(f"lanes must be in [1, {MAX_MAGNITUDE:.0e}]")
         try:
-            offset = datetime.fromisoformat(self.start).tzinfo
+            t0 = datetime.fromisoformat(self.start)
         except ValueError:
             raise ValueError(f"start must be an ISO timestamp, got "
                              f"{self.start!r}") from None
-        if offset is not None:  # load_csv rejects offset timestamps
+        if t0.tzinfo is not None:  # load_csv rejects offset timestamps
             raise ValueError(f"start must be a local clock time without a "
                              f"UTC offset, got {self.start!r}")
+        if t0 > datetime.max - timedelta(hours=self.horizon_hours):
+            raise ValueError(f"start {self.start!r} plus horizon_hours "
+                             f"{self.horizon_hours} passes {datetime.max}")
         if not self.corridors:
             raise ValueError("corridors must hold at least one corridor")
         for highway, n, spacing in self.corridors:
@@ -120,6 +143,14 @@ class Scenario:
             if last > MAX_MILEPOST:
                 raise ValueError(f"corridors: {highway}'s last milepost "
                                  f"{last!r} exceeds {MAX_MILEPOST:.0f}")
+            # dist_landfall_mi, largest at one end of the corridor
+            far = max(abs(self.landfall_milepost),
+                      abs(last - self.landfall_milepost))
+            if far > MAX_MAGNITUDE:
+                raise ValueError(f"landfall_milepost "
+                                 f"{self.landfall_milepost!r} is {far:.4g} "
+                                 f"miles from a detector of {highway}, more "
+                                 f"than {MAX_MAGNITUDE:.0e}")
         for i, start, length in self.forced_outages:
             if not (0 <= i < n_det and start >= 0 and length >= 1):
                 raise ValueError(f"forced_outages: {(i, start, length)} needs "

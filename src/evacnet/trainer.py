@@ -124,7 +124,7 @@ class TrainResult:
 
 def _static_distance_adj(dataset):
     """Frozen distance adjacency over the union of all detectors."""
-    det = dataset.data.detectors
+    det = dataset.detectors
     speed = np.full(len(det.milepost), graphs.V_MIN)
     return graphs.build_snapshot(det.highway, det.milepost, speed).adj_d
 

@@ -44,10 +44,15 @@ def s1_dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def s2_dataset(tmp_path_factory):
+def s2_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("s2")
     meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"], out)
-    return dataio.prepare(meta, records, l=6, p=6)
+    return meta, records
+
+
+@pytest.fixture(scope="module")
+def s2_dataset(s2_corpus):
+    return dataio.prepare(*s2_corpus, l=6, p=6)
 
 
 @pytest.fixture(scope="module")
@@ -231,19 +236,21 @@ def test_c08_overfit_oracle(s1_dataset):
         assert elapsed < 300.0, f"took {elapsed:.1f} s"
 
 
-def test_c09_dynamic_topology(s2_dataset):
+def test_c09_dynamic_topology(s2_corpus, s2_dataset):
     with report("C09", "S2 with outages across window boundaries trains "
                        "and evaluates; predictions only for nodes active "
                        "over the full target span"):
         dataset = s2_dataset
         sizes = {len(w.det_indices) for w in dataset.train_windows}
         assert len(sizes) > 1, "outages did not vary the node sets"
-        data = dataset.data
+        meta, records = s2_corpus
+        active = dataio.engineer_features(
+            *reversed(dataio.load_csv(meta, records))).active
         for w in dataset.train_windows + dataset.val_windows:
             anchor = w.anchor_index
             for i in w.det_indices:
-                assert data.active[i, anchor:anchor + dataset.l
-                                   + dataset.p].all()
+                assert active[i, anchor:anchor + dataset.l
+                              + dataset.p].all()
         cfg = trainer.TrainConfig(variant="rl_dmf", epochs=2,
                                   batch_size=8, lr=5e-3, seed=0, l=6,
                                   p=6, hidden=16)

@@ -15,6 +15,10 @@ HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.txt"
 TINY = Scenario(name="tiny", seed=7, horizon_hours=72,
                 corridors=[("I75", 4, 4.0)], order_hour=40,
                 landfall_hour=60, noise_std=10.0)
+# TINY with incidents and outages drawn, so that every scenario value
+# generate draws with is read
+BUSY = replace(TINY, horizon_hours=80, corridors=[("I75", 3, 4.0)],
+               incident_rate_per_hour=0.2, outage_rate_per_hour=0.2)
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +128,32 @@ def test_generate_rejected_scenario(tmp_path, caplog):
                     "wave_strength")
       for value in (math.nan, math.inf)),
     pytest.param("corridors", [["I75", 4, math.nan]], id="corridors-nan"),
+    # flows above MAX_FLOW, which train rejected
+    pytest.param("base_flow", 1e6, id="base-flow-flow-above-max"),
+    pytest.param("surge_peak_multiplier", 1e5, id="surge-flow-above-max"),
+    pytest.param("noise_std", 1e7, id="noise-flow-above-max"),
+    pytest.param("diurnal_amplitude", 1e4, id="diurnal-flow-above-max"),
+    # a dist_landfall_mi or an avg_incident_dur_min above MAX_MAGNITUDE,
+    # which train rejected
+    pytest.param("landfall_milepost", 2e9, id="landfall-distance-above-max"),
+    pytest.param("incident_mean_duration_hours", 1e9,
+                 id="incident-minutes-above-max"),
+    # generate exited 2: a drawn duration overflowed int(), the last
+    # timestamp passed year 9999, and numpy took no negative seed
+    pytest.param("incident_mean_duration_hours", 1e308,
+                 id="incident-duration-overflow"),
+    pytest.param("outage_mean_duration_hours", 1e308,
+                 id="outage-duration-overflow"),
+    pytest.param("start", "9999-12-31T00:00:00", id="start-past-year-9999"),
+    pytest.param("seed", -1, id="seed-negative"),
+    # rejected, but by a message that named neither field
+    pytest.param("base_flow", 0.0, id="base-flow-zero"),
+    pytest.param("surge_peak_multiplier", -1.0, id="surge-peak-negative"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):
     scen_file = tmp_path / "bad.json"
-    scen_file.write_text(json.dumps({**asdict(TINY), field: value}),
+    scen_file.write_text(json.dumps({**asdict(BUSY), field: value}),
                          encoding="utf-8")
     assert cli.main(["generate", "--scenario", str(scen_file),
                      "--out", str(tmp_path)]) == 1
@@ -230,6 +255,22 @@ def test_train_detector_hours_cap_is_user_error(corpus, tmp_path, caplog,
                      "--out", str(tmp_path / "out")]) == 1
     assert ("4 detectors over the 72 hours of records from line 2 to line "
             "289 make 288 detector-hours, more than 287") in caplog.text
+
+
+def test_train_meta_rows_past_the_cap_is_user_error(corpus, tmp_path,
+                                                    caplog, monkeypatch):
+    # the corpus's 4 detectors under a cap of 3 detector-hours lowered to
+    # make it small: the meta file's fourth row is rejected, and no record
+    # is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("records read")
+
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 3)
+    monkeypatch.setattr(dataio, "_load_records", refuse)
+    assert cli.main(["train", "--data", str(corpus),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert ("line 5: more than 3 detectors make more detector-hours than "
+            "that") in caplog.text
 
 
 @pytest.mark.parametrize("n_lines", [1, 5], ids=["header-only", "one-hour"])

@@ -1,5 +1,7 @@
+import gc
 import re
 import tracemalloc
+import weakref
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
@@ -120,6 +122,31 @@ def test_detector_hours_cap_counts_every_meta_detector(csv_pair,
                        "records from line 2 to line 21 make 30 "
                        "detector-hours, more than 29$"):
         load_csv(meta, recs)
+
+
+def test_meta_rows_past_the_cap_are_not_read(csv_pair, monkeypatch):
+    """Under a cap of 2 detector-hours the meta file's third row, line 4,
+    is one detector too many; the loader reads no further, so the unknown
+    highway on line 5 is not reached, while one on line 3 wins."""
+    meta, recs = csv_pair
+    rows = ["det_a,I75,0.0,3,28.0,-82.0", "det_b,I75,2.5,3,28.1,-82.0",
+            "det_c,I75,5.0,3,28.2,-82.0", "det_d,I5,7.5,3,28.3,-82.0"]
+    write_meta(meta, rows)
+    write_records(recs, 10, lambda d, h: 100.0)
+    with pytest.raises(SchemaError, match="^line 5: unknown highway 'I5'"):
+        load_csv(meta, recs)
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 2)
+    with pytest.raises(SchemaError, match="^line 4: more than 2 detectors "
+                       "make more detector-hours than that$"):
+        load_csv(meta, recs)
+    write_meta(meta, [rows[0], rows[3], *rows[1:3]])
+    with pytest.raises(SchemaError, match="^line 3: unknown highway 'I5'"):
+        load_csv(meta, recs)
+    # at the cap itself, the file is read whole
+    monkeypatch.setattr(dataio, "MAX_DETECTOR_HOURS", 3)
+    write_meta(meta, rows[:3])
+    monkeypatch.setattr(dataio, "_load_records", lambda path, ids: ids)
+    assert load_csv(meta, recs)[1] == ["det_a", "det_b", "det_c"]
 
 
 def test_header_only_records_is_short_span(csv_pair):
@@ -309,7 +336,7 @@ def test_normalizer_fit_on_train_only(csv_pair):
                   else 100.0 + (h % 7))
     data = engineer_features(*reversed(load_csv(meta, recs)))
     train_end, norm, _ = split_and_fit(data)
-    k = data.registry.index("flow")
+    k = dataio.REGISTRY.index("flow")
     train_vals = data.temporal[:, :train_end, k][data.active[:, :train_end]]
     assert norm.shift[k] == pytest.approx(train_vals.mean())
     assert norm.shift[k] < 1000
@@ -320,7 +347,7 @@ def test_zscored_train_flow(csv_pair):
     write_records(recs, 100, lambda d, h: 100.0 + 10 * (h % 5))
     data = engineer_features(*reversed(load_csv(meta, recs)))
     train_end, norm, _ = split_and_fit(data)
-    k = data.registry.index("flow")
+    k = dataio.REGISTRY.index("flow")
     vals = data.temporal[:, :train_end, k][data.active[:, :train_end]]
     z = (vals - norm.shift[k]) / norm.scale[k]
     assert abs(z.mean()) < 1e-9
@@ -332,7 +359,7 @@ def test_normalize_round_trip(csv_pair):
     write_records(recs, 72, lambda d, h: 100.0 + h)
     data = engineer_features(*reversed(load_csv(meta, recs)))
     _, norm, _ = split_and_fit(data)
-    x = np.linspace(-3, 3, len(data.registry))
+    x = np.linspace(-3, 3, len(dataio.REGISTRY))
     np.testing.assert_allclose(norm.inverse(norm.transform(x)), x, atol=1e-9)
 
 
@@ -466,7 +493,7 @@ def test_step_extras_match_membership_loop(tmp_path):
     meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
                                       tmp_path)
     ds = dataio.prepare(meta, records, l=6, p=6)
-    data = ds.data
+    data = engineer_features(*reversed(load_csv(meta, records)))
     table = ds.train_windows[0].table
     n_extras = 0
     for w in ds.train_windows + ds.val_windows:
@@ -493,7 +520,7 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
     meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
                                       tmp_path)
     ds = dataio.prepare(meta, records, l=6, p=6)
-    data = ds.data
+    data = engineer_features(*reversed(load_csv(meta, records)))
     m = rlagent.apply_mask(2, ds.f_t, ds.f_s)
     windows = [w for w in ds.train_windows + ds.val_windows
                if any(len(e) for e in w.extra_temporal)]
@@ -563,10 +590,11 @@ def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
     meta, records, _ = synth.generate(scenario,
                                       tmp_path_factory.mktemp("outages"))
     ds = dataio.prepare(meta, records, l=4, p=3)
+    active = engineer_features(*reversed(load_csv(meta, records))).active
     read = {}  # (hour, detector) -> the rows the first window read there
     for w in ds.train_windows + ds.val_windows:
         a = w.anchor_index
-        assert ds.data.active[w.det_indices, a:a + ds.l + ds.p].all()
+        assert active[w.det_indices, a:a + ds.l + ds.p].all()
         np.testing.assert_allclose(
             ds.target_norm.inverse(w.targets, w.det_indices), w.targets_raw,
             rtol=1e-12, atol=0)
@@ -576,6 +604,29 @@ def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
                 np.testing.assert_array_equal(
                     read.setdefault((a + step, i), rows[step, :, k]),
                     rows[step, :, k])
+
+
+
+def test_prepare_keeps_no_feature_array(tmp_path, monkeypatch):
+    """What `engineer_features` builds is garbage once `prepare` returns:
+    the dataset keeps the detectors, the statistics and the windows."""
+    meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
+                                      tmp_path)
+    refs = []
+    real = dataio.engineer_features
+
+    def recording(*args):
+        data = real(*args)
+        refs.extend(map(weakref.ref, (data, data.temporal, data.spatial,
+                                      data.active, data.flow, data.speed)))
+        return data
+
+    monkeypatch.setattr(dataio, "engineer_features", recording)
+    ds = dataio.prepare(meta, records, l=6, p=6)
+    gc.collect()
+    assert len(refs) == 6 and ds.train_windows and ds.val_windows
+    assert all(ref() is None for ref in refs)
+    assert len(ds.detectors.ids) == 8
 
 
 # ---- malformed corpora: the loader's error contract ----

@@ -1,5 +1,11 @@
+import re
+from dataclasses import fields
+from datetime import datetime
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacnet import dataio, synth
 from evacnet.synth import Scenario, builtin_scenarios, generate
@@ -130,3 +136,115 @@ def test_scenario_over_the_detector_hours_cap_rejected():
     Scenario(name="at-cap", seed=0, horizon_hours=250,
              corridors=[("I75", dataio.MAX_DETECTOR_HOURS // 250, 1.0)]
              ).validate()
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios of small horizons and detector counts. Each field is drawn
+    from a range `validate` accepts, alone, except at most one, drawn from
+    a range around or past its bound. Together these reach past every bound
+    of the loader: MAX_FLOW (base flow, amplitude, surge peak and noise
+    together), MAX_MAGNITUDE (lanes, population, the landfall distance,
+    incident minutes), MAX_MILEPOST (spacing), the span, the detector-hours
+    cap and the last datetime. MIN_SPEED is out of reach: the speed curve
+    floors at SPEED_FLOOR_MPH."""
+    bad = draw(st.sampled_from((None,) + tuple(
+        f.name for f in fields(Scenario) if f.name != "name")))
+
+    def field(name, good, past):
+        return draw(past if name == bad else good)
+
+    horizon = field("horizon_hours", st.integers(60, 100),
+                    st.integers(0, 59) | st.just(dataio.MAX_SPAN_HOURS + 1))
+    order = field("order_hour", st.integers(0, max(0, horizon - 1)),
+                  st.integers(-2, 200))
+    spacing = st.floats(1e-3, 5e3) | st.just(5e-324)
+    return Scenario(
+        name="drawn",
+        seed=field("seed", st.integers(0, 2 ** 64), st.integers(-5, -1)),
+        horizon_hours=horizon,
+        start=field("start", st.datetimes(), st.datetimes(
+            datetime(9999, 12, 27, 12))).isoformat(),
+        corridors=field(
+            "corridors",
+            st.lists(st.tuples(st.sampled_from(dataio.HIGHWAYS),
+                               st.integers(1, 4), spacing),
+                     min_size=1, max_size=3, unique_by=lambda c: c[0]),
+            st.lists(st.tuples(st.sampled_from(dataio.HIGHWAYS + ("I5",)),
+                               st.integers(0, 4)
+                               | st.just(dataio.MAX_DETECTOR_HOURS),
+                               spacing | st.floats(-1.0, 0.0)), max_size=3)),
+        lanes=field("lanes", st.integers(1, 4),
+                    st.integers(-1, 0) | st.integers(10 ** 9 - 1,
+                                                     10 ** 9 + 1)),
+        base_flow=field("base_flow", st.floats(1e-3, 2e3),
+                        st.floats(-1.0, 0.0) | st.floats(2e3, 2e6)),
+        diurnal_amplitude=field("diurnal_amplitude", st.floats(-3.0, 3.0),
+                                st.floats(-1e4, 1e4)),
+        noise_std=field("noise_std", st.floats(0.0, 1e3),
+                        st.floats(-1.0, -1e-9) | st.floats(1e3, 1e7)),
+        order_hour=order,
+        landfall_hour=field("landfall_hour",
+                            st.integers(order + 1, max(order + 1, horizon)),
+                            st.integers(-2, 200)),
+        surge_peak_multiplier=field("surge_peak_multiplier",
+                                    st.floats(1e-3, 10.0),
+                                    st.floats(-1.0, 0.0)
+                                    | st.floats(10.0, 1e5)),
+        surge_spatial_decay_miles=field("surge_spatial_decay_miles",
+                                        st.floats(5e-324, 1e3),
+                                        st.floats(-1.0, 0.0)),
+        landfall_milepost=field("landfall_milepost",
+                                st.floats(-100.0, 100.0),
+                                st.floats(-1.01e9, -0.99e9)
+                                | st.floats(0.99e9, 1.01e9)),
+        population_total=field("population_total", st.floats(0.0, 1e7),
+                               st.floats(-1.0, 0.0) | st.floats(0.99e9, 2e9)),
+        incident_rate_per_hour=field("incident_rate_per_hour",
+                                     st.floats(0.01, 0.3),
+                                     st.floats(-0.1, 1.0)),
+        incident_mean_duration_hours=field(
+            "incident_mean_duration_hours", st.floats(0.0, 100.0),
+            st.floats(-1.0, 0.0) | st.floats(1e3, 1e12) | st.just(1e308)),
+        incident_capacity_drop=field("incident_capacity_drop",
+                                     st.floats(0.0, 0.99),
+                                     st.floats(-0.5, 1.5)),
+        outage_rate_per_hour=field("outage_rate_per_hour",
+                                   st.floats(0.01, 0.3),
+                                   st.floats(-0.1, 1.0)),
+        outage_mean_duration_hours=field(
+            "outage_mean_duration_hours", st.floats(0.0, 100.0),
+            st.floats(-1.0, 0.0) | st.floats(1e3, 1e12) | st.just(1e308)),
+        forced_outages=field(
+            "forced_outages",
+            st.lists(st.tuples(st.just(0), st.integers(0, 200),
+                               st.integers(1, 50)), max_size=2),
+            st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 10 ** 20),
+                               st.integers(0, 10 ** 20)), min_size=1,
+                     max_size=2)),
+        congestion_waves=draw(st.booleans()),
+        wave_period_hours=draw(st.integers(-1, 12)),
+        wave_speed_det_per_hour=field("wave_speed_det_per_hour",
+                                      st.floats(-10.0, 10.0),
+                                      st.floats(-1e308, 1e308)),
+        wave_strength=field("wave_strength", st.floats(0.0, 1.0),
+                            st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios())
+def test_validate_names_a_field_or_generate_writes_a_loadable_corpus(
+        tmp_path_factory, scenario):
+    """Either `validate` rejects a scenario by a message naming a field,
+    or `generate` writes a corpus that `load_csv` accepts whole."""
+    try:
+        scenario.validate()
+    except ValueError as exc:
+        assert any(re.search(rf"\b{f.name}\b", str(exc))
+                   for f in fields(Scenario)), str(exc)
+        return
+    meta, records, _ = generate(scenario, tmp_path_factory.mktemp("drawn"))
+    detectors, columns = dataio.load_csv(meta, records)
+    n_det = sum(n for _, n, _ in scenario.corridors)
+    assert len(detectors.ids) == n_det
+    assert len(columns.hour) == n_det * scenario.horizon_hours

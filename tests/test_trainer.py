@@ -242,7 +242,7 @@ def _forward_rows(windows, params, static_full):
 
 def test_static_variant_frozen_adjacency(dataset):
     full = trainer._static_distance_adj(dataset)
-    n = len(dataset.data.detectors.ids)
+    n = len(dataset.detectors.ids)
     assert full.shape == (n, n)
     np.testing.assert_array_equal(full, full.T)
     # a window over all detectors, and one over three of them, so that
