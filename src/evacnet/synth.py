@@ -79,10 +79,15 @@ class Scenario:
             raise ValueError("need order_hour < landfall_hour <= horizon")
         # values the generator divides by, or that would write a corpus
         # the loader rejects (lanes in meta.csv, a negative population)
-        for name in ("noise_std", "incident_mean_duration_hours",
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be >= 0")
+        # durations are drawn about these means; a mean past the longest
+        # timeline writes incident minutes above MAX_MAGNITUDE, or
+        # overflows the conversion of a drawn duration to hours
+        for name in ("incident_mean_duration_hours",
                      "outage_mean_duration_hours"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= MAX_SPAN_HOURS:
+                raise ValueError(f"{name} must be in [0, {MAX_SPAN_HOURS}]")
         # the largest flow written: the diurnal peak times the surge peak,
         # plus 10 noise standard deviations, which one normal draw exceeds
         # with probability 7.6e-24
@@ -93,13 +98,6 @@ class Scenario:
                              f"max(1, surge_peak_multiplier) + 10 * "
                              f"noise_std = {flow:.4g} exceeds the largest "
                              f"flow a record may carry, {MAX_FLOW:.0f} veh/h")
-        # durations are drawn about these means; a mean past the longest
-        # timeline writes incident minutes above MAX_MAGNITUDE, or
-        # overflows the conversion of a drawn duration to hours
-        for name in ("incident_mean_duration_hours",
-                     "outage_mean_duration_hours"):
-            if getattr(self, name) > MAX_SPAN_HOURS:
-                raise ValueError(f"{name} must be <= {MAX_SPAN_HOURS}")
         # the largest cum_pop_under_orders written
         if not 0 <= self.population_total <= MAX_MAGNITUDE:
             raise ValueError(f"population_total must be in [0, "
