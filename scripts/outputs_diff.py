@@ -19,15 +19,19 @@ compares generate's `meta.csv` and `records.csv`, train's `model.ckpt`,
 rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
 (so a moved corpus is told from a moved model), prints one line per
 file and exits 0 when every file is identical, 1 otherwise. For a
-`metrics.csv`, `ablation.csv` or `ranking.csv` that differs, the line
-also says how far it moved: the largest relative difference over the
-numeric fields the two files hold at the same row and column. BLAS runs
+`metrics.csv` or `ablation.csv` that differs, the line also says how far
+it moved: the largest relative difference over the numeric fields the
+two files hold at the same row and column. A `ranking.csv` that differs
+is joined on `feature_name`, as its rows are ranks: the line gives the
+largest |Δ rank| and the largest relative difference of a feature's
+`mask_count`. BLAS runs
 on one thread (`EVACNET_THREADS=1`) unless the environment sets it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -51,8 +55,10 @@ CORPUS = ("meta.csv", "records.csv")  # generate's compared files
 COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
             "evaluate": ("metrics.csv",),
             "rank-features": ("ranking.csv",)}
-# the tables whose numeric fields a differing file is measured on
-MEASURED = ("metrics.csv", "ablation.csv", "ranking.csv")
+# the tables whose numeric fields a differing file is measured on, row
+# by row; a ranking is measured feature by feature
+MEASURED = ("metrics.csv", "ablation.csv")
+RANKING = "ranking.csv"
 
 
 def git(*args):
@@ -198,13 +204,43 @@ def largest_rel_diff(parent, change):
     return largest
 
 
+def ranking_diff(parent, change):
+    """(largest |Δ rank|, largest |Δ mask_count| / max of the two counts,
+    0 where both are 0) over the features of two `ranking.csv` files
+    joined on `feature_name`. None when the files do not rank the same
+    features (a file without a `feature_name` column ranks none)."""
+    tables = []
+    for path in (parent, change):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append({row.get("feature_name"): row
+                           for row in csv.DictReader(fh)})
+    p_rows, c_rows = tables
+    if p_rows.keys() != c_rows.keys() or None in p_rows:
+        return None
+    rank, count = 0, 0.0
+    for name, p in p_rows.items():
+        c = c_rows[name]
+        rank = max(rank, abs(int(c["rank"]) - int(p["rank"])))
+        pc, cc = int(p["mask_count"]), int(c["mask_count"])
+        if pc != cc:
+            count = max(count, abs(cc - pc) / max(abs(pc), abs(cc)))
+    return rank, count
+
+
 def describe(parent, change, rows):
     """One line per (file, verdict) row of `compare`; a differing table of
-    MEASURED also gets its largest relative difference."""
+    MEASURED also gets its largest relative difference, and a differing
+    ranking its largest changes of rank and of mask count."""
     lines = []
     for rel, verdict in rows:
         line = f"{rel}: {verdict}"
-        if verdict == "differs" and Path(rel).name in MEASURED:
+        name = Path(rel).name
+        if verdict == "differs" and name == RANKING:
+            diff = ranking_diff(parent / rel, change / rel)
+            line += (", rows or columns do not line up" if diff is None
+                     else f", largest |rank change| {diff[0]}, largest "
+                          f"relative mask_count difference {diff[1]:.3g}")
+        elif verdict == "differs" and name in MEASURED:
             diff = largest_rel_diff(parent / rel, change / rel)
             line += (", rows or columns do not line up" if diff is None
                      else f", largest relative difference {diff:.3g}")

@@ -292,7 +292,8 @@ def forward(windows, params, mask=None, static_blocks=None):
     a single modality) and one `lstm_step` node, whose loop over the hours
     holds only h·U, then the head. The output has one row per predicted
     node of the batch, in window order. `mask` is the RL agent's (F,) 0/1
-    feature mask; it scales columns, so it applies to the propagated rows.
+    feature mask; it scales columns, so it applies to the propagated rows,
+    in their dtype.
     None means all features active. Returns the predictions and the
     attention weights α, an (l, N, M) array, or None with a single
     modality.
@@ -317,7 +318,9 @@ def forward(windows, params, mask=None, static_blocks=None):
                                       @ rows[:, :, start:stop])
             start = stop
     if mask is not None:
-        rows *= mask  # a fresh array here, so scaled in place
+        # a fresh array here, so scaled in place; x·1 and x·0 take the
+        # same bits in the rows' dtype as in the mask's
+        rows *= np.asarray(mask, rows.dtype)
 
     z = gcn_layer(rows, params.tensors["W_gcn"])
     alphas = None

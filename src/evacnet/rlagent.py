@@ -7,6 +7,14 @@ ranking is the ascending mask-count order.
 
 The Q-networks are plain arrays and build no autograd graph: the TD loss
 returns its flat gradient, which `numcore.Adam` applies to `flat`.
+
+Precision: the networks, Adam's moments, the replay buffer's states and
+every activation, TD error and gradient are float32. The state vector is
+a float64 mean, rounded once to float32 where it is stored or fed to a
+network. The rewards, the TD targets until `td_loss` rounds them, and
+the priority array, whose normalized values `rng.choice` reads as
+probabilities, stay float64. The ops take their dtype from the weights,
+so a network over a float64 copy of `flat` runs in float64 end to end.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ def build_state(windows, f_t):
     """State vector: batch/time mean of the windows' temporal features (the
     first f_t input columns), batch mean of their spatial features at the
     first input hour, concatenated. The batch's unpropagated rows are read
-    with one `gather_inputs` and averaged in float64, the agent's dtype."""
+    with one `gather_inputs` and averaged in float64; the state is rounded
+    to the networks' float32 once, where it is stored or fed to one."""
     if not windows:
         raise ValueError("empty batch")
     rows = gather_inputs(windows, ("identity",))[:, 0].astype(np.float64)
@@ -101,7 +110,8 @@ class ReplayBuffer:
     def _grow(self, n_features):
         rows = min(self.capacity, max(1, 2 * len(self.priorities)))
         if self.states is None:
-            self.states = self.next_states = np.zeros((0, n_features))
+            self.states = self.next_states = np.zeros((0, n_features),
+                                                      np.float32)
         for name in ("states", "next_states", "actions", "rewards",
                      "priorities"):
             old = getattr(self, name)
@@ -142,10 +152,11 @@ class ReplayBuffer:
 
 
 def _mlp(states, weights, biases):
-    """The MLP on arrays: the (B, F) input rows, each hidden layer's ReLU
-    output and the Q-values, in order. The ReLU runs in place on the fresh
-    product; max(x, 0) is +0 at x = -0, as x > 0's select is."""
-    acts = [np.atleast_2d(np.asarray(states, dtype=float))]
+    """The MLP on arrays: the (B, F) input rows, cast to the weights'
+    dtype, each hidden layer's ReLU output and the Q-values, in order. The
+    ReLU runs in place on the fresh product; max(x, 0) is +0 at x = -0, as
+    x > 0's select is."""
+    acts = [np.atleast_2d(np.asarray(states, dtype=weights[0].dtype))]
     for k, (w, b) in enumerate(zip(weights, biases)):
         x = acts[-1] @ w + b
         if k < len(weights) - 1:
@@ -157,7 +168,8 @@ def _mlp(states, weights, biases):
 class QNetwork:
     """MLP (F,) -> 128 -> 128 -> (F,) with ReLU hidden activations. The
     weights, then the biases, are arrays that view, consecutively, the one
-    contiguous vector `flat` (`numcore.flatten`)."""
+    contiguous float32 vector `flat` (`numcore.flatten`); they are drawn in
+    float64 and rounded once, so a seed draws the weights it always has."""
 
     def __init__(self, n_features, hidden=HIDDEN_UNITS, seed=0):
         rng = np.random.default_rng(seed)
@@ -167,7 +179,8 @@ class QNetwork:
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        self.flat, views = nc.flatten(weights + biases)
+        self.flat, views = nc.flatten(a.astype(np.float32)
+                                      for a in weights + biases)
         self.weights, self.biases = views[:3], views[3:]
 
     def q_values(self, state):
@@ -181,10 +194,14 @@ class QNetwork:
         backward pass through the three layers written by hand. Returns
         the loss, its gradient with respect to `flat` (each layer's weight
         and bias gradients written into their views of one new vector)
-        and the (B,) TD errors."""
+        and the (B,) TD errors. The targets and the importance weights are
+        rounded once to `flat`'s dtype, in which every product runs."""
         ws = self.weights
+        dtype = self.flat.dtype
+        targets = np.asarray(targets, dtype)
+        weights = np.asarray(weights, dtype)
         acts = _mlp(states, ws, self.biases)
-        onehot = np.eye(ws[-1].shape[1])[actions]
+        onehot = np.eye(ws[-1].shape[1], dtype=dtype)[actions]
         td = (acts[-1] * onehot).sum(axis=1) - targets
         n = len(td)
 
@@ -199,7 +216,7 @@ class QNetwork:
             dx.sum(axis=0, out=dbs[k])
             if k:  # the input rows are data: no gradient
                 dx = (dx @ ws[k].T) * (acts[k] > 0)
-        return float((weights * td * td).sum() * (1.0 / n)), grad, td
+        return float((weights * td * td).mean()), grad, td
 
     def copy_from(self, other):
         np.copyto(self.flat, other.flat)
@@ -218,12 +235,13 @@ def ddqn_target(reward, next_state, gamma, online, target):
     """Online net selects the next action, target net evaluates it.
 
     Takes one transition (a float reward and an (F,) state) or a batch
-    ((B,) rewards and (B, F) states) and returns a float or a (B,) array.
+    ((B,) rewards and (B, F) states) and returns a float or a (B,) array,
+    in float64: the target net's value is widened before it is discounted.
     """
     a_star = np.argmax(online.q_values(next_state), axis=-1)
     value = np.take_along_axis(target.q_values(next_state),
                                np.expand_dims(a_star, -1), axis=-1)
-    return reward + gamma * value.squeeze(-1)
+    return reward + gamma * value.squeeze(-1).astype(np.float64)
 
 
 def ranking(counts, feature_names):

@@ -79,14 +79,16 @@ class Scenario:
             raise ValueError("need order_hour < landfall_hour <= horizon")
         # values the generator divides by, or that would write a corpus
         # the loader rejects (lanes in meta.csv, a negative population)
-        if self.noise_std < 0:
+        # (numpy's draws take no negative scale, -0.0 included)
+        if math.copysign(1.0, self.noise_std) < 0:
             raise ValueError("noise_std must be >= 0")
         # durations are drawn about these means; a mean past the longest
         # timeline writes incident minutes above MAX_MAGNITUDE, or
         # overflows the conversion of a drawn duration to hours
         for name in ("incident_mean_duration_hours",
                      "outage_mean_duration_hours"):
-            if not 0 <= getattr(self, name) <= MAX_SPAN_HOURS:
+            value = getattr(self, name)
+            if math.copysign(1.0, value) < 0 or value > MAX_SPAN_HOURS:
                 raise ValueError(f"{name} must be in [0, {MAX_SPAN_HOURS}]")
         # the largest flow written: the diurnal peak times the surge peak,
         # plus 10 noise standard deviations, which one normal draw exceeds
@@ -150,9 +152,11 @@ class Scenario:
                                  f"miles from a detector of {highway}, more "
                                  f"than {MAX_MAGNITUDE:.0e}")
         for i, start, length in self.forced_outages:
-            if not (0 <= i < n_det and start >= 0 and length >= 1):
+            if not (0 <= i < n_det and 0 <= start < self.horizon_hours
+                    and length >= 1):
                 raise ValueError(f"forced_outages: {(i, start, length)} needs "
-                                 f"0 <= detector < {n_det}, start >= 0, "
+                                 f"0 <= detector < {n_det}, 0 <= start < "
+                                 f"horizon_hours {self.horizon_hours}, "
                                  f"length >= 1")
 
 

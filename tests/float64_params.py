@@ -1,8 +1,10 @@
-"""Float64 copies of the forecaster's parameters and input table, for the
-tests whose exact-math bounds hold in float64 (finite differences, sums
-compared at 1e-12). The ops take their dtype from their inputs, so over
-these copies a forward and backward run in float64 end to end."""
+"""Float64 copies of the forecaster's parameters and input table, and of
+the agent's Q-networks, for the tests whose exact-math bounds hold in
+float64 (finite differences, sums compared at 1e-12). The ops take their
+dtype from their inputs, so over these copies a forward and backward run
+in float64 end to end."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -25,3 +27,14 @@ def float64_windows(windows):
     """The windows over one float64 copy of their shared input table."""
     table = windows[0].table.astype(np.float64)
     return [replace(w, table=table) for w in windows]
+
+
+def float64_qnetwork(net):
+    """A copy of the `QNetwork` `net` over a float64 copy of its `flat`,
+    each weight and bias a view of it."""
+    out = copy.copy(net)
+    out.flat = net.flat.astype(np.float64)
+    tensors = net.weights + net.biases
+    views = nc.views(out.flat, [a.shape for a in tensors])
+    out.weights, out.biases = views[:len(net.weights)], views[len(net.weights):]
+    return out

@@ -149,6 +149,13 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     # rejected, but by a message that named neither field
     pytest.param("base_flow", 0.0, id="base-flow-zero"),
     pytest.param("surge_peak_multiplier", -1.0, id="surge-peak-negative"),
+    # generate exited 2: numpy's draws take no scale of -0.0
+    *(pytest.param(field, -0.0, id=f"{field}-negative-zero")
+      for field in ("noise_std", "incident_mean_duration_hours",
+                    "outage_mean_duration_hours")),
+    # generate wrote no outage for a start at or past the horizon
+    pytest.param("forced_outages", [[0, 80, 2]],
+                 id="forced-outage-at-horizon"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):

@@ -11,7 +11,7 @@ from conftest import random_window, repropagate
 from float64_params import float64_params
 from lstm_reference import lstm_step as column_block_lstm
 from evacnet import dmf, graphs, numcore as nc, rlagent
-from evacnet.dataio import INPUT_MODALITIES
+from evacnet.dataio import INPUT_MODALITIES, gather_inputs
 from evacnet.numcore import Tensor
 
 ROWS = INPUT_MODALITIES.index("identity")  # the unpropagated rows
@@ -405,7 +405,7 @@ def test_forward_attention_normalization():
     assert np.all(alphas >= 0) and np.all(alphas <= 1)
 
 
-def test_masked_feature_column_invariance():
+def test_masked_feature_column_invariance(monkeypatch):
     rng = np.random.default_rng(7)
     w, snapshots = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2,
                                  extras_per_step=1)
@@ -417,6 +417,20 @@ def test_masked_feature_column_invariance():
     repropagate(w.table, snapshots)
     y1, _ = dmf.forward([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
+
+    # float32 rows are masked in float32, to the bits of their product
+    # with the float64 mask, the sign of each zero included
+    w32 = replace(w, table=w.table.astype(np.float32))
+    seen = []
+    gcn_layer = dmf.gcn_layer
+    monkeypatch.setattr(dmf, "gcn_layer", lambda rows, weight: seen.append(
+        rows.copy()) or gcn_layer(rows, weight))
+    dmf.forward([w32], params, mask=mask)
+    expected = gather_inputs([w32], params.modalities) * mask
+    assert mask.dtype == np.float64 and seen[0].dtype == np.float32
+    assert np.signbit(expected[..., 2]).any()
+    np.testing.assert_array_equal(seen[0], expected.astype(np.float32))
+    np.testing.assert_array_equal(np.signbit(seen[0]), np.signbit(expected))
 
 
 def test_unmasked_column_still_matters():

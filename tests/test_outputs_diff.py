@@ -100,3 +100,35 @@ def test_describe_measures_only_differing_tables(tmp_path):
         "a/model.ckpt: differs",
         "a/ablation.csv: identical",
         "b/metrics.csv: missing in change"]
+
+
+RANKING_HEADER = "rank,feature_name,mask_count,mask_fraction\n"
+
+
+def test_ranking_diff_joins_on_feature_name(tmp_path):
+    parent, change = tmp_path / "p.csv", tmp_path / "c.csv"
+    parent.write_text(RANKING_HEADER + "1,vol,2,0.1\n2,speed,8,0.4\n"
+                      "3,occ,10,0.5\n")
+    # vol and speed swap ranks; row by row, rank 1 would compare vol's
+    # count with speed's
+    change.write_text(RANKING_HEADER + "1,speed,1,0.05\n2,vol,9,0.45\n"
+                      "3,occ,10,0.5\n")
+    rank, count = outputs_diff.ranking_diff(parent, change)
+    assert rank == 1
+    assert count == max(7 / 9, 7 / 8)
+    assert outputs_diff.ranking_diff(parent, parent) == (0, 0.0)
+    change.write_text(RANKING_HEADER + "1,vol,2,0.1\n2,speed,8,0.4\n"
+                      "3,wind,10,0.5\n")
+    assert outputs_diff.ranking_diff(parent, change) is None
+
+
+def test_describe_measures_a_ranking_by_feature(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, {"a/ranking.csv": (RANKING_HEADER + "1,vol,0,0.0\n"
+                                      "2,occ,4,1.0\n").encode()})
+    _write(change, {"a/ranking.csv": (RANKING_HEADER + "1,occ,0,0.0\n"
+                                      "2,vol,4,1.0\n").encode()})
+    rows = outputs_diff.compare(parent, change, ["a/ranking.csv"])
+    assert outputs_diff.describe(parent, change, rows) == [
+        "a/ranking.csv: differs, largest |rank change| 1, largest "
+        "relative mask_count difference 1"]

@@ -217,7 +217,8 @@ def scenarios(draw):
             st.floats(-1.0, 0.0) | st.floats(1e3, 1e12) | st.just(1e308)),
         forced_outages=field(
             "forced_outages",
-            st.lists(st.tuples(st.just(0), st.integers(0, 200),
+            st.lists(st.tuples(st.just(0),
+                               st.integers(0, max(0, horizon - 1)),
                                st.integers(1, 50)), max_size=2),
             st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 10 ** 20),
                                st.integers(0, 10 ** 20)), min_size=1,

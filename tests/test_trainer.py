@@ -521,8 +521,7 @@ def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
                                        axis=1))
 
 
-def test_forecaster_runs_in_float32_and_the_agent_in_float64(dataset,
-                                                             monkeypatch):
+def test_forecaster_and_agent_networks_run_in_float32(dataset, monkeypatch):
     seen = []
     mse_loss = dmf.mse_loss
 
@@ -536,9 +535,12 @@ def test_forecaster_runs_in_float32_and_the_agent_in_float64(dataset,
     assert result.params.flat.dtype == np.float32
     assert all(t.data.dtype == np.float32
                for t in result.params.tensors.values())
-    agent = result.agent
-    assert agent.online.flat.dtype == agent.target.flat.dtype == np.float64
-    assert agent.buffer.states.dtype == np.float64
+    agent, buf = result.agent, result.agent.buffer
+    assert agent.online.flat.dtype == agent.target.flat.dtype == np.float32
+    assert agent.optimizer.m.dtype == agent.optimizer.v.dtype == np.float32
+    assert buf.states.dtype == buf.next_states.dtype == np.float32
+    # rng.choice reads the priorities as probabilities
+    assert buf.rewards.dtype == buf.priorities.dtype == np.float64
     assert seen and set(seen) == {(np.dtype(np.float32),
                                    np.dtype(np.float64))}
 
