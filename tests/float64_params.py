@@ -34,7 +34,7 @@ def float64_qnetwork(net):
     each weight and bias a view of it."""
     out = copy.copy(net)
     out.flat = net.flat.astype(np.float64)
-    tensors = net.weights + net.biases
-    views = nc.views(out.flat, [a.shape for a in tensors])
-    out.weights, out.biases = views[:len(net.weights)], views[len(net.weights):]
+    views = nc.views(out.flat, [a.shape for a in net.weights + net.biases])
+    k = len(net.weights)
+    out.weights, out.biases = views[:k], views[k:]
     return out
