@@ -199,18 +199,6 @@ def _cell_blocks(path, columns, name, rows=None, limit=None):
                 return
 
 
-def _read_cells(path, columns, name):
-    """(widths, cells, line_of) of a CSV whose header must be `columns`: the
-    field count of each row after the header, the fields of all those rows
-    in one list, and `line_of(k)`, the file line on which row k starts.
-    Undecodable bytes and fields over the csv module's size limit are
-    schema errors that name their line."""
-    (widths, cells, error), = _cell_blocks(path, columns, name)
-    if error:
-        raise SchemaError("line {1}: {0}".format(*error))
-    return widths, cells, partial(_row_line, path)
-
-
 def _row_line(path, k):
     """The file line on which row k after the header starts. A quoted cell
     can span lines, so row k need not be line k + 2; the file is read again
@@ -764,20 +752,54 @@ class WindowSample:
     table: np.ndarray  # `input_table`, shared, not a copy
 
 
-def gather_inputs(windows, modalities):
+def frozen_blocks(static_adj, windows):
+    """The static-graph baseline's normalized blocks of the frozen graph
+    `static_adj` over every detector: one per distinct predicted detector
+    set of `windows`, keyed by `det_indices.tobytes()`, in the dtype of
+    the windows' input table."""
+    dtype = windows[0].table.dtype
+    blocks = {}
+    for w in windows:
+        key = w.det_indices.tobytes()
+        if key not in blocks:
+            det = w.det_indices
+            blocks[key] = graphs.gcn_normalize(
+                static_adj[np.ix_(det, det)]).astype(dtype)
+    return blocks
+
+
+def gather_inputs(windows, modalities, static_blocks=None):
     """(l, M, N, F) input rows of a batch of windows of equal l over one
     input table, N their predicted detectors in window order, one block
     per modality in `INPUT_MODALITIES`: one fancy index of the table, at
-    hours anchor + arange(l) of each row's window."""
-    table = windows[0].table
-    if any(w.table is not table for w in windows):
-        raise ValueError("windows of a batch read different input tables")
+    hours anchor + arange(l) of each row's window. `static_blocks` (the
+    static-graph baseline) maps each window's detector set to its
+    normalized block of the frozen graph (`frozen_blocks`), by which that
+    window's rows are multiplied."""
+    if not windows:
+        raise ValueError("empty batch of windows")
+    l, table = windows[0].l, windows[0].table
+    for w in windows:
+        if len(w.det_indices) == 0:
+            raise ValueError("window has an empty predicted node set")
+        if w.l != l:
+            raise ValueError("windows in a batch differ in input length")
+        if w.table is not table:
+            raise ValueError("windows of a batch read different input tables")
     dets = [w.det_indices for w in windows]
     anchors = np.repeat([w.anchor_index for w in windows],
                         [len(d) for d in dets])
-    hours = anchors + np.arange(windows[0].l)[:, None]  # (l, N)
+    hours = anchors + np.arange(l)[:, None]  # (l, N)
     k = [INPUT_MODALITIES.index(g) for g in modalities]
-    return table[hours[:, None], np.array(k)[:, None], np.concatenate(dets)]
+    rows = table[hours[:, None], np.array(k)[:, None], np.concatenate(dets)]
+    if static_blocks is not None:
+        start = 0
+        for d in dets:
+            stop = start + len(d)
+            rows[:, :, start:stop] = (static_blocks[d.tobytes()]
+                                      @ rows[:, :, start:stop])
+            start = stop
+    return rows
 
 
 def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):

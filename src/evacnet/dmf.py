@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs, numcore as nc
-from .dataio import gather_inputs
+from . import numcore as nc
 from .numcore import Tensor
 
 
@@ -256,70 +255,31 @@ def predict_head(h, params):
     return Tensor.node(out.astype(h.data.dtype) + b.data, (h, w, b), bwd)
 
 
-def frozen_blocks(static_adj, windows):
-    """The static-graph baseline's normalized blocks of the frozen graph
-    `static_adj` over every detector: one per distinct predicted detector
-    set of `windows`, keyed by `det_indices.tobytes()`, in the dtype of
-    the windows' input table."""
-    dtype = windows[0].table.dtype
-    blocks = {}
-    for w in windows:
-        key = w.det_indices.tobytes()
-        if key not in blocks:
-            det = w.det_indices
-            blocks[key] = graphs.gcn_normalize(
-                static_adj[np.ix_(det, det)]).astype(dtype)
-    return blocks
-
-
-def forward(windows, params, mask=None, static_blocks=None):
+def forward(rows, params, mask=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
-    A window's inputs at each of its l hours are rows of the data's shared
-    per-hour input table (`dataio.input_table`), one block per modality:
-    the predicted nodes' rows of Ã·[temporal ‖ spatial], computed once per
-    hour from that hour's snapshot when the data were prepared, or the
-    unpropagated rows for the "identity" modality. The batch's rows are
-    read as one (l, M, N, F) array with one fancy index
-    (`dataio.gather_inputs`). `static_blocks` (static-graph baseline,
-    over the "identity" rows) maps each window's detector set to its
-    normalized block of the frozen graph (`frozen_blocks`), by which its
-    rows are multiplied. A GCN acts on a disjoint union block by block,
-    so stacking the windows' rows equals running them one at a time. GCN,
-    attention and input projection do not depend on the recurrence, so
-    each runs over all l hours at once: the batch is one `gcn_layer` node
-    over every hour and modality, one `attention_fuse` node (skipped with
-    a single modality) and one `lstm_step` node, whose loop over the hours
-    holds only h·U, then the head. The output has one row per predicted
-    node of the batch, in window order. `mask` is the RL agent's (F,) 0/1
-    feature mask; it scales columns, so it applies to the propagated rows,
-    in their dtype.
-    None means all features active. Returns the predictions and the
-    attention weights α, an (l, N, M) array, or None with a single
-    modality.
+    `rows` are the batch's (l, M, N, F) input rows for the parameters'
+    modalities, N the predicted nodes of all its windows, as
+    `dataio.gather_inputs` reads them: per hour and modality, the rows of
+    Ã·[temporal ‖ spatial], or the unpropagated rows for the "identity"
+    modality. A GCN acts on a disjoint union block by block, so stacking
+    the windows' rows equals running them one at a time. GCN, attention
+    and input projection do not depend on the recurrence, so each runs
+    over all l hours at once: the batch is one `gcn_layer` node over every
+    hour and modality, one `attention_fuse` node (skipped with a single
+    modality) and one `lstm_step` node, whose loop over the hours holds
+    only h·U, then the head. The output has one row per predicted node of
+    the batch, in row order. `mask` is the RL agent's (F,) 0/1 feature
+    mask; it scales columns, so it applies to the propagated rows, in
+    their dtype and in place. None means all features active.
+    Returns the predictions and the attention weights α, an (l, N, M)
+    array, or None with a single modality.
     """
-    if not windows:
-        raise ValueError("empty batch of windows")
-    l = windows[0].l
-    for w in windows:
-        if len(w.det_indices) == 0:
-            raise ValueError("window has an empty predicted node set")
-        if w.l != l:
-            raise ValueError("windows in a batch differ in input length")
-
-    rows = gather_inputs(windows, params.modalities)
     if rows.shape[-1] != params.f_t + params.f_s:
         raise ValueError("feature registry does not match parameters")
-    if static_blocks is not None:
-        start = 0
-        for w in windows:
-            stop = start + len(w.det_indices)
-            rows[:, :, start:stop] = (static_blocks[w.det_indices.tobytes()]
-                                      @ rows[:, :, start:stop])
-            start = stop
     if mask is not None:
-        # a fresh array here, so scaled in place; x·1 and x·0 take the
-        # same bits in the rows' dtype as in the mask's
+        # x·1 and x·0 take the same bits in the rows' dtype as in the
+        # mask's
         rows *= np.asarray(mask, rows.dtype)
 
     z = gcn_layer(rows, params.tensors["W_gcn"])
@@ -330,15 +290,16 @@ def forward(windows, params, mask=None, static_blocks=None):
     return predict_head(h, params), alphas
 
 
-def mse_loss(predicted, windows):
+def mse_loss(predicted, targets):
     """Mean over windows of each window's mean squared error over nodes and
-    horizons (normalized units): a squared error of window k weighs
-    1/(B·n_k·p), with B windows and n_k predicted nodes in window k. One
-    node over `predicted`. The error and the loss are float64, against
-    the float64 targets; the gradient takes the prediction's dtype."""
-    targets = np.concatenate([w.targets for w in windows])
-    counts = [w.targets.shape[0] for w in windows]
-    weights = np.repeat([1.0 / (len(windows) * k * targets.shape[1])
+    horizons (normalized units), given each window's (n_k, p) targets in
+    batch order: a squared error of window k weighs 1/(B·n_k·p), with B
+    windows. One node over `predicted`. The error and the loss are
+    float64, against the float64 targets; the gradient takes the
+    prediction's dtype."""
+    counts = [len(t) for t in targets]
+    targets = np.concatenate(targets)
+    weights = np.repeat([1.0 / (len(counts) * k * targets.shape[1])
                          for k in counts], counts)[:, None]
     diff = predicted.data - targets
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .dataio import gather_inputs
 
 GAMMA = 0.95
 BUFFER_CAPACITY = 10_000
@@ -48,15 +47,13 @@ def apply_mask(action, f_t, f_s):
     return mask
 
 
-def build_state(windows, f_t):
-    """State vector: batch/time mean of the windows' temporal features (the
-    first f_t input columns), batch mean of their spatial features at the
-    first input hour, concatenated. The batch's unpropagated rows are read
-    with one `gather_inputs` and averaged in float64; the state is rounded
-    to the networks' float32 once, where it is stored or fed to one."""
-    if not windows:
-        raise ValueError("empty batch")
-    rows = gather_inputs(windows, ("identity",))[:, 0].astype(np.float64)
+def build_state(rows, f_t):
+    """State vector from a batch's (l, N, F) unpropagated input rows: the
+    batch/time mean of their temporal features (the first f_t columns),
+    the batch mean of their spatial features at the first input hour,
+    concatenated. Averaged in float64; the state is rounded to the
+    networks' float32 once, where it is stored or fed to one."""
+    rows = rows.astype(np.float64)
     # node-major (node, hour) rows: the mean's summation order sets its
     # last bits
     temp = rows[:, :, :f_t].transpose(1, 0, 2).reshape(-1, f_t)

@@ -55,7 +55,6 @@ class Scenario:
     forced_outages: list = field(default_factory=list)
     # S3 machinery: congestion waves travelling along the corridor
     congestion_waves: bool = False
-    wave_period_hours: int = 6
     wave_speed_det_per_hour: float = 1.0
     wave_strength: float = 0.9
 
@@ -152,12 +151,14 @@ class Scenario:
                                  f"miles from a detector of {highway}, more "
                                  f"than {MAX_MAGNITUDE:.0e}")
         for i, start, length in self.forced_outages:
-            if not (0 <= i < n_det and 0 <= start < self.horizon_hours
-                    and length >= 1):
+            # generate writes no hour past the horizon: a longer outage
+            # would be cut short there
+            if not (0 <= i < n_det and 0 <= start and length >= 1
+                    and start + length <= self.horizon_hours):
                 raise ValueError(f"forced_outages: {(i, start, length)} needs "
-                                 f"0 <= detector < {n_det}, 0 <= start < "
-                                 f"horizon_hours {self.horizon_hours}, "
-                                 f"length >= 1")
+                                 f"0 <= detector < {n_det}, 0 <= start, "
+                                 f"length >= 1 and start + length <= "
+                                 f"horizon_hours {self.horizon_hours}")
 
 
 def builtin_scenarios():
@@ -416,4 +417,8 @@ def load_scenario_file(path):
     for name in _ROW_TYPES:
         if name in body:
             body[name] = [tuple(row) for row in body[name]]
+    # written by earlier versions, whose generate never read it
+    period = body.pop("wave_period_hours", 0)
+    if not is_a(period, "int"):
+        raise ValueError(f"wave_period_hours must be int, got {period!r}")
     return Scenario(**body)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from . import dmf, graphs, metrics, numcore as nc, rlagent
+from . import dataio, dmf, graphs, metrics, numcore as nc, rlagent
 from .fieldtypes import is_a
 
 CHECKPOINT_VERSION = 4
@@ -150,7 +150,9 @@ def train(config, dataset, log_fn=None):
 
     One RL action (one masked feature) per optimizer step; the reward is
     the negative normalized-unit MSE of that step, and the next state is
-    built from the next step's batch.
+    built from the next step's batch. Each step reads its batch's input
+    rows once: an RL variant's state from the "identity" block, the
+    forecaster the model's modalities after it.
     """
     if not dataset.train_windows:
         raise ValueError("dataset has no training windows")
@@ -162,10 +164,12 @@ def train(config, dataset, log_fn=None):
     static_full = blocks = None
     if config.variant == "static_gcn_lstm":
         static_full = _static_distance_adj(dataset)
-        blocks = dmf.frozen_blocks(static_full, dataset.train_windows)
+        blocks = dataio.frozen_blocks(static_full, dataset.train_windows)
 
     agent = None
+    read = config.modalities()
     if config.uses_rl():
+        read = ("identity",) + read
         steps_per_epoch = max(1, int(np.ceil(len(dataset.train_windows)
                                              / config.batch_size)))
         agent = rlagent.Agent(dataset.f_t + dataset.f_s,
@@ -192,19 +196,20 @@ def train(config, dataset, log_fn=None):
         eps = None
         for batch_idx in batches:
             batch = [dataset.train_windows[i] for i in batch_idx]
+            rows = dataio.gather_inputs(batch, read, blocks)
             mask = None
             state = None
             if agent is not None:
-                state = rlagent.build_state(batch, dataset.f_t)
+                state = rlagent.build_state(rows[:, 0], dataset.f_t)
+                rows = rows[:, 1:]
                 if pending is not None:
                     agent.observe(*pending, state)
                     agent.learn()
                 action, eps = agent.act(state)
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
-            predicted, _ = dmf.forward(batch, params, mask=mask,
-                                       static_blocks=blocks)
-            loss = dmf.mse_loss(predicted, batch)
+            predicted, _ = dmf.forward(rows, params, mask=mask)
+            loss = dmf.mse_loss(predicted, [w.targets for w in batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
@@ -288,11 +293,12 @@ def evaluate(params, windows, dataset, static_full=None):
     params = replace(params, tensors={k: nc.Tensor(v.data)
                                       for k, v in params.tensors.items()})
     blocks = (None if static_full is None
-              else dmf.frozen_blocks(static_full, windows))
+              else dataio.frozen_blocks(static_full, windows))
     predicted = []
     for start, stop in _chunks(windows):
-        yhat, _ = dmf.forward(windows[start:stop], params,
-                              static_blocks=blocks)
+        rows = dataio.gather_inputs(windows[start:stop], params.modalities,
+                                    blocks)
+        yhat, _ = dmf.forward(rows, params)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
         np.concatenate(predicted),

@@ -1,7 +1,7 @@
 import numpy as np
 
-from evacnet import graphs
-from evacnet.dataio import INPUT_MODALITIES, WindowSample
+from evacnet import dmf, graphs
+from evacnet.dataio import INPUT_MODALITIES, WindowSample, gather_inputs
 
 
 def random_snapshot(rng, n):
@@ -42,3 +42,10 @@ def repropagate(table, snapshots):
     for t, snap in enumerate(snapshots):
         for g, rows in graphs.propagate(snap, table[t, identity]).items():
             table[t, INPUT_MODALITIES.index(g)] = rows
+
+
+def predict(windows, params, mask=None, static_blocks=None):
+    """`dmf.forward` over the windows' input rows for the parameters'
+    modalities, gathered as `trainer.evaluate` gathers a chunk's."""
+    rows = gather_inputs(windows, params.modalities, static_blocks)
+    return dmf.forward(rows, params, mask=mask)

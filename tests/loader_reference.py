@@ -10,20 +10,21 @@ differ, and it has since gained the `MAX_FLOW`, `MIN_SPEED` and
 
 `load_meta` is the meta loader (`_load_meta`), with its `_meta_row`,
 `DetectorMeta` and `_meta_float` (`_parse_float`). Only the imports and
-those two names differ, and it has since gained the `MAX_MAGNITUDE` bound
-on lanes.
+those two names differ, it has since gained the `MAX_MAGNITUDE` bound
+on lanes, and it reads its cells through `_cell_blocks` as one block.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import partial
 from types import SimpleNamespace
 
 from evacnet.dataio import (HIGHWAYS, INCIDENT_COLUMNS, MAX_FLOW,
                             MAX_MAGNITUDE, MAX_MILEPOST, MAX_SPAN_HOURS,
                             META_COLUMNS, MIN_SPEED, RECORD_COLUMNS,
-                            SchemaError, _read_cells)
+                            SchemaError, _cell_blocks, _row_line)
 
 
 def _parse_float(value, line_no, column, allow_missing=True):
@@ -142,7 +143,10 @@ def _meta_float(value, column):
 def load_meta(path):
     metas = {}
     seen_positions = set()
-    widths, cells, line_of = _read_cells(path, META_COLUMNS, "meta")
+    (widths, cells, error), = _cell_blocks(path, META_COLUMNS, "meta")
+    if error:
+        raise SchemaError("line {1}: {0}".format(*error))
+    line_of = partial(_row_line, path)
     start = 0
     for k, width in enumerate(widths):
         row = cells[start:start + width]

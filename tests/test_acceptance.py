@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_window, repropagate
+from conftest import predict, random_window, repropagate
 from float64_params import float64_params
 from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
                      trainer)
@@ -73,8 +73,8 @@ def test_c01_gradient_correctness():
         params = float64_params(dmf.DmfParameters.init(6, 3, 8, 2, seed=1))
 
         def f():
-            y, _ = dmf.forward([w], params)
-            return dmf.mse_loss(y, [w])
+            y, _ = predict([w], params)
+            return dmf.mse_loss(y, [w.targets])
 
         t0 = time.perf_counter()
         err = nc.finite_diff_check(f, list(params.tensors.values()))
@@ -91,7 +91,7 @@ def test_c02_attention_invariant():
             n = int(rng.integers(2, 5))
             w, _ = random_window(rng, n=n, f_t=4, f_s=2, l=2, p=1)
             params = dmf.DmfParameters.init(4, 2, 6, 1, seed=k)
-            _, alphas = dmf.forward([w], params)
+            _, alphas = predict([w], params)
             assert alphas.shape == (2, n, 2)  # (l, n, M)
             np.testing.assert_allclose(alphas.sum(axis=2), 1.0, atol=1e-6)
             assert np.all(alphas >= 0.0) and np.all(alphas <= 1.0)
@@ -111,7 +111,7 @@ def test_c03_masking_semantics():
                                             seed=int(rng.integers(1e6)))
             action = int(rng.integers(f_t + f_s))
             mask = rlagent.apply_mask(action, f_t, f_s)
-            y0, _ = dmf.forward([w], params, mask=mask)
+            y0, _ = predict([w], params, mask=mask)
 
             saved = w.table.copy()
             for col in range(f_t + f_s):
@@ -119,7 +119,7 @@ def test_c03_masking_semantics():
                 # every node's value, the step extras' included
                 w.table[:, rows, :, col] += bump
                 repropagate(w.table, snapshots)
-                y1, _ = dmf.forward([w], params, mask=mask)
+                y1, _ = predict([w], params, mask=mask)
                 if col == action:
                     np.testing.assert_array_equal(y0.data, y1.data)
                 else:

@@ -156,6 +156,9 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     # generate wrote no outage for a start at or past the horizon
     pytest.param("forced_outages", [[0, 80, 2]],
                  id="forced-outage-at-horizon"),
+    # generate wrote 2 of the 10 dark hours, cut at the horizon
+    pytest.param("forced_outages", [[0, 78, 10]],
+                 id="forced-outage-past-horizon"),
 ])
 def test_generate_bad_scenario_field_names_it(field, value, tmp_path,
                                               caplog):

@@ -578,8 +578,10 @@ def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), rate=st.floats(0.0, 0.05),
-       outages=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100),
-                                  st.integers(1, 12)), max_size=4))
+       # each ends by the 110-hour horizon, as `validate` requires
+       outages=st.lists(st.integers(0, 100).flatmap(lambda start: st.tuples(
+           st.integers(0, 4), st.just(start),
+           st.integers(1, min(12, 110 - start)))), max_size=4))
 def test_prepare_windows_under_random_outages(tmp_path_factory, seed, rate,
                                               outages):
     scenario = synth.Scenario(

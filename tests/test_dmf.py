@@ -1,13 +1,12 @@
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_window, repropagate
+from conftest import predict, random_window, repropagate
 from float64_params import float64_params
 from lstm_reference import lstm_step as column_block_lstm
 from evacnet import dmf, graphs, numcore as nc, rlagent
@@ -316,11 +315,10 @@ def random_op_case(rng, op, n_mod, l, hidden=3, n=4, f_in=5):
             head.tensors[k] for k in ("W_out", "b_out")]
     elif op == "mse_loss":
         # l windows of 1..l nodes each, so the windows' weights differ
-        windows = [SimpleNamespace(targets=rng.normal(size=(k, 2)))
-                   for k in range(1, l + 1)]
+        targets = [rng.normal(size=(k, 2)) for k in range(1, l + 1)]
         y = Tensor(rng.normal(size=(l * (l + 1) // 2, 2)),
                    requires_grad=True)
-        run, params = (lambda: dmf.mse_loss(y, windows)), [y]
+        run, params = (lambda: dmf.mse_loss(y, targets)), [y]
     else:
         lstm = float64_params(dmf.DmfParameters.init(hidden, 0, hidden, 1,
                                                      seed=l))
@@ -364,8 +362,8 @@ def test_training_step_graph_is_one_node_per_fused_op():
     rng = np.random.default_rng(22)
     w, _ = random_window(rng, n=4, f_t=3, f_s=2, l=3, p=2)
     params = params_for(w, 3, hidden=4)
-    y, _ = dmf.forward([w], params)
-    loss = dmf.mse_loss(y, [w])
+    y, _ = predict([w], params)
+    loss = dmf.mse_loss(y, [w.targets])
     nodes, stack = {id(loss): loss}, [loss]
     while stack:
         for parent in stack.pop()._parents:
@@ -388,10 +386,27 @@ def test_forward_shapes_and_noop_mask():
     rng = np.random.default_rng(5)
     w, _ = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
     params = params_for(w, 5)
-    y0, _ = dmf.forward([w], params)
+    y0, _ = predict([w], params)
     assert y0.data.shape == (4, 2)
     mask = np.ones(8)
-    y1, _ = dmf.forward([w], params, mask=mask)
+    y1, _ = predict([w], params, mask=mask)
+    np.testing.assert_array_equal(y0.data, y1.data)
+
+
+def test_forward_on_a_view_of_a_wider_gather_equals_a_contiguous_one():
+    # an RL step hands the forward the blocks after the state's "identity"
+    # block of its one gather; the mask scales them in place
+    rng = np.random.default_rng(5)
+    w, _ = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
+    params = params_for(w, 5)
+    mask = rlagent.apply_mask(2, 5, 3)
+    rows = gather_inputs([w], ("identity",) + params.modalities)
+    identity = rows[:, 0].copy()
+    y0, _ = dmf.forward(rows[:, 1:], params, mask=mask)
+    np.testing.assert_array_equal(rows[:, 0], identity)
+    np.testing.assert_array_equal(
+        rows[:, 1:], gather_inputs([w], params.modalities) * mask)
+    y1, _ = predict([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
 
@@ -399,7 +414,7 @@ def test_forward_attention_normalization():
     rng = np.random.default_rng(6)
     w, _ = random_window(rng, n=5, f_t=4, f_s=2, l=4, p=3)
     params = params_for(w, 4, seed=2)
-    _, alphas = dmf.forward([w], params)
+    _, alphas = predict([w], params)
     assert alphas.shape == (4, 5, 2)  # (l, n, M)
     np.testing.assert_allclose(alphas.sum(axis=2), 1.0, atol=1e-6)
     assert np.all(alphas >= 0) and np.all(alphas <= 1)
@@ -411,11 +426,11 @@ def test_masked_feature_column_invariance(monkeypatch):
                                  extras_per_step=1)
     params = params_for(w, 5, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)  # temporal feature 2
-    y0, _ = dmf.forward([w], params, mask=mask)
+    y0, _ = predict([w], params, mask=mask)
     w.table[:, ROWS, :4, 2] = rng.normal(size=(3, 4)) * 1e6
     w.table[:, ROWS, 4:, 2] = 99.0  # the step extras
     repropagate(w.table, snapshots)
-    y1, _ = dmf.forward([w], params, mask=mask)
+    y1, _ = predict([w], params, mask=mask)
     np.testing.assert_array_equal(y0.data, y1.data)
 
     # float32 rows are masked in float32, to the bits of their product
@@ -425,7 +440,7 @@ def test_masked_feature_column_invariance(monkeypatch):
     gcn_layer = dmf.gcn_layer
     monkeypatch.setattr(dmf, "gcn_layer", lambda rows, weight: seen.append(
         rows.copy()) or gcn_layer(rows, weight))
-    dmf.forward([w32], params, mask=mask)
+    predict([w32], params, mask=mask)
     expected = gather_inputs([w32], params.modalities) * mask
     assert mask.dtype == np.float64 and seen[0].dtype == np.float32
     assert np.signbit(expected[..., 2]).any()
@@ -438,10 +453,10 @@ def test_unmasked_column_still_matters():
     w, snapshots = random_window(rng, n=4, f_t=5, f_s=3, l=3, p=2)
     params = params_for(w, 5, seed=3)
     mask = rlagent.apply_mask(2, 5, 3)
-    y0, _ = dmf.forward([w], params, mask=mask)
+    y0, _ = predict([w], params, mask=mask)
     w.table[:, ROWS, :, 0] += 1.0
     repropagate(w.table, snapshots)
-    y1, _ = dmf.forward([w], params, mask=mask)
+    y1, _ = predict([w], params, mask=mask)
     assert not np.array_equal(y0.data, y1.data)
 
 
@@ -449,14 +464,14 @@ def test_node_permutation_equivariance():
     rng = np.random.default_rng(9)
     w, snapshots = random_window(rng, n=5, f_t=4, f_s=2, l=3, p=2)
     params = params_for(w, 4, seed=4)
-    y0, _ = dmf.forward([w], params)
+    y0, _ = predict([w], params)
 
     perm = rng.permutation(5)
     w2 = replace(w, table=w.table[:, :, perm])
     repropagate(w2.table, [graphs.GraphSnapshot(
         adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
         for s in snapshots])
-    y1, _ = dmf.forward([w2], params)
+    y1, _ = predict([w2], params)
     np.testing.assert_allclose(y1.data, y0.data[perm], atol=1e-12)
 
 
@@ -465,7 +480,7 @@ def test_dynamic_topology_with_step_extras():
     w, _ = random_window(rng, n=3, f_t=4, f_s=2, l=4, p=2,
                          extras_per_step=2)
     params = params_for(w, 4, seed=5)
-    y, _ = dmf.forward([w], params)
+    y, _ = predict([w], params)
     assert y.data.shape == (3, 2)
 
 
@@ -474,7 +489,7 @@ def test_single_modality_and_identity_variants():
     w, _ = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
     for modalities in (("d",), ("tt",), ("identity",)):
         params = params_for(w, 4, seed=6, modalities=modalities)
-        y, alphas = dmf.forward([w], params)
+        y, alphas = predict([w], params)
         assert y.data.shape == (4, 2)
         assert alphas is None  # no fusion in single-graph variants
 
@@ -483,9 +498,8 @@ def test_empty_node_set_errors():
     rng = np.random.default_rng(12)
     w, _ = random_window(rng, n=4, f_t=4, f_s=2, l=3, p=2)
     w.det_indices = w.det_indices[:0]
-    params = dmf.DmfParameters.init(4, 2, 8, 2)
     with pytest.raises(ValueError, match="empty"):
-        dmf.forward([w], params)
+        gather_inputs([w], ("d", "tt"))
 
 
 def test_forward_gradients_match_finite_differences():
@@ -495,8 +509,8 @@ def test_forward_gradients_match_finite_differences():
     params = float64_params(params_for(w, 3, hidden=4, seed=7))
 
     def f():
-        y, _ = dmf.forward([w], params)
-        return dmf.mse_loss(y, [w])
+        y, _ = predict([w], params)
+        return dmf.mse_loss(y, [w.targets])
 
     assert nc.finite_diff_check(f, list(params.tensors.values())) < 1e-4
 
@@ -519,8 +533,8 @@ def test_parameters_are_views_of_one_flat_vector():
 def _backward_once(params):
     rng = np.random.default_rng(4)
     w, _ = random_window(rng, n=3, f_t=3, f_s=2, l=2, p=2)
-    y, _ = dmf.forward([w], params)
-    dmf.mse_loss(y, [w]).backward()
+    y, _ = predict([w], params)
+    dmf.mse_loss(y, [w.targets]).backward()
 
 
 def test_grad_is_the_tensors_gradients_in_key_order():

@@ -15,6 +15,12 @@ from evacnet.rlagent import (Agent, EpsilonSchedule, QNetwork, ReplayBuffer,
 ROWS = INPUT_MODALITIES.index("identity")  # the unpropagated rows
 
 
+def identity_rows(windows):
+    """The batch's (l, N, F) unpropagated rows, as `build_state` reads
+    them."""
+    return dataio.gather_inputs(windows, ("identity",))[:, 0]
+
+
 def make_transition(rng, n_features=4, priority=1.0):
     return (rng.normal(size=n_features), int(rng.integers(n_features)),
             float(rng.normal()), rng.normal(size=n_features), priority)
@@ -24,7 +30,7 @@ def test_build_state_single_constant_node():
     rng = np.random.default_rng(0)
     w, _ = random_window(rng, n=1, f_t=3, f_s=2, l=4, p=1)
     w.table[:, ROWS, 0] = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    s = build_state([w], 3)
+    s = build_state(identity_rows([w]), 3)
     np.testing.assert_allclose(s, [1, 2, 3, 4, 5])
 
 
@@ -34,7 +40,8 @@ def test_build_state_mean_over_time():
     w.table[0, ROWS, 0, 0] = 0.0
     w.table[1, ROWS, 0, 0] = 2.0
     w.table[:, ROWS, 0, 1] = 7.0
-    np.testing.assert_allclose(build_state([w], 1), [1.0, 7.0])
+    np.testing.assert_allclose(build_state(identity_rows([w]), 1),
+                               [1.0, 7.0])
 
 
 def test_build_state_length_and_empty():
@@ -43,9 +50,9 @@ def test_build_state_length_and_empty():
     # three windows over one table, as every batch of a dataset is
     ws = [w, replace(w, det_indices=np.array([0, 2])),
           replace(w, det_indices=np.array([1]))]
-    assert build_state(ws, 4).shape == (6,)
-    with pytest.raises(ValueError):
-        build_state([], 4)
+    assert build_state(identity_rows(ws), 4).shape == (6,)
+    with pytest.raises(ValueError, match="empty batch"):
+        identity_rows([])
 
 
 def build_state_reference(windows, f_t):
@@ -78,7 +85,9 @@ def test_build_state_bit_identical_to_full_row_gather(name, tmp_path):
     order = np.random.default_rng(0).permutation(len(windows))
     for k in range(0, len(order), 8):
         batch = [windows[i] for i in order[k:k + 8]]
-        np.testing.assert_array_equal(build_state(batch, ds.f_t),
+        # the "identity" block of an RL step's one gather, a strided view
+        rows = dataio.gather_inputs(batch, dataio.INPUT_MODALITIES)[:, 0]
+        np.testing.assert_array_equal(build_state(rows, ds.f_t),
                                       build_state_reference(batch, ds.f_t))
 
 

@@ -1,5 +1,6 @@
+import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import datetime
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_scenario_roundtrip_json(tmp_path):
     assert loaded == scen
 
 
+def test_scenario_file_with_the_dropped_wave_period_generates_s3(tmp_path):
+    # scenario.json files written before the field was dropped carry it
+    s3 = builtin_scenarios()["S3"]
+    generate(s3, tmp_path / "now")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"scenario": {**asdict(s3),
+                                            "wave_period_hours": 6}}))
+    generate(synth.load_scenario_file(old), tmp_path / "old")
+    for name in ("meta.csv", "records.csv"):
+        assert (tmp_path / "old" / name).read_bytes() \
+            == (tmp_path / "now" / name).read_bytes()
+    old.write_text(json.dumps({**asdict(s3), "wave_period_hours": "6"}))
+    with pytest.raises(ValueError, match="wave_period_hours must be int"):
+        synth.load_scenario_file(old)
+
+
 def test_invalid_scenario_rejected():
     with pytest.raises(ValueError):
         Scenario(name="bad", seed=0, order_hour=200,
@@ -217,14 +234,16 @@ def scenarios(draw):
             st.floats(-1.0, 0.0) | st.floats(1e3, 1e12) | st.just(1e308)),
         forced_outages=field(
             "forced_outages",
-            st.lists(st.tuples(st.just(0),
-                               st.integers(0, max(0, horizon - 1)),
-                               st.integers(1, 50)), max_size=2),
+            # each ends inside the horizon
+            st.lists(st.integers(0, max(0, horizon - 1)).flatmap(
+                lambda start: st.tuples(
+                    st.just(0), st.just(start),
+                    st.integers(1, max(1, min(50, horizon - start))))),
+                max_size=2),
             st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 10 ** 20),
                                st.integers(0, 10 ** 20)), min_size=1,
                      max_size=2)),
         congestion_waves=draw(st.booleans()),
-        wave_period_hours=draw(st.integers(-1, 12)),
         wave_speed_det_per_hour=field("wave_speed_det_per_hour",
                                       st.floats(-10.0, 10.0),
                                       st.floats(-1e308, 1e308)),

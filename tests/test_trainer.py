@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import predict
 from float64_params import float64_params, float64_windows
 from static_rows_reference import _static_rows
 from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
@@ -235,8 +239,8 @@ def _forward_rows(windows, params, static_full):
         return gcn_layer(rows, weight)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmf, "gcn_layer", recording)
-        dmf.forward(windows, params,
-                    static_blocks=dmf.frozen_blocks(static_full, windows))
+        predict(windows, params,
+                static_blocks=dataio.frozen_blocks(static_full, windows))
     return seen[0]
 
 
@@ -291,9 +295,8 @@ def builtin(tmp_path_factory):
 def _loss_and_grads(batch, params, mask, blocks):
     for t in params.tensors.values():
         t.zero_grad()
-    predicted, _ = dmf.forward(batch, params, mask=mask,
-                               static_blocks=blocks)
-    loss = dmf.mse_loss(predicted, batch)
+    predicted, _ = predict(batch, params, mask=mask, static_blocks=blocks)
+    loss = dmf.mse_loss(predicted, [w.targets for w in batch])
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
 
@@ -305,7 +308,7 @@ def _assert_batch_is_mean_of_singles(ds, batch, modalities, mask=None,
         ds.f_t, ds.f_s, 16, ds.p, modalities=modalities, seed=3))
     batch = float64_windows(batch)
     blocks = (None if static_full is None
-              else dmf.frozen_blocks(static_full, batch))
+              else dataio.frozen_blocks(static_full, batch))
     loss, grads = _loss_and_grads(batch, params, mask, blocks)
     singles = [_loss_and_grads([w], params, mask, blocks) for w in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
@@ -454,18 +457,26 @@ def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
                                     modalities=cfg.modalities(), seed=3)
     windows = ds.train_windows + ds.val_windows
     static_full = trainer._static_distance_adj(ds)
-    calls = []
-    forward = dmf.forward
+    calls, forwards = [], []
+    gather, forward = dataio.gather_inputs, dmf.forward
 
-    def recording(chunk, params, mask=None, static_blocks=None):
+    def recording(chunk, modalities, static_blocks=None):
         calls.append((chunk, static_blocks))
-        return forward(chunk, params, mask=mask, static_blocks=static_blocks)
+        return gather(chunk, modalities, static_blocks)
+
+    def counting(rows, params, mask=None):
+        forwards.append(rows.shape[2])
+        return forward(rows, params, mask=mask)
     monkeypatch.setattr(trainer, "EVAL_ROWS", 37)
-    monkeypatch.setattr(dmf, "forward", recording)
+    monkeypatch.setattr(dataio, "gather_inputs", recording)
+    monkeypatch.setattr(dmf, "forward", counting)
     trainer.evaluate(params, windows, ds, static_full)
     bounds = trainer._chunks(windows)
     assert len(bounds) > 1
     assert len(calls) == len(bounds)
+    # each chunk's rows go through one forward pass
+    assert forwards == [sum(len(w.det_indices) for w in chunk)
+                        for chunk, _ in calls]
     blocks = calls[0][1]
     assert blocks.keys() == {w.det_indices.tobytes() for w in windows}
     assert len(blocks) < len(windows)
@@ -499,6 +510,57 @@ def test_gather_rejects_windows_of_two_tables(builtin):
         dataio.gather_inputs([a, b], ("d",))
 
 
+@pytest.mark.parametrize("windows, message", [
+    pytest.param(lambda w: [], "empty batch of windows", id="no-window"),
+    pytest.param(
+        lambda w: [dataclasses.replace(w, det_indices=w.det_indices[:0])],
+        "window has an empty predicted node set", id="no-node"),
+    pytest.param(lambda w: [w, dataclasses.replace(w, l=w.l - 1)],
+                 "windows in a batch differ in input length", id="two-l"),
+])
+def test_gather_rejects_a_malformed_batch(builtin, windows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataio.gather_inputs(windows(builtin["S1"].train_windows[0]),
+                             ("d", "tt"))
+
+
+@pytest.mark.parametrize("module", [dmf, rlagent])
+def test_network_and_agent_import_neither_dataio_nor_graphs(module):
+    """Only `dataio` reads a window's input rows: the network and the
+    agent compute on the arrays it gathers."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not {name.rsplit(".", 1)[-1] for name in imported} \
+        & {"dataio", "graphs"}
+
+
+@pytest.mark.parametrize("variant", ["rl_dmf", "dmf_no_rl"])
+def test_a_training_step_gathers_its_batch_once(dataset, variant):
+    # one batch and no validation windows: one step and no evaluate
+    one_step = dataclasses.replace(
+        dataset, train_windows=dataset.train_windows[:8], val_windows=[])
+    # counted by code object, however a module reached the function
+    code, calls = dataio.gather_inputs.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["modalities"])
+    sys.setprofile(profile)
+    try:
+        trainer.train(tiny_config(variant=variant, epochs=1, batch_size=8),
+                      one_step)
+    finally:
+        sys.setprofile(None)
+    modalities = TrainConfig(variant=variant).modalities()
+    assert calls == [("identity",) + modalities if variant == "rl_dmf"
+                     else modalities]
+
+
 @pytest.mark.parametrize("name", ["S1", "S2"])
 def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
     """Grouping moves no bit of a prediction or of an attention weight:
@@ -507,11 +569,11 @@ def test_window_predicted_alone_equals_its_rows_in_a_batch(builtin, name):
     ds = builtin[name]
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 32, ds.p, seed=3)
     windows = ds.train_windows + ds.val_windows
-    alone = [(y.data, a) for y, a in (dmf.forward([w], params)
+    alone = [(y.data, a) for y, a in (predict([w], params)
                                       for w in windows)]
     for size in (8, len(windows)):
         for k in range(0, len(windows), size):
-            predicted, alphas = dmf.forward(windows[k:k + size], params)
+            predicted, alphas = predict(windows[k:k + size], params)
             np.testing.assert_array_equal(
                 predicted.data,
                 np.concatenate([y for y, _ in alone[k:k + size]]))
@@ -525,8 +587,8 @@ def test_forecaster_and_agent_networks_run_in_float32(dataset, monkeypatch):
     seen = []
     mse_loss = dmf.mse_loss
 
-    def recording(predicted, windows):
-        loss = mse_loss(predicted, windows)
+    def recording(predicted, targets):
+        loss = mse_loss(predicted, targets)
         seen.append((predicted.data.dtype, loss.data.dtype))
         return loss
     monkeypatch.setattr(dmf, "mse_loss", recording)
@@ -558,8 +620,8 @@ def test_float32_batch_loss_and_gradient_match_float64(builtin):
     runs = []
     for p, windows in ((params, batch),
                        (float64_params(params), float64_windows(batch))):
-        predicted, _ = dmf.forward(windows, p, mask=mask)
-        loss = dmf.mse_loss(predicted, windows)
+        predicted, _ = predict(windows, p, mask=mask)
+        loss = dmf.mse_loss(predicted, [w.targets for w in windows])
         loss.backward()
         runs.append((loss.item(), p.grad()))
     (loss32, grad32), (loss64, grad64) = runs
