@@ -752,30 +752,15 @@ class WindowSample:
     table: np.ndarray  # `input_table`, shared, not a copy
 
 
-def frozen_blocks(static_adj, windows):
-    """The static-graph baseline's normalized blocks of the frozen graph
-    `static_adj` over every detector: one per distinct predicted detector
-    set of `windows`, keyed by `det_indices.tobytes()`, in the dtype of
-    the windows' input table."""
-    dtype = windows[0].table.dtype
-    blocks = {}
-    for w in windows:
-        key = w.det_indices.tobytes()
-        if key not in blocks:
-            det = w.det_indices
-            blocks[key] = graphs.gcn_normalize(
-                static_adj[np.ix_(det, det)]).astype(dtype)
-    return blocks
-
-
-def gather_inputs(windows, modalities, static_blocks=None):
+def gather_inputs(windows, modalities, static_chain=None):
     """(l, M, N, F) input rows of a batch of windows of equal l over one
     input table, N their predicted detectors in window order, one block
     per modality in `INPUT_MODALITIES`: one fancy index of the table, at
-    hours anchor + arange(l) of each row's window. `static_blocks` (the
-    static-graph baseline) maps each window's detector set to its
-    normalized block of the frozen graph (`frozen_blocks`), by which that
-    window's rows are multiplied."""
+    hours anchor + arange(l) of each row's window. `static_chain`, the
+    static-graph baseline's frozen chain over every detector (an array of
+    `graphs.EDGE`), replaces the rows by their product with its normalized
+    restriction to each window's predicted detectors, in float64 and
+    rounded once to the table's dtype."""
     if not windows:
         raise ValueError("empty batch of windows")
     l, table = windows[0].l, windows[0].table
@@ -787,18 +772,22 @@ def gather_inputs(windows, modalities, static_blocks=None):
         if w.table is not table:
             raise ValueError("windows of a batch read different input tables")
     dets = [w.det_indices for w in windows]
-    anchors = np.repeat([w.anchor_index for w in windows],
-                        [len(d) for d in dets])
+    lens = [len(d) for d in dets]
+    anchors = np.repeat([w.anchor_index for w in windows], lens)
     hours = anchors + np.arange(l)[:, None]  # (l, N)
     k = [INPUT_MODALITIES.index(g) for g in modalities]
     rows = table[hours[:, None], np.array(k)[:, None], np.concatenate(dets)]
-    if static_blocks is not None:
-        start = 0
-        for d in dets:
-            stop = start + len(d)
-            rows[:, :, start:stop] = (static_blocks[d.tobytes()]
-                                      @ rows[:, :, start:stop])
-            start = stop
+    if static_chain is not None:
+        # each detector's row in each window, -1 where it is not predicted;
+        # an edge needs both ends predicted in a window, so gaps stay gaps
+        pos = np.full((len(dets), table.shape[2]), -1)
+        pos[np.repeat(np.arange(len(dets)), lens),
+            np.concatenate(dets)] = np.arange(len(anchors))
+        i, j = pos[:, static_chain["i"]], pos[:, static_chain["j"]]
+        keep = (i >= 0) & (j >= 0)
+        i, j, w = i[keep], j[keep], static_chain["w"][keep.nonzero()[1]]
+        norm = graphs.inv_sqrt_degree(len(anchors), i, j, w)
+        rows[...] = graphs.normalized_product(i, j, w, norm, rows)
     return rows
 
 

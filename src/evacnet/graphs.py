@@ -2,8 +2,8 @@
 
 Two modalities are built for every hour: a distance graph whose edge
 weights are mileposts apart, and a travel-time graph whose weights are
-distance over the mean of the endpoint speeds. Both are min-max scaled
-per snapshot and symmetrically normalized for the GCN stage.
+distance over the mean of the endpoint speeds. Both are chains along each
+highway, held as edges, min-max scaled per snapshot and normalized.
 
 The first GCN product Ã·X needs no parameters, so `propagate` computes it
 once per snapshot when the data are prepared.
@@ -11,7 +11,7 @@ once per snapshot when the data are prepared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +19,21 @@ import numpy as np
 W_FLOOR = 0.01
 # Speed substituted when a mean endpoint speed is non-positive (stalled flow).
 V_MIN = 5.0
+# A chain graph as one array: each edge's two ends and its scaled weight.
+EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 @dataclass
 class GraphSnapshot:
-    """Both weighted adjacencies over one hour's active detectors, in the
-    order `build_snapshot` was given them."""
-    adj_d: np.ndarray  # scaled weights, symmetric, zero diagonal
-    adj_tt: np.ndarray
-    norm_d: np.ndarray = field(default=None)  # D^-1/2 (A+I) D^-1/2
-    norm_tt: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.norm_d is None:
-            self.norm_d = gcn_normalize(self.adj_d)
-        if self.norm_tt is None:
-            self.norm_tt = gcn_normalize(self.adj_tt)
+    """Both weighted graphs over one hour's active detectors as chain edges
+    i–j, indices into the order `build_snapshot` was given them; no
+    detector is twice in `i` or twice in `j`."""
+    i: np.ndarray
+    j: np.ndarray
+    adj_d: np.ndarray  # (E,) scaled distance weights
+    adj_tt: np.ndarray  # (E,) scaled travel-time weights
+    norm_d: np.ndarray  # (n,) D^-1/2 of A + I, by `inv_sqrt_degree`
+    norm_tt: np.ndarray
 
 
 def chain_edges(highway, milepost, speed):
@@ -58,8 +57,8 @@ def chain_edges(highway, milepost, speed):
     return i, j, miles, miles / np.where(v <= 0, V_MIN, v)
 
 
-def scale_weights(raw, w_floor=W_FLOOR):
-    """Affine-map raw edge weights onto [w_floor, 1] per snapshot.
+def scale_weights(raw):
+    """Affine-map raw edge weights onto [W_FLOOR, 1] per snapshot.
 
     Degenerate ranges (all-equal weights, single edge) map to 1.0 so no
     edge is silently deleted.
@@ -70,37 +69,49 @@ def scale_weights(raw, w_floor=W_FLOOR):
     lo, hi = raw.min(), raw.max()
     if hi == lo:
         return np.ones_like(raw)
-    return w_floor + (raw - lo) / (hi - lo) * (1.0 - w_floor)
+    return W_FLOOR + (raw - lo) / (hi - lo) * (1.0 - W_FLOOR)
 
 
-def gcn_normalize(adj):
-    """Symmetric normalization with self-loops: D^-1/2 (A+I) D^-1/2."""
-    adj = np.asarray(adj, dtype=float)
-    a_hat = adj + np.eye(adj.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+def inv_sqrt_degree(n, i, j, w):
+    """(n,) D^-1/2 of A + I for the graph over n nodes with the edges i–j
+    of weights w, no node twice in i or twice in j."""
+    return 1.0 / np.sqrt(1.0 + np.bincount(i, w, n) + np.bincount(j, w, n))
+
+
+def normalized_product(i, j, w, d, x):
+    """D^-1/2 (A+I) D^-1/2 · x in float64 for the edges i–j of weights w,
+    `d` their `inv_sqrt_degree` and the nodes on x's second-to-last axis:
+    x_i/deg_i plus w·d_i·d_j·x_j per neighbour j, float32 rows widened
+    exactly by the float64 factors. No node is twice in i or twice in j,
+    so each indexed += adds one term per node."""
+    out = x * (d * d)[:, None]
+    c = (w * d[i] * d[j])[:, None]
+    out[..., i, :] += c * x[..., j, :]
+    out[..., j, :] += c * x[..., i, :]
+    return out
 
 
 def build_snapshot(highway, milepost, speed):
-    """Build both modality adjacencies over the given active detectors:
-    arrays of their highways, mileposts and speeds (mph) at this hour, in
-    the same order."""
+    """Build both modality graphs over the given active detectors: arrays
+    of their highways, mileposts and speeds (mph) at this hour, in the
+    same order."""
     n = len(milepost)
     i, j, miles, hours = chain_edges(highway, milepost, speed)
-    adj_d = np.zeros((n, n))
-    adj_tt = np.zeros((n, n))
-    adj_d[i, j] = adj_d[j, i] = scale_weights(miles)
-    adj_tt[i, j] = adj_tt[j, i] = scale_weights(hours)
-    return GraphSnapshot(adj_d=adj_d, adj_tt=adj_tt)
+    adj_d, adj_tt = scale_weights(miles), scale_weights(hours)
+    return GraphSnapshot(i=i, j=j, adj_d=adj_d, adj_tt=adj_tt,
+                         norm_d=inv_sqrt_degree(n, i, j, adj_d),
+                         norm_tt=inv_sqrt_degree(n, i, j, adj_tt))
 
 
 def propagate(snapshot, x):
-    """Ã·x for both modalities: {"d": norm_d @ x, "tt": norm_tt @ x}.
+    """Ã·x for both modalities, in float64: {"d": ..., "tt": ...}.
 
     `x` holds one row per snapshot node, in the snapshot's order. A feature
     mask scales columns, so it commutes with this product and can be
     applied afterwards.
     """
-    if x.shape[0] != snapshot.adj_d.shape[0]:
+    if x.shape[0] != len(snapshot.norm_d):
         raise ValueError("feature rows disagree with the snapshot's nodes")
-    return {"d": snapshot.norm_d @ x, "tt": snapshot.norm_tt @ x}
+    s = snapshot
+    return {"d": normalized_product(s.i, s.j, s.adj_d, s.norm_d, x),
+            "tt": normalized_product(s.i, s.j, s.adj_tt, s.norm_tt, x)}

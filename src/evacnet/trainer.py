@@ -119,29 +119,32 @@ class TrainResult:
     epoch_logs: list
     agent: rlagent.Agent | None
     ranking_rows: list | None
-    static_adj_full: np.ndarray | None = None
+    static_adj_full: np.ndarray | None = None  # frozen graphs.EDGE chain
 
 
-def _static_distance_adj(dataset):
-    """Frozen distance adjacency over the union of all detectors."""
+def _frozen_chain(dataset):
+    """The static baseline's frozen distance graph over every detector:
+    its chain edges and their scaled miles, as an array of `graphs.EDGE`."""
     det = dataset.detectors
-    speed = np.full(len(det.milepost), graphs.V_MIN)
-    return graphs.build_snapshot(det.highway, det.milepost, speed).adj_d
+    i, j, miles, _ = graphs.chain_edges(
+        det.highway, det.milepost, np.full(len(det.milepost), graphs.V_MIN))
+    return np.fromiter(zip(i, j, graphs.scale_weights(miles)), graphs.EDGE,
+                       len(i))
 
 
 def static_graph(payload, config, dataset):
     """The frozen graph a checkpoint's model reads on `dataset`: None
-    unless its variant is `static_gcn_lstm`, else the distance graph over
+    unless its variant is `static_gcn_lstm`, else the distance chain over
     the corpus's detectors, which must equal the one it was trained on
     (ValueError)."""
     if config.variant != "static_gcn_lstm":
         return None
-    graph = _static_distance_adj(dataset)
+    graph = _frozen_chain(dataset)
     saved = payload["static_adj_full"]
     if not np.array_equal(saved, graph):
         raise ValueError(
-            f"was trained on a static graph of shape {np.shape(saved)} over "
-            f"other detectors than the corpus's {graph.shape} graph")
+            f"was trained on a static graph of {len(saved)} edges over "
+            f"other detectors than the corpus's graph of {len(graph)} edges")
     return graph
 
 
@@ -161,10 +164,8 @@ def train(config, dataset, log_fn=None):
                                     config.p, modalities=config.modalities(),
                                     seed=config.seed + 1)
     optimizer = nc.Adam(params.flat, lr=config.lr)
-    static_full = blocks = None
-    if config.variant == "static_gcn_lstm":
-        static_full = _static_distance_adj(dataset)
-        blocks = dataio.frozen_blocks(static_full, dataset.train_windows)
+    static_full = (_frozen_chain(dataset)
+                   if config.variant == "static_gcn_lstm" else None)
 
     agent = None
     read = config.modalities()
@@ -196,7 +197,7 @@ def train(config, dataset, log_fn=None):
         eps = None
         for batch_idx in batches:
             batch = [dataset.train_windows[i] for i in batch_idx]
-            rows = dataio.gather_inputs(batch, read, blocks)
+            rows = dataio.gather_inputs(batch, read, static_full)
             mask = None
             state = None
             if agent is not None:
@@ -285,19 +286,16 @@ def evaluate(params, windows, dataset, static_full=None):
     windows holding at most EVAL_ROWS predicted-node rows (a larger window
     alone), each chunk's inputs gathered from the input table with one
     index and its static-graph rows made for it alone, so memory does not
-    grow with the number of windows. The static graph's normalized blocks
-    are made once, one per distinct detector set."""
+    grow with the number of windows."""
     if not windows:
         raise ValueError("no windows to evaluate")
     # constant Tensors over the same arrays: the forward records no graph
     params = replace(params, tensors={k: nc.Tensor(v.data)
                                       for k, v in params.tensors.items()})
-    blocks = (None if static_full is None
-              else dataio.frozen_blocks(static_full, windows))
     predicted = []
     for start, stop in _chunks(windows):
         rows = dataio.gather_inputs(windows[start:stop], params.modalities,
-                                    blocks)
+                                    static_full)
         yhat, _ = dmf.forward(rows, params)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
@@ -437,9 +435,10 @@ def load_checkpoint(path):
     require(saved.dtype == np.float32, "params", "a float32 vector")
     require(counts is None or _is_array(counts, "i", 1) and len(counts) == n,
             "mask_counts", f"None or {n} integer counts")
-    require(payload["static_adj_full"] is None
-            or _is_array(payload["static_adj_full"], "f", 2),
-            "static_adj_full", "None or a float matrix")
+    static = payload["static_adj_full"]
+    require(static is None or _is_array(static, "V", 1)
+            and static.dtype == graphs.EDGE,
+            "static_adj_full", "None or a vector of chain edges (i, j, w)")
     # counted, not made: the config's sizes would set the allocation
     size = dmf.DmfParameters.size(f_t, f_s, cfg.hidden, cfg.p,
                                   cfg.modalities())

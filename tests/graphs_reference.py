@@ -1,12 +1,16 @@
 """Reference oracle for the graph stage: the per-object, per-edge
 `build_edges`, `travel_time` and `build_snapshot` that `graphs.chain_edges`
-and the array `graphs.build_snapshot` replaced, kept so that the array code
-can be checked to build the same snapshots bit for bit. Only the imports
-and the snapshot, which no longer holds the detector ids, differ."""
+and the array `graphs.build_snapshot` replaced, and the dense n × n
+adjacency, `gcn_normalize` and product that the edge-list snapshot and
+`graphs.normalized_product` replaced, kept so that the array code can be
+checked against them. Only the imports and the snapshot, which no longer
+holds the detector ids, differ."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from evacnet.graphs import V_MIN, GraphSnapshot, scale_weights
+from evacnet.graphs import V_MIN, scale_weights
 
 
 def build_edges(active_metas):
@@ -44,8 +48,38 @@ def travel_time(d_ij, v_i, v_j):
     return d_ij / v, floored
 
 
+def gcn_normalize(adj):
+    """Symmetric normalization with self-loops: D^-1/2 (A+I) D^-1/2."""
+    adj = np.asarray(adj, dtype=float)
+    a_hat = adj + np.eye(adj.shape[0])
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+
+
+def dense(n, i, j, w):
+    """The symmetric n × n adjacency whose edges i–j have weights w."""
+    adj = np.zeros((n, n))
+    adj[i, j] = adj[j, i] = w
+    return adj
+
+
+def product(adj, x):
+    """gcn_normalize(adj) @ x in float64, over the nodes on x's
+    second-to-last axis."""
+    return gcn_normalize(adj) @ np.asarray(x, dtype=np.float64)
+
+
+def propagate(snapshot, x):
+    """Ã·x for both modalities of a snapshot of this module's
+    `build_snapshot`, in float64: {"d": norm_d @ x, "tt": norm_tt @ x}."""
+    x = np.asarray(x, dtype=np.float64)
+    return {"d": snapshot.norm_d @ x, "tt": snapshot.norm_tt @ x}
+
+
 def build_snapshot(active_metas, speeds):
-    """Build both modality adjacencies over the given active detectors.
+    """Build both modality adjacencies over the given active detectors,
+    dense: `adj_d` and `adj_tt` and their normalizations `norm_d` and
+    `norm_tt`, each n × n.
 
     `speeds` maps detector_id -> mph at this hour.
     """
@@ -67,4 +101,6 @@ def build_snapshot(active_metas, speeds):
         adj_d[i, j] = adj_d[j, i] = scaled_d[k]
         adj_tt[i, j] = adj_tt[j, i] = scaled_tt[k]
 
-    return GraphSnapshot(adj_d=adj_d, adj_tt=adj_tt)
+    return SimpleNamespace(adj_d=adj_d, adj_tt=adj_tt,
+                           norm_d=gcn_normalize(adj_d),
+                           norm_tt=gcn_normalize(adj_tt))

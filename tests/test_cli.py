@@ -423,12 +423,12 @@ def static_trained(corpus, tmp_path_factory):
 
 @pytest.mark.parametrize("corridors, message", [
     ([("I75", 4, 4.0)], None),
-    ([("I75", 5, 4.0)], "was trained on a static graph of shape (4, 4) "
-                        "over other detectors than the corpus's (5, 5) graph"),
+    ([("I75", 5, 4.0)], "was trained on a static graph of 3 edges over "
+                        "other detectors than the corpus's graph of 4 edges"),
     # four detectors too, on two chains instead of one
     ([("I75", 2, 4.0), ("I4", 2, 4.0)],
-     "was trained on a static graph of shape (4, 4) over other detectors "
-     "than the corpus's (4, 4) graph"),
+     "was trained on a static graph of 3 edges over other detectors than "
+     "the corpus's graph of 2 edges"),
 ], ids=["same-corpus", "more-detectors", "other-positions"])
 def test_static_checkpoint_on_another_corpus_is_user_error(
         corridors, message, static_trained, tmp_path, caplog):
@@ -558,14 +558,19 @@ def _setting(key, value):
     (_setting("mask_counts", lambda c: c[:-1]),
      "checkpoint field mask_counts is not None or"),
     (_setting("static_adj_full", [[0.0]]),
-     "checkpoint field static_adj_full is not None or a float matrix"),
+     "checkpoint field static_adj_full is not None or a vector of chain "
+     "edges (i, j, w)"),
+    # the dense n × n frozen graph of an older static checkpoint
+    (_setting("static_adj_full", np.zeros((4, 4))),
+     "checkpoint field static_adj_full is not None or a vector of chain "
+     "edges (i, j, w)"),
     # another precision's model is refused, not rounded
     (_setting("params", lambda v: v.astype(np.float64)),
      "checkpoint field params is not a float32 vector"),
 ], ids=["config-unknown-key", "config-list", "config-rejected-value",
         "params-missing", "mask-counts-missing", "params-list",
         "params-int", "f-s-text", "registry-short", "mask-counts-short",
-        "static-list", "params-float64"])
+        "static-list", "static-dense", "params-float64"])
 def test_malformed_checkpoint_field_is_user_error(command, edit, message,
                                                   corpus, trained, tmp_path,
                                                   caplog):

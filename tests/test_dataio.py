@@ -15,7 +15,9 @@ from evacnet import dataio, graphs, rlagent, synth
 from evacnet.dataio import (INPUT_MODALITIES, SchemaError, engineer_features,
                             input_table, load_csv, make_windows, split_and_fit)
 
+import graphs_reference
 import loader_reference
+from conftest import repropagate
 import normalizer_reference
 from features_reference import as_records
 
@@ -470,9 +472,9 @@ def test_dark_detector_excluded_from_window(tmp_path):
     w = by_anchor[48]
     assert [list(e) for e in w.extra_temporal] == [[det_b]] * 2 + [[]] * 4
     # so those hours' graphs join det_a to det_b: det_a's rows are its row
-    # of the two-node graph's product, rounded to the table's float32; the
-    # later hours hold det_a alone, whose product with its own row is that
-    # row
+    # of the two-node graph's product (by the dense oracle), rounded to the
+    # table's float32; the later hours hold det_a alone, whose product with
+    # its own row is that row
     rows = dataio.gather_inputs([w], ("identity",))[:, 0, 0]
     det = data.detectors
     pair = [det.ids.index("det_a"), det_b]
@@ -481,7 +483,8 @@ def test_dark_detector_excluded_from_window(tmp_path):
     for g in ("d", "tt"):
         prop = dataio.gather_inputs([w], (g,))[:, 0, 0]
         np.testing.assert_array_equal(prop[:2], [
-            (getattr(s, f"norm_{g}") @ table[t, 0, pair])[0]
+            graphs_reference.product(graphs_reference.dense(
+                2, s.i, s.j, getattr(s, f"adj_{g}")), table[t, 0, pair])[0]
             .astype(np.float32) for s, t in zip(joined, (48, 49))])
         np.testing.assert_array_equal(prop[2:], rows[2:])
         k = INPUT_MODALITIES.index(g)
@@ -543,11 +546,40 @@ def test_propagated_rows_match_window_order_graph(tmp_path):
             np.testing.assert_array_equal(
                 dataio.gather_inputs([w], ("identity",))[step, 0],
                 raw[:len(pred)])
-            for g, norm_adj in (("d", snap.norm_d), ("tt", snap.norm_tt)):
+            for g in ("d", "tt"):
+                adj = graphs_reference.dense(len(order), snap.i, snap.j,
+                                             getattr(snap, f"adj_{g}"))
                 np.testing.assert_allclose(
                     dataio.gather_inputs([w], (g,))[step, 0] * m,
-                    (norm_adj @ (raw * m)).astype(np.float32)[:len(pred)],
-                    rtol=1e-12, atol=1e-12)
+                    graphs_reference.product(adj, raw * m)
+                    .astype(np.float32)[:len(pred)], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_table_equals_dense_oracle(tmp_path, name):
+    """Every graph product of the input table equals, bit for bit, the
+    dense oracle's over that hour's active detectors: its n × n
+    normalization times the table's rows, in float64, rounded once to
+    float32."""
+    meta, records, _ = synth.generate(synth.builtin_scenarios()[name],
+                                      tmp_path)
+    ds = dataio.prepare(meta, records, l=6, p=6)
+    data = engineer_features(*reversed(load_csv(meta, records)))
+    table = ds.train_windows[0].table
+    det = data.detectors
+    covered = sorted({w.anchor_index + s for w in ds.train_windows
+                      + ds.val_windows for s in range(ds.l)})
+    assert len(covered) > 100
+    for t in covered:
+        act = np.flatnonzero(data.active[:, t])
+        ref = graphs_reference.build_snapshot(
+            [SimpleNamespace(detector_id=k, highway=det.highway[k],
+                             milepost=det.milepost[k]) for k in act],
+            dict(zip(act, data.speed[act, t])))
+        hour = table[t:t + 1][:, :, act]  # a copy of the hour's rows
+        hour[:, 1:] = np.nan
+        repropagate(hour, [ref], graphs_reference.propagate)
+        assert hour.tobytes() == table[t:t + 1][:, :, act].tobytes(), t
 
 
 def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):

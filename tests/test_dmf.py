@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import predict, random_window, repropagate
+from conftest import chain_snapshot, predict, random_window, repropagate
 from float64_params import float64_params
 from lstm_reference import lstm_step as column_block_lstm
-from evacnet import dmf, graphs, numcore as nc, rlagent
+from evacnet import dmf, numcore as nc, rlagent
 from evacnet.dataio import INPUT_MODALITIES, gather_inputs
 from evacnet.numcore import Tensor
 
@@ -468,9 +468,10 @@ def test_node_permutation_equivariance():
 
     perm = rng.permutation(5)
     w2 = replace(w, table=w.table[:, :, perm])
-    repropagate(w2.table, [graphs.GraphSnapshot(
-        adj_d=s.adj_d[np.ix_(perm, perm)], adj_tt=s.adj_tt[np.ix_(perm, perm)])
-        for s in snapshots])
+    # node perm[k] is node k of the permuted table
+    at = np.argsort(perm)
+    repropagate(w2.table, [chain_snapshot(5, at[s.i], at[s.j], s.adj_d,
+                                          s.adj_tt) for s in snapshots])
     y1, _ = predict([w2], params)
     np.testing.assert_allclose(y1.data, y0.data[perm], atol=1e-12)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import predict
 from float64_params import float64_params, float64_windows
 from static_rows_reference import _static_rows
+import graphs_reference
 from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
                      trainer)
 from evacnet.synth import Scenario
@@ -230,7 +231,7 @@ def test_ablate_isolates_failures(dataset, monkeypatch):
 
 def _forward_rows(windows, params, static_full):
     """The (l, M, N, F) rows `dmf.forward` hands its GCN layer, given the
-    frozen graph's blocks over `windows`."""
+    frozen chain `static_full`."""
     seen = []
     gcn_layer = dmf.gcn_layer
 
@@ -239,47 +240,42 @@ def _forward_rows(windows, params, static_full):
         return gcn_layer(rows, weight)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmf, "gcn_layer", recording)
-        predict(windows, params,
-                static_blocks=dataio.frozen_blocks(static_full, windows))
+        predict(windows, params, static_chain=static_full)
     return seen[0]
 
 
 def test_static_variant_frozen_adjacency(dataset):
-    full = trainer._static_distance_adj(dataset)
+    chain = trainer._frozen_chain(dataset)
     n = len(dataset.detectors.ids)
-    assert full.shape == (n, n)
-    np.testing.assert_array_equal(full, full.T)
+    # one highway of four detectors: a chain of three edges
+    assert chain.dtype == graphs.EDGE and chain.shape == (n - 1,)
+    full = graphs_reference.dense(n, chain["i"], chain["j"], chain["w"])
     # a window over all detectors, and one over three of them, so that
-    # the block is a proper, non-leading sub-matrix of the frozen graph
+    # the block is a proper, non-leading sub-matrix of the frozen graph,
+    # with a gap where detector 1 is left out
     w = dataset.train_windows[0]
     sub = dataclasses.replace(w, det_indices=np.array([0, 2, 3]))
-    rows = _static_rows(full, [w, sub])
+    rows = _static_rows(chain, [w, sub])
     for window, got in zip([w, sub], rows):
         det = window.det_indices
-        adj = graphs.gcn_normalize(full[np.ix_(det, det)])
+        adj = graphs_reference.gcn_normalize(full[np.ix_(det, det)])
         assert adj.shape == (len(det), len(det))
         np.testing.assert_allclose(adj, adj.T, atol=1e-12)
         x = dataio.gather_inputs([window], ("identity",))[:, 0]
         assert got.shape == (w.l, len(det), dataset.f_t + dataset.f_s)
         np.testing.assert_array_equal(got, adj @ x)
-    # the forward's rows equal the reference's with its block rounded to
-    # the float32 rows' dtype, alone and batched
+    # the forward's rows equal the reference's, made in float64 and
+    # rounded once to the float32 rows' dtype, alone and batched
     params = dmf.DmfParameters.init(
         dataset.f_t, dataset.f_s, 8, dataset.p, seed=3,
         modalities=TrainConfig(variant="static_gcn_lstm").modalities())
     assert w.table.dtype == np.float32
     for batch in ([w], [sub], [w, sub], [sub, w]):
-        got = _forward_rows(batch, params, full)
+        got = _forward_rows(batch, params, chain)
+        ref = np.concatenate(_static_rows(chain, batch), axis=1)
         assert got.shape[1] == 1 and got.dtype == np.float32
-        np.testing.assert_array_equal(got[:, 0], np.concatenate(
-            [graphs.gcn_normalize(full[np.ix_(v.det_indices,
-                                             v.det_indices)])
-             .astype(np.float32)
-             @ dataio.gather_inputs([v], ("identity",))[:, 0]
-             for v in batch], axis=1))
-        np.testing.assert_allclose(
-            got[:, 0], np.concatenate(_static_rows(full, batch), axis=1),
-            rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(got[:, 0], ref.astype(np.float32))
+        np.testing.assert_allclose(got[:, 0], ref, rtol=1e-5, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -292,10 +288,10 @@ def builtin(tmp_path_factory):
     return {name: prepare(name) for name in ("S1", "S2")}
 
 
-def _loss_and_grads(batch, params, mask, blocks):
+def _loss_and_grads(batch, params, mask, static_full):
     for t in params.tensors.values():
         t.zero_grad()
-    predicted, _ = predict(batch, params, mask=mask, static_blocks=blocks)
+    predicted, _ = predict(batch, params, mask=mask, static_chain=static_full)
     loss = dmf.mse_loss(predicted, [w.targets for w in batch])
     loss.backward()
     return loss.item(), {k: t.grad.copy() for k, t in params.tensors.items()}
@@ -307,10 +303,9 @@ def _assert_batch_is_mean_of_singles(ds, batch, modalities, mask=None,
     params = float64_params(dmf.DmfParameters.init(
         ds.f_t, ds.f_s, 16, ds.p, modalities=modalities, seed=3))
     batch = float64_windows(batch)
-    blocks = (None if static_full is None
-              else dataio.frozen_blocks(static_full, batch))
-    loss, grads = _loss_and_grads(batch, params, mask, blocks)
-    singles = [_loss_and_grads([w], params, mask, blocks) for w in batch]
+    loss, grads = _loss_and_grads(batch, params, mask, static_full)
+    singles = [_loss_and_grads([w], params, mask, static_full)
+               for w in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
     for name, grad in grads.items():
         ref = np.mean([s[1][name] for s in singles], axis=0)
@@ -348,7 +343,7 @@ def test_batch_loss_and_gradients_equal_mean_of_windows_static(builtin):
     ds = builtin["S2"]
     _assert_batch_is_mean_of_singles(
         ds, _ragged_s2_batch(ds), ("identity",),
-        static_full=trainer._static_distance_adj(ds))
+        static_full=trainer._frozen_chain(ds))
 
 
 @pytest.mark.parametrize("variant", trainer.VARIANTS)
@@ -428,7 +423,7 @@ def test_evaluate_equals_one_window_chunks(builtin, name, variant,
     cfg = TrainConfig(variant=variant, hidden=16, seed=2)
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
                                     modalities=cfg.modalities(), seed=3)
-    static_full = (trainer._static_distance_adj(ds)
+    static_full = (trainer._frozen_chain(ds)
                    if variant == "static_gcn_lstm" else None)
     windows = ds.train_windows + ds.val_windows
     tables = []
@@ -448,21 +443,20 @@ def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
     """The static-graph rows are made per chunk, as it runs, not for every
     window up front: one forward pass, and so one static product, per
     chunk, each given only that chunk's windows. Evaluate's memory does
-    not grow with the windows. The frozen graph's normalized blocks are
-    made once, one per distinct detector set, and every chunk reads
-    them."""
+    not grow with the windows. Every chunk reads the one frozen chain,
+    and nothing is made per detector set."""
     ds = builtin["S2"]
     cfg = TrainConfig(variant="static_gcn_lstm", hidden=16, seed=2)
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, cfg.hidden, ds.p,
                                     modalities=cfg.modalities(), seed=3)
     windows = ds.train_windows + ds.val_windows
-    static_full = trainer._static_distance_adj(ds)
+    static_full = trainer._frozen_chain(ds)
     calls, forwards = [], []
     gather, forward = dataio.gather_inputs, dmf.forward
 
-    def recording(chunk, modalities, static_blocks=None):
-        calls.append((chunk, static_blocks))
-        return gather(chunk, modalities, static_blocks)
+    def recording(chunk, modalities, static_chain=None):
+        calls.append((chunk, static_chain))
+        return gather(chunk, modalities, static_chain)
 
     def counting(rows, params, mask=None):
         forwards.append(rows.shape[2])
@@ -477,11 +471,9 @@ def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
     # each chunk's rows go through one forward pass
     assert forwards == [sum(len(w.det_indices) for w in chunk)
                         for chunk, _ in calls]
-    blocks = calls[0][1]
-    assert blocks.keys() == {w.det_indices.tobytes() for w in windows}
-    assert len(blocks) < len(windows)
-    for (chunk, static_blocks), (start, stop) in zip(calls, bounds):
-        assert static_blocks is blocks
+    assert np.array_equal(static_full, trainer._frozen_chain(ds))
+    for (chunk, static_chain), (start, stop) in zip(calls, bounds):
+        assert static_chain is static_full
         assert len(chunk) == stop - start
         assert all(a is b for a, b in zip(chunk, windows[start:stop]))
 
@@ -628,23 +620,3 @@ def test_float32_batch_loss_and_gradient_match_float64(builtin):
     assert grad32.dtype == np.float32 and grad64.dtype == np.float64
     assert abs(loss32 - loss64) <= 1e-7 * loss64
     assert np.abs(grad32 - grad64).max() <= 1e-5 * np.abs(grad64).max()
-
-
-def test_static_blocks_normalized_once_per_detector_set(dataset,
-                                                        monkeypatch):
-    calls = []
-    normalize = graphs.gcn_normalize
-
-    def counting(adj):
-        calls.append(adj.shape)
-        return normalize(adj)
-    monkeypatch.setattr(graphs, "gcn_normalize", counting)
-    trainer.train(tiny_config(variant="static_gcn_lstm", epochs=2), dataset)
-
-    def sets(windows):
-        return len({w.det_indices.tobytes() for w in windows})
-    # the frozen graph's own snapshot normalizes both modalities once;
-    # then one block per training set, and one per validation set at
-    # each epoch's evaluate
-    assert len(calls) == 2 + sets(dataset.train_windows) \
-        + 2 * sets(dataset.val_windows)
