@@ -14,7 +14,8 @@ then `evacnet ablate` (EPOCHS epochs per ablation variant). It also
 generates, and runs nothing on, the built-in scenarios of CORPUS_ONLY and
 the scenario of each benchmark workload (as the tree's
 `perfbench/workloads.py` builds it) at each of BENCH_SEEDS. It then
-compares generate's `meta.csv` and `records.csv`, train's `model.ckpt`,
+compares generate's `meta.csv`, `records.csv`, `scenario.json` and
+`manifest.json` (which holds the notes), train's `model.ckpt`,
 `metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
 rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
 (so a moved corpus is told from a moved model), prints one line per
@@ -50,7 +51,8 @@ SCENARIOS = ("S1", "S2")
 CORPUS_ONLY = ("S3",)  # built-in scenarios that are only generated
 BENCH_SEEDS = (1, 2)  # the benchmark workloads' seeds that are generated
 EPOCHS = 3
-CORPUS = ("meta.csv", "records.csv")  # generate's compared files
+# generate's compared files; its manifest holds the notes
+CORPUS = ("meta.csv", "records.csv", "scenario.json", "manifest.json")
 # command -> the files of its output directory that are compared
 COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
             "evaluate": ("metrics.csv",),

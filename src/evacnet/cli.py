@@ -146,10 +146,13 @@ def cmd_train(args):
                      "the training split")
     log.info("training %s on %d train / %d val windows", config.variant,
              len(dataset.train_windows), len(dataset.val_windows))
-    result = trainer.train(
-        config, dataset,
-        log_fn=lambda e: log.info("epoch %d loss %.6f", e.epoch,
-                                  e.train_loss))
+    try:
+        result = trainer.train(
+            config, dataset,
+            log_fn=lambda e: log.info("epoch %d loss %.6f", e.epoch,
+                                      e.train_loss))
+    except trainer.TrainingDiverged as exc:
+        raise UserError(f"training diverged: {exc}; lr must be lower")
     outputs = []
     ckpt = out / "model.ckpt"
     trainer.save_checkpoint(result, dataset, ckpt)

@@ -1,24 +1,28 @@
 """Deterministic synthetic evacuation scenarios in the detector CSV schema.
 
 Flow is a diurnal base profile times an evacuation surge multiplier times
-an incident capacity factor, plus seeded noise. Speed follows a linear
-speed-flow curve from free-flow speed down to the floor at capacity, so
-the travel-time graph actually reflects congestion. Outage windows emit
-missing flow/speed.
+an incident capacity factor, plus seeded noise. Speed falls linearly from
+free-flow speed to the floor at capacity, so the travel-time graph reflects
+congestion; outages leave flow and speed empty. `generate` draws the random
+processes in a fixed order, then computes each column as one array over
+(detector, hour), from one table of the incidents active at each.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta
+from itertools import accumulate
 
 import numpy as np
 
 from . import graphs
 from .dataio import (HIGHWAYS, MAX_DETECTOR_HOURS, MAX_FLOW, MAX_MAGNITUDE,
-                     MAX_MILEPOST, MAX_SPAN_HOURS)
+                     MAX_MILEPOST, MAX_SPAN_HOURS, META_COLUMNS,
+                     RECORD_COLUMNS)
 from .fieldtypes import is_a
 
 FREE_FLOW_MPH = 70.0
@@ -71,7 +75,13 @@ class Scenario:
         if not 60 <= self.horizon_hours <= MAX_SPAN_HOURS:
             raise ValueError(f"horizon_hours must be in [60, "
                              f"{MAX_SPAN_HOURS}]")
-        for name in ("base_flow", "surge_peak_multiplier"):
+        # the wave's centre is h * speed; inf % n_det is nan: no wave
+        reach = self.wave_speed_det_per_hour * (self.horizon_hours - 1)
+        if not math.isfinite(reach):
+            raise ValueError(f"wave_speed_det_per_hour * (horizon_hours - 1)"
+                             f" must be finite, got {reach!r}")
+        for name in ("base_flow", "surge_peak_multiplier",
+                     "surge_spatial_decay_miles"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if not 0 <= self.order_hour < self.landfall_hour <= self.horizon_hours:
@@ -103,8 +113,6 @@ class Scenario:
         if not 0 <= self.population_total <= MAX_MAGNITUDE:
             raise ValueError(f"population_total must be in [0, "
                              f"{MAX_MAGNITUDE:.0e}]")
-        if self.surge_spatial_decay_miles <= 0:
-            raise ValueError("surge_spatial_decay_miles must be > 0")
         if not 0 <= self.incident_capacity_drop < 1:
             raise ValueError("incident_capacity_drop must be in [0, 1)")
         if not 1 <= self.lanes <= MAX_MAGNITUDE:
@@ -181,41 +189,64 @@ def _diurnal(hour_of_day, amplitude):
     return 1.0 + amplitude * math.sin((hour_of_day - 11.0) / 24.0 * 2 * math.pi)
 
 
-@dataclass
-class _Detector:
-    detector_id: str
-    highway: str
-    milepost: float
-    lanes: int
-    lat: float
-    lon: float
-    dist_landfall: float
-    dist_evac_zone: float
+_Detector = namedtuple("_Detector", "detector_id highway milepost lanes lat "
+                       "lon dist_landfall dist_evac_zone")
 
 
 def _mileposts(n, spacing):
     """A corridor's n mileposts, from 0. Uneven spacing keeps chain-edge
     distances distinct, so edge orderings between the two modalities can
     differ."""
-    mileposts, milepost = [], 0.0
-    for k in range(n):
-        if k:
-            milepost += spacing * (1.0 + 0.25 * (k % 3))
-        mileposts.append(milepost)
-    return mileposts
+    return list(accumulate((spacing * (1.0 + 0.25 * (k % 3))
+                            for k in range(1, n)), initial=0.0))
 
 
 def _layout(scenario):
-    dets = []
-    for c_idx, (highway, n, spacing) in enumerate(scenario.corridors):
-        for k, milepost in enumerate(_mileposts(n, spacing)):
-            dets.append(_Detector(
-                detector_id=f"{highway}_{k:03d}", highway=highway,
-                milepost=milepost, lanes=scenario.lanes,
-                lat=28.0 + 0.05 * k + c_idx, lon=-82.0 - 0.03 * k,
-                dist_landfall=abs(milepost - scenario.landfall_milepost),
-                dist_evac_zone=max(2.0, 40.0 - milepost)))
-    return dets
+    return [_Detector(
+        detector_id=f"{highway}_{k:03d}", highway=highway,
+        milepost=milepost, lanes=scenario.lanes,
+        lat=28.0 + 0.05 * k + c_idx, lon=-82.0 - 0.03 * k,
+        dist_landfall=abs(milepost - scenario.landfall_milepost),
+        dist_evac_zone=max(2.0, 40.0 - milepost))
+        for c_idx, (highway, n, spacing) in enumerate(scenario.corridors)
+        for k, milepost in enumerate(_mileposts(n, spacing))]
+
+
+def _arrivals(rng, n_det, hours, rate, mean_hours, marks=tuple):
+    """Events that start at each detector-hour with probability `rate`, in
+    draw order: (detector, start, hours drawn about `mean_hours`, *marks())."""
+    return [(i, h, max(1, int(rng.exponential(mean_hours))), *marks())
+            for i in range(n_det) for h in range(hours)
+            if rng.random() < rate]
+
+
+def _incident_table(incidents, n_det, hours):
+    """INCIDENT_COLUMNS per (detector, hour) over the incidents active there:
+    the flag, their count, the most lanes one closes, their vehicles, and the
+    mean and largest of their durations and elapsed times in minutes, 0 where
+    none is. The minutes are whole, so their sums and means are exact."""
+    sums = np.zeros((4, n_det, hours))  # count, vehicles, minutes, elapsed
+    maxima = np.zeros((3, n_det, hours))  # lanes, minutes, elapsed
+    hour = np.arange(hours)
+    for i, start, dur, lanes, veh in incidents:
+        active = slice(start, start + dur)  # start <= h < start + dur
+        elapsed = (hour[active] - start) * 60.0
+        for column, value in zip(sums, (1, veh, dur * 60.0, elapsed)):
+            column[i, active] += value
+        for column, value in zip(maxima, (lanes, dur * 60.0, elapsed)):
+            column[i, active] = np.maximum(column[i, active], value)
+    per = np.maximum(sums[0], 1)
+    return (sums[0] > 0, sums[0], maxima[0], sums[1], sums[2] / per,
+            maxima[1], sums[3] / per, maxima[2])
+
+
+def _fmt(x):
+    return repr(round(float(x), 6))
+
+
+def _incident_cells(row):
+    """A row of the incident table as CSV fields; the first four count."""
+    return ",".join([*("%d" % x for x in row[:4]), *map(_fmt, row[4:])])
 
 
 def generate(scenario, out_dir):
@@ -227,145 +258,94 @@ def generate(scenario, out_dir):
     scenario.validate()
     rng = np.random.default_rng(scenario.seed)
     dets = _layout(scenario)
-    n_det = len(dets)
-    hours = scenario.horizon_hours
+    n_det, hours = len(dets), scenario.horizon_hours
+    order, landfall = scenario.order_hour, scenario.landfall_hour
     t0 = datetime.fromisoformat(scenario.start)
 
-    # incident process per detector: list of (start, duration_h, lanes, veh)
-    incidents = [[] for _ in range(n_det)]
-    for i in range(n_det):
-        for h in range(hours):
-            if rng.random() < scenario.incident_rate_per_hour:
-                dur = max(1, int(rng.exponential(
-                    scenario.incident_mean_duration_hours)))
-                incidents[i].append((h, dur, int(rng.integers(1, 3)),
-                                     int(rng.integers(1, 5))))
-
-    # outage mask
+    incidents = _arrivals(rng, n_det, hours, scenario.incident_rate_per_hour,
+                          scenario.incident_mean_duration_hours,
+                          lambda: (int(rng.integers(1, 3)),
+                                   int(rng.integers(1, 5))))
+    outages = _arrivals(rng, n_det, hours, scenario.outage_rate_per_hour,
+                        scenario.outage_mean_duration_hours)
     out = np.zeros((n_det, hours), dtype=bool)
-    for i in range(n_det):
-        for h in range(hours):
-            if rng.random() < scenario.outage_rate_per_hour:
-                dur = max(1, int(rng.exponential(
-                    scenario.outage_mean_duration_hours)))
-                out[i, h:h + dur] = True
-    for (i, start, length) in scenario.forced_outages:
-        out[i, start:start + length] = True
-
+    for i, start, dur in [*outages, *scenario.forced_outages]:
+        out[i, start:start + dur] = True
     noise = rng.normal(0.0, scenario.noise_std, size=(n_det, hours))
+    table = _incident_table(incidents, n_det, hours)
 
-    flow = np.zeros((n_det, hours))
-    speed = np.zeros((n_det, hours))
-    capacity = np.array([d.lanes * LANE_CAPACITY_VPH for d in dets])
-    surge_span = scenario.landfall_hour - scenario.order_hour
-    for h in range(hours):
-        hour_of_day = (t0 + timedelta(hours=h)).hour
-        base = scenario.base_flow * _diurnal(hour_of_day,
-                                             scenario.diurnal_amplitude)
-        for i, d in enumerate(dets):
-            mult = 1.0
-            if scenario.order_hour <= h < scenario.landfall_hour:
-                phase = (h - scenario.order_hour) / surge_span
-                shape = math.sin(phase * math.pi)  # ramp up then down
-                spatial = math.exp(-d.dist_landfall
-                                   / scenario.surge_spatial_decay_miles)
-                mult += (scenario.surge_peak_multiplier - 1.0) * shape * spatial
-            inc_factor = 1.0
-            for (start, dur, _, _) in incidents[i]:
-                if start <= h < start + dur:
-                    inc_factor = min(inc_factor,
-                                     1.0 - scenario.incident_capacity_drop)
-            f = base * mult * inc_factor + noise[i, h]
-            # moving congestion wave: periodically slows one stretch of
-            # the corridor without a matching flow change, so travel-time
-            # edge weights reorder relative to distance weights
-            wave_drop = 0.0
-            if scenario.congestion_waves:
-                center = (h * scenario.wave_speed_det_per_hour) % n_det
-                dist = min(abs(i - center), n_det - abs(i - center))
-                if dist < 1.5:
-                    wave_drop = scenario.wave_strength
-            flow[i, h] = max(0.0, f)
-            # demand over incident-reduced capacity drives the speed curve
-            demand = base * mult + noise[i, h]
-            v_ratio = min(1.0, max(0.0, demand)
-                          / (capacity[i] * inc_factor))
-            v = FREE_FLOW_MPH - (FREE_FLOW_MPH - SPEED_FLOOR_MPH) * v_ratio
-            if wave_drop:
-                v = SPEED_FLOOR_MPH + (v - SPEED_FLOOR_MPH) * (1 - wave_drop)
-            speed[i, h] = max(SPEED_FLOOR_MPH, min(FREE_FLOW_MPH, v))
+    # per hour: the diurnal base flow and the surge's ramp up then down;
+    # per detector: the surge's decay with distance
+    surge_span = landfall - order
+    clock = [t0 + timedelta(hours=h) for h in range(hours)]
+    base = np.array([scenario.base_flow * _diurnal(
+        ts.hour, scenario.diurnal_amplitude) for ts in clock])
+    surge = np.array([(scenario.surge_peak_multiplier - 1.0) * math.sin(
+        (h - order) / surge_span * math.pi) if order <= h < landfall
+        else 0.0 for h in range(hours)])
+    spatial = np.array([math.exp(-d.dist_landfall
+                                 / scenario.surge_spatial_decay_miles)
+                        for d in dets])
 
-    # evacuation timeline columns
-    cum_pop = np.zeros(hours)
-    for h in range(hours):
-        if h >= scenario.order_hour:
-            frac = min(1.0, (h - scenario.order_hour) / max(1, surge_span))
-            cum_pop[h] = scenario.population_total * frac
-    order_day = (t0 + timedelta(hours=scenario.order_hour)).date()
-    landfall_day = (t0 + timedelta(hours=scenario.landfall_hour - 1)).date()
+    load = base * (1.0 + surge * spatial[:, None])
+    inc_factor = np.where(table[0], 1.0 - scenario.incident_capacity_drop,
+                          1.0)
+    flow = np.maximum(0.0, load * inc_factor + noise)
+    # demand over incident-reduced capacity drives the speed curve
+    v_ratio = np.minimum(1.0, np.maximum(0.0, load + noise)
+                         / (scenario.lanes * LANE_CAPACITY_VPH * inc_factor))
+    speed = FREE_FLOW_MPH - (FREE_FLOW_MPH - SPEED_FLOOR_MPH) * v_ratio
+    # a congestion wave slows a moving stretch of corridor, flow unchanged,
+    # so travel-time edge weights reorder relative to distance weights; at
+    # strength 0 speed stays as is (FLOOR + (v - FLOOR) * 1 need not be v)
+    if scenario.congestion_waves and scenario.wave_strength:
+        center = np.array([(h * scenario.wave_speed_det_per_hour) % n_det
+                           for h in range(hours)])
+        gap = np.abs(np.arange(n_det)[:, None] - center)
+        speed = np.where(np.minimum(gap, n_det - gap) < 1.5,
+                         SPEED_FLOOR_MPH + (speed - SPEED_FLOOR_MPH)
+                         * (1 - scenario.wave_strength), speed)
+    speed = np.maximum(SPEED_FLOOR_MPH, np.minimum(FREE_FLOW_MPH, speed))
+
+    # per hour: the timestamp and the timeline, split by a detector's place
+    order_day = (t0 + timedelta(hours=order)).date()
+    landfall_day = (t0 + timedelta(hours=landfall - 1)).date()
+    hourly = [(ts.isoformat(), _fmt(scenario.population_total * min(
+        1.0, (h - order) / surge_span) if h >= order else 0.0),
+        f"{landfall - h},{max(0, h - order)},"
+        f"{int(order_day <= ts.date() < landfall_day)},"
+        f"{int(ts.date() == landfall_day)}") for h, ts in enumerate(clock)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta_path = out_dir / "meta.csv"
-    records_path = out_dir / "records.csv"
-
+    meta_path, records_path = out_dir / "meta.csv", out_dir / "records.csv"
     with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write("detector_id,highway,milepost,lanes,lat,lon\n")
-        for d in dets:
-            fh.write(f"{d.detector_id},{d.highway},{d.milepost!r},"
-                     f"{d.lanes},{d.lat!r},{d.lon!r}\n")
+        fh.write(",".join(META_COLUMNS) + "\n")
+        fh.writelines(f"{d.detector_id},{d.highway},{d.milepost!r},"
+                      f"{d.lanes},{d.lat!r},{d.lon!r}\n" for d in dets)
 
-    def fmt(x):
-        return repr(round(float(x), 6))
-
+    quiet = _incident_cells((0,) * 8)
     with open(records_path, "w", encoding="utf-8") as fh:
-        fh.write("detector_id,timestamp_iso8601,flow,speed,incident_flag,"
-                 "n_incidents,max_lanes_closed,vehicles_involved,"
-                 "avg_incident_dur_min,max_incident_dur_min,avg_elapsed_min,"
-                 "max_elapsed_min,cum_pop_under_orders,dist_evac_zone_mi,"
-                 "dist_landfall_mi,hrs_before_landfall,hrs_after_order,"
-                 "evac_day,landfall_day\n")
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
         for i, d in enumerate(dets):
-            for h in range(hours):
-                ts = t0 + timedelta(hours=h)
-                active_inc = [(start, dur, lanes_c, veh)
-                              for (start, dur, lanes_c, veh) in incidents[i]
-                              if start <= h < start + dur]
-                if active_inc:
-                    durs = [dur * 60.0 for (_, dur, _, _) in active_inc]
-                    elapsed = [(h - start) * 60.0
-                               for (start, _, _, _) in active_inc]
-                    inc_cols = [1, len(active_inc),
-                                max(lc for (_, _, lc, _) in active_inc),
-                                sum(v for (_, _, _, v) in active_inc),
-                                fmt(np.mean(durs)), fmt(max(durs)),
-                                fmt(np.mean(elapsed)), fmt(max(elapsed))]
-                else:
-                    inc_cols = [0, 0, 0, 0, fmt(0), fmt(0), fmt(0), fmt(0)]
-                flow_s = "" if out[i, h] else fmt(flow[i, h])
-                speed_s = "" if out[i, h] else fmt(speed[i, h])
-                evac_day_flag = int(order_day <= ts.date() < landfall_day)
-                landfall_flag = int(ts.date() == landfall_day)
-                row = [d.detector_id, ts.isoformat(), flow_s, speed_s,
-                       *map(str, inc_cols), fmt(cum_pop[h]),
-                       fmt(d.dist_evac_zone), fmt(d.dist_landfall),
-                       str(scenario.landfall_hour - h),
-                       str(max(0, h - scenario.order_hour)),
-                       str(evac_day_flag), str(landfall_flag)]
-                fh.write(",".join(row) + "\n")
+            place = f"{_fmt(d.dist_evac_zone)},{_fmt(d.dist_landfall)}"
+            incident_rows = zip(*(column[i].tolist() for column in table))
+            for (stamp, cum, tail), missing, f, v, inc in zip(
+                    hourly, out[i].tolist(), flow[i].tolist(),
+                    speed[i].tolist(), incident_rows):
+                seen = "," if missing else f"{_fmt(f)},{_fmt(v)}"
+                cells = _incident_cells(inc) if inc[0] else quiet
+                fh.write(f"{d.detector_id},{stamp},{seen},{cells},{cum},"
+                         f"{place},{tail}\n")
 
-    manifest = {"scenario": asdict(scenario)}
-    with open(out_dir / "scenario.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "scenario.json").write_text(json.dumps(
+        {"scenario": asdict(scenario)}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
 
     notes = {
-        "n_detectors": n_det,
-        "hours": hours,
-        "surge_mean_flow": float(
-            flow[:, scenario.order_hour:scenario.landfall_hour].mean()),
+        "n_detectors": n_det, "hours": hours,
+        "surge_mean_flow": float(flow[:, order:landfall].mean()),
         # null when the order comes at hour 0
-        "nonevac_mean_flow": (float(flow[:, :scenario.order_hour].mean())
-                              if scenario.order_hour else None),
+        "nonevac_mean_flow": float(flow[:, :order].mean()) if order else None,
         "n_outage_hours": int(out.sum()),
         "fusion_signal_fraction": fusion_signal_fraction(
             dets, speed, scenario) if scenario.congestion_waves else 0.0,

@@ -26,6 +26,13 @@ CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
 # 512 rows), and that adds to peak memory. On corridors100, 512 rows hold
 # about 5 windows of 97 predicted detectors.
 EVAL_ROWS = 512
+# Widths past which a mistyped value would ask for memory without bound.
+# The LSTM's 8 * hidden**2 weights, with a gradient and Adam's two moments
+# each, take 128 MiB in float32 at 1024.
+MAX_HIDDEN = 1024
+# The agent's two hidden layers each hold an (rl_batch,
+# rlagent.HIDDEN_UNITS) float32 activation per learn(): 8 MiB at 16384.
+MAX_RL_BATCH = 16_384
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")
@@ -80,8 +87,17 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
+        for name, cap in (("hidden", MAX_HIDDEN), ("rl_batch", MAX_RL_BATCH)):
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be <= {cap}, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("patience", "seed"):  # numpy's seeds are >= 0
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)!r}")
+        if not 0 <= self.rl_gamma <= 1:  # nan too
+            raise ValueError(f"rl_gamma must be in [0, 1], got "
+                             f"{self.rl_gamma!r}")
         for name in ("lr", "rl_lr"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

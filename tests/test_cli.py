@@ -335,8 +335,16 @@ def test_train_unknown_config_field(corpus, tmp_path):
     ({"epochs": 1, "rl_batch": 0}, "rl_batch"),
     ({"epochs": 1, "rl_sync_every": 0}, "rl_sync_every"),
     ({"epochs": 5, "patience": -1}, "patience"),
+    ({"epochs": 1, "seed": -1}, "seed"),
+    ({"epochs": 1, "rl_gamma": float("nan")}, "rl_gamma"),
+    ({"epochs": 1, "rl_gamma": 1e308}, "rl_gamma"),
+    ({"epochs": 1, "hidden": 10 ** 8}, "hidden"),
+    ({"epochs": 1, "rl_batch": 10 ** 10}, "rl_batch"),
+    # a step that large leaves the loss non-finite: training diverges
+    ({"epochs": 1, "lr": 1e30}, "lr"),
 ], ids=["epochs-type", "epochs", "batch_size", "hidden", "lr", "rl_buffer",
-        "rl_batch", "rl_sync_every", "patience"])
+        "rl_batch", "rl_sync_every", "patience", "seed", "rl_gamma-nan",
+        "rl_gamma-huge", "hidden-huge", "rl_batch-huge", "lr-diverges"])
 def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog,
                                                fields, name):
     cfg = tmp_path / "cfg.json"
@@ -501,15 +509,16 @@ def test_checkpoint_parameter_of_another_shape_is_user_error(corpus, trained,
 @pytest.mark.parametrize("command", ["evaluate", "rank-features"])
 def test_checkpoint_config_sizing_another_vector_allocates_nothing(
         command, corpus, trained, tmp_path, caplog, monkeypatch):
-    # hidden 10**6 sizes a vector of about 8e12 floats: the saved vector's
-    # size must be checked before any parameters are made
+    # the largest hidden a config may hold sizes a vector of about 8e6
+    # floats: the saved vector's size must be checked before any parameters
+    # are made
     def refuse(*args, **kwargs):
         raise AssertionError("DmfParameters.init called")
 
     monkeypatch.setattr(dmf.DmfParameters, "init", refuse)
     with open(trained / "model.ckpt", "rb") as fh:
         payload = pickle.load(fh)
-    hidden = 10 ** 6
+    hidden = trainer.MAX_HIDDEN
     size = dmf.DmfParameters.size(payload["f_t"], payload["f_s"], hidden,
                                   payload["config"]["p"], ("d", "tt"))
     assert size > 8 * hidden ** 2
@@ -524,6 +533,12 @@ def test_checkpoint_config_sizing_another_vector_allocates_nothing(
             f", expected ({size},): checkpoint field params disagrees with "
             f"f_t {payload['f_t']}, f_s {payload['f_s']}, hidden {hidden}"
             ) in caplog.text
+    # hidden 10**6 would size about 8e12 floats: the config is refused first
+    _rewrite_checkpoint(trained, ckpt,
+                        config={**payload["config"], "hidden": 10 ** 6})
+    assert cli.main(argv) == 1
+    assert (f"checkpoint config rejected: hidden must be <= {hidden}, got "
+            f"1000000") in caplog.text
 
 
 def _without(key):

@@ -42,19 +42,22 @@ def test_compare_is_byte_exact(tmp_path):
 def test_expected_files_cover_every_variant_and_command():
     files = outputs_diff.expected_files()
     assert len(files) == len(set(files))
-    # per scenario: the corpus's 2 files, 3 RL variants x 5 files, 3
+    # per scenario: the corpus's 4 files, 3 RL variants x 5 files, 3
     # others x 3 files, and ablate's table; then the corpora alone of S3
     # and of the benchmark's 3 workloads at 2 seeds each
-    assert len(files) == (len(outputs_diff.SCENARIOS) * (2 + 3 * 5 + 3 * 3 + 1)
-                          + 2 + 3 * 2 * 2)
+    assert len(files) == (len(outputs_diff.SCENARIOS) * (4 + 3 * 5 + 3 * 3 + 1)
+                          + 4 + 3 * 2 * 4) == 86
     assert "S3/data/meta.csv" in files
     assert "S3/data/records.csv" in files
+    assert "S3/data/scenario.json" in files
+    assert "S3/data/manifest.json" in files
     assert not any(f.startswith("S3/") and not f.startswith("S3/data/")
                    for f in files)
     for workload in ("s1_rl_dmf", "s2_dmf_no_rl", "corridors100_rl_dmf"):
         for seed in (1, 2):
             assert f"bench/{workload}-seed{seed}/meta.csv" in files
             assert f"bench/{workload}-seed{seed}/records.csv" in files
+            assert f"bench/{workload}-seed{seed}/manifest.json" in files
     assert "S1/data/meta.csv" in files
     assert "S2/data/records.csv" in files
     assert "S1/rl_dmf/rank-features/ranking.csv" in files

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from evacnet import dataio, synth
 from evacnet.synth import Scenario, builtin_scenarios, generate
 
+import synth_reference
 from features_reference import as_records
 
 
@@ -141,6 +142,13 @@ def test_invalid_scenario_rejected():
     with pytest.raises(ValueError):
         Scenario(name="bad", seed=0, order_hour=200,
                  landfall_hour=100).validate()
+    # h * speed would overflow by the last hour, and the wave vanish
+    with pytest.raises(ValueError, match=r"wave_speed_det_per_hour \* "
+                       r"\(horizon_hours - 1\) must be finite, got inf"):
+        Scenario(name="bad", seed=0, congestion_waves=True,
+                 wave_speed_det_per_hour=1e308).validate()
+    Scenario(name="fast", seed=0,
+             wave_speed_det_per_hour=1.7e308 / 239).validate()
 
 
 def test_scenario_over_the_detector_hours_cap_rejected():
@@ -256,14 +264,19 @@ def scenarios(draw):
 def test_validate_names_a_field_or_generate_writes_a_loadable_corpus(
         tmp_path_factory, scenario):
     """Either `validate` rejects a scenario by a message naming a field,
-    or `generate` writes a corpus that `load_csv` accepts whole."""
+    or `generate` writes a corpus that `load_csv` accepts whole, and the
+    same files and notes, byte for byte, as the scalar reference."""
     try:
         scenario.validate()
     except ValueError as exc:
         assert any(re.search(rf"\b{f.name}\b", str(exc))
                    for f in fields(Scenario)), str(exc)
         return
-    meta, records, _ = generate(scenario, tmp_path_factory.mktemp("drawn"))
+    out, ref = tmp_path_factory.mktemp("drawn"), tmp_path_factory.mktemp("ref")
+    meta, records, notes = generate(scenario, out)
+    assert synth_reference.generate(scenario, ref)[2] == notes
+    for name in ("meta.csv", "records.csv", "scenario.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     detectors, columns = dataio.load_csv(meta, records)
     n_det = sum(n for _, n, _ in scenario.corridors)
     assert len(detectors.ids) == n_det
