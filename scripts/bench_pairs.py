@@ -52,10 +52,13 @@ def git(*args, cwd=ROOT):
 
 
 def revision(checkout):
-    """(commit, whether tracked files differ from it) of a checkout."""
+    """(commit, whether tracked files differ from it) of a checkout. The
+    BENCH_*.json series this script writes at the root do not count, so a
+    series run after another from the same checkout is not marked as
+    uncommitted."""
     return (git("rev-parse", "HEAD", cwd=checkout),
-            bool(git("status", "--porcelain", "--untracked-files=no",
-                     cwd=checkout)))
+            bool(git("status", "--porcelain", "--untracked-files=no", "--",
+                     ":!BENCH_*.json", cwd=checkout)))
 
 
 def run_once(checkout, args):

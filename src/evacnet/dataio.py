@@ -752,15 +752,11 @@ class WindowSample:
     table: np.ndarray  # `input_table`, shared, not a copy
 
 
-def gather_inputs(windows, modalities, static_chain=None):
-    """(l, M, N, F) input rows of a batch of windows of equal l over one
-    input table, N their predicted detectors in window order, one block
-    per modality in `INPUT_MODALITIES`: one fancy index of the table, at
-    hours anchor + arange(l) of each row's window. `static_chain`, the
-    static-graph baseline's frozen chain over every detector (an array of
-    `graphs.EDGE`), replaces the rows by their product with its normalized
-    restriction to each window's predicted detectors, in float64 and
-    rounded once to the table's dtype."""
+def _batch_index(windows):
+    """The input table of a batch of windows of equal l over one table and
+    the (hours, detectors) index of its rows: the (l, N) hours anchor +
+    arange(l) of each row's window and each window's predicted
+    detectors, N their total, in window order."""
     if not windows:
         raise ValueError("empty batch of windows")
     l, table = windows[0].l, windows[0].table
@@ -772,23 +768,66 @@ def gather_inputs(windows, modalities, static_chain=None):
         if w.table is not table:
             raise ValueError("windows of a batch read different input tables")
     dets = [w.det_indices for w in windows]
-    lens = [len(d) for d in dets]
-    anchors = np.repeat([w.anchor_index for w in windows], lens)
-    hours = anchors + np.arange(l)[:, None]  # (l, N)
-    k = [INPUT_MODALITIES.index(g) for g in modalities]
-    rows = table[hours[:, None], np.array(k)[:, None], np.concatenate(dets)]
+    anchors = np.repeat([w.anchor_index for w in windows],
+                        [len(d) for d in dets])
+    return table, anchors + np.arange(l)[:, None], dets
+
+
+def gather_inputs(windows, modalities, static_chain=None, state_block=False):
+    """(l, M, N, F) input rows of a batch of windows of equal l over one
+    input table, N their predicted detectors in window order, one block
+    per modality in `INPUT_MODALITIES`: one fancy index of the table, at
+    hours anchor + arange(l) of each row's window. With `state_block`,
+    the first modality's (l, N, F) rows come apart, as their own array
+    before the other modalities' (l, M - 1, N, F): the RL state's block
+    and the forecaster's, indexed at the same (hours, detectors), so
+    neither holds the other alive. `static_chain`, the static-graph
+    baseline's frozen chain over every detector (an array of
+    `graphs.EDGE`), replaces the rows by their product with its
+    normalized restriction to each window's predicted detectors, in
+    float64 and rounded once to the table's dtype."""
+    table, hours, dets = _batch_index(windows)
+    k = np.array([INPUT_MODALITIES.index(g) for g in modalities])
+    det_at = np.concatenate(dets)
+    if state_block:
+        blocks = (table[hours, k[0], det_at],
+                  table[hours[:, None], k[1:, None], det_at])
+    else:
+        blocks = (table[hours[:, None], k[:, None], det_at],)
     if static_chain is not None:
         # each detector's row in each window, -1 where it is not predicted;
         # an edge needs both ends predicted in a window, so gaps stay gaps
+        lens = [len(d) for d in dets]
         pos = np.full((len(dets), table.shape[2]), -1)
-        pos[np.repeat(np.arange(len(dets)), lens),
-            np.concatenate(dets)] = np.arange(len(anchors))
+        pos[np.repeat(np.arange(len(dets)), lens), det_at] = \
+            np.arange(len(det_at))
         i, j = pos[:, static_chain["i"]], pos[:, static_chain["j"]]
         keep = (i >= 0) & (j >= 0)
         i, j, w = i[keep], j[keep], static_chain["w"][keep.nonzero()[1]]
-        norm = graphs.inv_sqrt_degree(len(anchors), i, j, w)
-        rows[...] = graphs.normalized_product(i, j, w, norm, rows)
-    return rows
+        norm = graphs.inv_sqrt_degree(len(det_at), i, j, w)
+        for rows in blocks:
+            rows[...] = graphs.normalized_product(i, j, w, norm, rows)
+    return blocks if state_block else blocks[0]
+
+
+def gather_grid(windows, modalities):
+    """The batch's input rows as a grid of (hour, detector) cells, each
+    once, and where each window's rows sit in it: the (T, M, n_u, F) rows
+    of its T distinct input hours and the n_u detectors any window
+    predicts, one block per modality as in `gather_inputs`, and the (l, N)
+    positions t * n_u + d of each window row-hour's cell in the grid's
+    T * n_u (hour, detector) cells, rows in `gather_inputs`' order. The
+    windows of a batch overlap in hours, up to l of them on each, so the
+    grid has fewer cells than the batch has row-hours. The cell at a
+    position holds exactly the row `gather_inputs` reads there; the grid
+    has no static-graph rows, as those depend on each window's detectors.
+    """
+    table, hours, dets = _batch_index(windows)
+    k = np.array([INPUT_MODALITIES.index(g) for g in modalities])
+    t, hour_at = np.unique(hours, return_inverse=True)
+    d, det_at = np.unique(np.concatenate(dets), return_inverse=True)
+    grid = table[t[:, None, None], k[:, None], d]
+    return grid, hour_at.reshape(hours.shape) * len(d) + det_at
 
 
 def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):

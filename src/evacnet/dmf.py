@@ -128,12 +128,20 @@ def _sigmoid(x):
     np.divide(1.0, x, out=x)
 
 
-def lstm_step(x, params):
+def lstm_step(x, params, at=None):
     """The LSTM over a window's l input hours from a zero state, all nodes
     at once. `x` holds each hour's (n, H) inputs, as (l, n, H) or as a
     single modality's (l, 1, n, H). Returns the last hour's hidden state
     (n, H), one node whose backward is backpropagation through time, and
     the last cell state as an array.
+
+    With `at`, an (l, n) integer array, `x` is a grid of cells, (T, n_u,
+    H) or (T, 1, n_u, H), shared by the rows, and row r's input at hour k
+    is cell at[k, r] of its T * n_u cells (`dataio.gather_grid`): the
+    input projection runs once per cell, and each row-hour takes its
+    gates from its cell's, so a cell that several windows cover is
+    projected once. Its gradient sums those of the row-hours that read
+    it.
 
     The activations are gate-major: one (4, l, n, H) array in which gate
     f, i, c̃ or o of hour k is a contiguous (n, H) block. The input
@@ -143,18 +151,19 @@ def lstm_step(x, params):
     writes an hour's four gate gradients into a gate-major (4, n, H)
     block and copies it into the hour-major (l, n, 4H) d_pre, which the
     products dh, dx, dW and dU and the sum db read whole. Apart from
-    d_pre and the gradients it returns, both passes write only into
-    buffers made once per call. Every elementwise op takes the operands of
-    a column-block layout in the same order and the backward's products
-    are the same; with H = 32 the forward's per-gate products also round
-    as the (H, 4H) ones do, so h, c and the gradients equal a column-block
-    LSTM's bit for bit. The buffers take the input's dtype."""
+    d_pre, the grid's projection and the gradients it returns, both
+    passes write only into buffers made once per call. Every elementwise
+    op takes the operands of a column-block layout in the same order and
+    the backward's products are the same; with H = 32 the forward's
+    per-gate products also round as the (H, 4H) ones do, so h, c and the
+    gradients equal a column-block LSTM's bit for bit. The bias adds
+    after h·U, with or without `at`, so each gate rounds as it does
+    without a grid. The buffers take the input's dtype."""
     t = params.tensors
     w, u, b = t["W_lstm"], t["U_lstm"], t["b_lstm"]
     hid = params.hidden
-    l = x.shape[0]
     xs = x.data.reshape(-1, hid)
-    n = xs.shape[0] // l
+    l, n = (x.shape[0], len(xs) // x.shape[0]) if at is None else at.shape
     dtype = xs.dtype
 
     def by_gate(a):
@@ -177,7 +186,16 @@ def lstm_step(x, params):
     else:
         pre, hs, cs, tanh_c, hu = np.split(
             np.empty((sum(sizes), n, hid), dtype), np.cumsum(sizes[:-1]))
-    np.matmul(xs, by_gate(w.data), out=pre.reshape(4, l * n, hid))
+    if at is None:
+        np.matmul(xs, by_gate(w.data), out=pre.reshape(4, l * n, hid))
+    else:
+        if at.min() < 0 or at.max() >= len(xs):
+            raise ValueError(f"grid positions must lie in [0, {len(xs)})")
+        # gathered along the cells into the gate-major buffer, where a
+        # fancy index would give a non-contiguous (l, n, 4, H) array; the
+        # positions are checked, and mode "raise" would copy them once more
+        np.take(np.matmul(xs, by_gate(w.data)), at.ravel(), axis=1,
+                out=pre.reshape(4, l * n, hid), mode="clip")
     pre = pre.reshape(4, l, n, hid)
     bias = b.data.reshape(4, 1, hid)
     u_gates = by_gate(u.data)
@@ -232,10 +250,16 @@ def lstm_step(x, params):
             if k:
                 dh = np.matmul(d_pre[k], u.data.T, out=dh_next)
         flat = d_pre.reshape(l * n, 4 * hid)
+        x_rows = xs if at is None else xs[at.ravel()]
+        dx = None
+        if x.requires_grad:
+            dx = flat @ w.data.T
+            if at is not None:
+                dx, per_row = np.zeros_like(xs), dx
+                np.add.at(dx, at.ravel(), per_row)
+            dx = dx.reshape(x.shape)
         # the state entering hour 0 is zero, so hour 0 adds nothing to dU
-        dx = ((flat @ w.data.T).reshape(x.shape) if x.requires_grad
-              else None)
-        return (dx, xs.T @ flat,
+        return (dx, x_rows.T @ flat,
                 hs[1:l].reshape((l - 1) * n, hid).T @ flat[n:],
                 flat.sum(axis=0))
     return Tensor.node(hs[l], (x, w, u, b), bwd), cs[l]
@@ -255,7 +279,7 @@ def predict_head(h, params):
     return Tensor.node(out.astype(h.data.dtype) + b.data, (h, w, b), bwd)
 
 
-def forward(rows, params, mask=None):
+def forward(rows, params, mask=None, at=None):
     """Full network pass over a batch of windows as one disjoint-union graph.
 
     `rows` are the batch's (l, M, N, F) input rows for the parameters'
@@ -272,6 +296,13 @@ def forward(rows, params, mask=None):
     the batch, in row order. `mask` is the RL agent's (F,) 0/1 feature
     mask; it scales columns, so it applies to the propagated rows, in
     their dtype and in place. None means all features active.
+
+    With `at`, `rows` are a (T, M, n_u, F) grid of (hour, detector) cells
+    and `at` the (l, N) positions of each row-hour's cell in it
+    (`dataio.gather_grid`): GCN and attention run once per cell, as
+    neither mixes hours, and `lstm_step` takes each row-hour's gates from
+    its cell's input projection. Overlapping windows cover the same cells,
+    so this is less work for the same bits.
     Returns the predictions and the attention weights α, an (l, N, M)
     array, or None with a single modality.
     """
@@ -286,7 +317,9 @@ def forward(rows, params, mask=None):
     alphas = None
     if len(params.modalities) > 1:
         z, alphas = attention_fuse(z, params.tensors["w_att"])
-    h, _ = lstm_step(z, params)
+    h, _ = lstm_step(z, params, at=at)
+    if at is not None and alphas is not None:  # each row-hour's cell's
+        alphas = alphas.reshape(-1, alphas.shape[-1])[at]
     return predict_head(h, params), alphas
 
 

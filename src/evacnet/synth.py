@@ -115,6 +115,11 @@ class Scenario:
                              f"{MAX_MAGNITUDE:.0e}]")
         if not 0 <= self.incident_capacity_drop < 1:
             raise ValueError("incident_capacity_drop must be in [0, 1)")
+        # the share of its speed above the floor a wave takes away: past 1
+        # or below 0 a wave would speed traffic up or overflow the speed
+        if not 0 <= self.wave_strength <= 1:
+            raise ValueError(f"wave_strength must be in [0, 1], got "
+                             f"{self.wave_strength!r}")
         if not 1 <= self.lanes <= MAX_MAGNITUDE:
             raise ValueError(f"lanes must be in [1, {MAX_MAGNITUDE:.0e}]")
         try:

@@ -213,12 +213,14 @@ def train(config, dataset, log_fn=None):
         eps = None
         for batch_idx in batches:
             batch = [dataset.train_windows[i] for i in batch_idx]
-            rows = dataio.gather_inputs(batch, read, static_full)
+            rows = dataio.gather_inputs(batch, read, static_full,
+                                        state_block=agent is not None)
             mask = None
             state = None
             if agent is not None:
-                state = rlagent.build_state(rows[:, 0], dataset.f_t)
-                rows = rows[:, 1:]
+                # the "identity" block dies here; the forward keeps its own
+                state = rlagent.build_state(rows[0], dataset.f_t)
+                rows = rows[1]
                 if pending is not None:
                     agent.observe(*pending, state)
                     agent.learn()
@@ -300,9 +302,14 @@ def evaluate(params, windows, dataset, static_full=None):
 
     The windows go through the forward pass in chunks of consecutive
     windows holding at most EVAL_ROWS predicted-node rows (a larger window
-    alone), each chunk's inputs gathered from the input table with one
-    index and its static-graph rows made for it alone, so memory does not
-    grow with the number of windows."""
+    alone), so memory does not grow with the number of windows. A chunk's
+    windows overlap in hours, and with no mask each (hour, detector) cell
+    has the same inputs in every window that covers it: the chunk's cells
+    are gathered once as a grid (`dataio.gather_grid`), and GCN,
+    attention and the LSTM's input projection run once per cell. The
+    static baseline's rows depend on each window's predicted detectors,
+    so its chunks are gathered and run per window row, each chunk's
+    static-graph rows made for it alone."""
     if not windows:
         raise ValueError("no windows to evaluate")
     # constant Tensors over the same arrays: the forward records no graph
@@ -310,9 +317,13 @@ def evaluate(params, windows, dataset, static_full=None):
                                       for k, v in params.tensors.items()})
     predicted = []
     for start, stop in _chunks(windows):
-        rows = dataio.gather_inputs(windows[start:stop], params.modalities,
-                                    static_full)
-        yhat, _ = dmf.forward(rows, params)
+        chunk = windows[start:stop]
+        if static_full is None:
+            grid, at = dataio.gather_grid(chunk, params.modalities)
+            yhat, _ = dmf.forward(grid, params, at=at)
+        else:
+            yhat, _ = dmf.forward(dataio.gather_inputs(
+                chunk, params.modalities, static_full), params)
         predicted.append(yhat.data)
     predicted = dataset.target_norm.inverse(
         np.concatenate(predicted),

@@ -102,3 +102,24 @@ def test_compare_counts_wins_by_the_position_the_change_ran_in():
     assert row["wins_by_position"] == {
         "change_first": {"wins": 5, "pairs": 5},
         "change_second": {"wins": 1, "pairs": 5}}
+
+
+def test_revision_ignores_the_series_files_it_writes(tmp_path):
+    # a tracked BENCH_*.json at the root, rewritten by an earlier series,
+    # leaves the checkout clean; any other tracked edit does not, a
+    # BENCH_*.json below the root included
+    bench_pairs.git("init", "-q", cwd=tmp_path)
+    for name in ("BENCH_s1_rl_dmf.json", "README.md", "docs/BENCH_x.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("{}\n", encoding="utf-8")
+    bench_pairs.git("add", ".", cwd=tmp_path)
+    bench_pairs.git("-c", "user.name=t", "-c", "user.email=t@t", "commit",
+                    "-q", "-m", "seed", cwd=tmp_path)
+    commit = bench_pairs.git("rev-parse", "HEAD", cwd=tmp_path)
+    (tmp_path / "BENCH_s1_rl_dmf.json").write_text('{"pairs": 10}\n',
+                                                   encoding="utf-8")
+    assert bench_pairs.revision(tmp_path) == (commit, False)
+    for name in ("docs/BENCH_x.json", "README.md"):
+        (tmp_path / name).write_text("changed\n", encoding="utf-8")
+        assert bench_pairs.revision(tmp_path) == (commit, True)
+        bench_pairs.git("checkout", "-q", "--", name, cwd=tmp_path)

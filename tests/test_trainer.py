@@ -415,8 +415,8 @@ def _one_window_chunks(windows):
 
 
 @pytest.mark.parametrize("name", ["S1", "S2"])
-@pytest.mark.parametrize("variant", ["rl_dmf", "lstm_only",
-                                     "static_gcn_lstm"])
+@pytest.mark.parametrize("variant", ["rl_dmf", "rl_dgl_distance",
+                                     "lstm_only", "static_gcn_lstm"])
 def test_evaluate_equals_one_window_chunks(builtin, name, variant,
                                            monkeypatch):
     ds = builtin[name]
@@ -437,6 +437,115 @@ def test_evaluate_equals_one_window_chunks(builtin, name, variant,
     single = trainer.evaluate(params, windows, ds, static_full)
     assert tables[0] == single
     assert tables[1] == single
+
+
+def test_evaluate_runs_each_grid_cell_once(builtin, monkeypatch):
+    """Inside `evaluate`, the GCN sees each chunk's (hour, detector) cells
+    once: its distinct input hours by the detectors any of its windows
+    predicts, not a row per window row-hour."""
+    ds = builtin["S1"]
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p, seed=3)
+    windows = ds.train_windows + ds.val_windows
+    shapes, gcn_layer = [], dmf.gcn_layer
+
+    def recording(rows, weight):
+        shapes.append(rows.shape)
+        return gcn_layer(rows, weight)
+    monkeypatch.setattr(dmf, "gcn_layer", recording)
+    trainer.evaluate(params, windows, ds)
+    expected = []
+    for start, stop in trainer._chunks(windows):
+        chunk = windows[start:stop]
+        hours = {w.anchor_index + k for w in chunk for k in range(w.l)}
+        dets = set(np.concatenate([w.det_indices for w in chunk]))
+        expected.append((len(hours), 2, len(dets), ds.f_t + ds.f_s))
+    assert shapes == expected
+    assert sum(t * n for t, _, n, _ in shapes) == 1284
+    assert sum(w.l * len(w.det_indices) for w in windows) == 6984
+
+
+def test_gate_blocks_the_recurrence_reads_are_contiguous(builtin,
+                                                         monkeypatch):
+    """Every gate block the recurrence activates is one C-contiguous (n, H)
+    block of the gate-major buffer, in a training step's recorded pass and
+    in `evaluate`'s grid pass alike: the grid's gates are gathered into
+    that buffer, not read through a strided fancy-index result."""
+    ds = builtin["S2"]
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p, seed=3)
+    blocks, sigmoid = [], dmf._sigmoid
+
+    def recording(x):
+        blocks.extend(g.flags.c_contiguous
+                      for g in (x if x.ndim == 3 else [x]))
+        sigmoid(x)
+    monkeypatch.setattr(dmf, "_sigmoid", recording)
+    batch = _ragged_s2_batch(ds)
+    loss = dmf.mse_loss(predict(batch, params)[0],
+                        [w.targets for w in batch])
+    loss.backward()
+    training, blocks[:] = list(blocks), []
+    trainer.evaluate(params, ds.val_windows, ds)
+    assert training and blocks
+    assert all(training) and all(blocks)
+
+
+@pytest.mark.parametrize("modalities", [("d", "tt"), ("tt",),
+                                        ("identity",)])
+def test_grid_forward_equals_the_batch_rows_forward(builtin, modalities):
+    """A batch run on its grid of cells predicts, and weighs its
+    modalities, bit for bit as on its per-window rows; its gradients equal
+    the rows' where each parameter's sum keeps its order (the LSTM's and
+    the head's) and agree to rounding where the cells sum the row-hours
+    (the GCN and attention weights)."""
+    ds = builtin["S2"]
+    batch = _ragged_s2_batch(ds)
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p,
+                                    modalities=modalities, seed=3)
+    grid, at = dataio.gather_grid(batch, modalities)
+    runs = []
+    for rows, kw in ((dataio.gather_inputs(batch, modalities), {}),
+                     (grid, {"at": at})):
+        predicted, alphas = dmf.forward(rows, params, **kw)
+        loss = dmf.mse_loss(predicted, [w.targets for w in batch])
+        loss.backward()
+        runs.append((predicted.data, alphas, loss.item(), params.grad()))
+    (y0, a0, l0, g0), (y1, a1, l1, g1) = runs
+    np.testing.assert_array_equal(y1, y0)
+    assert (a0 is None) == (a1 is None) == (len(modalities) == 1)
+    if a0 is not None:
+        np.testing.assert_array_equal(a1, a0)
+    assert l1 == l0
+    gcn = dmf.DmfParameters.size(ds.f_t, ds.f_s, 16, ds.p, modalities) \
+        - dmf.DmfParameters.size(0, 0, 16, ds.p, ("d",))
+    np.testing.assert_array_equal(g1[gcn:], g0[gcn:])
+    np.testing.assert_allclose(g1[:gcn], g0[:gcn], rtol=1e-4, atol=1e-6)
+
+
+def test_grid_cells_are_the_rows_gather_reads(builtin):
+    """Each window row-hour's position names the cell that holds exactly
+    its gathered row, in every modality, and each cell appears once."""
+    ds = builtin["S2"]
+    batch = _ragged_s2_batch(ds)
+    modalities = dataio.INPUT_MODALITIES
+    grid, at = dataio.gather_grid(batch, modalities)
+    rows = dataio.gather_inputs(batch, modalities)
+    t, m, n_u, f = grid.shape
+    assert at.shape == (batch[0].l, rows.shape[2])
+    cells = grid.transpose(0, 2, 1, 3).reshape(t * n_u, m, f)
+    np.testing.assert_array_equal(cells[at], rows.transpose(0, 2, 1, 3))
+    hours = {w.anchor_index + k for w in batch for k in range(w.l)}
+    dets = set(np.concatenate([w.det_indices for w in batch]))
+    assert (t, n_u) == (len(hours), len(dets))
+
+
+def test_grid_positions_out_of_range_are_refused(builtin):
+    ds = builtin["S1"]
+    params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p, seed=3)
+    grid, at = dataio.gather_grid(ds.val_windows[:3], params.modalities)
+    for bad in (at - at.min() - 1, at + grid.shape[0] * grid.shape[2]
+                - at.max()):
+        with pytest.raises(ValueError, match="grid positions"):
+            dmf.forward(grid.copy(), params, at=bad)
 
 
 def test_evaluate_makes_static_rows_chunk_by_chunk(builtin, monkeypatch):
@@ -551,6 +660,37 @@ def test_a_training_step_gathers_its_batch_once(dataset, variant):
     modalities = TrainConfig(variant=variant).modalities()
     assert calls == [("identity",) + modalities if variant == "rl_dmf"
                      else modalities]
+
+
+def test_state_and_forward_blocks_are_gathered_apart(builtin):
+    """With `state_block` the "identity" rows and the forecaster's blocks
+    are two arrays that share no memory, each equal to its blocks of the
+    one gather, so dropping the state's block frees it."""
+    ds = builtin["S2"]
+    batch = _ragged_s2_batch(ds)
+    read = ("identity", "d", "tt")
+    state, rows = dataio.gather_inputs(batch, read, state_block=True)
+    whole = dataio.gather_inputs(batch, read)
+    np.testing.assert_array_equal(state, whole[:, 0])
+    np.testing.assert_array_equal(rows, whole[:, 1:])
+    assert not np.shares_memory(state, rows)
+
+
+def test_an_rl_step_forward_holds_only_its_own_blocks(dataset, monkeypatch):
+    """The rows an RL training step hands `forward` own no memory beyond
+    their own blocks: the state's "identity" block is not kept alive
+    through the backward."""
+    seen, forward = [], dmf.forward
+
+    def recording(rows, params, mask=None):
+        owner = rows if rows.base is None else rows.base
+        seen.append((owner.nbytes, rows.nbytes))
+        return forward(rows, params, mask=mask)
+    monkeypatch.setattr(dmf, "forward", recording)
+    one_step = dataclasses.replace(
+        dataset, train_windows=dataset.train_windows[:8], val_windows=[])
+    trainer.train(tiny_config(variant="rl_dmf", epochs=1), one_step)
+    assert len(seen) == 1 and seen[0][0] == seen[0][1]
 
 
 @pytest.mark.parametrize("name", ["S1", "S2"])
