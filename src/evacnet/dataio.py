@@ -824,10 +824,18 @@ def gather_grid(windows, modalities):
     """
     table, hours, dets = _batch_index(windows)
     k = np.array([INPUT_MODALITIES.index(g) for g in modalities])
-    t, hour_at = np.unique(hours, return_inverse=True)
-    d, det_at = np.unique(np.concatenate(dets), return_inverse=True)
-    grid = table[t[:, None, None], k[:, None], d]
-    return grid, hour_at.reshape(hours.shape) * len(d) + det_at
+    t, hour_at = _ranks(hours, table.shape[0])
+    d, det_at = _ranks(np.concatenate(dets), table.shape[2])
+    return table[t[:, None, None], k[:, None], d], hour_at * len(d) + det_at
+
+
+def _ranks(index, size):
+    """The distinct values of an integer array in [0, size), ascending, and
+    each entry's rank among them: `np.unique(index, return_inverse=True)`
+    by a mark per value, with no sort."""
+    used = np.zeros(size, bool)
+    used[index] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
 
 
 def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):

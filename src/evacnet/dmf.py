@@ -140,8 +140,8 @@ def lstm_step(x, params, at=None):
     is cell at[k, r] of its T * n_u cells (`dataio.gather_grid`): the
     input projection runs once per cell, and each row-hour takes its
     gates from its cell's, so a cell that several windows cover is
-    projected once. Its gradient sums those of the row-hours that read
-    it.
+    projected once. Only a pass that records no graph takes a grid
+    (ValueError otherwise): training keeps its per-window rows.
 
     The activations are gate-major: one (4, l, n, H) array in which gate
     f, i, c̃ or o of hour k is a contiguous (n, H) block. The input
@@ -180,7 +180,11 @@ def lstm_step(x, params, at=None):
     # again. A recorded pass keeps them until its backward, and one block
     # would only raise malloc's thresholds for the training step.
     sizes = (4 * l, l + 1, l + 1, l, 4)
-    if any(p.requires_grad for p in (x, w, u, b)):
+    recorded = any(p.requires_grad for p in (x, w, u, b))
+    if recorded and at is not None:
+        raise ValueError("only a pass that records no graph takes grid "
+                         "positions")
+    if recorded:
         pre, hs, cs, tanh_c, hu = (np.empty((k, n, hid), dtype)
                                    for k in sizes)
     else:
@@ -250,16 +254,10 @@ def lstm_step(x, params, at=None):
             if k:
                 dh = np.matmul(d_pre[k], u.data.T, out=dh_next)
         flat = d_pre.reshape(l * n, 4 * hid)
-        x_rows = xs if at is None else xs[at.ravel()]
-        dx = None
-        if x.requires_grad:
-            dx = flat @ w.data.T
-            if at is not None:
-                dx, per_row = np.zeros_like(xs), dx
-                np.add.at(dx, at.ravel(), per_row)
-            dx = dx.reshape(x.shape)
         # the state entering hour 0 is zero, so hour 0 adds nothing to dU
-        return (dx, x_rows.T @ flat,
+        dx = ((flat @ w.data.T).reshape(x.shape) if x.requires_grad
+              else None)
+        return (dx, xs.T @ flat,
                 hs[1:l].reshape((l - 1) * n, hid).T @ flat[n:],
                 flat.sum(axis=0))
     return Tensor.node(hs[l], (x, w, u, b), bwd), cs[l]

@@ -21,10 +21,12 @@ CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
                      "mask_counts", "static_adj_full")
 # Predicted-node rows per forward pass in evaluate. A larger pass spreads
 # the fixed cost of each op over more rows, but a pass builds no autograd
-# graph, so its memory is the chunk's live activations, about 9 KB per row
-# in float32 with 32 hidden units, 6 input hours and two graphs (4.5 MB at
-# 512 rows), and that adds to peak memory. On corridors100, 512 rows hold
-# about 5 windows of 97 predicted detectors.
+# graph, so its memory is the chunk's live activations, and that adds to
+# peak memory. In float32 with 32 hidden units, 6 input hours and two
+# graphs, the peak of one chunk's gather and forward (tracemalloc) is
+# about 7.2 KB per row on S1 and S2 (3.5 MB at 512 rows), whose windows
+# share most cells of the grid, and 8.0-9.0 KB on corridors100, where 512
+# rows hold about 5 windows of 97 predicted detectors.
 EVAL_ROWS = 512
 # Widths past which a mistyped value would ask for memory without bound.
 # The LSTM's 8 * hidden**2 weights, with a gradient and Adam's two moments
