@@ -811,17 +811,14 @@ def gather_inputs(windows, modalities, static_chain=None, state_block=False):
 
 
 def gather_grid(windows, modalities):
-    """The batch's input rows as a grid of (hour, detector) cells, each
-    once, and where each window's rows sit in it: the (T, M, n_u, F) rows
-    of its T distinct input hours and the n_u detectors any window
-    predicts, one block per modality as in `gather_inputs`, and the (l, N)
-    positions t * n_u + d of each window row-hour's cell in the grid's
-    T * n_u (hour, detector) cells, rows in `gather_inputs`' order. The
-    windows of a batch overlap in hours, up to l of them on each, so the
-    grid has fewer cells than the batch has row-hours. The cell at a
-    position holds exactly the row `gather_inputs` reads there; the grid
-    has no static-graph rows, as those depend on each window's detectors.
-    """
+    """The batch's input rows with each (hour, detector) cell once: the
+    (T, M, n_u, F) grid of its T distinct input hours by the n_u
+    detectors any window predicts, one block per modality as in
+    `gather_inputs`, and the (l, N) positions t * n_u + d of the cell
+    holding each row `gather_inputs` would read, in its order. Windows
+    overlap in hours, so the grid has fewer cells than the batch has
+    row-hours. It has no static-graph rows: those depend on each window's
+    predicted detectors."""
     table, hours, dets = _batch_index(windows)
     k = np.array([INPUT_MODALITIES.index(g) for g in modalities])
     t, hour_at = _ranks(hours, table.shape[0])
