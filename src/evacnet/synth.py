@@ -115,8 +115,9 @@ class Scenario:
                              f"{MAX_MAGNITUDE:.0e}]")
         if not 0 <= self.incident_capacity_drop < 1:
             raise ValueError("incident_capacity_drop must be in [0, 1)")
-        # the share of its speed above the floor a wave takes away: past 1
-        # or below 0 a wave would speed traffic up or overflow the speed
+        # the share of the speed above the floor that a wave takes away:
+        # below 0 a wave speeds traffic up (-1e307 overflows the speed),
+        # and past 1 it asks for a speed under the floor
         if not 0 <= self.wave_strength <= 1:
             raise ValueError(f"wave_strength must be in [0, 1], got "
                              f"{self.wave_strength!r}")

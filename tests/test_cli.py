@@ -153,8 +153,8 @@ def test_generate_rejected_scenario(tmp_path, caplog):
     *(pytest.param(field, -0.0, id=f"{field}-negative-zero")
       for field in ("noise_std", "incident_mean_duration_hours",
                     "outage_mean_duration_hours")),
-    # a wave that sped traffic up, or overflowed the speed (generate warned
-    # "overflow encountered in multiply" and wrote the floor speed)
+    # a wave that sped traffic up (at -1e307 generate warned "overflow
+    # encountered in multiply"), or that cut speed below the floor
     *(pytest.param("wave_strength", value, id=f"wave-strength-{value}")
       for value in (-0.1, 1.5, -1e307)),
     # generate wrote no outage for a start at or past the horizon
