@@ -86,12 +86,12 @@ def gcn_layer(rows, weight):
     (M, F, H) weight give (l, M, n, H). One node; its backward returns only
     the weight's gradient, since the rows are data."""
     pre = rows @ weight.data
-    active = pre > 0
 
     def bwd(g):
-        # one product per hour over every modality: no transposed copy of
-        # the rows
-        dz = g * active
+        # the ReLU ran in place, and its output is positive where its
+        # input was: no mask is kept. One product per hour over every
+        # modality: no transposed copy of the rows
+        dz = g * (pre > 0)
         return (sum(np.swapaxes(rows[k], -1, -2) @ dz[k]
                     for k in range(len(rows))),)
     return Tensor.node(np.maximum(pre, 0.0, out=pre), (weight,), bwd)

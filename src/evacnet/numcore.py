@@ -3,14 +3,17 @@ over a flat parameter vector.
 
 Reverse-mode differentiation over a dynamic graph of numpy arrays; the
 graph is rebuilt on every forward pass, so shapes may change between
-passes (node counts in the traffic graph do). The forecaster's ops (its
-cells, head and loss in `dmf`) are defined where they are used and join
-the graph through `Tensor.node`, each with its own hand-written
-backward. The only generic ops left are `*` and `sum`, for tests that
-weight an op's output into a scalar. An op computes in the dtype of its
-inputs: the forecaster runs in float32, and the same ops given float64
-arrays run in float64 end to end. Data that are not floating point
-become float64.
+passes (node counts in the traffic graph do). A backward consumes the
+graph it runs over: each op node's parents and backward closure are
+dropped as the pass reaches it, so the forward arrays an op saved for
+its gradient live no longer than the backward, and a graph runs
+backward once. The forecaster's ops (its cells, head and loss in `dmf`)
+are defined where they are used and join the graph through
+`Tensor.node`, each with its own hand-written backward. The only
+generic ops left are `*` and `sum`, for tests that weight an op's
+output into a scalar. An op computes in the dtype of its inputs: the
+forecaster runs in float32, and the same ops given float64 arrays run
+in float64 end to end. Data that are not floating point become float64.
 
 A model's parameters are views of one contiguous vector (`flatten`).
 `Adam` knows only that vector: `step` takes the model's gradient as one
@@ -45,7 +48,7 @@ def _unbroadcast(grad, shape):
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_backward_done")
+                 "_consumed")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -53,7 +56,8 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward_fn = None
-        self._backward_done = False
+        # an op's node whose backward closure a backward pass has dropped
+        self._consumed = False
 
     @property
     def shape(self):
@@ -64,7 +68,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._backward_done = False
 
     def item(self):
         return float(self.data)
@@ -85,13 +88,16 @@ class Tensor:
         return out
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf."""
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
+
+        The pass consumes the graph: it takes each op node's parents and
+        backward closure off the node before running the closure, so the
+        forward arrays that only the closure holds are freed as soon as
+        their gradients are made, and the nodes themselves once passed.
+        A second backward through any op node of a consumed graph is a
+        RuntimeError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        if self._backward_done:
-            raise RuntimeError("backward() already ran on this tensor; "
-                               "rebuild the graph or zero_grad() first")
-        self._backward_done = True
 
         topo = []
         visited = set()
@@ -103,6 +109,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._consumed:
+                raise RuntimeError("backward() already ran through this "
+                                   "graph; rebuild it")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -110,13 +119,19 @@ class Tensor:
                     stack.append((p, False))
 
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None or node._backward_fn is None:
-                if g is not None and node._backward_fn is None:
+            parents, fn = node._parents, node._backward_fn
+            if fn is None:
+                if g is not None:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward_fn(g)):
+            node._parents, node._backward_fn = (), None
+            node._consumed = True
+            if g is None:
+                continue
+            for parent, pg in zip(parents, fn(g)):
                 if not parent.requires_grad or pg is None:
                     continue
                 if id(parent) in grads:

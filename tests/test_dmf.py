@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -358,6 +360,18 @@ def test_fused_ops_on_constants_record_no_graph():
         assert out._parents == () and out._backward_fn is None
 
 
+def test_gcn_layer_backward_keeps_no_relu_mask():
+    # the ReLU runs in place: the backward reads its support from the
+    # node's own output, and saves no bool array beside it
+    rng = np.random.default_rng(23)
+    weight = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    z = dmf.gcn_layer(rng.normal(size=(3, 2, 6, 5)), weight)
+    saved = [cell.cell_contents for cell in z._backward_fn.__closure__]
+    arrays = [a for a in saved if isinstance(a, np.ndarray)]
+    assert any(a is z.data for a in arrays)
+    assert all(a.dtype != bool for a in arrays)
+
+
 def test_training_step_graph_is_one_node_per_fused_op():
     rng = np.random.default_rng(22)
     w, _ = random_window(rng, n=4, f_t=3, f_s=2, l=3, p=2)
@@ -372,6 +386,32 @@ def test_training_step_graph_is_one_node_per_fused_op():
                 stack.append(parent)
     # 7 parameters, one node per fused op, the head and the loss
     assert len(nodes) == 7 + 3 + 1 + 1
+
+
+def test_backward_frees_each_op_it_consumed():
+    # every op's backward closure, and so the forward arrays only it
+    # holds, is freed by the backward itself; garbage collection is off,
+    # so no cycle collector frees them later
+    rng = np.random.default_rng(22)
+    w, _ = random_window(rng, n=4, f_t=3, f_s=2, l=3, p=2)
+    params = params_for(w, 3, hidden=4)
+    y, _ = predict([w], params)
+    loss = dmf.mse_loss(y, [w.targets])
+    closures, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward_fn is not None:
+            closures.append(weakref.ref(node._backward_fn))
+        stack.extend(node._parents)
+    assert len(closures) == 3 + 1 + 1
+    gc.disable()
+    try:
+        loss.backward()
+        assert [ref() for ref in closures] == [None] * len(closures)
+    finally:
+        gc.enable()
+    assert loss._parents == () and y._parents == ()
+    assert all(t.grad is not None for t in params.tensors.values())
 
 
 def test_predict_head_zero_weights():

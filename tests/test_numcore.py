@@ -52,6 +52,26 @@ def test_repeated_backward_raises():
     y.backward()
     with pytest.raises(RuntimeError):
         y.backward()
+    # zero_grad clears gradients only: the graph stays consumed
+    x.zero_grad()
+    y.zero_grad()
+    with pytest.raises(RuntimeError):
+        y.backward()
+    assert x.grad is None
+
+
+def test_backward_through_a_consumed_node_raises():
+    # z's backward consumed y's node too: a backward from y, or from a new
+    # node built on y, would find no path to x
+    x = Tensor(2.0, requires_grad=True)
+    y = x * x
+    z = y * y
+    z.backward()
+    x.zero_grad()
+    for root in (y, y * x):
+        with pytest.raises(RuntimeError):
+            root.backward()
+    assert x.grad is None
 
 
 def test_finite_diff_relu_matvec():

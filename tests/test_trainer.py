@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import gc
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -693,6 +695,39 @@ def test_an_rl_step_forward_holds_only_its_own_blocks(dataset, monkeypatch):
         dataset, train_windows=dataset.train_windows[:8], val_windows=[])
     trainer.train(tiny_config(variant="rl_dmf", epochs=1), one_step)
     assert len(seen) == 1 and seen[0][0] == seen[0][1]
+
+
+@pytest.mark.parametrize("variant", ["rl_dmf", "dmf_no_rl"])
+def test_no_step_graph_outlives_its_step(builtin, variant, monkeypatch):
+    """Each forward, a training step's or validation's, starts with every
+    earlier step's backward closure freed: a step's graph, with the
+    activations its closures hold, is gone before the next step's
+    gather, agent update and forward. Garbage collection is off, so what
+    frees them is the backward, not the cycle collector."""
+    closures, entries = [], []
+    lstm_step, forward = dmf.lstm_step, dmf.forward
+
+    def recording_lstm_step(*args, **kwargs):
+        h, c = lstm_step(*args, **kwargs)
+        if h._backward_fn is not None:
+            closures.append(weakref.ref(h._backward_fn))
+        return h, c
+
+    def checked_forward(*args, **kwargs):
+        entries.append(sum(ref() is not None for ref in closures))
+        return forward(*args, **kwargs)
+    monkeypatch.setattr(dmf, "lstm_step", recording_lstm_step)
+    monkeypatch.setattr(dmf, "forward", checked_forward)
+    gc.disable()
+    try:
+        trainer.train(TrainConfig(variant=variant, epochs=1, seed=0),
+                      builtin["S1"])
+    finally:
+        gc.enable()
+    steps = -(-len(builtin["S1"].train_windows) // 8)
+    assert len(closures) == steps
+    assert len(entries) > steps  # validation's forwards are checked too
+    assert entries == [0] * len(entries)
 
 
 @pytest.mark.parametrize("name", ["S1", "S2"])
