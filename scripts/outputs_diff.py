@@ -16,10 +16,12 @@ the scenario of each benchmark workload (as the tree's
 `perfbench/workloads.py` builds it) at each of BENCH_SEEDS. It then
 compares generate's `meta.csv`, `records.csv`, `scenario.json` and
 `manifest.json` (which holds the notes), train's `model.ckpt`,
-`metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
+`epochs.csv`, `metrics.csv` and `ranking.csv`, evaluate's `metrics.csv`,
 rank-features' `ranking.csv` and ablate's `ablation.csv` byte for byte
-(so a moved corpus is told from a moved model), prints one line per
-file and exits 0 when every file is identical, 1 otherwise. For a
+(so a moved corpus is told from a moved model). An `epochs.csv` is
+compared with its `wall_time` column cut from each line, as that clock
+differs from run to run. It prints one line per file and exits 0 when
+every file is identical, 1 otherwise. For a
 `metrics.csv` or `ablation.csv` that differs, the line also says how far
 it moved: the largest relative difference over the numeric fields the
 two files hold at the same row and column. A `ranking.csv` that differs
@@ -54,13 +56,16 @@ EPOCHS = 3
 # generate's compared files; its manifest holds the notes
 CORPUS = ("meta.csv", "records.csv", "scenario.json", "manifest.json")
 # command -> the files of its output directory that are compared
-COMPARED = {"train": ("model.ckpt", "metrics.csv", "ranking.csv"),
+COMPARED = {"train": ("model.ckpt", "epochs.csv", "metrics.csv",
+                      "ranking.csv"),
             "evaluate": ("metrics.csv",),
             "rank-features": ("ranking.csv",)}
 # the tables whose numeric fields a differing file is measured on, row
 # by row; a ranking is measured feature by feature
 MEASURED = ("metrics.csv", "ablation.csv")
 RANKING = "ranking.csv"
+# the table compared without its one clock column
+EPOCHS_CSV, CLOCK = "epochs.csv", b"wall_time"
 
 
 def git(*args):
@@ -160,6 +165,20 @@ def expected_files():
     return files
 
 
+def compared_bytes(path):
+    """The bytes of `path` that are compared: all of them, except an
+    EPOCHS_CSV table's CLOCK column, cut from each line."""
+    data = path.read_bytes()
+    if path.name != EPOCHS_CSV:
+        return data
+    lines = [line.split(b",") for line in data.split(b"\n")]
+    if CLOCK not in lines[0]:
+        return data
+    k = lines[0].index(CLOCK)
+    return b"\n".join(b",".join(fields[:k] + fields[k + 1:])
+                      for fields in lines)
+
+
 def compare(parent, change, files):
     """(file, verdict) per relative path: "identical", "differs", or
     "missing in parent" / "missing in change" / "missing in both"."""
@@ -171,8 +190,8 @@ def compare(parent, change, files):
                     else "parent" if not p.is_file() else "change")
             rows.append((rel, f"missing in {side}"))
         else:
-            rows.append((rel, "identical" if p.read_bytes()
-                         == c.read_bytes() else "differs"))
+            rows.append((rel, "identical" if compared_bytes(p)
+                         == compared_bytes(c) else "differs"))
     return rows
 
 

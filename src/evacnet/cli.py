@@ -8,11 +8,12 @@ Exit codes: 0 success, 1 user error (bad arguments, bad input files),
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 EXIT_OK = 0
@@ -20,6 +21,9 @@ EXIT_USER_ERROR = 1
 EXIT_INTERNAL = 2
 
 log = logging.getLogger("evacnet")
+
+METRICS_HEADER = ("horizon", "RMSE", "MAE", "MAPE", "R2")
+RANKING_HEADER = ("rank", "feature_name", "mask_count", "mask_fraction")
 
 
 class UserError(Exception):
@@ -31,9 +35,10 @@ def _apply_thread_env():
     n = os.environ.get("EVACNET_THREADS")
     if not n:
         return
-    if not n.isdigit() or int(n) < 1:
-        raise UserError(f"EVACNET_THREADS must be a positive integer, "
-                        f"got {n!r}")
+    # str.isdigit also accepts "²" and "١", which int() and OpenMP do not
+    if not (n.isascii() and n.isdigit()) or int(n) < 1:
+        raise UserError(f"EVACNET_THREADS must be a positive integer in "
+                        f"ASCII digits, got {n!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, n)
@@ -54,6 +59,23 @@ def _write_manifest(out, command, seed, outputs, extra=None):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
+
+
+def write_table(path, header, rows):
+    """The CSV table `header`, then `rows`, at `path`. A None field is
+    empty, a float (np.float64 too) is its repr, and a field holding a
+    comma, a quote or a newline is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def metric_rows(table, *key):
+    """The rows of a metric table (`trainer.evaluate`): each horizon in
+    order, then "overall", as `key`'s fields, the horizon, RMSE, MAE,
+    MAPE and R2."""
+    horizons = sorted(k for k in table if k != "overall") + ["overall"]
+    return [(*key, h, table[h].rmse, table[h].mae, table[h].mape,
+             table[h].r2) for h in horizons]
 
 
 def _load_train_config(args):
@@ -138,7 +160,7 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    from . import rlagent, trainer
+    from . import trainer
     out = _out_dir(args)
     config = _load_train_config(args)
     dataset = _prepare_dataset(args.data, config.l, config.p)
@@ -152,23 +174,19 @@ def cmd_train(args):
             log_fn=lambda e: log.info("epoch %d loss %.6f", e.epoch,
                                       e.train_loss))
     except trainer.TrainingDiverged as exc:
-        raise UserError(f"training diverged: {exc}; lr must be lower")
-    outputs = []
-    ckpt = out / "model.ckpt"
+        raise UserError(f"training diverged: {exc}")
+    ckpt, epochs_csv, metrics_csv = (out / "model.ckpt", out / "epochs.csv",
+                                     out / "metrics.csv")
     trainer.save_checkpoint(result, dataset, ckpt)
-    outputs.append(ckpt)
-    epochs_csv = out / "epochs.csv"
-    trainer.write_epochs_csv(result.epoch_logs, epochs_csv)
-    outputs.append(epochs_csv)
-    eval_windows = dataset.val_windows or dataset.train_windows
-    table = trainer.evaluate(result.params, eval_windows, dataset,
+    write_table(epochs_csv, [f.name for f in fields(trainer.EpochLog)],
+                map(astuple, result.epoch_logs))
+    table = trainer.evaluate(result.params, dataset.eval_windows, dataset,
                              result.static_adj_full)
-    metrics_csv = out / "metrics.csv"
-    trainer.write_metrics_csv(table, metrics_csv)
-    outputs.append(metrics_csv)
+    write_table(metrics_csv, METRICS_HEADER, metric_rows(table))
+    outputs = [ckpt, epochs_csv, metrics_csv]
     if result.ranking_rows:
         ranking_csv = out / "ranking.csv"
-        rlagent.write_ranking_csv(result.ranking_rows, ranking_csv)
+        write_table(ranking_csv, RANKING_HEADER, result.ranking_rows)
         outputs.append(ranking_csv)
     _write_manifest(out, "train", config.seed, outputs,
                     extra={"variant": config.variant,
@@ -183,7 +201,7 @@ def cmd_evaluate(args):
     ckpt = Path(args.checkpoint)
     payload, config, params = _load_checkpoint(ckpt)
     dataset = _prepare_dataset(args.data, config.l, config.p)
-    windows = dataset.val_windows or dataset.train_windows
+    windows = dataset.eval_windows
     _require_windows(args.data, dataset, windows, "either split")
     try:
         trainer.check_registry(payload, dataset)
@@ -195,7 +213,7 @@ def cmd_evaluate(args):
         raise UserError(f"checkpoint {ckpt} {exc}")
     table = trainer.evaluate(params, windows, dataset, static_full)
     metrics_csv = out / "metrics.csv"
-    trainer.write_metrics_csv(table, metrics_csv)
+    write_table(metrics_csv, METRICS_HEADER, metric_rows(table))
     log.info("overall RMSE %.3f over %d points", table["overall"].rmse,
              table["overall"].n)
     _write_manifest(out, "evaluate", config.seed, [metrics_csv],
@@ -222,7 +240,10 @@ def cmd_ablate(args):
                            + "; ".join(f"{v}: {e}"
                                        for v, e in failures.items()))
     ablation_csv = out / "ablation.csv"
-    trainer.write_ablation_csv(tables, ablation_csv)
+    write_table(ablation_csv, ("variant", *METRICS_HEADER),
+                [row for variant in trainer.ABLATION_VARIANTS
+                 if variant in tables
+                 for row in metric_rows(tables[variant], variant)])
     _write_manifest(out, "ablate", config.seed, [ablation_csv],
                     extra={"config": asdict(config), "failures": failures})
     return EXIT_OK
@@ -240,7 +261,7 @@ def cmd_rank_features(args):
             f"(variant {config.variant!r}); train an RL variant first")
     rows = rlagent.ranking(counts, payload["registry"])
     ranking_csv = out / "ranking.csv"
-    rlagent.write_ranking_csv(rows, ranking_csv)
+    write_table(ranking_csv, RANKING_HEADER, rows)
     log.info("most important feature: %s", rows[0][1])
     _write_manifest(out, "rank-features", config.seed, [ranking_csv],
                     extra={"checkpoint": str(ckpt)})

@@ -894,6 +894,12 @@ class Dataset:
         return list(REGISTRY)
 
     @property
+    def eval_windows(self):
+        """The windows that are scored: the validation split's, or the
+        training split's when it has none."""
+        return self.val_windows or self.train_windows
+
+    @property
     def f_t(self):
         return len(TEMPORAL_FEATURES)
 

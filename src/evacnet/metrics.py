@@ -32,12 +32,6 @@ class MetricReport:
     n: int
     mape_skipped: int = 0
 
-    def row(self):
-        """The CSV fields RMSE,MAE,MAPE,R2, joined; None is empty."""
-        fmt = lambda v: "" if v is None else repr(float(v))
-        return ",".join((repr(self.rmse), repr(self.mae), fmt(self.mape),
-                         fmt(self.r2)))
-
 
 def compute(actual, predicted):
     actual = np.asarray(actual, dtype=float).ravel()

@@ -253,13 +253,6 @@ def ranking(counts, feature_names):
             for rank, k in enumerate(order, start=1)]
 
 
-def write_ranking_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,feature_name,mask_count,mask_fraction\n")
-        for rank, name, count, frac in rows:
-            fh.write(f"{rank},{name},{count},{frac!r}\n")
-
-
 class Agent:
     """Bundles the DDQN pieces and the training-side bookkeeping."""
 

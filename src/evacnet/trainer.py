@@ -127,7 +127,7 @@ class EpochLog:
     val_r2: float | None
     epsilon: float | None
     mean_reward: float | None
-    wall_time: float
+    wall_time: float  # seconds since training started, to the millisecond
 
 
 @dataclass
@@ -223,10 +223,19 @@ def train(config, dataset, log_fn=None):
                 # the "identity" block dies here; the forward keeps its own
                 state = rlagent.build_state(rows[0], dataset.f_t)
                 rows = rows[1]
-                if pending is not None:
-                    agent.observe(*pending, state)
-                    agent.learn()
-                action, eps = agent.act(state)
+                # a diverging agent overflows its Q-values or its Adam
+                # step; its TD errors would then turn NaN as priorities
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        if pending is not None:
+                            agent.observe(*pending, state)
+                            agent.learn()
+                        action, eps = agent.act(state)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(
+                        f"agent update failed ({exc}) at epoch {epoch}, "
+                        f"variant {config.variant}, rl_lr {config.rl_lr}; "
+                        f"rl_lr must be lower") from None
                 mask = rlagent.apply_mask(action, dataset.f_t, dataset.f_s)
 
             predicted, _ = dmf.forward(rows, params, mask=mask)
@@ -235,7 +244,7 @@ def train(config, dataset, log_fn=None):
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, variant "
-                    f"{config.variant}, lr {config.lr}")
+                    f"{config.variant}, lr {config.lr}; lr must be lower")
             loss.backward()
             optimizer.step(params.grad())
             epoch_loss += loss_value * len(batch)
@@ -257,7 +266,7 @@ def train(config, dataset, log_fn=None):
             val_r2=overall.r2 if overall else None,
             epsilon=eps, mean_reward=float(np.mean(rewards))
             if rewards else None,
-            wall_time=time.perf_counter() - t_start))
+            wall_time=round(time.perf_counter() - t_start, 3)))
         if log_fn:
             log_fn(logs[-1])
 
@@ -351,49 +360,11 @@ def ablate(base_config, dataset, log_fn=None):
         cfg = TrainConfig(**{**asdict(base_config), "variant": variant})
         try:
             result = train(cfg, dataset, log_fn=log_fn)
-            eval_windows = dataset.val_windows or dataset.train_windows
-            tables[variant] = evaluate(result.params, eval_windows, dataset,
-                                       result.static_adj_full)
+            tables[variant] = evaluate(result.params, dataset.eval_windows,
+                                       dataset, result.static_adj_full)
         except Exception as exc:  # keep the other variants running
             failures[variant] = f"{type(exc).__name__}: {exc}"
     return tables, failures
-
-
-# ---- artifact emission ----
-
-def write_metrics_csv(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("horizon,RMSE,MAE,MAPE,R2\n")
-        horizons = sorted(k for k in table if k != "overall")
-        for h in horizons:
-            fh.write(f"{h},{table[h].row()}\n")
-        fh.write(f"overall,{table['overall'].row()}\n")
-
-
-def write_ablation_csv(tables, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("variant,horizon,RMSE,MAE,MAPE,R2\n")
-        for variant in ABLATION_VARIANTS:
-            if variant not in tables:
-                continue
-            table = tables[variant]
-            horizons = sorted(k for k in table if k != "overall")
-            for h in horizons:
-                fh.write(f"{variant},{h},{table[h].row()}\n")
-            fh.write(f"{variant},overall,{table['overall'].row()}\n")
-
-
-def write_epochs_csv(logs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_rmse,val_mae,val_mape,val_r2,"
-                 "epsilon,mean_reward,wall_time\n")
-        for log in logs:
-            fields = [log.epoch, log.train_loss, log.val_rmse, log.val_mae,
-                      log.val_mape, log.val_r2, log.epsilon,
-                      log.mean_reward, round(log.wall_time, 3)]
-            fh.write(",".join("" if f is None else repr(f)
-                              if isinstance(f, float) else str(f)
-                              for f in fields) + "\n")
 
 
 def save_checkpoint(result, dataset, path):

@@ -15,8 +15,8 @@ from scipy import stats
 
 from conftest import predict, random_window, repropagate
 from float64_params import float64_params
-from evacnet import (dataio, dmf, metrics, numcore as nc, rlagent, synth,
-                     trainer)
+from evacnet import (cli, dataio, dmf, metrics, numcore as nc, rlagent,
+                     synth, trainer)
 from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import Agent, EpsilonSchedule, ReplayBuffer
 
@@ -300,7 +300,9 @@ def test_c11_ablation_harness(s3_dataset, tmp_path):
         tables, failures = trainer.ablate(cfg, s3_dataset)
         assert failures == {}, f"variants failed: {failures}"
         path = tmp_path / "ablation.csv"
-        trainer.write_ablation_csv(tables, path)
+        cli.write_table(path, ("variant", *cli.METRICS_HEADER),
+                        [row for v in trainer.ABLATION_VARIANTS
+                         for row in cli.metric_rows(tables[v], v)])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 4 * 7  # header + 4 variants x 7 rows
         fused = tables["rl_dmf"]["overall"].rmse
@@ -325,7 +327,8 @@ def test_c12_determinism(s1_dataset, tmp_path):
             trainer.save_checkpoint(result, small, run / "model.ckpt")
             windows = small.val_windows or small.train_windows
             table = trainer.evaluate(result.params, windows, small)
-            trainer.write_metrics_csv(table, run / "metrics.csv")
+            cli.write_table(run / "metrics.csv", cli.METRICS_HEADER,
+                            cli.metric_rows(table))
         for name in ("model.ckpt", "metrics.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), f"{name} differs"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import pickle
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evacnet import cli, dataio, dmf, trainer
+from evacnet import cli, dataio, dmf, metrics, rlagent, trainer
 from evacnet.synth import Scenario
 
 HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.txt"
@@ -346,9 +347,12 @@ def test_train_unknown_config_field(corpus, tmp_path):
     ({"epochs": 1, "rl_batch": 10 ** 10}, "rl_batch"),
     # a step that large leaves the loss non-finite: training diverges
     ({"epochs": 1, "lr": 1e30}, "lr"),
+    # the agent's Q-values overflow: its training diverges
+    ({"epochs": 1, "rl_lr": 1e30}, "rl_lr"),
 ], ids=["epochs-type", "epochs", "batch_size", "hidden", "lr", "rl_buffer",
         "rl_batch", "rl_sync_every", "patience", "seed", "rl_gamma-nan",
-        "rl_gamma-huge", "hidden-huge", "rl_batch-huge", "lr-diverges"])
+        "rl_gamma-huge", "hidden-huge", "rl_batch-huge", "lr-diverges",
+        "rl_lr-diverges"])
 def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog,
                                                fields, name):
     cfg = tmp_path / "cfg.json"
@@ -725,13 +729,91 @@ def test_internal_error_exit_code(corpus, tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_thread_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("EVACNET_THREADS", "zero")
-    assert cli.main(["generate", "--scenario", "S1",
-                     "--out", str(tmp_path)]) == 1
-    monkeypatch.setenv("EVACNET_THREADS", "2")
+def test_thread_env_validation(tmp_path, monkeypatch, caplog):
+    import os
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    # digits to str.isdigit, but not ASCII: int() rejects "²", and "١"
+    # would reach OpenMP as it is
+    for bad in ("zero", "²", "١"):
+        monkeypatch.setenv("EVACNET_THREADS", bad)
+        assert cli.main(["generate", "--scenario", "S1",
+                         "--out", str(tmp_path)]) == 1
+        assert f"EVACNET_THREADS must be a positive integer in ASCII " \
+               f"digits, got {bad!r}" in caplog.text
+        assert "OMP_NUM_THREADS" not in os.environ
+    monkeypatch.setenv("EVACNET_THREADS", "2")
     assert cli.main(["generate", "--scenario", "S1",
                      "--out", str(tmp_path)]) == 0
-    import os
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+# One input per table: None MAPE and R² fields, floats that take 17
+# significant digits, an np.float64, and epoch logs with None fields. The
+# expected texts are what the per-table writers before `write_table`
+# wrote for this input.
+FIXED_TABLE = {
+    1: metrics.MetricReport(rmse=0.1 + 0.2, mae=1.5, mape=None, r2=None,
+                            n=4),
+    2: metrics.MetricReport(rmse=2.0, mae=1e22, mape=np.float64(12.5),
+                            r2=-0.25, n=4, mape_skipped=1),
+    "overall": metrics.MetricReport(rmse=1 / 3, mae=2 / 7, mape=None,
+                                    r2=0.9999999999999999, n=8),
+}
+FIXED_LOGS = [
+    trainer.EpochLog(0, 0.30000000000000004, None, None, None, None, None,
+                     None, 0.125),
+    trainer.EpochLog(1, 2 / 3, 1 / 3, 1.0, 12.5, -0.5, 0.995, -0.25, 1.5),
+]
+FIXED_RANKING = rlagent.ranking(np.array([2, 3, 2]),
+                                ["flow", "speed", "occ"])
+METRICS_ROWS = ("1,0.30000000000000004,1.5,,\n"
+                "2,2.0,1e+22,12.5,-0.25\n"
+                "overall,0.3333333333333333,0.2857142857142857,,"
+                "0.9999999999999999\n")
+EXPECTED_TABLES = {
+    "train/epochs.csv":
+        "epoch,train_loss,val_rmse,val_mae,val_mape,val_r2,epsilon,"
+        "mean_reward,wall_time\n"
+        "0,0.30000000000000004,,,,,,,0.125\n"
+        "1,0.6666666666666666,0.3333333333333333,1.0,12.5,-0.5,0.995,"
+        "-0.25,1.5\n",
+    "train/metrics.csv": "horizon,RMSE,MAE,MAPE,R2\n" + METRICS_ROWS,
+    "train/ranking.csv":
+        "rank,feature_name,mask_count,mask_fraction\n"
+        "1,flow,2,0.2857142857142857\n"
+        "2,occ,2,0.2857142857142857\n"
+        "3,speed,3,0.42857142857142855\n",
+    "ablate/ablation.csv":
+        "variant,horizon,RMSE,MAE,MAPE,R2\n"
+        + "".join(f"{variant},{row}" for variant in ("dmf_no_rl", "rl_dmf")
+                  for row in METRICS_ROWS.splitlines(keepends=True)),
+}
+
+
+def test_tables_bytes(corpus, tmp_path, monkeypatch):
+    result = trainer.TrainResult(params=None, config=trainer.TrainConfig(),
+                                 epoch_logs=FIXED_LOGS, agent=None,
+                                 ranking_rows=FIXED_RANKING)
+    monkeypatch.setattr(trainer, "train", lambda *a, **kw: result)
+    monkeypatch.setattr(trainer, "save_checkpoint", lambda *a: None)
+    monkeypatch.setattr(trainer, "evaluate", lambda *a: FIXED_TABLE)
+    monkeypatch.setattr(trainer, "ablate", lambda *a, **kw: (
+        {"rl_dmf": FIXED_TABLE, "dmf_no_rl": FIXED_TABLE}, {}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l": 3, "p": 2}), encoding="utf-8")
+    for command in ("train", "ablate"):
+        assert cli.main([command, "--data", str(corpus), "--config",
+                         str(cfg), "--out", str(tmp_path / command)]) == 0
+    for rel, text in EXPECTED_TABLES.items():
+        assert (tmp_path / rel).read_bytes() == text.encode(), rel
+
+
+def test_write_table_quotes_a_field_with_a_separator(tmp_path):
+    # a registry read from a checkpoint is only checked to hold strings
+    rows = rlagent.ranking(np.array([1, 3]), ['a,b', 'say "x"'])
+    path = tmp_path / "ranking.csv"
+    cli.write_table(path, cli.RANKING_HEADER, rows)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        '1,"a,b",1,0.25', '2,"say ""x""",3,0.75']
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert [row[1] for row in csv.reader(fh)][1:] == ['a,b', 'say "x"']

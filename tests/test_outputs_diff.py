@@ -42,11 +42,11 @@ def test_compare_is_byte_exact(tmp_path):
 def test_expected_files_cover_every_variant_and_command():
     files = outputs_diff.expected_files()
     assert len(files) == len(set(files))
-    # per scenario: the corpus's 4 files, 3 RL variants x 5 files, 3
-    # others x 3 files, and ablate's table; then the corpora alone of S3
+    # per scenario: the corpus's 4 files, 3 RL variants x 6 files, 3
+    # others x 4 files, and ablate's table; then the corpora alone of S3
     # and of the benchmark's 3 workloads at 2 seeds each
-    assert len(files) == (len(outputs_diff.SCENARIOS) * (4 + 3 * 5 + 3 * 3 + 1)
-                          + 4 + 3 * 2 * 4) == 86
+    assert len(files) == (len(outputs_diff.SCENARIOS) * (4 + 3 * 6 + 3 * 4 + 1)
+                          + 4 + 3 * 2 * 4) == 98
     assert "S3/data/meta.csv" in files
     assert "S3/data/records.csv" in files
     assert "S3/data/scenario.json" in files
@@ -62,10 +62,30 @@ def test_expected_files_cover_every_variant_and_command():
     assert "S2/data/records.csv" in files
     assert "S1/rl_dmf/rank-features/ranking.csv" in files
     assert "S1/ablate/ablation.csv" in files
+    for variant in outputs_diff.VARIANTS:
+        assert f"S2/{variant}/train/epochs.csv" in files
     assert "S2/ablate/ablation.csv" in files
     assert "S2/static_gcn_lstm/evaluate/metrics.csv" in files
     assert not any(f.startswith("S1/dmf_no_rl/") and f.endswith(
         "ranking.csv") for f in files)
+
+
+def test_compare_cuts_wall_time_from_epochs_csv(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    header = b"epoch,train_loss,wall_time,val_rmse\n"
+    _write(parent, {"a/epochs.csv": header + b"0,0.5,1.25,3.0\n",
+                    "b/epochs.csv": header + b"0,0.5,1.25,3.0\n",
+                    "c/epochs.csv": header + b"0,0.5,1.25,3.0\n",
+                    "d/metrics.csv": b"RMSE,wall_time\n1.0,2.0\n"})
+    _write(change, {"a/epochs.csv": header + b"0,0.5,9.875,3.0\n",
+                    "b/epochs.csv": header + b"0,0.25,1.25,3.0\n",
+                    "c/epochs.csv": header + b"0,0.5,1.25,3.0\r\n",
+                    "d/metrics.csv": b"RMSE,wall_time\n1.0,3.0\n"})
+    files = ["a/epochs.csv", "b/epochs.csv", "c/epochs.csv", "d/metrics.csv"]
+    # only the clock column is cut, and only from an epochs.csv
+    assert outputs_diff.compare(parent, change, files) == [
+        ("a/epochs.csv", "identical"), ("b/epochs.csv", "differs"),
+        ("c/epochs.csv", "differs"), ("d/metrics.csv", "differs")]
 
 
 def test_largest_rel_diff_over_numeric_fields(tmp_path):

@@ -6,7 +6,7 @@ from scipy import stats
 
 from conftest import random_window
 from float64_params import float64_qnetwork
-from evacnet import dataio, numcore as nc, rlagent, synth
+from evacnet import cli, dataio, numcore as nc, rlagent, synth
 from evacnet.dataio import INPUT_MODALITIES
 from evacnet.rlagent import (Agent, EpsilonSchedule, QNetwork, ReplayBuffer,
                              apply_mask, build_state, compute_reward,
@@ -447,7 +447,7 @@ def test_mask_counter_sum_invariant():
 def test_write_ranking_csv(tmp_path):
     rows = ranking(np.array([1, 3]), ["x", "y"])
     path = tmp_path / "ranking.csv"
-    rlagent.write_ranking_csv(rows, path)
+    cli.write_table(path, cli.RANKING_HEADER, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,feature_name,mask_count,mask_fraction"
     assert lines[1:] == ["1,x,1,0.25", "2,y,3,0.75"]

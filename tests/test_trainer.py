@@ -15,8 +15,8 @@ from conftest import predict
 from float64_params import float64_params, float64_windows
 from static_rows_reference import _static_rows
 import graphs_reference
-from evacnet import (dataio, dmf, graphs, numcore as nc, rlagent, synth,
-                     trainer)
+from evacnet import (cli, dataio, dmf, graphs, numcore as nc, rlagent,
+                     synth, trainer)
 from evacnet.synth import Scenario
 from evacnet.trainer import TrainConfig
 
@@ -139,7 +139,7 @@ def test_metrics_csv_layout(dataset, tmp_path):
     windows = dataset.val_windows or dataset.train_windows
     table = trainer.evaluate(result.params, windows, dataset)
     path = tmp_path / "metrics.csv"
-    trainer.write_metrics_csv(table, path)
+    cli.write_table(path, cli.METRICS_HEADER, cli.metric_rows(table))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "horizon,RMSE,MAE,MAPE,R2"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "2", "overall"]
@@ -148,7 +148,9 @@ def test_metrics_csv_layout(dataset, tmp_path):
 def test_epochs_csv_layout(dataset, tmp_path):
     result = trainer.train(tiny_config(epochs=2), dataset)
     path = tmp_path / "epochs.csv"
-    trainer.write_epochs_csv(result.epoch_logs, path)
+    cli.write_table(path,
+                    [f.name for f in dataclasses.fields(trainer.EpochLog)],
+                    map(dataclasses.astuple, result.epoch_logs))
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("epoch,train_loss,")
     assert len(lines) == 3
@@ -209,7 +211,9 @@ def test_ablate_runs_all_variants(dataset, tmp_path):
     assert failures == {}
     assert set(tables) == set(trainer.ABLATION_VARIANTS)
     path = tmp_path / "ablation.csv"
-    trainer.write_ablation_csv(tables, path)
+    cli.write_table(path, ("variant", *cli.METRICS_HEADER),
+                    [row for v in trainer.ABLATION_VARIANTS
+                     for row in cli.metric_rows(tables[v], v)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "variant,horizon,RMSE,MAE,MAPE,R2"
     assert len(lines) == 1 + 4 * 3  # 4 variants x (2 horizons + overall)
