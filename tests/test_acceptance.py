@@ -255,7 +255,7 @@ def test_c09_dynamic_topology(s2_corpus, s2_dataset):
                                   batch_size=8, lr=5e-3, seed=0, l=6,
                                   p=6, hidden=16)
         result = trainer.train(cfg, dataset)
-        windows = dataset.val_windows or dataset.train_windows
+        windows = dataset.eval_windows
         table = trainer.evaluate(result.params, windows, dataset)
         assert np.isfinite(table["overall"].rmse)
 
@@ -325,7 +325,7 @@ def test_c12_determinism(s1_dataset, tmp_path):
             run.mkdir()
             result = trainer.train(cfg, small)
             trainer.save_checkpoint(result, small, run / "model.ckpt")
-            windows = small.val_windows or small.train_windows
+            windows = small.eval_windows
             table = trainer.evaluate(result.params, windows, small)
             cli.write_table(run / "metrics.csv", cli.METRICS_HEADER,
                             cli.metric_rows(table))

@@ -127,7 +127,7 @@ def test_patience_returns_best_validation_parameters(dataset):
 
 def test_evaluate_table_shape(dataset):
     result = trainer.train(tiny_config(), dataset)
-    windows = dataset.val_windows or dataset.train_windows
+    windows = dataset.eval_windows
     table = trainer.evaluate(result.params, windows, dataset)
     assert set(table) == {1, 2, "overall"}
     per_h = sum(table[h].n for h in (1, 2))
@@ -136,7 +136,7 @@ def test_evaluate_table_shape(dataset):
 
 def test_metrics_csv_layout(dataset, tmp_path):
     result = trainer.train(tiny_config(), dataset)
-    windows = dataset.val_windows or dataset.train_windows
+    windows = dataset.eval_windows
     table = trainer.evaluate(result.params, windows, dataset)
     path = tmp_path / "metrics.csv"
     cli.write_table(path, cli.METRICS_HEADER, cli.metric_rows(table))
@@ -166,7 +166,7 @@ def test_checkpoint_roundtrip(dataset, tmp_path):
     for k, t in result.params.tensors.items():
         np.testing.assert_array_equal(t.data, params.tensors[k].data)
     trainer.check_registry(payload, dataset)  # must not raise
-    windows = dataset.val_windows or dataset.train_windows
+    windows = dataset.eval_windows
     t1 = trainer.evaluate(result.params, windows, dataset)
     t2 = trainer.evaluate(params, windows, dataset)
     assert t1["overall"].rmse == t2["overall"].rmse
