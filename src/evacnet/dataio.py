@@ -30,6 +30,7 @@ from functools import partial
 from itertools import islice, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import graphs
 
@@ -709,6 +710,12 @@ def split_and_fit(data):
 INPUT_MODALITIES = ("identity", "d", "tt")
 
 
+def _block_hours(n_det):
+    """Hours per block of detector-hours: BLOCK_ROWS rows at most, one
+    hour at least."""
+    return max(1, BLOCK_ROWS // n_det)
+
+
 def input_table(data, norm):
     """(T, 3, n_det, F) float32 model inputs per hour and detector, shared
     by every window over `data`: modality "identity" holds the normalized
@@ -721,7 +728,7 @@ def input_table(data, norm):
     n_det, n_hours, f_t = data.temporal.shape
     table = np.zeros((n_hours, len(INPUT_MODALITIES), n_det,
                       f_t + data.spatial.shape[1]), np.float32)
-    step = max(1, BLOCK_ROWS // n_det)  # hours per block of rows
+    step = _block_hours(n_det)
     for h in range(0, n_hours, step):
         rows = np.empty((n_det, min(step, n_hours - h), table.shape[3]))
         rows[:, :, :f_t] = data.temporal[:, h:h + step]
@@ -835,16 +842,26 @@ def _ranks(index, size):
     return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
 
 
+def _starts(group, n):
+    """Where each label 0..n-1 begins in the sorted labels `group`, then
+    where the last ends: n + 1 offsets, as a list."""
+    return [0] + np.cumsum(np.bincount(group, minlength=n)).tolist()
+
+
 def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     """One WindowSample per anchor whose full l+p span fits in [start, end).
 
     A detector is predicted in a window only if active at every one of
     the l+p hours; the other detectors active at an input hour are its
-    step extras, so transient neighbors contribute context. Each hour a
-    window covers gets one snapshot over every detector active then, built
-    from their highways, mileposts and speeds in detector order; its
-    products Ã·rows, in float64 over the table's rows, are rounded into
-    `table` (see `input_table`) and the snapshot is dropped.
+    step extras, so transient neighbors contribute context. The windows
+    come from one sliding pass over the active mask. The hours they cover
+    get their graphs `_block_hours` hours at a time, as one
+    `graphs.build_snapshot` over every (hour, detector) cell active then,
+    grouped by hour, from their highways, mileposts and speeds, hour-major
+    and in detector order within an hour. Its products Ã·rows, in float64
+    over the table's rows, are rounded into `table` (see `input_table`)
+    one modality at a time, so a block holds one float64 product, and the
+    snapshot is dropped.
     """
     if l < 1 or p < 1:
         raise ValueError("l and p must be >= 1")
@@ -853,27 +870,49 @@ def make_windows(data, table, target_norm, l=6, p=6, start=0, end=None):
     if end - start < l + p:
         raise ShortSpanError(f"span of {end - start} hours is shorter "
                              f"than l + p = {l + p}")
+    # (n_det, anchor) whether a detector is active over the anchor's l + p
+    # hours, and (n_det, anchor, l) whether at each input hour, for the
+    # anchors with a predicted detector
+    full = sliding_window_view(data.active[:, start:end], l + p,
+                               axis=1).all(axis=2)
+    anchors = np.flatnonzero(full.any(axis=0))
+    full = full[:, anchors]
+    inputs = sliding_window_view(data.active[:, start:end - p], l,
+                                 axis=1)[:, anchors]
+    at, pred = np.nonzero(full.T)  # window-major
+    anchors += start
+    raw = data.flow[pred[:, None], (anchors[at] + l)[:, None] + np.arange(p)]
+    targets = target_norm.transform(raw, pred)
+    # each (window, input hour)'s step extras, window-major
+    step, extra = np.nonzero((inputs & ~full[:, :, None])
+                             .reshape(len(full), -1).T)
+    cut = _starts(at, len(anchors))
+    cut_step = _starts(step, len(anchors) * l)
     windows = []
-    for a in range(start, end - (l + p) + 1):
-        pred = np.flatnonzero(data.active[:, a:a + l + p].all(axis=1))
-        if pred.size == 0:
-            continue
-        extras = data.active[:, a:a + l].copy()
-        extras[pred] = False
-        raw = data.flow[pred, a + l:a + l + p]
+    for k, a in enumerate(anchors.tolist()):
+        of_k = slice(cut[k], cut[k + 1])
         windows.append(WindowSample(
-            anchor_index=a, l=l, det_indices=pred,
-            targets=target_norm.transform(raw, pred), targets_raw=raw,
-            extra_temporal=[np.flatnonzero(e) for e in extras.T],
+            anchor_index=a, l=l, det_indices=pred[of_k],
+            targets=targets[of_k], targets_raw=raw[of_k],
+            extra_temporal=[extra[cut_step[s]:cut_step[s + 1]]
+                            for s in range(k * l, (k + 1) * l)],
             table=table))
 
+    covered = np.zeros(n_hours, bool)
+    covered[anchors[:, None] + np.arange(l)] = True
+    hours = np.flatnonzero(covered)
     det = data.detectors
-    for t in sorted({w.anchor_index + s for w in windows for s in range(l)}):
-        act = np.flatnonzero(data.active[:, t])
-        snap = graphs.build_snapshot(det.highway[act], det.milepost[act],
-                                     data.speed[act, t])
-        for g, rows in graphs.propagate(snap, table[t, 0, act]).items():
-            table[t, INPUT_MODALITIES.index(g), act] = rows
+    block = _block_hours(len(det.milepost))
+    for b in range(0, len(hours), block):
+        cell_hour, d = np.nonzero(data.active[:, hours[b:b + block]].T)
+        t = hours[b + cell_hour]
+        snap = graphs.build_snapshot(det.highway[d], det.milepost[d],
+                                     data.speed[d, t], cell_hour)
+        x = table[t, 0, d]
+        for g in ("d", "tt"):
+            w, norm = getattr(snap, "adj_" + g), getattr(snap, "norm_" + g)
+            table[t, INPUT_MODALITIES.index(g), d] = \
+                graphs.normalized_product(snap.i, snap.j, w, norm, x)
     return windows
 
 

@@ -1,12 +1,15 @@
-"""Per-step dynamic graph construction over the active detector set.
+"""Dynamic graph construction over the active detector set.
 
 Two modalities are built for every hour: a distance graph whose edge
 weights are mileposts apart, and a travel-time graph whose weights are
 distance over the mean of the endpoint speeds. Both are chains along each
-highway, held as edges, min-max scaled per snapshot and normalized.
+highway, held as edges, min-max scaled per hour and normalized.
 
-The first GCN product Ã·X needs no parameters, so `propagate` computes it
-once per snapshot when the data are prepared.
+Many hours are built at once, as the disjoint union of their graphs over
+(hour, detector) cells grouped by hour; one hour is the one-group case.
+No cell is twice in `i` or twice in `j`, so the first GCN product Ã·X,
+which needs no parameters and is computed once per snapshot when the
+data are prepared, is each hour's product, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 @dataclass
 class GraphSnapshot:
-    """Both weighted graphs over one hour's active detectors as chain edges
+    """Both weighted graphs over the given detector cells as chain edges
     i–j, indices into the order `build_snapshot` was given them; no
-    detector is twice in `i` or twice in `j`."""
+    cell is twice in `i` or twice in `j`."""
     i: np.ndarray
     j: np.ndarray
     adj_d: np.ndarray  # (E,) scaled distance weights
@@ -36,19 +39,27 @@ class GraphSnapshot:
     norm_tt: np.ndarray
 
 
-def chain_edges(highway, milepost, speed):
-    """Chain edges between consecutive detectors along each highway.
+def _one_group(group, n):
+    """`group` as an array, or n labels of one group where it is None."""
+    return np.zeros(n, np.int64) if group is None else np.asarray(group)
 
-    The arrays hold one entry per detector: highway, milepost and speed
-    (mph). Offline detectors are simply absent, so their neighbors get
-    connected directly. Returns index arrays i, j into the given order
-    and each edge's miles and hours (miles over the mean endpoint speed,
-    `V_MIN` where that mean is not positive), in order of highway, then
-    milepost.
+
+def chain_edges(highway, milepost, speed, group=None):
+    """Chain edges between consecutive detectors along each highway, within
+    each group.
+
+    The arrays hold one entry per detector cell: highway, milepost, speed
+    (mph) and, optionally, a group label (the hour), all cells one group
+    when it is None. Offline detectors are simply absent, so their
+    neighbors get connected directly. Returns index arrays i, j into the
+    given order and each edge's miles and hours (miles over the mean
+    endpoint speed, `V_MIN` where that mean is not positive), in order of
+    group, highway, then milepost; cells that tie fall in the given order.
     """
-    order = np.lexsort((milepost, highway))
+    group = _one_group(group, len(milepost))
+    order = np.lexsort((milepost, highway, group))
     i, j = order[:-1], order[1:]
-    keep = highway[i] == highway[j]
+    keep = (highway[i] == highway[j]) & (group[i] == group[j])
     i, j = i[keep], j[keep]
     miles = np.abs(milepost[j] - milepost[i])
     if np.any(miles <= 0):
@@ -57,19 +68,26 @@ def chain_edges(highway, milepost, speed):
     return i, j, miles, miles / np.where(v <= 0, V_MIN, v)
 
 
-def scale_weights(raw):
-    """Affine-map raw edge weights onto [W_FLOOR, 1] per snapshot.
+def scale_weights(raw, group=None):
+    """Affine-map raw edge weights onto [W_FLOOR, 1] per group.
 
-    Degenerate ranges (all-equal weights, single edge) map to 1.0 so no
+    `group` labels each edge, the edges of a group adjacent, as
+    `chain_edges` orders them; all edges are one group when it is None.
+    A degenerate range (all-equal weights, single edge) maps to 1.0 so no
     edge is silently deleted.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.size == 0:
         return raw
-    lo, hi = raw.min(), raw.max()
-    if hi == lo:
-        return np.ones_like(raw)
-    return W_FLOOR + (raw - lo) / (hi - lo) * (1.0 - W_FLOOR)
+    group = _one_group(group, raw.size)
+    new = np.r_[True, group[1:] != group[:-1]]
+    first, at = np.flatnonzero(new), np.cumsum(new) - 1
+    lo, hi = np.minimum.reduceat(raw, first), np.maximum.reduceat(raw, first)
+    flat = hi == lo
+    out = W_FLOOR + ((raw - lo[at]) / np.where(flat, 1.0, hi - lo)[at]
+                     * (1.0 - W_FLOOR))
+    out[flat[at]] = 1.0
+    return out
 
 
 def inv_sqrt_degree(n, i, j, w):
@@ -91,13 +109,16 @@ def normalized_product(i, j, w, d, x):
     return out
 
 
-def build_snapshot(highway, milepost, speed):
-    """Build both modality graphs over the given active detectors: arrays
-    of their highways, mileposts and speeds (mph) at this hour, in the
-    same order."""
+def build_snapshot(highway, milepost, speed, group=None):
+    """Build both modality graphs over the given detector cells: arrays of
+    their highways, mileposts, speeds (mph) and group labels (the hour;
+    all one group when None), in the same order. Each group's graph is
+    its own chain, scaled over its own edges."""
     n = len(milepost)
-    i, j, miles, hours = chain_edges(highway, milepost, speed)
-    adj_d, adj_tt = scale_weights(miles), scale_weights(hours)
+    group = _one_group(group, n)
+    i, j, miles, hours = chain_edges(highway, milepost, speed, group)
+    at = group[i]  # each edge's group
+    adj_d, adj_tt = scale_weights(miles, at), scale_weights(hours, at)
     return GraphSnapshot(i=i, j=j, adj_d=adj_d, adj_tt=adj_tt,
                          norm_d=inv_sqrt_degree(n, i, j, adj_d),
                          norm_tt=inv_sqrt_degree(n, i, j, adj_tt))

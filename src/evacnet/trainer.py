@@ -35,6 +35,11 @@ MAX_HIDDEN = 1024
 # The agent's two hidden layers each hold an (rl_batch,
 # rlagent.HIDDEN_UNITS) float32 activation per learn(): 8 MiB at 16384.
 MAX_RL_BATCH = 16_384
+# Largest step loss of a training run that has not diverged, in the units
+# of the targets, z-scored per detector: predicting zero scores about 1,
+# and healthy runs stay below 3. An lr so large that the weights blow up
+# passes it within an epoch, often with a loss that stays finite.
+MAX_TRAIN_LOSS = 1e4
 
 VARIANTS = ("rl_dmf", "dmf_no_rl", "rl_dgl_distance", "rl_dgl_traveltime",
             "lstm_only", "static_gcn_lstm")
@@ -241,9 +246,10 @@ def train(config, dataset, log_fn=None):
             predicted, _ = dmf.forward(rows, params, mask=mask)
             loss = dmf.mse_loss(predicted, [w.targets for w in batch])
             loss_value = loss.item()
-            if not np.isfinite(loss_value):
+            if not loss_value <= MAX_TRAIN_LOSS:  # nan compares false
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, variant "
+                    f"loss {loss_value:.3g} non-finite or above "
+                    f"{MAX_TRAIN_LOSS:g} at epoch {epoch}, variant "
                     f"{config.variant}, lr {config.lr}; lr must be lower")
             loss.backward()
             optimizer.step(params.grad())

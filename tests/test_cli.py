@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pickle
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -347,19 +348,23 @@ def test_train_unknown_config_field(corpus, tmp_path):
     ({"epochs": 1, "rl_batch": 10 ** 10}, "rl_batch"),
     # a step that large leaves the loss non-finite: training diverges
     ({"epochs": 1, "lr": 1e30}, "lr"),
+    # the weights blow up: the loss passes trainer.MAX_TRAIN_LOSS, finite
+    ({"epochs": 1, "lr": 1e10}, "lr"),
+    ({"epochs": 1, "lr": 1e3}, "lr"),
     # the agent's Q-values overflow: its training diverges
     ({"epochs": 1, "rl_lr": 1e30}, "rl_lr"),
 ], ids=["epochs-type", "epochs", "batch_size", "hidden", "lr", "rl_buffer",
         "rl_batch", "rl_sync_every", "patience", "seed", "rl_gamma-nan",
         "rl_gamma-huge", "hidden-huge", "rl_batch-huge", "lr-diverges",
-        "rl_lr-diverges"])
+        "lr-blows-up", "lr-too-high", "rl_lr-diverges"])
 def test_train_config_field_type_is_user_error(corpus, tmp_path, caplog,
                                                fields, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(fields), encoding="utf-8")
     assert cli.main(["train", "--data", str(corpus), "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
-    assert f"{name} must" in caplog.text
+    # whole names: "rl_lr must" does not stand for "lr must"
+    assert re.search(rf"\b{name} must", caplog.text)
 
 
 def test_train_data_shorter_than_window_is_user_error(corpus, tmp_path,

@@ -19,6 +19,7 @@ import graphs_reference
 import loader_reference
 from conftest import repropagate
 import normalizer_reference
+import windows_reference
 from features_reference import as_records
 
 T0 = datetime(2024, 10, 1, 0)
@@ -582,30 +583,120 @@ def test_table_equals_dense_oracle(tmp_path, name):
         assert hour.tobytes() == table[t:t + 1][:, :, act].tobytes(), t
 
 
-def test_one_snapshot_per_covered_hour(tmp_path, monkeypatch):
+def test_graph_products_only_at_covered_hours(tmp_path):
+    """The table holds graph products at exactly the hours the windows
+    cover, over exactly the detectors active then, and nowhere else."""
     meta, records, _ = synth.generate(synth.builtin_scenarios()["S2"],
                                       tmp_path)
     data = engineer_features(*reversed(load_csv(meta, records)))
     train_end, norm, tnorm = split_and_fit(data)
-    built = []
-    real = graphs.build_snapshot
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(graphs, "build_snapshot", counting)
     table = input_table(data, norm)
     windows = make_windows(data, table, tnorm, l=6, p=6, end=train_end)
-    covered = sorted({w.anchor_index + step for w in windows
-                      for step in range(6)})
-    # one graph per covered hour, over the detectors active then, and no
-    # graph product at any other hour
-    assert [milepost.tolist() for _, milepost, _ in built] == [
-        data.detectors.milepost[data.active[:, t]].tolist() for t in covered]
-    assert len(covered) < 6 * len(windows)
-    np.testing.assert_array_equal(
-        np.flatnonzero(table[:, 1:].any(axis=(1, 2, 3))), covered)
+    covered = np.zeros(len(data.timeline), bool)
+    for w in windows:
+        covered[w.anchor_index:w.anchor_index + 6] = True
+    assert covered.sum() < 6 * len(windows)
+    for g in ("d", "tt"):
+        np.testing.assert_array_equal(
+            table[:, INPUT_MODALITIES.index(g)].any(axis=2),
+            data.active.T & covered[:, None])
+
+
+def window_case(active, highway, milepost, speed, seed=0):
+    """A prepared timeline over detectors with the given (n, T) active
+    mask, highways, mileposts and (n, T) speeds: random flows, a random
+    per-detector flow normalizer, and an input table with random rows and
+    no graph products."""
+    rng = np.random.default_rng(seed)
+    n, n_hours = active.shape
+    data = SimpleNamespace(
+        timeline=np.arange(n_hours), active=active, speed=speed,
+        flow=rng.uniform(0.0, 3000.0, (n, n_hours)),
+        detectors=SimpleNamespace(highway=highway, milepost=milepost))
+    table = np.zeros((n_hours, len(INPUT_MODALITIES), n, 4), np.float32)
+    table[:, 0] = rng.normal(size=(n_hours, n, 4))
+    tnorm = dataio.Normalizer(rng.normal(size=n), rng.uniform(0.5, 2.0, n))
+    return data, table, tnorm
+
+
+def assert_windows_equal_reference(data, table, tnorm, **span):
+    """`make_windows` writes the per-hour reference's table bytes and
+    returns its windows, array for array and dtype for dtype."""
+    want_table = table.copy()
+    want = windows_reference.make_windows(data, want_table, tnorm, **span)
+    got = make_windows(data, table, tnorm, **span)
+    assert table.tobytes() == want_table.tobytes()
+    assert [w.anchor_index for w in got] == [w.anchor_index for w in want]
+    for g, w in zip(got, want):
+        for name in ("det_indices", "targets", "targets_raw"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), name
+        assert [(e.dtype, e.tolist()) for e in g.extra_temporal] == \
+            [(e.dtype, e.tolist()) for e in w.extra_temporal]
+        assert g.table is table
+    return got
+
+
+@st.composite
+def window_cases(draw):
+    """Up to 7 detectors on up to 2 highways over up to 30 hours: a drawn
+    active mask, mileposts on a grid (so equal spacings, and hours whose
+    edges all weigh the same, are common), speeds from a few values that
+    include stalled ones (a mean endpoint speed <= 0), l, p, a span and
+    the hours per block."""
+    n = draw(st.integers(1, 7))
+    l, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n_hours = draw(st.integers(l + p, 30))
+    active = draw(arrays(np.bool_, (n, n_hours),
+                         elements=st.sampled_from([True, True, False])))
+    highway = np.array(draw(st.lists(st.sampled_from(["I4", "I75"]),
+                                     min_size=n, max_size=n)))
+    milepost = 2.5 * np.array(draw(st.permutations(range(n))), float)
+    speed = draw(arrays(np.float64, (n, n_hours),
+                        elements=st.sampled_from([-3.0, 0.0, 30.0, 60.0])))
+    start = draw(st.integers(0, n_hours - l - p))
+    end = draw(st.integers(start + l + p, n_hours))
+    block_rows = draw(st.integers(1, 3 * n))
+    return (active, highway, milepost, speed,
+            dict(l=l, p=p, start=start, end=end), block_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_make_windows_equals_per_hour_reference(case, seed):
+    """The sliding window pass and the blocked graph pass give the per-hour
+    loop's table and windows bit for bit, with blocks of a few hours (as
+    few as one) whose edges split a window's hours."""
+    active, highway, milepost, speed, span, block_rows = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "BLOCK_ROWS", block_rows)
+        assert_windows_equal_reference(
+            *window_case(active, highway, milepost, speed, seed), **span)
+
+
+def test_make_windows_equals_per_hour_reference_hand_case(monkeypatch):
+    """One case that holds each kind of hour at once: covered hours with
+    1, 2, 3 and 4 active detectors and an hour with none; hours whose
+    edges weigh all the same; stalled speeds; and 2-hour blocks that
+    split every window's input hours."""
+    n_hours = 16
+    active = np.ones((4, n_hours), bool)
+    active[3, 4:6] = False  # 2, then 3 active detectors
+    active[2, 4] = False
+    active[1:, 9] = False  # 1
+    active[:, 12] = False  # none
+    highway = np.array(["I75"] * 4)
+    milepost = np.array([0.0, 2.0, 4.0, 6.0])  # equal spacing
+    speed = np.full((4, n_hours), 50.0)  # equal weights ...
+    speed[:2, 2:4] = [[-1.0, 0.0], [0.0, 10.0]]  # ... but stalled here
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 8)  # 2 hours of 4 detectors
+    windows = assert_windows_equal_reference(
+        *window_case(active, highway, milepost, speed), l=3, p=2)
+    covered = sorted({w.anchor_index + s for w in windows for s in range(3)})
+    assert set(active[:, covered].sum(axis=0)) == {1, 2, 3, 4}
+    assert 12 not in covered
+    assert any(len(e) for w in windows for e in w.extra_temporal)
 
 
 @settings(max_examples=25, deadline=None)

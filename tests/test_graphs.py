@@ -49,6 +49,15 @@ def test_edges_in_highway_then_milepost_order():
         [1, 3, 2], [4, 2, 0], [4.0, 2.0, 4.0])
 
 
+def test_no_edges_across_groups():
+    # the same two detectors at two hours: one chain per hour
+    i, j, miles, _ = graphs.chain_edges(
+        np.array(["I75"] * 4), np.array([3.0, 0.0, 3.0, 0.0]),
+        np.full(4, 60.0), group=np.array([0, 0, 1, 1]))
+    assert (i.tolist(), j.tolist(), miles.tolist()) == ([1, 3], [0, 2],
+                                                        [3.0, 3.0])
+
+
 def test_distance_must_be_positive():
     with pytest.raises(ValueError, match="distance must be positive"):
         chain([1.0, 1.0])
@@ -98,6 +107,13 @@ def test_scale_weights_degenerate():
     np.testing.assert_array_equal(graphs.scale_weights([3.0, 3.0, 3.0]),
                                   [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(graphs.scale_weights([7.0]), [1.0])
+
+
+def test_scale_weights_per_group():
+    # each group over its own range; the second group's weights are equal
+    np.testing.assert_allclose(
+        graphs.scale_weights([2.0, 4.0, 6.0, 3.0, 3.0], [0, 0, 0, 1, 1]),
+        [0.01, 0.505, 1.0, 1.0, 1.0])
 
 
 @given(st.lists(st.floats(0.1, 1000), min_size=2, max_size=12, unique=True))
