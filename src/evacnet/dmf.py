@@ -128,6 +128,13 @@ def _sigmoid(x):
     np.divide(1.0, x, out=x)
 
 
+def _hours(block, count):
+    """`count` hours that all view `block`: a zero-stride hour axis, so
+    what hour k writes at [k + 1] is what hour k + 1 reads at [k + 1]."""
+    return np.lib.stride_tricks.as_strided(
+        block, (count,) + block.shape, (0,) + block.strides)
+
+
 def lstm_step(x, params, at=None):
     """The LSTM over a window's l input hours from a zero state, all nodes
     at once. `x` holds each hour's (n, H) inputs, as (l, n, H) or as a
@@ -143,22 +150,27 @@ def lstm_step(x, params, at=None):
     projected once. Only a pass that records no graph takes a grid
     (ValueError otherwise): training keeps its per-window rows.
 
-    The activations are gate-major: one (4, l, n, H) array in which gate
-    f, i, c̃ or o of hour k is a contiguous (n, H) block. The input
-    projection of every hour is one product, and only h·U runs hour by
-    hour, into one (4, n, H) buffer; both multiply (4, H, H) views of the
-    (H, 4H) weights' column blocks, so no weight is copied. The backward
-    writes an hour's four gate gradients into a gate-major (4, n, H)
-    block and copies it into the hour-major (l, n, 4H) d_pre, which the
-    products dh, dx, dW and dU and the sum db read whole. Apart from
-    d_pre, the grid's projection and the gradients it returns, both
-    passes write only into buffers made once per call. Every elementwise
-    op takes the operands of a column-block layout in the same order and
-    the backward's products are the same; with H = 32 the forward's
-    per-gate products also round as the (H, 4H) ones do, so h, c and the
-    gradients equal a column-block LSTM's bit for bit. The bias adds
-    after h·U, with or without `at`, so each gate rounds as it does
-    without a grid. The buffers take the input's dtype."""
+    The input projection x·W of every hour (or cell) is one product per
+    gate, into a gate-major (4, l·n, H) array, and only h·U runs hour by
+    hour; both multiply (4, H, H) views of the (H, 4H) weights' column
+    blocks, so no weight is copied. Each hour's gate arithmetic runs on
+    one contiguous (4, n, H) block: h·U is written into it, the hour's
+    x·W slice (or, with a grid, its cells' gates, gathered by `np.take`)
+    and the bias are added, and gates f, i, c̃ and o are its four (n, H)
+    blocks. The bias is broadcast once per call into a (4, n, H) block,
+    since adding a (4, 1, H) broadcast iterates H values at a time. A
+    recorded pass keeps every hour's block, hour-major (l, 4, n, H), with
+    each hour's states and tanh(c), for the backward; a pass that records
+    no graph keeps one hour of each, which the next hour overwrites. The
+    backward writes an hour's four gate gradients into a gate-major (4, n,
+    H) block and copies it into the hour-major (l, n, 4H) d_pre, which the
+    products dh, dx, dW and dU and the sum db read whole. Every
+    elementwise op takes the operands of a column-block layout in the
+    same order (x·W + h·U, then the bias: a grid's gates round as the
+    rows' do) and the backward's products are the same; with H = 32 the
+    forward's per-gate products also round as the (H, 4H) ones do, so in
+    float64 h, c and the gradients equal a column-block LSTM's bit for
+    bit. The buffers take the input's dtype."""
     t = params.tensors
     w, u, b = t["W_lstm"], t["U_lstm"], t["b_lstm"]
     hid = params.hidden
@@ -170,54 +182,60 @@ def lstm_step(x, params, at=None):
         """(H, 4H) → (4, H, H) view: gate j's columns at [j]."""
         return a.reshape(hid, 4, hid).transpose(1, 0, 2)
 
-    # pre (x·W + h·U + b, activated in place hour by hour into f, i, c̃, o),
-    # then hs[k] and cs[k] (the state entering hour k), tanh(c) and one
-    # hour's h·U (then i·c̃ in hu[0]). A pass that records no graph takes
-    # them as slices of one allocation: glibc's malloc hands memory at the
-    # top of its heap back to the system once more than twice the largest
-    # block it has freed lies there, so as one block an evaluate chunk's
-    # buffers stay mapped for the next chunk instead of being faulted in
-    # again. A recorded pass keeps them until its backward, and one block
-    # would only raise malloc's thresholds for the training step.
-    sizes = (4 * l, l + 1, l + 1, l, 4)
     recorded = any(p.requires_grad for p in (x, w, u, b))
     if recorded and at is not None:
         raise ValueError("only a pass that records no graph takes grid "
                          "positions")
+    if at is not None and (at.min() < 0 or at.max() >= len(xs)):
+        raise ValueError(f"grid positions must lie in [0, {len(xs)})")
+    proj = np.matmul(xs, by_gate(w.data))  # (4, l·n or cells, H)
+    # acts[k], hs[k], cs[k] and tanh_c[k]: hour k's activated gates f, i,
+    # c̃, o, the state entering it and tanh of the state leaving it (i·c̃
+    # first). A recorded pass keeps all l hours for its backward. A pass
+    # that records no graph keeps one hour of each, as zero-stride views,
+    # and takes them, the bias block and the grid's gather buffer as
+    # slices of one allocation: glibc's malloc hands memory at the top of
+    # its heap back to the system once more than twice the largest block
+    # it has freed lies there, so as one block an evaluate chunk's buffers
+    # stay mapped for the next chunk instead of being faulted in again.
+    # One block would only raise malloc's thresholds for a training step.
     if recorded:
-        pre, hs, cs, tanh_c, hu = (np.empty((k, n, hid), dtype)
-                                   for k in sizes)
+        acts = np.empty((l, 4, n, hid), dtype)
+        hs, cs, tanh_c = (np.empty((k, n, hid), dtype)
+                          for k in (l + 1, l + 1, l))
+        bias = np.empty((4, n, hid), dtype)
     else:
-        pre, hs, cs, tanh_c, hu = np.split(
-            np.empty((sum(sizes), n, hid), dtype), np.cumsum(sizes[:-1]))
+        one = np.empty((11 if at is None else 15, n, hid), dtype)
+        acts = _hours(one[:4], l)
+        hs, cs, tanh_c = (_hours(one[j], k)
+                          for j, k in ((4, l + 1), (5, l + 1), (6, l)))
+        bias, gathered = one[7:11], one[11:]
+    np.copyto(bias, b.data.reshape(4, 1, hid))
     if at is None:
-        np.matmul(xs, by_gate(w.data), out=pre.reshape(4, l * n, hid))
-    else:
-        if at.min() < 0 or at.max() >= len(xs):
-            raise ValueError(f"grid positions must lie in [0, {len(xs)})")
-        # gathered along the cells into the gate-major buffer, where a
-        # fancy index would give a non-contiguous (l, n, 4, H) array; the
-        # positions are checked, and mode "raise" would copy them once more
-        np.take(np.matmul(xs, by_gate(w.data)), at.ravel(), axis=1,
-                out=pre.reshape(4, l * n, hid), mode="clip")
-    pre = pre.reshape(4, l, n, hid)
-    bias = b.data.reshape(4, 1, hid)
+        proj = proj.reshape(4, l, n, hid)
     u_gates = by_gate(u.data)
     hs[0] = cs[0] = 0.0
     # a gate under about -709 overflows exp to inf, and 1 / inf is its
     # exact value 0
     with np.errstate(over="ignore"):
         for k in range(l):
-            gates = pre[:, k]
+            # the positions are checked, and mode "raise" would copy the
+            # gathered gates once more
+            x_k = (proj[:, k] if at is None else
+                   np.take(proj, at[k], axis=1, out=gathered, mode="clip"))
+            gates = acts[k]
             if k:
-                gates += np.matmul(hs[k], u_gates, out=hu)
-            gates += bias
+                np.matmul(hs[k], u_gates, out=gates)
+                gates += x_k
+                gates += bias
+            else:
+                np.add(x_k, bias, out=gates)
             _sigmoid(gates[:2])
             f, i, c_tilde, o = gates
             np.tanh(c_tilde, out=c_tilde)
             _sigmoid(o)
             np.multiply(f, cs[k], out=cs[k + 1])
-            cs[k + 1] += np.multiply(i, c_tilde, out=hu[0])
+            cs[k + 1] += np.multiply(i, c_tilde, out=tanh_c[k])
             np.tanh(cs[k + 1], out=tanh_c[k])
             np.multiply(o, tanh_c[k], out=hs[k + 1])
 
@@ -241,7 +259,7 @@ def lstm_step(x, params, at=None):
 
         df, di, dg, do = d_gates
         for k in reversed(range(l)):
-            f, i, c_tilde, o = pre[:, k]
+            f, i, c_tilde, o = acts[k]
             np.multiply(dh, o, out=s)
             s *= dtanh(tanh_c[k])
             dc += s

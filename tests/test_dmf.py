@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -262,22 +263,60 @@ def test_lstm_equals_column_block_lstm_bit_for_bit(n, l, modality_axis,
         assert a is None or np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 61, 800])
-@pytest.mark.parametrize("l", [1, 6])
-def test_unrecorded_lstm_equals_recorded_bit_for_bit(n, l):
-    # a pass over constants takes its buffers from one allocation
+@pytest.mark.parametrize("l, n, dtype, grid", [
+    # ids l-n, then "float32" and "grid" where they apply
+    pytest.param(l, n, dtype, grid, id="-".join(
+        [str(l), str(n)] + ["float32"] * (dtype is np.float32)
+        + ["grid"] * grid))
+    for dtype in (np.float64, np.float32) for grid in (False, True)
+    for l in (1, 6) for n in (1, 61, 800)])
+def test_unrecorded_lstm_equals_recorded_bit_for_bit(l, n, dtype, grid):
+    # a pass over constants keeps one hour of state, from one allocation;
+    # on a grid its gates are gathered from the cells' projection, which
+    # repeats cells across hours and rows, and the recorded pass reads
+    # the same cells as per-row inputs
     hidden = 32
     rng = np.random.default_rng(7 + n + l)
     params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
     params.tensors["b_lstm"].data[:] = rng.normal(size=4 * hidden)
-    x = rng.normal(size=(l, n, hidden))
     constant = replace(params, tensors={k: Tensor(v.data) for k, v in
                                         params.tensors.items()})
+    if grid:
+        cells = rng.normal(size=(l, max(1, n // 2), hidden)).astype(dtype)
+        at = rng.integers(0, cells.shape[0] * cells.shape[1], size=(l, n))
+        x = cells.reshape(-1, hidden)[at]
+        assert l * n == 1 or len(np.unique(at)) < at.size
+    else:
+        x = rng.normal(size=(l, n, hidden)).astype(dtype)
+        cells, at = x, None
     h, c = dmf.lstm_step(Tensor(x, requires_grad=True), params)
-    h0, c0 = dmf.lstm_step(Tensor(x), constant)
+    h0, c0 = dmf.lstm_step(Tensor(cells), constant, at=at)
     assert h.requires_grad and not h0.requires_grad
+    assert h0.data.dtype == c0.dtype == dtype
     np.testing.assert_array_equal(h0.data, h.data)
     np.testing.assert_array_equal(c0, c)
+
+
+def test_unrecorded_lstm_state_does_not_grow_with_the_window():
+    # over one grid of cells, 18 more hours add less than one (n, H)
+    # float32 block to an unrecorded pass's peak: it keeps one hour
+    hidden, n = 32, 200
+    rng = np.random.default_rng(3)
+    params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=0)
+    constant = replace(params, tensors={k: Tensor(v.data) for k, v in
+                                        params.tensors.items()})
+    cells = Tensor(rng.normal(size=(24, n, hidden)).astype(np.float32))
+
+    def peak(l):
+        at = (np.arange(l)[:, None] * n + np.arange(n)).astype(np.intp)
+        tracemalloc.start()
+        try:
+            dmf.lstm_step(cells, constant, at=at)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(6)  # warm the allocator
+    assert peak(24) - peak(6) < n * hidden * 4
 
 
 def test_lstm_saturated_gate_is_zero_without_overflow_warning():
