@@ -129,8 +129,8 @@ def _sigmoid(x):
 
 
 def _hours(block, count):
-    """`count` hours that all view `block`: a zero-stride hour axis, so
-    what hour k writes at [k + 1] is what hour k + 1 reads at [k + 1]."""
+    """`count` hours that are all `block`: a zero-stride hour axis, so
+    each hour overwrites the last and they hold one hour's memory."""
     return np.lib.stride_tricks.as_strided(
         block, (count,) + block.shape, (0,) + block.strides)
 
@@ -205,14 +205,13 @@ def lstm_step(x, params, at=None):
                           for k in (l + 1, l + 1, l))
         bias = np.empty((4, n, hid), dtype)
     else:
+        # the gates, h, c, tanh(c), the bias and a grid's gathered x·W
         one = np.empty((11 if at is None else 15, n, hid), dtype)
         acts = _hours(one[:4], l)
         hs, cs, tanh_c = (_hours(one[j], k)
                           for j, k in ((4, l + 1), (5, l + 1), (6, l)))
         bias, gathered = one[7:11], one[11:]
     np.copyto(bias, b.data.reshape(4, 1, hid))
-    if at is None:
-        proj = proj.reshape(4, l, n, hid)
     u_gates = by_gate(u.data)
     hs[0] = cs[0] = 0.0
     # a gate under about -709 overflows exp to inf, and 1 / inf is its
@@ -221,7 +220,7 @@ def lstm_step(x, params, at=None):
         for k in range(l):
             # the positions are checked, and mode "raise" would copy the
             # gathered gates once more
-            x_k = (proj[:, k] if at is None else
+            x_k = (proj[:, k * n:(k + 1) * n] if at is None else
                    np.take(proj, at[k], axis=1, out=gathered, mode="clip"))
             gates = acts[k]
             if k:

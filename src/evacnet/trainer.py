@@ -24,9 +24,11 @@ CHECKPOINT_FIELDS = ("version", "config", "registry", "f_t", "f_s", "params",
 # graph, so its memory is the chunk's live activations, and that adds to
 # peak memory. In float32 with 32 hidden units, 6 input hours and two
 # graphs, the peak of one chunk's gather and forward (tracemalloc) is
-# about 7.2 KB per row on S1 and S2 (3.5 MB at 512 rows), whose windows
-# share most cells of the grid, and 8.0-9.0 KB on corridors100, where 512
-# rows hold about 5 windows of 97 predicted detectors.
+# about 3.0 KB per row on S1 and S2 (1.5 MB at 512 rows), whose windows
+# share most cells of the grid, and 3.8-4.8 KB on corridors100, where 512
+# rows hold about 5 windows of 97 predicted detectors. The LSTM's share
+# does not grow with l, as it keeps one hour of state. 256 and 1024 rows
+# were both slower than 512 on S1 and corridors100.
 EVAL_ROWS = 512
 # Widths past which a mistyped value would ask for memory without bound.
 # The LSTM's 8 * hidden**2 weights, with a gradient and Adam's two moments

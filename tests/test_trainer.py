@@ -472,17 +472,17 @@ def test_evaluate_runs_each_grid_cell_once(builtin, monkeypatch):
 
 def test_gate_blocks_the_recurrence_reads_are_contiguous(builtin,
                                                          monkeypatch):
-    """Every gate block the recurrence activates is one C-contiguous (n, H)
-    block of the gate-major buffer, in a training step's recorded pass and
-    in `evaluate`'s grid pass alike: the grid's gates are gathered into
-    that buffer, not read through a strided fancy-index result."""
+    """Every block of gates the recurrence activates at once, f and i
+    together and o alone, is C-contiguous, in a training step's recorded
+    pass and in `evaluate`'s grid pass alike: each hour's gates are one
+    contiguous (4, n, H) block, and the grid's are gathered into it, not
+    read through a strided fancy-index result."""
     ds = builtin["S2"]
     params = dmf.DmfParameters.init(ds.f_t, ds.f_s, 16, ds.p, seed=3)
     blocks, sigmoid = [], dmf._sigmoid
 
     def recording(x):
-        blocks.extend(g.flags.c_contiguous
-                      for g in (x if x.ndim == 3 else [x]))
+        blocks.append(x.flags.c_contiguous)
         sigmoid(x)
     monkeypatch.setattr(dmf, "_sigmoid", recording)
     predict(_ragged_s2_batch(ds), params)
