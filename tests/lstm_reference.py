@@ -1,6 +1,7 @@
 """Reference oracle for `dmf.lstm_step`: the column-block implementation
-it replaced, kept verbatim so the gate-major version can be checked
-against it bit for bit. Only the imports differ."""
+it replaced, kept verbatim so the current one can be checked against
+it bit for bit in float64 (its state is float64 whatever the input's
+dtype). Only the imports differ."""
 
 import numpy as np
 

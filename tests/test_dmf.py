@@ -239,7 +239,9 @@ def test_lstm_cell_state_bound():
 @pytest.mark.parametrize("x_grad", [False, True])
 def test_lstm_equals_column_block_lstm_bit_for_bit(n, l, modality_axis,
                                                    x_grad):
-    # gate-major storage changes no operand and no order of summation
+    # per-gate products and contiguous per-hour gate blocks change no
+    # operand and no order of summation (in float64: the oracle keeps
+    # float64 state)
     hidden = 32
     rng = np.random.default_rng(40 + n + l)
     params = dmf.DmfParameters.init(hidden, 0, hidden, 1, seed=l)
@@ -308,7 +310,7 @@ def test_unrecorded_lstm_state_does_not_grow_with_the_window():
     cells = Tensor(rng.normal(size=(24, n, hidden)).astype(np.float32))
 
     def peak(l):
-        at = (np.arange(l)[:, None] * n + np.arange(n)).astype(np.intp)
+        at = np.arange(l)[:, None] * n + np.arange(n)
         tracemalloc.start()
         try:
             dmf.lstm_step(cells, constant, at=at)
